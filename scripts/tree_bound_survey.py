@@ -25,9 +25,9 @@ def survey(k: int, d: int, sub: int) -> None:
     level_bound = -(-ld.max_nonleaf // 3) + 1
 
     sched_d = strat_tree_depth(g, 0)
-    ok_d = run_schedule(g, sched_d, keep_states=False).cleared
+    ok_d = run_schedule(g, sched_d).cleared
     sched_l = strat_tree_levels(g, 0)
-    ok_l = run_schedule(g, sched_l, keep_states=False).cleared
+    ok_l = run_schedule(g, sched_l).cleared
 
     print(
         f"kary({k},{d})+sub{sub}: n={g.n} depth={depth} | "

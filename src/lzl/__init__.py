@@ -40,10 +40,10 @@ from .iso import (
     prox_lower_bounds,
 )
 from .prox import (
-    ContaminationState,
     ProbeSchedule,
     contamination_step,
     prox_number,
+    prox_solve,
     prox_winnable,
     run_schedule,
 )

@@ -10,7 +10,6 @@ with the deterministic payload under "report" and timing segregated under
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -20,14 +19,13 @@ from . import __version__
 from .errors import (
     GraphParseError,
     GraphValidationError,
-    GridVerificationError,
     LzlError,
-    PolicyError,
     ScheduleError,
     SizeCapError,
-    StrategyPreconditionError,
+    UsageError,
 )
 from .graphs import (
+    FAMILIES,
     Graph,
     generate,
     max_degree,
@@ -58,14 +56,29 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{what}: '{text}' is not an integer") from None
+
+
 def _env_cap(default: int) -> int:
     raw = os.environ.get("LZL_MAX_N")
-    return int(raw) if raw else default
+    return _int(raw, "LZL_MAX_N") if raw else default
 
 
 def _workers() -> int:
     raw = os.environ.get("LZL_THREADS")
-    return max(1, int(raw)) if raw else 1
+    return max(1, _int(raw, "LZL_THREADS")) if raw else 1
+
+
+def _read_text(path: str, error: type[LzlError]) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise error(f"{path} is not UTF-8 text") from None
 
 
 def load_graph(spec: str) -> tuple[Graph, str]:
@@ -74,34 +87,28 @@ def load_graph(spec: str) -> tuple[Graph, str]:
     An optional trailing :sub<i> segment subdivides every edge i times.
     """
     if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            return parse_graph(fh.read()), os.path.basename(spec)
+        return parse_graph(_read_text(spec, GraphParseError)), os.path.basename(spec)
     parts = spec.split(":")
     family = parts[0]
-    params = [int(x) for x in parts[1].split(",")] if len(parts) > 1 and parts[1] else []
-    builders = {
-        "path": lambda: generate("path", n=params[0]),
-        "cycle": lambda: generate("cycle", n=params[0]),
-        "complete": lambda: generate("complete", n=params[0]),
-        "grid": lambda: generate("grid", n=params[0]),
-        "kary": lambda: generate("kary", k=params[0], d=params[1]),
-        "spider": lambda: generate("spider", arms=params),
-    }
-    if family not in builders:
+    if family not in FAMILIES:
         raise GraphValidationError(
             f"'{spec}' is neither a file nor a family spec"
         )
-    try:
-        g = builders[family]()
-    except IndexError:
+    names = FAMILIES[family][1]
+    values = [_int(x, spec) for x in parts[1].split(",")] if len(parts) > 1 and parts[1] else []
+    if "arms" in names:
+        g = generate(family, arms=values)
+    elif len(values) < len(names):
         raise GraphValidationError(
             f"family spec '{spec}' is missing parameters"
-        ) from None
+        )
+    else:
+        g = generate(family, **dict(zip(names, values)))
     if len(parts) > 2:
         seg = parts[2]
         if not seg.startswith("sub"):
             raise GraphValidationError(f"unknown graph spec segment '{seg}'")
-        g = subdivide(g, int(seg[3:]))
+        g = subdivide(g, _int(seg[3:], spec))
     return g, spec
 
 
@@ -127,37 +134,12 @@ def _report(command: str, graph: Graph | None, parameters: dict, results: dict,
     return body
 
 
-def _cache_key(body: dict) -> str:
-    core = {k: body[k] for k in body if k not in ("results",)}
-    return hashlib.sha256(
-        json.dumps(core, sort_keys=True).encode()
-    ).hexdigest()
-
-
-def _emit(body: dict, started: float, out_path: str | None = None) -> None:
-    cache_dir = os.environ.get("LZL_CACHE")
-    cache_info = {"enabled": bool(cache_dir), "hit": False}
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        key = _cache_key(body)
-        path = os.path.join(cache_dir, key + ".json")
-        if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                body = json.load(fh)
-            cache_info["hit"] = True
-        else:
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(body, fh, sort_keys=True)
-        cache_info["key"] = key
+def _emit(body: dict, started: float) -> None:
     payload = json.dumps(
-        {"report": body, "timing": {"wall_time_s": round(time.time() - started, 4)},
-         "cache": cache_info},
+        {"report": body, "timing": {"wall_time_s": round(time.time() - started, 4)}},
         sort_keys=True,
         indent=2,
     )
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
     print(payload)
 
 
@@ -166,21 +148,15 @@ def _emit(body: dict, started: float, out_path: str | None = None) -> None:
 
 def cmd_gen(args) -> int:
     started = time.time()
-    if args.family == "kary":
-        if args.k is None or args.d is None:
-            raise GraphValidationError("kary needs --k and --d")
-        g = generate("kary", k=args.k, d=args.d)
-    elif args.family == "spider":
-        if not args.arms:
-            raise GraphValidationError("spider needs --arms a,b,c,...")
-        arms = [int(x) for x in args.arms.split(",")]
-        g = generate("spider", arms=arms)
-    elif args.family in ("path", "cycle", "complete", "grid"):
-        if args.n is None:
-            raise GraphValidationError(f"{args.family} needs --n")
-        g = generate(args.family, n=args.n)
-    else:
+    if args.family not in FAMILIES:
         raise GraphValidationError(f"unknown family '{args.family}'")
+    params = {name: getattr(args, name) for name in FAMILIES[args.family][1]}
+    missing = [f"--{name}" for name, value in params.items() if value in (None, "")]
+    if missing:
+        raise GraphValidationError(f"{args.family} needs {' and '.join(missing)}")
+    if "arms" in params:
+        params["arms"] = [_int(x, "--arms") for x in args.arms.split(",")]
+    g = generate(args.family, **params)
     if args.subdivide:
         g = subdivide(g, args.subdivide)
     text = serialize_graph(g)
@@ -216,7 +192,7 @@ def cmd_iso(args) -> int:
     results: dict = {
         "mode": args.mode,
         "values": list(profile.values),
-        "exact": all(profile.exact),
+        "exact": profile.exact,
     }
     if args.peak:
         results["peak"] = iso_peak(profile)
@@ -290,9 +266,8 @@ def cmd_prox(args) -> int:
         return EXIT_OK
     if not args.schedule:
         raise GraphValidationError("prox verify needs --schedule")
-    with open(args.schedule, "r", encoding="utf-8") as fh:
-        schedule = ProbeSchedule.from_json(fh.read())
-    trace = run_schedule(g, schedule, keep_states=False)
+    schedule = ProbeSchedule.from_json(_read_text(args.schedule, ScheduleError))
+    trace = run_schedule(g, schedule)
     body = _report(
         "prox-verify",
         g,
@@ -356,9 +331,11 @@ def cmd_strat(args) -> int:
     g, gid = load_graph(args.graph)
     if args.name not in STRATEGY_REGISTRY:
         raise GraphValidationError(f"unknown strategy '{args.name}'")
+    if not 0 <= args.root < g.n:
+        raise GraphValidationError(f"--root {args.root} is not a vertex index")
     kind, artifact = STRATEGY_REGISTRY[args.name](g, root=args.root)
     if kind == "schedule":
-        trace = run_schedule(g, artifact, keep_states=False)
+        trace = run_schedule(g, artifact)
         verdict = trace.cleared
         results = {
             "kind": kind,
@@ -507,19 +484,7 @@ def main(argv=None) -> int:
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (
-        GraphParseError,
-        GraphValidationError,
-        ScheduleError,
-        PolicyError,
-        StrategyPreconditionError,
-        GridVerificationError,
-        LzlError,
-        FileNotFoundError,
-        KeyError,
-        ValueError,
-        IndexError,
-    ) as exc:
+    except (LzlError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

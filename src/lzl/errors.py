@@ -5,6 +5,10 @@ class LzlError(Exception):
     """Base class for package errors."""
 
 
+class UsageError(LzlError):
+    """A command-line value or environment setting is malformed."""
+
+
 class GraphParseError(LzlError):
     """Malformed graph file. Carries the 1-based line number when known."""
 

@@ -243,23 +243,14 @@ def serialize_graph(g: Graph) -> str:
 
 
 def generate(family: str, **params) -> Graph:
-    """Build a named graph family.
+    """Build a named graph family from :data:`FAMILIES`.
 
-    Families: ``path n``, ``cycle n``, ``complete n``, ``grid n``,
-    ``kary k d``, ``spider arms``.  Subdivision is the separate
-    :func:`subdivide` since its base is itself a graph.
+    Subdivision is the separate :func:`subdivide` since its base is itself
+    a graph.
     """
-    builders = {
-        "path": _gen_path,
-        "cycle": _gen_cycle,
-        "complete": _gen_complete,
-        "grid": _gen_grid,
-        "kary": _gen_kary,
-        "spider": _gen_spider,
-    }
-    if family not in builders:
+    if family not in FAMILIES:
         raise GraphValidationError(f"unknown family '{family}'")
-    return builders[family](**params)
+    return FAMILIES[family][0](**params)
 
 
 def _gen_path(n: int) -> Graph:
@@ -341,6 +332,18 @@ def _gen_spider(arms: Sequence[int]) -> Graph:
             prev = next_vertex
             next_vertex += 1
     return Graph(next_vertex, edges, labels)
+
+
+#: family -> (builder, parameter names); ``spider`` takes its whole
+#: parameter list as ``arms``, every other parameter is one integer.
+FAMILIES = {
+    "path": (_gen_path, ("n",)),
+    "cycle": (_gen_cycle, ("n",)),
+    "complete": (_gen_complete, ("n",)),
+    "grid": (_gen_grid, ("n",)),
+    "kary": (_gen_kary, ("k", "d")),
+    "spider": (_gen_spider, ("arms",)),
+}
 
 
 def subdivide(base: Graph, i: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:

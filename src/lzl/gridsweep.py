@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .bitset import VertexSet
 from .errors import GridVerificationError, ScheduleError
-from .graphs import Graph, generate
+from .graphs import generate
 from .prox import ProbeSchedule, ScheduleTrace, run_schedule
 
 Coord = tuple[int, int]
@@ -156,9 +156,24 @@ class GridSweepPlan:
     panel_traces: list[dict[int, dict]]
     panel_starts: list[tuple[int, int]]  # (start round, start index)
 
-    @property
-    def budget_extended(self) -> int:
-        return max((len(set(r)) for r in self.rounds), default=0)
+
+def _sweep(panels: list[_Panel], m: int, n: int) -> GridSweepPlan:
+    """Run the panels until every region is empty, then a 5m-round margin."""
+    rounds: list[list[Coord]] = []
+    hard_cap = 10 * m * (n + 4 * m) + 100
+    while any(p.empty_from is None for p in panels):
+        if len(rounds) >= hard_cap:
+            raise GridVerificationError("grid sweep failed to terminate")
+        t = len(rounds) + 1
+        rounds.append([probe for p in panels for probe in p.round(t)])
+    rounds.extend([] for _ in range(5 * m))
+    return GridSweepPlan(
+        n=n,
+        m=m,
+        rounds=rounds,
+        panel_traces=[p.trace for p in panels],
+        panel_starts=[(p.start_round, p.start_i) for p in panels],
+    )
 
 
 def panel_schedule(
@@ -168,25 +183,7 @@ def panel_schedule(
     if m % 2 == 0:
         raise ScheduleError("panel width must be odd")
     start_i = -2 * m if start_index is None else start_index
-    panel = _Panel(m, n, start_round, start_i, 0)
-    rounds: list[list[Coord]] = []
-    hard_cap = 10 * m * (n + 4 * m) + 100
-    t = 0
-    while panel.empty_from is None:
-        t += 1
-        if t > hard_cap:
-            raise GridVerificationError("panel sweep failed to terminate")
-        rounds.append(panel.round(t))
-    for _ in range(5 * m):
-        t += 1
-        rounds.append([])
-    return GridSweepPlan(
-        n=n,
-        m=m,
-        rounds=rounds,
-        panel_traces=[panel.trace],
-        panel_starts=[(start_round, start_i)],
-    )
+    return _sweep([_Panel(m, n, start_round, start_i, 0)], m, n)
 
 
 def five_panel_schedule(n: int) -> GridSweepPlan:
@@ -202,41 +199,7 @@ def five_panel_schedule(n: int) -> GridSweepPlan:
         _Panel(m, n, j, -2 * m + (j - 1) * (m - 1) // 2, (j - 1) * m)
         for j in range(1, 6)
     ]
-    rounds: list[list[Coord]] = []
-    hard_cap = 10 * m * (n + 4 * m) + 100
-    t = 0
-    while any(p.empty_from is None for p in panels):
-        t += 1
-        if t > hard_cap:
-            raise GridVerificationError("five-panel sweep failed to terminate")
-        merged: list[Coord] = []
-        for p in panels:
-            merged.extend(p.round(t))
-        rounds.append(merged)
-    for _ in range(5 * m):
-        rounds.append([])
-    return GridSweepPlan(
-        n=n,
-        m=m,
-        rounds=rounds,
-        panel_traces=[p.trace for p in panels],
-        panel_starts=[(p.start_round, p.start_i) for p in panels],
-    )
-
-
-def rect_lattice(n_rows: int, n_cols: int) -> Graph:
-    """Rectangular grid graph with (row, col) labels, row-major indexing."""
-    edges = []
-    labels = {}
-    for r in range(n_rows):
-        for c in range(n_cols):
-            v = r * n_cols + c
-            labels[v] = {"row": r + 1, "col": c + 1}
-            if c + 1 < n_cols:
-                edges.append((v, v + 1))
-            if r + 1 < n_rows:
-                edges.append((v, v + n_cols))
-    return Graph(n_rows * n_cols, edges, labels)
+    return _sweep(panels, m, n)
 
 
 def clip_round(probes, n_rows: int, n_cols: int) -> set[Coord]:
@@ -283,45 +246,6 @@ def clip_schedule(
     )
 
 
-class GridZetaEndgamePolicy:
-    """Localization wrapper over the verified grid sweep, same cop budget.
-
-    Replays the clipped prox schedule; once some probe returns adjacency at
-    u, the next round puts four cops on the grid neighbors of u, whose flag
-    pattern pins the robber exactly (needs budget >= 4, i.e. n >= 11).
-    Documented for completeness: branch simulation at n >= 11 is far beyond
-    desk scale, so this wrapper is excluded from mechanical acceptance.
-    """
-
-    period = 1
-    name = "grid-zeta-endgame"
-
-    def __init__(self, g: Graph, schedule: ProbeSchedule):
-        if schedule.cops < 4:
-            raise ScheduleError("grid endgame needs at least four cops")
-        self.g = g
-        self.schedule = schedule
-        self.budget = schedule.cops
-
-    def initial_state(self):
-        return ("replay", 0)
-
-    def probes(self, t: int, state):
-        kind, x = state
-        if kind == "replay":
-            return frozenset(self.schedule.rounds[x % len(self.schedule.rounds)])
-        return frozenset(v for v in range(self.g.n) if self.g.has_edge(v, x))
-
-    def advance(self, state, probed, observation):
-        kind, x = state
-        if kind == "replay":
-            for v, out in zip(probed, observation):
-                if out == "1":
-                    return ("endgame", v)
-            return ("replay", x + 1)
-        return ("replay", 0)
-
-
 def grid_strategy(n: int) -> tuple[ProbeSchedule, ScheduleTrace]:
     """Verified m+3 budget schedule for the n-by-n grid.
 
@@ -338,7 +262,7 @@ def grid_strategy(n: int) -> tuple[ProbeSchedule, ScheduleTrace]:
             f"clipped budget {schedule.cops} exceeds m+3 = {plan.m + 3}"
         )
     g = generate("grid", n=n)
-    trace = run_schedule(g, schedule, keep_states=False)
+    trace = run_schedule(g, schedule)
     if not trace.cleared:
         raise GridVerificationError(
             f"grid sweep for n={n} failed contamination verification", trace

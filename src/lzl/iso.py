@@ -25,21 +25,18 @@ DEFAULT_ISO_CAP = 25
 class IsoProfile:
     """Boundary minima Phi(G, k) for k = 1..n.
 
-    ``values[k-1]`` is the minimum boundary size over k-subsets; the
-    matching ``exact`` flag is False when enumeration was truncated and the
-    entry is only the minimum over the subsets actually examined.
+    ``values[k-1]`` is the minimum boundary size over k-subsets; ``exact``
+    is False when enumeration was truncated and each entry is only the
+    minimum over the subsets actually examined.
     """
 
     mode: str  # "vertex" | "edge"
     values: tuple[int, ...]
-    exact: tuple[bool, ...]
+    exact: bool
 
     @property
     def n(self) -> int:
         return len(self.values)
-
-    def fully_exact(self) -> bool:
-        return all(self.exact)
 
     def value(self, k: int) -> int:
         return self.values[k - 1]
@@ -128,13 +125,14 @@ def _profile_job(args):
 
 def _profiles_both(
     g: Graph, budget: int | None, workers: int
-) -> tuple[IsoProfile, IsoProfile, bool]:
+) -> tuple[IsoProfile, IsoProfile]:
     n = g.n
     adj = g.adj_bits
     best_v = [n + 1] * (n + 1)
     best_e = [4 * n * n] * (n + 1)
     complete = True
-    if workers <= 1 or n < 8:
+    # the shards run to completion, so a budget needs the serial scan
+    if workers <= 1 or n < 8 or budget is not None:
         nbrs = [tuple(iter_bits(row)) for row in adj]
         degs = [row.bit_count() for row in adj]
         complete = _scan_gray(adj, nbrs, degs, 0, list(range(n)), best_v, best_e, budget)
@@ -153,10 +151,9 @@ def _profiles_both(
                     best_v[k] = min(best_v[k], jv[k])
                     best_e[k] = min(best_e[k], je[k])
 
-    exact = tuple([complete] * n)
-    prof_v = IsoProfile("vertex", tuple(best_v[1:]), exact)
-    prof_e = IsoProfile("edge", tuple(best_e[1:]), exact)
-    return prof_v, prof_e, complete
+    prof_v = IsoProfile("vertex", tuple(best_v[1:]), complete)
+    prof_e = IsoProfile("edge", tuple(best_e[1:]), complete)
+    return prof_v, prof_e
 
 
 _profile_cache: dict[tuple[str, int | None], tuple[IsoProfile, IsoProfile]] = {}
@@ -182,14 +179,13 @@ def iso_profile(
         raise SizeCapError("isoperimetric enumeration", g.n, cap)
     key = (g.content_hash(), budget)
     if key not in _profile_cache:
-        prof_v, prof_e, _ = _profiles_both(g, budget, workers)
-        _profile_cache[key] = (prof_v, prof_e)
+        _profile_cache[key] = _profiles_both(g, budget, workers)
     return _profile_cache[key][0 if mode == "vertex" else 1]
 
 
 def iso_peak(profile: IsoProfile) -> int:
     """max_k Phi(G, k); demands a fully exact profile."""
-    if not profile.fully_exact():
+    if not profile.exact:
         raise PartialProfileError("peak requires every profile entry exact")
     return max(profile.values)
 
@@ -214,7 +210,7 @@ def h_index(values: Sequence[int]) -> int:
 
 def h_index_graph(g: Graph, mode: str, *, cap: int = DEFAULT_ISO_CAP) -> int:
     profile = iso_profile(g, mode, cap=cap)
-    if not profile.fully_exact():
+    if not profile.exact:
         raise PartialProfileError("h-index requires an exact profile")
     return h_index(profile.values)
 
@@ -479,8 +475,13 @@ def assemble_bounds(
         add(DerivedBound("prox1", "lower", lo, "grid-window"))
         add(DerivedBound("prox1", "upper", lo + 3, "grid-window"))
         if grid_side >= 11:
-            add(DerivedBound("zeta1", "lower", lo, "grid-window-localization"))
-            add(DerivedBound("zeta1", "upper", lo + 3, "grid-window-localization"))
+            rule = "grid-window-localization-cited"
+            add(DerivedBound("zeta1", "lower", lo, rule))
+            add(DerivedBound("zeta1", "upper", lo + 3, rule))
+            report.notes.append(
+                "the grid zeta1 window is cited from the paper; no policy "
+                "in this package verifies it"
+            )
     report.notes.append(
         "asymptotic separator and binary-tree statements carry hidden "
         "constants and are never instantiated numerically"
@@ -497,6 +498,7 @@ def assemble_bounds(
 
 def profile_to_csv(profile: IsoProfile) -> str:
     lines = ["k,phi,exact"]
-    for k, (phi, exact) in enumerate(zip(profile.values, profile.exact), start=1):
-        lines.append(f"{k},{phi},{'true' if exact else 'false'}")
+    exact = "true" if profile.exact else "false"
+    for k, phi in enumerate(profile.values, start=1):
+        lines.append(f"{k},{phi},{exact}")
     return "\n".join(lines) + "\n"

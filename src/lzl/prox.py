@@ -52,7 +52,7 @@ class ProbeSchedule:
     def validate_for(self, g: Graph) -> None:
         for t, r in enumerate(self.rounds, start=1):
             for v in r:
-                if not 0 <= v < g.n:
+                if not (isinstance(v, int) and 0 <= v < g.n):
                     raise ScheduleError(f"round {t} probes vertex {v} out of range")
 
     def to_json(self) -> str:
@@ -68,19 +68,16 @@ class ProbeSchedule:
 
     @classmethod
     def from_json(cls, text: str) -> "ProbeSchedule":
-        data = json.loads(text)
-        return cls.from_lists(
-            data["cops"],
-            [[v - 1 for v in r] for r in data["rounds"]],
-            mode=data.get("mode", "prox"),
-            metadata=data.get("metadata", {}),
-        )
-
-
-@dataclass(frozen=True)
-class ContaminationState:
-    contaminated: VertexSet
-    round: int
+        try:
+            data = json.loads(text)
+            return cls.from_lists(
+                data["cops"],
+                [[v - 1 for v in r] for r in data["rounds"]],
+                mode=data.get("mode", "prox"),
+                metadata=data.get("metadata", {}),
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ScheduleError(f"malformed schedule JSON: {exc!r}") from None
 
 
 @dataclass
@@ -93,10 +90,6 @@ class ScheduleTrace:
     max_contamination: int
     first_recontamination_round: int | None
     final_bits: int
-    states: list[int] | None = None  # per-round masks, kept on small graphs
-
-    def contaminated_after(self, t: int) -> int:
-        return self.counts[t - 1]
 
 
 def contamination_step(g: Graph, s: VertexSet, u: VertexSet) -> VertexSet:
@@ -113,7 +106,6 @@ def run_schedule(
     schedule: ProbeSchedule,
     *,
     initial: VertexSet | None = None,
-    keep_states: bool | None = None,
 ) -> ScheduleTrace:
     """Run the contamination recursion from S = V(G) (or ``initial``).
 
@@ -128,8 +120,6 @@ def run_schedule(
     adj = g.adj_bits
     full = (1 << n) - 1
     s = initial.bits if initial is not None else full
-    if keep_states is None:
-        keep_states = n <= 64
 
     counts = [0] * n  # neighbors currently contaminated, per vertex
     for v in iter_bits(s):
@@ -141,7 +131,6 @@ def run_schedule(
             fringe |= 1 << v
 
     trace_counts: list[int] = []
-    states: list[int] | None = [] if keep_states else None
     cleared = False
     clear_round = None
     recontam_round = None
@@ -177,8 +166,6 @@ def run_schedule(
                     fringe &= ~(1 << v)
         size = s.bit_count()
         trace_counts.append(size)
-        if states is not None:
-            states.append(s)
         max_contam = max(max_contam, size)
         if size == 0 and not cleared:
             cleared = True
@@ -191,7 +178,6 @@ def run_schedule(
         max_contamination=max_contam,
         first_recontamination_round=recontam_round,
         final_bits=s,
-        states=states,
     )
 
 
@@ -249,16 +235,11 @@ def prox_winnable(
     p: int,
     *,
     cap: int = DEFAULT_PROX_CAP,
-    want_witness: bool = True,
-    prune_dominated: bool = False,
 ) -> tuple[bool, ProbeSchedule | None]:
-    """Decide whether p cops clear the graph; optionally return a witness.
+    """Decide whether p cops clear the graph, with a witness when they do.
 
     Breadth-first reachability over territory masks from V(G) to the empty
-    set.  ``prune_dominated`` additionally skips any newly found territory
-    that is a superset of one already expanded; this preserves winnability
-    (clearing a subset is never harder) but is kept off by default so
-    witnesses are plainly round-minimal.
+    set, so the witness is round-minimal.
     """
     if g.n > cap:
         raise SizeCapError("exact prox solver", g.n, cap)
@@ -273,7 +254,6 @@ def prox_winnable(
     parent: dict[int, tuple[int, int] | None] = {start: None}
     frontier = deque([start])
     goal_found = start == 0
-    expanded_by_size: dict[int, list[int]] = {}
 
     while frontier and not goal_found:
         s = frontier.popleft()
@@ -287,29 +267,14 @@ def prox_winnable(
             t = territory & ~probe_nb
             if t in parent:
                 continue
-            if prune_dominated:
-                skip = False
-                for size, seen in expanded_by_size.items():
-                    if size <= t.bit_count():
-                        for other in seen:
-                            if other & ~t == 0:
-                                skip = True
-                                break
-                    if skip:
-                        break
-                if skip:
-                    continue
             parent[t] = (s, u_mask)
             if t == 0:
                 goal_found = True
                 break
             frontier.append(t)
-        expanded_by_size.setdefault(s.bit_count(), []).append(s)
 
     if not goal_found:
         return False, None
-    if not want_witness:
-        return True, None
     rounds: list[set[int]] = []
     cur = 0
     while parent[cur] is not None:
@@ -321,15 +286,21 @@ def prox_winnable(
     return True, witness
 
 
-def prox_number(g: Graph, *, cap: int = DEFAULT_PROX_CAP) -> int:
-    """Minimum cop count clearing the graph; 0 for the one-vertex graph.
+def prox_solve(
+    g: Graph, *, cap: int = DEFAULT_PROX_CAP
+) -> tuple[int, ProbeSchedule]:
+    """Minimum cop count clearing the graph, and a round-minimal witness.
 
-    The one-vertex convention keeps prox1 <= zeta1 alongside zeta1(K1) = 0.
+    The one-vertex graph counts 0 cops, which keeps prox1 <= zeta1
+    alongside zeta1(K1) = 0; its witness probes the vertex once.
     """
-    if g.n == 1:
-        return 0
     for p in range(1, g.n + 1):
-        won, _ = prox_winnable(g, p, cap=cap, want_witness=False)
+        won, witness = prox_winnable(g, p, cap=cap)
         if won:
-            return p
+            return (0 if g.n == 1 else p), witness
     raise AssertionError("unreachable: probing everything always clears")
+
+
+def prox_number(g: Graph, *, cap: int = DEFAULT_PROX_CAP) -> int:
+    """Minimum cop count clearing the graph; 0 for the one-vertex graph."""
+    return prox_solve(g, cap=cap)[0]

@@ -32,7 +32,7 @@ from .graphs import (
     is_c4_free,
     max_degree,
 )
-from .prox import ProbeSchedule, run_schedule
+from .prox import ProbeSchedule, prox_solve, run_schedule
 from .zeta import Policy, SchedulePolicy
 
 
@@ -742,16 +742,6 @@ def lift_prox_to_zeta(
 # -- registry ---------------------------------------------------------------
 
 
-def _solved_prox_witness(g: Graph) -> ProbeSchedule:
-    from .prox import prox_winnable
-
-    for p in range(1, g.n + 1):
-        won, witness = prox_winnable(g, p)
-        if won:
-            return witness
-    raise AssertionError("unreachable")
-
-
 STRATEGY_REGISTRY: dict[str, Callable] = {
     "tree-log": lambda g, **kw: ("policy", strat_tree_log(g)),
     "tree-depth": lambda g, root=0, **kw: ("schedule", strat_tree_depth(g, root)),
@@ -761,10 +751,10 @@ STRATEGY_REGISTRY: dict[str, Callable] = {
     "separator": lambda g, **kw: ("schedule", strat_separator(g)),
     "lift-delta": lambda g, **kw: (
         "policy",
-        lift_prox_to_zeta(g, _solved_prox_witness(g), variant="delta"),
+        lift_prox_to_zeta(g, prox_solve(g)[1], variant="delta"),
     ),
     "lift-tree": lambda g, root=0, **kw: (
         "policy",
-        lift_prox_to_zeta(g, _solved_prox_witness(g), variant="tree", root=root),
+        lift_prox_to_zeta(g, prox_solve(g)[1], variant="tree", root=root),
     ),
 }

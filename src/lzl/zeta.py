@@ -293,46 +293,41 @@ def _frame(t: int, probed, obs, cls_bits: int) -> dict:
     }
 
 
-# -- named policy registry -------------------------------------------------
-
-POLICY_REGISTRY: dict[str, Callable[..., Policy]] = {}
+# -- named policies ----------------------------------------------------------
 
 
-def register_policy(name: str):
-    def deco(fn):
-        POLICY_REGISTRY[name] = fn
-        return fn
-    return deco
-
-
-def build_policy(name: str, g: Graph, **params) -> Policy:
-    if name not in POLICY_REGISTRY:
-        raise KeyError(f"unknown policy '{name}'")
-    return POLICY_REGISTRY[name](g, **params)
-
-
-@register_policy("probe-all-but-one")
 def _probe_all_but_one(g: Graph) -> Policy:
     rounds = [frozenset(range(g.n - 1))]
     return SchedulePolicy(rounds, budget=g.n - 1, name="probe-all-but-one")
 
 
-@register_policy("sweep")
 def _interior_sweep(g: Graph) -> Policy:
     """One cop probing the interior path vertices v2..v(n-1) in order."""
     rounds = [frozenset([v]) for v in range(1, g.n - 1)]
     return SchedulePolicy(rounds, budget=1, name="sweep")
 
 
-@register_policy("front-sweep")
 def _front_sweep(g: Graph) -> Policy:
     """One cop probing v1, v2, ... v(n-1) in order."""
     rounds = [frozenset([v]) for v in range(0, g.n - 1)]
     return SchedulePolicy(rounds, budget=1, name="front-sweep")
 
 
-@register_policy("arm-scan")
 def _arm_scan(g: Graph) -> Policy:
     """Single cop cycling over the non-head vertices of a spider."""
     rounds = [frozenset([v]) for v in range(1, g.n)]
     return SchedulePolicy(rounds, budget=1, name="arm-scan", cycle=True)
+
+
+POLICY_REGISTRY: dict[str, Callable[..., Policy]] = {
+    "probe-all-but-one": _probe_all_but_one,
+    "sweep": _interior_sweep,
+    "front-sweep": _front_sweep,
+    "arm-scan": _arm_scan,
+}
+
+
+def build_policy(name: str, g: Graph, **params) -> Policy:
+    if name not in POLICY_REGISTRY:
+        raise PolicyError(f"unknown policy '{name}'")
+    return POLICY_REGISTRY[name](g, **params)

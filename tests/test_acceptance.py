@@ -176,7 +176,7 @@ def test_criterion_6_tree_strategies(tree_batch):
             g = generate("kary", k=k, d=d)
             sched = strat_tree_depth(g, 0)
             assert sched.cops <= d // 4 + 1, (k, d)
-            assert run_schedule(g, sched, keep_states=False).cleared, (k, d)
+            assert run_schedule(g, sched).cleared, (k, d)
     t32 = generate("kary", k=3, d=2)
     sched = strat_tree_levels(t32, midway_vertex(t32))
     assert sched.cops == 2 and run_schedule(t32, sched).cleared

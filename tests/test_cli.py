@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -81,8 +80,12 @@ class TestBoundsCmd:
     def test_grid11_window(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--graph", "grid:11", "--no-iso")
         assert code == 0
-        best = report_of(out)["report"]["results"]["best"]["prox1"]
+        results = report_of(out)["report"]["results"]
+        best = results["best"]["prox1"]
         assert best["lower"] == 4 and best["upper"] == 7
+        zeta_rules = {b["rule"] for b in results["bounds"] if b["target"] == "zeta1"}
+        assert zeta_rules == {"order-cap", "grid-window-localization-cited"}
+        assert any("cited" in note for note in results["notes"])
 
     def test_k4_pathwidth_route(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--graph", "complete:4",
@@ -182,15 +185,6 @@ class TestDeterminismAndCache:
         r2 = json.dumps(report_of(out2)["report"], sort_keys=True)
         assert r1 == r2
 
-    def test_cache_roundtrip(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("LZL_CACHE", str(tmp_path / "cache"))
-        _, out1, _ = run_cli(capsys, "prox", "solve", "--graph", "path:5")
-        assert report_of(out1)["cache"]["hit"] is False
-        _, out2, _ = run_cli(capsys, "prox", "solve", "--graph", "path:5")
-        assert report_of(out2)["cache"]["hit"] is True
-        assert report_of(out1)["report"] == report_of(out2)["report"]
-        assert len(os.listdir(tmp_path / "cache")) == 1
-
     def test_max_n_override(self, capsys, monkeypatch):
         monkeypatch.setenv("LZL_MAX_N", "9")
         code, _, _ = run_cli(capsys, "prox", "solve", "--graph", "grid:3")
@@ -224,3 +218,44 @@ class TestUsageErrors:
     def test_zeta_simulate_missing_policy(self, capsys):
         code, _, err = run_cli(capsys, "zeta", "simulate", "--graph", "path:4")
         assert code == 2 and "--policy" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("zeta", "solve", "--graph", "grid:x"),
+        ("zeta", "solve", "--graph", "path:4:subx"),
+        ("gen", "--family", "spider", "--arms", "3,x,3"),
+        ("zeta", "simulate", "--graph", "path:4", "--policy", "nonesuch"),
+        ("strat", "tree-depth", "--graph", "path:4", "--root", "4"),
+    ])
+    def test_bad_values_exit2(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("var", ["LZL_MAX_N", "LZL_THREADS"])
+    def test_bad_environment_exit2(self, capsys, monkeypatch, var):
+        monkeypatch.setenv(var, "two")
+        code, _, err = run_cli(capsys, "bounds", "--graph", "path:4")
+        assert code == 2 and var in err
+
+    @pytest.mark.parametrize("text", [
+        "{", '{"cops": 1}', "[1]", '{"cops": 1, "rounds": [[2.5]]}',
+    ])
+    def test_malformed_schedule_exit2(self, tmp_path, capsys, text):
+        sched = tmp_path / "s.json"
+        sched.write_text(text)
+        code, _, err = run_cli(capsys, "prox", "verify", "--graph", "path:4",
+                               "--schedule", str(sched))
+        assert code == 2 and "error" in err
+
+    def test_non_utf8_graph_file_exit2(self, tmp_path, capsys):
+        path = tmp_path / "g.graph"
+        path.write_bytes(b"p 2 1\ne 1 2\n# \xff\n")
+        code, _, err = run_cli(capsys, "zeta", "solve", "--graph", str(path))
+        assert code == 2 and "UTF-8" in err
+
+    def test_engine_bug_is_not_a_usage_error(self, monkeypatch):
+        def broken(g, *, cap):
+            raise KeyError("engine bug")
+
+        monkeypatch.setattr("lzl.cli.zeta_number", broken)
+        with pytest.raises(KeyError):
+            main(["zeta", "solve", "--graph", "path:4"])

@@ -2,6 +2,7 @@ import pytest
 
 from lzl import (
     ForcedRegionIndex,
+    cartesian_product,
     clip_schedule,
     f_eval,
     five_panel_schedule,
@@ -15,8 +16,13 @@ from lzl import (
     spread_step,
 )
 from lzl.errors import ScheduleError
-from lzl.gridsweep import GridZetaEndgamePolicy, clip_round, rect_lattice
+from lzl.gridsweep import clip_round
 from lzl.prox import run_schedule
+
+
+def lattice(n_rows, n_cols):
+    """The n_rows-by-n_cols grid, (row, col)-labelled, row-major."""
+    return cartesian_product(generate("path", n=n_rows), generate("path", n=n_cols))
 
 
 class TestFEval:
@@ -98,7 +104,7 @@ class TestStepIdentities:
     def test_natural_move_posterior(self):
         # probing S(i,j) shrinks F(i,j) to F(i+2,j-1) on the panel lattice
         n, m = 14, 7
-        g = rect_lattice(n, m)
+        g = lattice(n, m)
         for i in (0, 1, 3):
             for j in range(1, m + 1):
                 idx = ForcedRegionIndex(i, j, m, n)
@@ -120,7 +126,7 @@ class TestStepIdentities:
         from lzl.graphs import closed_neighborhood
 
         n, m = 14, 7
-        g = rect_lattice(n, m)
+        g = lattice(n, m)
         for i in (2, 4):
             for j in range(1, m + 1):
                 idx = ForcedRegionIndex(i, j, m, n)
@@ -182,8 +188,7 @@ class TestPanel:
     def test_single_panel_clears_lattice(self):
         plan = panel_schedule(3, 11)
         sched = clip_schedule(plan, 11, n_cols=3)
-        lattice = rect_lattice(11, 3)
-        trace = run_schedule(lattice, sched)
+        trace = run_schedule(lattice(11, 3), sched)
         assert trace.cleared
         assert sched.cops <= 3  # (m+3)/2
 
@@ -264,14 +269,3 @@ class TestGridStrategy:
         sched, _ = grid_strategy(11)
         assert sched.metadata["m"] == 3
         assert "panel_starts" in sched.metadata
-
-    def test_endgame_wrapper(self):
-        sched, _ = grid_strategy(11)
-        g = generate("grid", n=11)
-        policy = GridZetaEndgamePolicy(g, sched)
-        assert policy.budget == 6
-        probes = policy.probes(1, policy.initial_state())
-        assert len(probes) <= policy.budget
-        state = policy.advance(policy.initial_state(), (0,), ("1",))
-        assert state == ("endgame", 0)
-        assert len(policy.probes(2, state)) <= 4

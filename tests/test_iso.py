@@ -58,7 +58,7 @@ class TestProfiles:
     def test_k5_vertex(self):
         prof = iso_profile(generate("complete", n=5), "vertex")
         assert prof.values == (4, 3, 2, 1, 0)
-        assert prof.fully_exact()
+        assert prof.exact
 
     def test_p4_edge(self):
         prof = iso_profile(generate("path", n=4), "edge")
@@ -91,16 +91,20 @@ class TestProfiles:
 
     def test_budget_truncation_flags(self):
         prof = iso_profile(generate("path", n=6), "vertex", budget=5)
-        assert not prof.fully_exact()
+        assert not prof.exact
         with pytest.raises(PartialProfileError):
             iso_peak(prof)
+
+    def test_budget_truncation_with_workers(self):
+        prof = iso_profile(generate("path", n=12), "vertex", budget=10, workers=2)
+        assert not prof.exact
 
     def test_workers_match_sequential(self):
         g = generate("grid", n=3)
         seq = iso_profile(g, "vertex")
         from lzl.iso import _profiles_both
 
-        par_v, par_e, _ = _profiles_both(g, None, workers=2)
+        par_v, par_e = _profiles_both(g, None, workers=2)
         assert par_v.values == seq.values
 
     @given(st.integers(0, 5000), st.integers(2, 8))

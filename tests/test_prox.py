@@ -172,17 +172,8 @@ class TestSolver:
     def test_monotone_in_cops(self, corpus):
         for name, g in corpus[:10]:
             p = prox_number(g)
-            won, _ = prox_winnable(g, p + 1, want_witness=False)
+            won, _ = prox_winnable(g, p + 1)
             assert won, name
-
-    def test_prune_dominated_same_answer(self, corpus):
-        for name, g in corpus[:8]:
-            for p in (1, 2):
-                plain, _ = prox_winnable(g, p, want_witness=False)
-                pruned, _ = prox_winnable(
-                    g, p, want_witness=False, prune_dominated=True
-                )
-                assert plain == pruned, name
 
 
 def unfiltered_clearable(g, p, budget_rounds, s_bits=None, memo=None):
@@ -231,7 +222,7 @@ class TestSolverAgainstUnfilteredSearch:
         for g in graphs:
             horizon = 2 ** g.n
             for p in (1, 2):
-                won, _ = prox_winnable(g, p, want_witness=False)
+                won, _ = prox_winnable(g, p)
                 assert won == unfiltered_clearable(g, p, horizon), (
                     sorted(g.edges()),
                     p,

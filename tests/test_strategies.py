@@ -164,7 +164,7 @@ class TestTreeLevels:
                 bound = -(-level_decomposition(g, 0).max_nonleaf // 3) + 1
                 sched = strat_tree_levels(g, 0)
                 assert sched.cops <= bound, (k, d)
-                assert run_schedule(g, sched, keep_states=False).cleared, (k, d)
+                assert run_schedule(g, sched).cleared, (k, d)
 
 
 class TestPathDecomposition:
@@ -384,6 +384,19 @@ class TestLifts:
         sweep = ProbeSchedule.from_lists(1, [{1}, {2}, {3}, {4}])
         with pytest.raises(StrategyPreconditionError):
             lift_prox_to_zeta(g, sweep, variant="endgame")
+
+    def test_endgame_lift_captures(self):
+        # four cops reach max degree squared on a path; a flag at v brings
+        # the distance-two ball around v, which pins the robber next round
+        n = 24
+        rounds = [{min(x + d, n - 1) for d in (0, 3, 6, 9)} for x in (1, 9, 17, 25)]
+        g = generate("path", n=n)
+        policy = lift_prox_to_zeta(
+            g, ProbeSchedule.from_lists(4, rounds), variant="endgame"
+        )
+        sim = simulate_policy(g, policy)
+        assert sim.outcome == "captured-all-branches"
+        assert (sim.worst_capture_round, sim.branches) == (4, 59)
 
 
 def prox_number_of(g):
