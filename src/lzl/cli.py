@@ -79,6 +79,8 @@ def _read_text(path: str, error: type[LzlError]) -> str:
             return fh.read()
     except UnicodeDecodeError:
         raise error(f"{path} is not UTF-8 text") from None
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def load_graph(spec: str) -> tuple[Graph, str]:

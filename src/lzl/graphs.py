@@ -22,13 +22,20 @@ from .errors import GraphParseError, GraphValidationError, SizeCapError
 #: for every verification target (ternary depth-8 trees have 9841 vertices).
 DEFAULT_VERTEX_CAP = 16384
 
+#: Most distinct index offsets ``v - u`` over all edges (both signs) for which
+#: a graph gets the shift kernel.  Lattices have few: paths 2, grids and
+#: cycles 4, the 4-by-4 torus 8.  Above this the loop over set bits is the
+#: faster kernel (K9 has 16 offsets), and trees in breadth-first order have
+#: thousands.
+MAX_SHIFT_OFFSETS = 8
+
 Labels = Mapping[int, Mapping[str, object]]
 
 
 class Graph:
     """Connected (unless explicitly allowed otherwise) simple graph."""
 
-    __slots__ = ("n", "adj_bits", "labels", "_hash")
+    __slots__ = ("n", "adj_bits", "labels", "shifts", "_hash")
 
     def __init__(
         self,
@@ -53,6 +60,7 @@ class Graph:
             rows[v] |= 1 << u
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj_bits", tuple(rows))
+        object.__setattr__(self, "shifts", _shift_kernel(rows))
         clean_labels = {
             v: dict(kv) for v, kv in (labels or {}).items() if kv
         }
@@ -129,6 +137,30 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count()})"
+
+
+def _shift_kernel(rows: Sequence[int]) -> tuple[tuple[int, int], ...] | None:
+    """``(d, src)`` pairs for the shift kernel, or None when it does not apply.
+
+    For each edge offset ``d > 0``, ``src`` holds every u adjacent to u + d,
+    so the neighbours of S across those edges are ``(S & src) << d`` and
+    ``(S >> d) & src``.  Bit d-1 of ``seen`` marks offset d; counting stops
+    as soon as the limit is passed, so such a graph builds no mask.
+    """
+    seen = 0
+    for u, row in enumerate(rows):
+        seen |= row >> (u + 1)
+        if 2 * seen.bit_count() > MAX_SHIFT_OFFSETS:
+            return None
+    kernel = []
+    for d in iter_bits(seen):
+        d += 1
+        src = 0
+        for u, row in enumerate(rows):
+            if (row >> (u + d)) & 1:
+                src |= 1 << u
+        kernel.append((d, src))
+    return tuple(kernel)
 
 
 # -- file format --------------------------------------------------------
@@ -420,9 +452,15 @@ def cartesian_product(
 
 
 def closed_nb_bits(g: Graph, bits: int) -> int:
+    """N[S] for the mask ``bits``: shifts on lattices, a loop over set bits otherwise."""
     out = bits
-    for v in iter_bits(bits):
-        out |= g.adj_bits[v]
+    if g.shifts is None:
+        adj = g.adj_bits
+        for v in iter_bits(bits):
+            out |= adj[v]
+    else:
+        for d, src in g.shifts:
+            out |= ((bits & src) << d) | ((bits >> d) & src)
     return out
 
 

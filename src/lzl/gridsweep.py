@@ -49,7 +49,9 @@ class ForcedRegionIndex:
         return f_eval(self.i, self.j, c)
 
     def is_empty(self) -> bool:
-        return min(self.foot(c) for c in range(1, self.m + 1)) > self.n
+        # feet fall leftward from the focus and rise to its right, so with
+        # the focus j >= 1 the lowest foot on columns [1, m] is column 1's
+        return self.foot(1) > self.n
 
 
 def forced_region(idx: ForcedRegionIndex) -> VertexSet:

@@ -18,7 +18,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bitset import VertexSet, iter_bits, mask_of
 from .errors import ScheduleError, SizeCapError
@@ -109,18 +109,55 @@ def run_schedule(
 ) -> ScheduleTrace:
     """Run the contamination recursion from S = V(G) (or ``initial``).
 
-    Large graphs are handled incrementally: the spread frontier is
-    maintained through per-vertex inside-neighbor counts so each round
-    costs O(changed vertices * degree) instead of O(|S| * degree).
+    A graph with a shift kernel (a lattice) steps S directly, a few big-int
+    shifts per round.  Any other graph is stepped incrementally: the spread
+    frontier is maintained through per-vertex inside-neighbor counts so
+    each round costs O(changed vertices * degree) instead of O(|S| * degree).
     """
     if schedule.mode != "prox":
         raise ScheduleError("run_schedule verifies prox-mode schedules")
     schedule.validate_for(g)
+    s = initial.bits if initial is not None else (1 << g.n) - 1
+    if g.shifts is not None:
+        steps = _direct_steps(g, schedule, s)
+    else:
+        steps = _incremental_steps(g, schedule, s)
+
+    trace_counts: list[int] = []
+    clear_round = None
+    recontam_round = None
+    max_contam = s.bit_count()
+    for t, new_s in enumerate(steps, start=1):
+        if recontam_round is None and new_s & ~s:
+            recontam_round = t
+        s = new_s
+        size = s.bit_count()
+        trace_counts.append(size)
+        max_contam = max(max_contam, size)
+        if size == 0 and clear_round is None:
+            clear_round = t
+
+    return ScheduleTrace(
+        cleared=clear_round is not None,
+        clear_round=clear_round,
+        counts=trace_counts,
+        max_contamination=max_contam,
+        first_recontamination_round=recontam_round,
+        final_bits=s,
+    )
+
+
+def _direct_steps(g: Graph, schedule: ProbeSchedule, s: int) -> Iterator[int]:
+    """Territory after each round, as N[S] minus N[probes]."""
+    for probes in schedule.rounds:
+        s = step_bits(g, s, mask_of(probes))
+        yield s
+
+
+def _incremental_steps(g: Graph, schedule: ProbeSchedule, s: int) -> Iterator[int]:
+    """Territory after each round, with N[S] kept up to date from the changes."""
     n = g.n
     adj = g.adj_bits
-    full = (1 << n) - 1
-    s = initial.bits if initial is not None else full
-
     counts = [0] * n  # neighbors currently contaminated, per vertex
     for v in iter_bits(s):
         for w in iter_bits(adj[v]):
@@ -130,23 +167,13 @@ def run_schedule(
         if not (s >> v) & 1 and counts[v]:
             fringe |= 1 << v
 
-    trace_counts: list[int] = []
-    cleared = False
-    clear_round = None
-    recontam_round = None
-    max_contam = s.bit_count()
-
-    for t, probes in enumerate(schedule.rounds, start=1):
+    for probes in schedule.rounds:
         probe_nb = 0
         for v in probes:
             probe_nb |= adj[v] | (1 << v)
-        spread = s | fringe
-        new_s = spread & ~probe_nb
-
+        new_s = (s | fringe) & ~probe_nb
         added = new_s & ~s
         removed = s & ~new_s
-        if added and recontam_round is None:
-            recontam_round = t
         changed = added | removed
         if changed:
             touched = changed
@@ -164,21 +191,7 @@ def run_schedule(
                     fringe |= 1 << v
                 else:
                     fringe &= ~(1 << v)
-        size = s.bit_count()
-        trace_counts.append(size)
-        max_contam = max(max_contam, size)
-        if size == 0 and not cleared:
-            cleared = True
-            clear_round = t
-
-    return ScheduleTrace(
-        cleared=cleared,
-        clear_round=clear_round,
-        counts=trace_counts,
-        max_contamination=max_contam,
-        first_recontamination_round=recontam_round,
-        final_bits=s,
-    )
+        yield s
 
 
 def trace_to_json(trace: ScheduleTrace) -> str:

@@ -144,7 +144,8 @@ class Policy:
     folding past observations through ``advance``, which keeps every run
     replayable.  ``period`` marks policies whose probes depend on the round
     only through ``t % period``; the simulator uses it to detect robber
-    escape cycles.
+    escape cycles, and ``probes_after`` tells it whether an idle round is
+    final.
     """
 
     name = "policy"
@@ -159,6 +160,15 @@ class Policy:
 
     def advance(self, state, probed: tuple[int, ...], observation: tuple[str, ...]):
         return state
+
+    def probes_after(self, t: int, state) -> bool:
+        """Whether the policy may probe in some round after ``t``.
+
+        The simulator judges an idle round with several candidates an
+        escape exactly when this is False.  The default keeps that rule for
+        every idle round of a policy that does not override it.
+        """
+        return False
 
 
 class SchedulePolicy(Policy):
@@ -178,6 +188,9 @@ class SchedulePolicy(Policy):
         if i < len(self.rounds):
             return self.rounds[i]
         return frozenset()
+
+    def probes_after(self, t: int, state) -> bool:
+        return any(self.rounds) if self.cycle else any(self.rounds[t:])
 
 
 @dataclass
@@ -216,8 +229,9 @@ def simulate_policy(
     Depth-first over the branch tree: candidates R move to N[R], the probe
     splits them into observation classes, and each non-singleton class is a
     robber option.  An escape witness is a revisited (round phase, policy
-    state, candidates) triple under a periodic policy, or a round with no
-    probes left while several candidates remain.
+    state, candidates) triple under a periodic policy, or an idle round
+    after which the policy never probes again while several candidates
+    remain.
     """
     if g.n == 1:
         return SimulationResult("captured-all-branches", 0, 1)
@@ -241,7 +255,7 @@ def simulate_policy(
                 f"vertices, budget is {policy.budget}"
             )
         probed = tuple(sorted(probe_set))
-        if not probed and m_bits.bit_count() > 1:
+        if not probed and m_bits.bit_count() > 1 and not policy.probes_after(t, state):
             # nothing will ever split the candidates again
             return _ESCAPE, None, [_frame(t, probed, None, m_bits)]
         classes = _partition_bits(g, m_bits, probed)

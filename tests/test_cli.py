@@ -252,6 +252,15 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "zeta", "solve", "--graph", str(path))
         assert code == 2 and "UTF-8" in err
 
+    def test_graph_directory_exit2(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "zeta", "solve", "--graph", str(tmp_path))
+        assert code == 2 and "error" in err and "Traceback" not in err
+
+    def test_schedule_directory_exit2(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "prox", "verify", "--graph", "path:4",
+                               "--schedule", str(tmp_path))
+        assert code == 2 and "error" in err and "Traceback" not in err
+
     def test_engine_bug_is_not_a_usage_error(self, monkeypatch):
         def broken(g, *, cap):
             raise KeyError("engine bug")

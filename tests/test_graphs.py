@@ -21,6 +21,7 @@ from lzl import (
     vertex_boundary,
 )
 from lzl.errors import GraphParseError, GraphValidationError, SizeCapError
+from lzl.graphs import FAMILIES, closed_nb_bits
 
 from conftest import random_connected_graph
 
@@ -169,6 +170,76 @@ class TestNeighborhoods:
         k5 = generate("complete", n=5)
         assert edge_boundary_count(k5, vs(k5, 0, 1)) == 6
         assert edge_boundary_count(k5, vs(k5)) == 0
+
+
+def _loop_closed_nb(g, bits):
+    """Reference N[S]: S with the adjacency row of each of its vertices."""
+    out = bits
+    for v in range(g.n):
+        if (bits >> v) & 1:
+            out |= g.adj_bits[v]
+    return out
+
+
+#: every FAMILIES entry, subdivisions, products and a parsed file
+KERNEL_GRAPHS = {
+    "path:1": generate("path", n=1),
+    "path:7": generate("path", n=7),
+    "cycle:3": generate("cycle", n=3),
+    "cycle:9": generate("cycle", n=9),
+    "complete:5": generate("complete", n=5),
+    "complete:9": generate("complete", n=9),
+    "grid:1": generate("grid", n=1),
+    "grid:2": generate("grid", n=2),
+    "grid:7": generate("grid", n=7),
+    "kary:2,3": generate("kary", k=2, d=3),
+    "kary:3,3": generate("kary", k=3, d=3),
+    "spider:1,2,3": generate("spider", arms=[1, 2, 3]),
+    "spider:2,2,2,2,2": generate("spider", arms=[2, 2, 2, 2, 2]),
+    "grid:3:sub1": subdivide(generate("grid", n=3), 1),
+    "kary:2,2:sub2": subdivide(generate("kary", k=2, d=2), 2),
+    "path:3xpath:5": cartesian_product(generate("path", n=3), generate("path", n=5)),
+    "cycle:4xcycle:4": cartesian_product(generate("cycle", n=4), generate("cycle", n=4)),
+    "cycle:3xcycle:5": cartesian_product(generate("cycle", n=3), generate("cycle", n=5)),
+    "parsed grid:6": parse_graph(serialize_graph(generate("grid", n=6))),
+}
+
+#: lattices get the shift kernel, whoever built them
+LATTICES = [
+    "path:1", "path:7", "cycle:3", "cycle:9", "grid:1", "grid:2", "grid:7",
+    "path:3xpath:5", "cycle:4xcycle:4", "cycle:3xcycle:5", "parsed grid:6",
+]
+
+
+class TestNeighbourhoodKernel:
+    def test_corpus_covers_both_kernels_and_every_family(self):
+        assert {name.split(":")[0] for name in KERNEL_GRAPHS} >= set(FAMILIES)
+        assert all(KERNEL_GRAPHS[name].shifts is not None for name in LATTICES)
+        assert KERNEL_GRAPHS["complete:9"].shifts is None
+        assert KERNEL_GRAPHS["kary:3,3"].shifts is None
+        assert KERNEL_GRAPHS["spider:2,2,2,2,2"].shifts is None
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
+    def test_matches_loop_reference(self, name):
+        g = KERNEL_GRAPHS[name]
+        rng = random.Random(name)
+        masks = [0, (1 << g.n) - 1] + [1 << v for v in range(g.n)]
+        for _ in range(200):
+            bits = (1 << g.n) - 1
+            for _ in range(rng.randint(1, 3)):  # about 1/2, 1/4 or 1/8 of V
+                bits &= rng.getrandbits(g.n)
+            masks.append(bits)
+        for bits in masks:
+            assert closed_nb_bits(g, bits) == _loop_closed_nb(g, bits), bits
+
+    def test_offset_limit(self):
+        # complete:5 has the offsets +-1..+-4, complete:6 one pair more
+        assert generate("complete", n=5).shifts is not None
+        assert generate("complete", n=6).shifts is None
+
+    def test_trees_stay_on_the_loop(self):
+        assert generate("kary", k=3, d=8).shifts is None
+        assert subdivide(generate("kary", k=3, d=3), 100).shifts is None
 
 
 class TestMetrics:

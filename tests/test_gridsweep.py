@@ -59,6 +59,16 @@ class TestForcedRegion:
         assert idx.is_empty()
         assert not forced_region(idx)
 
+    def test_is_empty_matches_lowest_foot(self):
+        # both forms compare one threshold with n, so n = lowest - 1 and
+        # n = lowest pin the threshold and with it every other n
+        for m in range(1, 40, 2):
+            for j in range(1, m + 1):
+                for i in range(-200, 200):
+                    lowest = min(f_eval(i, j, c) for c in range(1, m + 1))
+                    for n in (lowest - 1, lowest):
+                        assert ForcedRegionIndex(i, j, m, n).is_empty() == (lowest > n)
+
     def test_clipping_to_row_one(self):
         idx = ForcedRegionIndex(0, 7, 7, 5)
         region = forced_region(idx)
@@ -248,7 +258,12 @@ class TestFivePanel:
 
 
 class TestGridStrategy:
-    @pytest.mark.parametrize("n,budget", [(11, 6), (16, 8)])
+    @pytest.mark.parametrize("n,budget", [
+        (11, 6),
+        (16, 8),
+        pytest.param(101, 24, marks=pytest.mark.slow),
+        pytest.param(126, 30, marks=pytest.mark.slow),
+    ])
     def test_verified_budgets(self, n, budget):
         sched, trace = grid_strategy(n)
         assert sched.cops == budget

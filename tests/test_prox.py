@@ -5,14 +5,18 @@ from hypothesis import given, settings, strategies as st
 
 from lzl import (
     ProbeSchedule,
+    cartesian_product,
+    clip_schedule,
     closed_neighborhood,
     contamination_step,
+    five_panel_schedule,
     generate,
     prox_number,
     prox_winnable,
 )
+from lzl.bitset import iter_bits
 from lzl.errors import ScheduleError, SizeCapError
-from lzl.prox import run_schedule
+from lzl.prox import ScheduleTrace, run_schedule
 from lzl.zeta import zeta_number
 
 from conftest import random_connected_graph
@@ -128,6 +132,72 @@ class TestRunSchedule:
         assert tr_small.final_bits & ~tr_big.final_bits == 0
         if tr_big.cleared:
             assert tr_small.cleared
+
+
+def _incremental_reference(g, schedule, initial=None):
+    """ScheduleTrace by per-vertex contaminated-neighbour counts, loop kernel."""
+    adj = g.adj_bits
+    s = initial.bits if initial is not None else (1 << g.n) - 1
+    counts = [0] * g.n
+    for v in iter_bits(s):
+        for w in iter_bits(adj[v]):
+            counts[w] += 1
+    trace = ScheduleTrace(False, None, [], s.bit_count(), None, s)
+    for t, probes in enumerate(schedule.rounds, start=1):
+        probe_nb = 0
+        for v in probes:
+            probe_nb |= adj[v] | (1 << v)
+        fringe = sum(1 << v for v in range(g.n) if counts[v])
+        new_s = (s | fringe) & ~probe_nb
+        for bits, delta in ((new_s & ~s, 1), (s & ~new_s, -1)):
+            for v in iter_bits(bits):
+                for w in iter_bits(adj[v]):
+                    counts[w] += delta
+        if new_s & ~s and trace.first_recontamination_round is None:
+            trace.first_recontamination_round = t
+        s = new_s
+        trace.counts.append(s.bit_count())
+        trace.max_contamination = max(trace.max_contamination, s.bit_count())
+        if s == 0 and not trace.cleared:
+            trace.cleared, trace.clear_round = True, t
+    trace.final_bits = s
+    return trace
+
+
+RUN_GRAPHS = {
+    "path:9": generate("path", n=9),
+    "cycle:10": generate("cycle", n=10),
+    "grid:5": generate("grid", n=5),
+    "torus:4x5": cartesian_product(generate("cycle", n=4), generate("cycle", n=5)),
+    "kary:2,3": generate("kary", k=2, d=3),
+}
+
+
+class TestRunScheduleAgainstReference:
+    @pytest.mark.parametrize("n", range(2, 27))
+    def test_grid_sweeps(self, n):
+        g = generate("grid", n=n)
+        sched = clip_schedule(five_panel_schedule(n), n)
+        assert g.shifts is not None
+        assert run_schedule(g, sched) == _incremental_reference(g, sched)
+
+    @pytest.mark.parametrize("name", sorted(RUN_GRAPHS))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_schedules(self, name, seed):
+        g = RUN_GRAPHS[name]
+        rng = random.Random(seed)
+        for _ in range(10):
+            cops = rng.randint(1, 3)
+            rounds = [
+                set(rng.sample(range(g.n), rng.randint(0, cops)))
+                for _ in range(rng.randint(1, 12))
+            ]
+            sched = ProbeSchedule.from_lists(cops, rounds)
+            initial = g.vertex_set(v for v in range(g.n) if rng.random() < 0.4)
+            assert run_schedule(g, sched) == _incremental_reference(g, sched)
+            assert run_schedule(g, sched, initial=initial) == _incremental_reference(
+                g, sched, initial
+            )
 
 
 class TestSolver:

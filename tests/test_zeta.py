@@ -157,6 +157,20 @@ class TestSimulate:
         assert sim.captured and sim.worst_capture_round == 3
         assert branch_enumerate(g, [[0], [1], [2], [3]])
 
+    def test_idle_round_with_rounds_left_is_not_an_escape(self):
+        g = generate("path", n=5)
+        front = build_policy("front-sweep", g)
+        idle_first = SchedulePolicy([set()] + front.rounds, budget=1)
+        sim = simulate_policy(g, idle_first)
+        assert sim.captured
+        assert sim.worst_capture_round == simulate_policy(g, front).worst_capture_round + 1
+
+    @pytest.mark.parametrize("cycle", [False, True])
+    def test_all_idle_schedule_escapes(self, cycle):
+        g = generate("path", n=5)
+        sim = simulate_policy(g, SchedulePolicy([set(), set()], budget=1, cycle=cycle))
+        assert sim.outcome == "escape-witness"
+
     def test_budget_violation_raises(self):
         g = generate("path", n=4)
         policy = SchedulePolicy([{0, 1, 2}], budget=2)
