@@ -83,6 +83,14 @@ def _read_text(path: str, error: type[LzlError]) -> str:
         raise error(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def load_graph(spec: str) -> tuple[Graph, str]:
     """A file path, or a family spec like grid:4, kary:3,3, spider:3,3,3.
 
@@ -163,8 +171,7 @@ def cmd_gen(args) -> int:
         g = subdivide(g, args.subdivide)
     text = serialize_graph(g)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     body = _report(
@@ -201,8 +208,7 @@ def cmd_iso(args) -> int:
     if args.h_index:
         results["h_index"] = h_index(profile.values)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(profile_to_csv(profile))
+        _write_text(args.csv, profile_to_csv(profile))
         results["csv"] = args.csv
     body = _report("iso", g, {"graph": gid, "mode": args.mode,
                               "budget": args.budget}, results,
@@ -311,8 +317,7 @@ def cmd_strat(args) -> int:
             raise GraphValidationError("grid-sweep needs --n")
         schedule, trace = grid_strategy(args.n)
         if args.emit:
-            with open(args.emit, "w", encoding="utf-8") as fh:
-                fh.write(schedule.to_json())
+            _write_text(args.emit, schedule.to_json())
         body = _report(
             "strat",
             None,
@@ -347,8 +352,7 @@ def cmd_strat(args) -> int:
             "rounds": len(artifact.rounds),
         }
         if args.emit:
-            with open(args.emit, "w", encoding="utf-8") as fh:
-                fh.write(artifact.to_json())
+            _write_text(args.emit, artifact.to_json())
     else:
         sim = simulate_policy(g, artifact, round_cap=args.round_cap)
         verdict = sim.captured
@@ -359,9 +363,8 @@ def cmd_strat(args) -> int:
             "worst_capture_round": sim.worst_capture_round,
         }
         if args.emit:
-            with open(args.emit, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps({"policy": artifact.name,
-                                     "budget": artifact.budget}))
+            _write_text(args.emit, json.dumps({"policy": artifact.name,
+                                               "budget": artifact.budget}))
     body = _report("strat", g, {"name": args.name, "graph": gid}, results)
     _emit(body, started)
     return EXIT_OK if verdict else EXIT_NEGATIVE

@@ -464,6 +464,20 @@ def closed_nb_bits(g: Graph, bits: int) -> int:
     return out
 
 
+def closed_nb_table(g: Graph, vertices: range) -> list[int]:
+    """N[S] for every S within ``vertices``, indexed by S >> vertices.start.
+
+    For solvers that need N[S] of very many masks: one table over all n
+    vertices, or one table per byte whose lookups are ORed together.
+    """
+    nb = [g.adj_bits[v] | (1 << v) for v in vertices]
+    table = [0] * (1 << len(nb))
+    for s in range(1, len(table)):
+        low = s & -s
+        table[s] = table[s ^ low] | nb[low.bit_length() - 1]
+    return table
+
+
 def closed_neighborhood(g: Graph, s: VertexSet) -> VertexSet:
     """N[S]: S together with every vertex adjacent to S."""
     return VertexSet(g.n, closed_nb_bits(g, s.bits))

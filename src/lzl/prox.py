@@ -5,7 +5,8 @@ spreads to its closed neighborhood each round and loses everything within
 distance one of a probe.  A schedule wins exactly when S reaches the empty
 set, independent of any robber choices, so verification is a pure set
 recursion and the optimal cop count is a reachability question over subset
-states.
+states, deduplicated by closed neighbourhood: two territories with the same
+spread N[S] have the same future, so the solver keeps one state per N[S].
 
 Round indexing makes round-1 probes effective: S_1 = V minus N[V_1].  The
 literal recursion with S_1 = V(G) is the same game shifted by one wasted
@@ -17,12 +18,12 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, combinations
+from typing import Iterable, Iterator
 
 from .bitset import VertexSet, iter_bits, mask_of
 from .errors import ScheduleError, SizeCapError
-from .graphs import Graph, closed_nb_bits
+from .graphs import Graph, closed_nb_bits, closed_nb_table
 
 DEFAULT_PROX_CAP = 16
 
@@ -234,15 +235,6 @@ def _probe_candidates(g: Graph, territory: int) -> list[int]:
     return out
 
 
-def _subsets_upto(items: Sequence[int], p: int) -> list[int]:
-    """Nonempty subsets of ``items`` of size <= p, as bitmasks over vertices."""
-    out: list[int] = []
-    for size in range(1, min(p, len(items)) + 1):
-        for combo in combinations(items, size):
-            out.append(mask_of(combo))
-    return out
-
-
 def prox_winnable(
     g: Graph,
     p: int,
@@ -251,8 +243,9 @@ def prox_winnable(
 ) -> tuple[bool, ProbeSchedule | None]:
     """Decide whether p cops clear the graph, with a witness when they do.
 
-    Breadth-first reachability over territory masks from V(G) to the empty
-    set, so the witness is round-minimal.
+    Breadth-first reachability from V(G) to the empty set, so the witness
+    is round-minimal.  A territory's future depends only on its spread
+    N[S], so states are keyed by N[S] and each is expanded once.
     """
     if g.n > cap:
         raise SizeCapError("exact prox solver", g.n, cap)
@@ -262,38 +255,38 @@ def prox_winnable(
     full = (1 << n) - 1
     adj = g.adj_bits
     nb_closed = [adj[v] | (1 << v) for v in range(n)]
+    # N[S] as the OR of one table lookup per byte of S
+    byte_tables = [(lo, closed_nb_table(g, range(lo, min(n, lo + 8)))) for lo in range(0, n, 8)]
 
-    start = full
-    parent: dict[int, tuple[int, int] | None] = {start: None}
-    frontier = deque([start])
-    goal_found = start == 0
+    # spread territory -> (parent spread territory, probes that led here)
+    parent: dict[int, tuple[int, tuple[int, ...]] | None] = {full: None}
+    frontier = deque([full])
 
-    while frontier and not goal_found:
-        s = frontier.popleft()
-        territory = closed_nb_bits(g, s)
+    while frontier and 0 not in parent:
+        territory = frontier.popleft()
         cands = _probe_candidates(g, territory)
-        subsets = _subsets_upto(cands, min(p, len(cands)))
-        for u_mask in subsets:
+        for combo in chain.from_iterable(combinations(cands, k) for k in range(1, p + 1)):
             probe_nb = 0
-            for v in iter_bits(u_mask):
+            for v in combo:
                 probe_nb |= nb_closed[v]
             t = territory & ~probe_nb
-            if t in parent:
+            spread = 0
+            for lo, table in byte_tables:
+                spread |= table[(t >> lo) & 255]
+            if spread in parent:
                 continue
-            parent[t] = (s, u_mask)
-            if t == 0:
-                goal_found = True
+            parent[spread] = (territory, combo)
+            if spread == 0:
                 break
-            frontier.append(t)
+            frontier.append(spread)
 
-    if not goal_found:
+    if 0 not in parent:
         return False, None
-    rounds: list[set[int]] = []
+    rounds: list[tuple[int, ...]] = []
     cur = 0
     while parent[cur] is not None:
-        prev, u_mask = parent[cur]
-        rounds.append(set(iter_bits(u_mask)))
-        cur = prev
+        cur, combo = parent[cur]
+        rounds.append(combo)
     rounds.reverse()
     witness = ProbeSchedule.from_lists(p, rounds, metadata={"solver": "bfs"})
     return True, witness

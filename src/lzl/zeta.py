@@ -3,9 +3,10 @@
 Probe outcomes are 0 (cop on the robber), 1 (cop adjacent), or * (nothing).
 The cops win by forcing the set of history-consistent robber positions down
 to a single candidate.  ``zeta_winnable`` computes the winning region as a
-least fixed point over candidate sets; ``simulate_policy`` plays a concrete
-cop policy against an omniscient robber by exploring every branch of the
-observation tree.
+least fixed point over candidate sets, deduplicated by closed neighbourhood:
+a set's verdict depends only on N[R], so each distinct N[R] is one state.
+``simulate_policy`` plays a concrete cop policy against an omniscient robber
+by exploring every branch of the observation tree.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Iterable
 
 from .bitset import VertexSet, iter_bits
 from .errors import PolicyError, SizeCapError
-from .graphs import Graph, closed_nb_bits
+from .graphs import Graph, closed_nb_bits, closed_nb_table
 
 DEFAULT_ZETA_CAP = 12
 
@@ -42,20 +43,25 @@ def observe(g: Graph, x: int, u: VertexSet | Iterable[int]) -> tuple[str, ...]:
 
 
 def _partition_bits(g: Graph, m_bits: int, probed: tuple[int, ...]) -> list[int]:
-    """Equivalence classes of candidate mask ``m_bits`` under equal outcomes."""
-    classes: dict[int, int] = {}
+    """Equivalence classes of candidate mask ``m_bits`` under equal outcomes.
+
+    Each probe v refines every class into its parts on v, adjacent to v and
+    beyond N[v], in that order, so the classes come out ordered by their
+    outcome vectors read as base-3 codes (0 < 1 < *), first probe first.
+    """
     adj = g.adj_bits
-    for x in iter_bits(m_bits):
-        code = 0
-        for v in probed:
-            if v == x:
-                code = code * 3
-            elif (adj[v] >> x) & 1:
-                code = code * 3 + 1
-            else:
-                code = code * 3 + 2
-        classes[code] = classes.get(code, 0) | (1 << x)
-    return [classes[c] for c in sorted(classes)]
+    classes = [m_bits]
+    for v in probed:
+        on = 1 << v
+        nb = adj[v]
+        far = ~(nb | on)
+        refined = []
+        for c in classes:
+            for part in (c & on, c & nb, c & far):
+                if part:
+                    refined.append(part)
+        classes = refined
+    return classes
 
 
 def partition_candidates(
@@ -68,23 +74,15 @@ def partition_candidates(
     return [VertexSet(g.n, c) for c in _partition_bits(g, m.bits, probed)]
 
 
-def _closed_nb_table(g: Graph) -> list[int]:
-    n = g.n
-    full = (1 << n) - 1
-    nb = [g.adj_bits[v] | (1 << v) for v in range(n)]
-    table = [0] * (full + 1)
-    for m in range(1, full + 1):
-        low = m & -m
-        table[m] = table[m ^ low] | nb[low.bit_length() - 1]
-    return table
-
-
 def zeta_winnable(g: Graph, k: int, *, cap: int = DEFAULT_ZETA_CAP) -> bool:
     """True iff k cops capture on every robber trajectory in finite rounds.
 
     Least fixed point over candidate sets: singletons are won; a set R is
     won when some probe set of size <= k splits N[R] into classes that are
     all already won.  The overall game is won iff the full vertex set is.
+    The verdict of a non-singleton R depends only on N[R], so the table is
+    indexed by closed neighbourhood and each distinct N[R] is checked once
+    per pass until it is won.
     """
     if g.n > cap:
         raise SizeCapError("exact localization solver", g.n, cap)
@@ -94,33 +92,29 @@ def zeta_winnable(g: Graph, k: int, *, cap: int = DEFAULT_ZETA_CAP) -> bool:
         return False
     n = g.n
     full = (1 << n) - 1
-    nr = _closed_nb_table(g)
+    nr = closed_nb_table(g, range(n))
     probe_sets = [
         combo for size in range(1, min(k, n) + 1) for combo in combinations(range(n), size)
     ]
+    # won[m]: every non-singleton R with N[R] = m is won
     won = bytearray(full + 1)
-    for v in range(n):
-        won[1 << v] = 1
-    order = sorted(range(1, full + 1), key=int.bit_count)
-    partition_memo: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+    # smaller neighbourhoods first, so a pass can use what it has just won
+    pending = sorted({nr[r] for r in range(1, full + 1) if r & (r - 1)}, key=int.bit_count)
 
-    changed = True
-    while changed and not won[full]:
-        changed = False
-        for r in order:
-            if won[r]:
-                continue
-            m = nr[r]
+    while not won[full]:
+        still = []
+        for m in pending:
             for probed in probe_sets:
-                key = (m, probed)
-                classes = partition_memo.get(key)
-                if classes is None:
-                    classes = _partition_bits(g, m, probed)
-                    partition_memo[key] = classes
-                if all(won[c] for c in classes):
-                    won[r] = 1
-                    changed = True
+                if all(
+                    not c & (c - 1) or won[nr[c]] for c in _partition_bits(g, m, probed)
+                ):
+                    won[m] = 1
                     break
+            else:
+                still.append(m)
+        if len(still) == len(pending):
+            break
+        pending = still
     return bool(won[full])
 
 

@@ -261,6 +261,17 @@ class TestUsageErrors:
                                "--schedule", str(tmp_path))
         assert code == 2 and "error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--family", "grid", "--n", "3", "--out"),
+        ("iso", "--graph", "path:4", "--mode", "edge", "--csv"),
+        ("strat", "grid-sweep", "--n", "5", "--emit"),
+        ("strat", "tree-depth", "--graph", "kary:2,3", "--emit"),
+        ("strat", "tree-log", "--graph", "kary:2,3", "--emit"),
+    ])
+    def test_output_directory_exit2(self, tmp_path, capsys, argv):
+        code, _, err = run_cli(capsys, *argv, str(tmp_path))
+        assert code == 2 and "cannot write" in err and "Traceback" not in err
+
     def test_engine_bug_is_not_a_usage_error(self, monkeypatch):
         def broken(g, *, cap):
             raise KeyError("engine bug")

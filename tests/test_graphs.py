@@ -21,7 +21,7 @@ from lzl import (
     vertex_boundary,
 )
 from lzl.errors import GraphParseError, GraphValidationError, SizeCapError
-from lzl.graphs import FAMILIES, closed_nb_bits
+from lzl.graphs import FAMILIES, closed_nb_bits, closed_nb_table
 
 from conftest import random_connected_graph
 
@@ -231,6 +231,14 @@ class TestNeighbourhoodKernel:
             masks.append(bits)
         for bits in masks:
             assert closed_nb_bits(g, bits) == _loop_closed_nb(g, bits), bits
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
+    def test_byte_tables_match_loop_reference(self, name):
+        g = KERNEL_GRAPHS[name]
+        for lo in range(0, g.n, 8):
+            table = closed_nb_table(g, range(lo, min(g.n, lo + 8)))
+            for s, nb in enumerate(table):
+                assert nb == _loop_closed_nb(g, s << lo), (lo, s)
 
     def test_offset_limit(self):
         # complete:5 has the offsets +-1..+-4, complete:6 one pair more

@@ -1,4 +1,6 @@
 import random
+from collections import deque
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,8 +18,10 @@ from lzl import (
 )
 from lzl.bitset import iter_bits
 from lzl.errors import ScheduleError, SizeCapError
-from lzl.prox import ScheduleTrace, run_schedule
-from lzl.zeta import zeta_number
+from lzl.graphs import closed_nb_bits
+from lzl.prox import ScheduleTrace, _probe_candidates, prox_solve, run_schedule
+from lzl.strategies import STRATEGY_REGISTRY
+from lzl.zeta import simulate_policy, zeta_number
 
 from conftest import random_connected_graph
 
@@ -244,6 +248,72 @@ class TestSolver:
             p = prox_number(g)
             won, _ = prox_winnable(g, p + 1)
             assert won, name
+
+
+def territory_keyed_bfs(g, p):
+    """Reference solver: the breadth-first search keyed by the territory left
+    after clearing, one state per mask, without merging equal spreads."""
+    full = (1 << g.n) - 1
+    parent = {full: None}
+    frontier = deque([full])
+    while frontier:
+        s = frontier.popleft()
+        territory = closed_nb_bits(g, s)
+        cands = _probe_candidates(g, territory)
+        for size in range(1, p + 1):
+            for combo in combinations(cands, size):
+                probe_bits = 0
+                for v in combo:
+                    probe_bits |= 1 << v
+                t = territory & ~closed_nb_bits(g, probe_bits)
+                if t in parent:
+                    continue
+                parent[t] = (s, combo)
+                if t == 0:
+                    rounds = []
+                    cur = 0
+                    while parent[cur] is not None:
+                        cur, probes = parent[cur]
+                        rounds.append(probes)
+                    rounds.reverse()
+                    return True, ProbeSchedule.from_lists(p, rounds, metadata={"solver": "bfs"})
+                frontier.append(t)
+    return False, None
+
+
+def assert_same_as_reference(g, p, name):
+    won, witness = prox_winnable(g, p)
+    ref_won, ref_witness = territory_keyed_bfs(g, p)
+    assert won == ref_won, (name, p)
+    if won:
+        assert witness.to_json() == ref_witness.to_json(), (name, p)
+
+
+WITNESS_GRAPHS = {
+    "grid:4": generate("grid", n=4),
+    "torus:4x4": cartesian_product(generate("cycle", n=4), generate("cycle", n=4)),
+    "spider:5,5,5": generate("spider", arms=[5, 5, 5]),
+}
+
+
+class TestSolverAgainstTerritoryKeyedSearch:
+    def test_corpus(self, corpus):
+        for name, g in corpus:
+            for p in (1, 2, 3):
+                assert_same_as_reference(g, p, name)
+
+    @pytest.mark.parametrize("name", sorted(WITNESS_GRAPHS))
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_witnesses(self, name, p):
+        assert_same_as_reference(WITNESS_GRAPHS[name], p, name)
+
+    def test_spider555_tree_lift(self):
+        g = generate("spider", arms=[5, 5, 5])
+        assert prox_solve(g)[0] == 1
+        kind, policy = STRATEGY_REGISTRY["lift-tree"](g, root=0)
+        sim = simulate_policy(g, policy)
+        assert kind == "policy" and policy.budget == 2
+        assert sim.captured and sim.worst_capture_round == 28
 
 
 def unfiltered_clearable(g, p, budget_rounds, s_bits=None, memo=None):

@@ -14,9 +14,10 @@ from lzl import (
     zeta_number,
     zeta_winnable,
 )
+from lzl.bitset import iter_bits
 from lzl.errors import PolicyError, SizeCapError
-from lzl.graphs import induced_subgraph
-from lzl.zeta import SchedulePolicy, build_policy
+from lzl.graphs import FAMILIES, induced_subgraph
+from lzl.zeta import OUT_ADJ, OUT_NONE, OUT_ON, SchedulePolicy, _partition_bits, build_policy
 
 from conftest import random_connected_graph, random_tree
 
@@ -75,6 +76,56 @@ class TestPartition:
         assert union == m
 
 
+def observe_partition(g, m_bits, probed):
+    """Reference partition: group the candidates by ``observe`` and order the
+    classes by outcome vector, 0 < 1 < *, first probe first."""
+    rank = {OUT_ON: 0, OUT_ADJ: 1, OUT_NONE: 2}
+    groups = {}
+    for x in iter_bits(m_bits):
+        key = tuple(rank[o] for o in observe(g, x, probed))
+        groups[key] = groups.get(key, 0) | (1 << x)
+    return [groups[key] for key in sorted(groups)]
+
+
+SMALL_FAMILY_PARAMS = {
+    "path": [{"n": n} for n in (1, 2, 5, 8)],
+    "cycle": [{"n": n} for n in (3, 6, 9)],
+    "complete": [{"n": n} for n in (1, 4, 7)],
+    "grid": [{"n": n} for n in (2, 3)],
+    "kary": [{"k": 2, "d": 3}, {"k": 3, "d": 2}],
+    "spider": [{"arms": [1, 2, 3]}, {"arms": [3, 3, 3]}],
+}
+
+
+class TestPartitionAgainstObserve:
+    def test_every_family_is_covered(self):
+        assert set(SMALL_FAMILY_PARAMS) == set(FAMILIES)
+
+    @pytest.mark.parametrize("family", sorted(SMALL_FAMILY_PARAMS))
+    def test_families(self, family):
+        rng = random.Random(family)
+        for params in SMALL_FAMILY_PARAMS[family]:
+            g = generate(family, **params)
+            full = (1 << g.n) - 1
+            cases = [(full, (v,)) for v in range(g.n)] + [(full, ())]
+            for _ in range(150):
+                m = rng.randint(1, full)
+                size = rng.randint(0, min(4, g.n))
+                cases.append((m, tuple(sorted(rng.sample(range(g.n), size)))))
+            for m, probed in cases:
+                assert _partition_bits(g, m, probed) == observe_partition(g, m, probed), (
+                    family, params, m, probed)
+
+    @given(st.integers(0, 10**6), st.integers(1, 12))
+    @settings(max_examples=60)
+    def test_random_graphs(self, seed, n):
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, n, extra_edges=rng.randint(0, 2 * n))
+        m = rng.randint(1, (1 << n) - 1)
+        probed = tuple(sorted(rng.sample(range(n), rng.randint(0, min(5, n)))))
+        assert _partition_bits(g, m, probed) == observe_partition(g, m, probed)
+
+
 class TestFixpoint:
     def test_complete_graphs(self):
         for n in (3, 4, 5):
@@ -82,6 +133,11 @@ class TestFixpoint:
             assert zeta_number(g) == n - 1
             assert zeta_winnable(g, n - 1)
             assert not zeta_winnable(g, n - 2)
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_complete_at_default_cap(self, n):
+        # closed form n - 1; the largest complete graphs the default cap admits
+        assert zeta_number(generate("complete", n=n)) == n - 1
 
     def test_p2_one_cop(self):
         assert zeta_winnable(generate("path", n=2), 1)
@@ -220,7 +276,6 @@ def bounded_round_winnable(g, k, rounds_left, r_bits=None, memo=None):
     from itertools import combinations
 
     from lzl.graphs import closed_nb_bits
-    from lzl.zeta import _partition_bits
 
     if r_bits is None:
         r_bits = (1 << g.n) - 1
@@ -236,7 +291,7 @@ def bounded_round_winnable(g, k, rounds_left, r_bits=None, memo=None):
     result = False
     for size in range(1, k + 1):
         for probed in combinations(range(g.n), size):
-            classes = _partition_bits(g, m_bits, probed)
+            classes = observe_partition(g, m_bits, probed)
             if all(
                 bounded_round_winnable(g, k, rounds_left - 1, c, memo)
                 for c in classes
