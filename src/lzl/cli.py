@@ -20,6 +20,7 @@ from .errors import (
     GraphParseError,
     GraphValidationError,
     LzlError,
+    PartialProfileError,
     ScheduleError,
     SizeCapError,
     UsageError,
@@ -40,7 +41,7 @@ from .iso import (
     iso_profile,
     profile_to_csv,
 )
-from .prox import ProbeSchedule, prox_number, run_schedule, trace_to_json
+from .prox import ProbeSchedule, prox_number, run_schedule
 from .strategies import (
     STRATEGY_REGISTRY,
     brute_pathwidth,
@@ -71,6 +72,12 @@ def _env_cap(default: int) -> int:
 def _workers() -> int:
     raw = os.environ.get("LZL_THREADS")
     return max(1, _int(raw, "LZL_THREADS")) if raw else 1
+
+
+def _round_cap(args) -> int:
+    if args.round_cap < 1:
+        raise UsageError(f"--round-cap must be at least 1, got {args.round_cap}")
+    return args.round_cap
 
 
 def _read_text(path: str, error: type[LzlError]) -> str:
@@ -206,6 +213,8 @@ def cmd_iso(args) -> int:
     if args.peak:
         results["peak"] = iso_peak(profile)
     if args.h_index:
+        if not profile.exact:
+            raise PartialProfileError("h-index requires every profile entry exact")
         results["h_index"] = h_index(profile.values)
     if args.csv:
         _write_text(args.csv, profile_to_csv(profile))
@@ -280,7 +289,7 @@ def cmd_prox(args) -> int:
         "prox-verify",
         g,
         {"graph": gid, "schedule": args.schedule, "cops": schedule.cops},
-        json.loads(trace_to_json(trace)),
+        trace.as_dict(),
     )
     _emit(body, started)
     return EXIT_OK if trace.cleared else EXIT_NEGATIVE
@@ -298,13 +307,13 @@ def cmd_zeta(args) -> int:
         return EXIT_OK
     if not args.policy:
         raise GraphValidationError("zeta simulate needs --policy")
-    policy = build_policy(args.policy, g)
-    sim = simulate_policy(g, policy, round_cap=args.round_cap)
+    round_cap = _round_cap(args)
+    sim = simulate_policy(g, build_policy(args.policy, g), round_cap=round_cap)
     body = _report(
         "zeta-simulate",
         g,
-        {"graph": gid, "policy": args.policy, "round_cap": args.round_cap},
-        json.loads(sim.to_json()),
+        {"graph": gid, "policy": args.policy, "round_cap": round_cap},
+        sim.as_dict(),
     )
     _emit(body, started)
     return EXIT_OK if sim.captured else EXIT_NEGATIVE
@@ -312,6 +321,7 @@ def cmd_zeta(args) -> int:
 
 def cmd_strat(args) -> int:
     started = time.time()
+    round_cap = _round_cap(args)
     if args.name == "grid-sweep":
         if args.n is None:
             raise GraphValidationError("grid-sweep needs --n")
@@ -354,7 +364,7 @@ def cmd_strat(args) -> int:
         if args.emit:
             _write_text(args.emit, artifact.to_json())
     else:
-        sim = simulate_policy(g, artifact, round_cap=args.round_cap)
+        sim = simulate_policy(g, artifact, round_cap=round_cap)
         verdict = sim.captured
         results = {
             "kind": kind,

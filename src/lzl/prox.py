@@ -92,6 +92,15 @@ class ScheduleTrace:
     first_recontamination_round: int | None
     final_bits: int
 
+    def as_dict(self) -> dict:
+        return {
+            "cleared": self.cleared,
+            "clear_round": self.clear_round,
+            "per_round_contaminated": self.counts,
+            "max_contamination": self.max_contamination,
+            "first_recontamination_round": self.first_recontamination_round,
+        }
+
 
 def contamination_step(g: Graph, s: VertexSet, u: VertexSet) -> VertexSet:
     """One round: spread S to N[S], then clear N[U]."""
@@ -193,19 +202,6 @@ def _incremental_steps(g: Graph, schedule: ProbeSchedule, s: int) -> Iterator[in
                 else:
                     fringe &= ~(1 << v)
         yield s
-
-
-def trace_to_json(trace: ScheduleTrace) -> str:
-    return json.dumps(
-        {
-            "cleared": trace.cleared,
-            "clear_round": trace.clear_round,
-            "per_round_contaminated": trace.counts,
-            "max_contamination": trace.max_contamination,
-            "first_recontamination_round": trace.first_recontamination_round,
-        },
-        sort_keys=True,
-    )
 
 
 def _probe_candidates(g: Graph, territory: int) -> list[int]:

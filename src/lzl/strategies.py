@@ -458,24 +458,19 @@ class DominationPolicy(Policy):
     the pair of adjacency flags then identifies the robber uniquely.
     """
 
-    period = 1  # probes depend only on the folded state
-
     def __init__(self, g: Graph, dom: VertexSet):
         self.g = g
         self.dom = frozenset(dom)
         self.name = "domination"
         self.budget = len(dom) + max_degree(g)
 
-    def probes(self, t: int, state) -> frozenset[int]:
+    def probes(self, state) -> frozenset[int]:
         if state is None:
-            return frozenset(self.dom)
-        return frozenset(self.dom) | frozenset(iter_bits(self.g.adj_bits[state]))
+            return self.dom
+        return self.dom | frozenset(iter_bits(self.g.adj_bits[state]))
 
-    def advance(self, state, probed, observation):
-        for v, out in zip(probed, observation):
-            if out == "1":
-                return v
-        return None
+    def advance(self, state, flagged):
+        return flagged[0] if flagged else None
 
 
 def strat_domination(g: Graph, dominating_set: VertexSet | None = None) -> Policy:
@@ -606,10 +601,9 @@ class TreeLiftPolicy(Policy):
     so it switches the schedule cops to a round-robin over the guard's
     neighbors until the robber is caught there, descends, or retreats out
     of sight; the pointer persists per guard so the robber cannot reset it
-    by dipping in and out.  Budget is the schedule's plus one.
+    by dipping in and out.  Budget is the schedule's plus one.  The state
+    is (guard, mode, replay index, ring pointer); index and pointer wrap.
     """
-
-    period = 1
 
     def __init__(self, g: Graph, schedule: ProbeSchedule, root: int):
         self.g = g
@@ -618,43 +612,37 @@ class TreeLiftPolicy(Policy):
         self.budget = schedule.cops + 1
         self.root = root
         self.nbrs = [tuple(iter_bits(g.adj_bits[v])) for v in range(g.n)]
-        # next hop tables: hop[u][v] = neighbor of u on the u..v tree path
-        self.hop = []
-        for u in range(g.n):
-            par, _, _ = _rooted(g, u)
-            row = [0] * g.n
-            for v in range(g.n):
-                w = v
-                while w != u and par[w] != u:
-                    w = par[w]
-                row[v] = w if v != u else u
-            self.hop.append(row)
+        self.parent, _, self.depth = _rooted(g, root)
+
+    def _toward(self, u: int, v: int) -> int:
+        """The neighbor of u on the tree path from u to v != u."""
+        w = v
+        while self.depth[w] > self.depth[u] + 1:
+            w = self.parent[w]
+        return w if self.parent[w] == u else self.parent[u]
 
     def initial_state(self):
         return (self.root, "replay", 0, 0)
 
-    def probes(self, t: int, state) -> frozenset[int]:
+    def probes(self, state) -> frozenset[int]:
         guard, mode, idx, rr = state
         if mode == "standoff":
-            ring = self.nbrs[guard]
-            return frozenset({guard, ring[rr % len(ring)]})
-        return frozenset(self.schedule.rounds[idx % len(self.schedule.rounds)]) | {
-            guard
-        }
+            return frozenset({guard, self.nbrs[guard][rr]})
+        return self.schedule.rounds[idx] | {guard}
 
-    def advance(self, state, probed, observation):
+    def advance(self, state, flagged):
         guard, mode, idx, rr = state
         # a standoff round consumed ring[rr] whatever was observed
-        rr_next = rr + 1 if mode == "standoff" else rr
-        flagged = [v for v, out in zip(probed, observation) if out == "1"]
+        if mode == "standoff":
+            rr = (rr + 1) % len(self.nbrs[guard])
         for v in flagged:
             if v != guard:
-                return (self.hop[guard][v], "replay", 0, 0)
-        if guard in flagged:
-            return (guard, "standoff", idx, rr_next)
+                return (self._toward(guard, v), "replay", 0, 0)
+        if flagged:
+            return (guard, "standoff", idx, rr)
         if mode == "standoff":
-            return (guard, "replay", 0, rr_next)
-        return (guard, "replay", idx + 1, rr)
+            return (guard, "replay", 0, rr)
+        return (guard, "replay", (idx + 1) % len(self.schedule.rounds), rr)
 
 
 class EndgameLiftPolicy(Policy):
@@ -662,10 +650,8 @@ class EndgameLiftPolicy(Policy):
 
     Needs budget >= max degree squared: once a probe flags adjacency at v,
     every vertex at distance one or two from v is probed next round, which
-    determines the robber exactly.
+    determines the robber exactly.  The replay index wraps.
     """
-
-    period = 1
 
     def __init__(self, g: Graph, schedule: ProbeSchedule):
         self.g = g
@@ -680,19 +666,18 @@ class EndgameLiftPolicy(Policy):
     def initial_state(self):
         return ("replay", 0)
 
-    def probes(self, t: int, state) -> frozenset[int]:
+    def probes(self, state) -> frozenset[int]:
         kind, x = state
         if kind == "replay":
-            return frozenset(self.schedule.rounds[x % len(self.schedule.rounds)])
+            return self.schedule.rounds[x]
         return self.ball2[x]
 
-    def advance(self, state, probed, observation):
+    def advance(self, state, flagged):
         kind, x = state
         if kind == "replay":
-            for v, out in zip(probed, observation):
-                if out == "1":
-                    return ("endgame", v)
-            return ("replay", x + 1)
+            if flagged:
+                return ("endgame", flagged[0])
+            return ("replay", (x + 1) % len(self.schedule.rounds))
         return ("replay", 0)
 
 

@@ -11,13 +11,11 @@ by exploring every branch of the observation tree.
 
 from __future__ import annotations
 
-import json
-import sys
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable
 
-from .bitset import VertexSet, iter_bits
+from .bitset import VertexSet, iter_bits, mask_of
 from .errors import PolicyError, SizeCapError
 from .graphs import Graph, closed_nb_bits, closed_nb_table
 
@@ -132,31 +130,31 @@ def zeta_number(g: Graph, *, cap: int = DEFAULT_ZETA_CAP) -> int:
 
 
 class Policy:
-    """Deterministic cop plan driven by (round, folded observation state).
+    """Deterministic cop plan: a finite-state controller over what the cops saw.
 
-    ``probes`` may consult only the round index and the state produced by
-    folding past observations through ``advance``, which keeps every run
-    replayable.  ``period`` marks policies whose probes depend on the round
-    only through ``t % period``; the simulator uses it to detect robber
-    escape cycles, and ``probes_after`` tells it whether an idle round is
-    final.
+    ``probes`` reads only the state, and ``advance`` folds in one round's
+    observation: the ascending tuple of probed vertices adjacent to the
+    robber.  That tuple is the whole observation of a class with several
+    candidates, since a probe on the robber leaves it a singleton.  Every
+    state is finite, so a (state, candidates) pair that repeats on one play
+    is a robber escape; ``probes_after`` tells the simulator whether an
+    idle round is final.
     """
 
     name = "policy"
     budget: int = 1
-    period: int | None = None
 
     def initial_state(self):
         return None
 
-    def probes(self, t: int, state) -> frozenset[int]:
+    def probes(self, state) -> frozenset[int]:
         raise NotImplementedError
 
-    def advance(self, state, probed: tuple[int, ...], observation: tuple[str, ...]):
+    def advance(self, state, flagged: tuple[int, ...]):
         return state
 
-    def probes_after(self, t: int, state) -> bool:
-        """Whether the policy may probe in some round after ``t``.
+    def probes_after(self, state) -> bool:
+        """Whether the policy may probe in some round after this one.
 
         The simulator judges an idle round with several candidates an
         escape exactly when this is False.  The default keeps that rule for
@@ -166,25 +164,29 @@ class Policy:
 
 
 class SchedulePolicy(Policy):
-    """Oblivious policy replaying a fixed list of probe rounds."""
+    """Oblivious policy replaying a fixed list of probe rounds.
+
+    The state is the index of the next round, taken modulo the round count
+    when the list cycles.
+    """
 
     def __init__(self, rounds, budget: int, name: str = "schedule", cycle: bool = False):
         self.rounds = [frozenset(r) for r in rounds]
         self.budget = budget
         self.name = name
-        self.cycle = cycle
-        self.period = len(self.rounds) if cycle else None
+        self.cycle = cycle and bool(self.rounds)  # an empty cycle never probes
 
-    def probes(self, t: int, state) -> frozenset[int]:
-        i = t - 1
-        if self.cycle and self.rounds:
-            return self.rounds[i % len(self.rounds)]
-        if i < len(self.rounds):
-            return self.rounds[i]
-        return frozenset()
+    def initial_state(self):
+        return 0
 
-    def probes_after(self, t: int, state) -> bool:
-        return any(self.rounds) if self.cycle else any(self.rounds[t:])
+    def probes(self, state) -> frozenset[int]:
+        return self.rounds[state] if state < len(self.rounds) else frozenset()
+
+    def advance(self, state, flagged):
+        return (state + 1) % len(self.rounds) if self.cycle else state + 1
+
+    def probes_after(self, state) -> bool:
+        return any(self.rounds) if self.cycle else any(self.rounds[state + 1 :])
 
 
 @dataclass
@@ -198,16 +200,13 @@ class SimulationResult:
     def captured(self) -> bool:
         return self.outcome == "captured-all-branches"
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "outcome": self.outcome,
-                "worst_capture_round": self.worst_capture_round,
-                "branches": self.branches,
-                "escape_path": self.escape_path,
-            },
-            sort_keys=True,
-        )
+    def as_dict(self) -> dict:
+        return {
+            "outcome": self.outcome,
+            "worst_capture_round": self.worst_capture_round,
+            "branches": self.branches,
+            "escape_path": self.escape_path,
+        }
 
 
 _CAPTURED = 0
@@ -222,69 +221,70 @@ def simulate_policy(
 
     Depth-first over the branch tree: candidates R move to N[R], the probe
     splits them into observation classes, and each non-singleton class is a
-    robber option.  An escape witness is a revisited (round phase, policy
-    state, candidates) triple under a periodic policy, or an idle round
-    after which the policy never probes again while several candidates
-    remain.
+    robber option.  An escape witness is a (policy state, candidates) pair
+    revisited on one branch, or an idle round after which the policy never
+    probes again while several candidates remain.  Each round is a generator
+    that yields its sub-rounds and is sent their verdicts, so the depth is
+    bounded by ``round_cap`` and not by the interpreter's stack.
     """
     if g.n == 1:
         return SimulationResult("captured-all-branches", 0, 1)
-    full = (1 << g.n) - 1
-    memo: dict[tuple, tuple[int, int | None]] = {}
+    adj = g.adj_bits
+    memo: dict[tuple, int] = {}  # (t, state, R) -> worst round, captured only
+    onpath: set = set()
     branches = 0
 
-    def run(t: int, state, r_bits: int, onpath: set) -> tuple[int, int | None, list | None]:
+    def run(t: int, state, r_bits: int):
         nonlocal branches
         if t > round_cap:
             return _CAP, None, []
         key = (t, state, r_bits)
         if key in memo:
-            verdict, worst = memo[key]
-            return verdict, worst, None if verdict == _CAPTURED else []
+            return _CAPTURED, memo[key], None
         m_bits = closed_nb_bits(g, r_bits)
-        probe_set = policy.probes(t, state)
+        probe_set = policy.probes(state)
         if len(probe_set) > policy.budget:
             raise PolicyError(
                 f"round {t}: policy '{policy.name}' probes {len(probe_set)} "
                 f"vertices, budget is {policy.budget}"
             )
         probed = tuple(sorted(probe_set))
-        if not probed and m_bits.bit_count() > 1 and not policy.probes_after(t, state):
+        if not probed and m_bits.bit_count() > 1 and not policy.probes_after(state):
             # nothing will ever split the candidates again
-            return _ESCAPE, None, [_frame(t, probed, None, m_bits)]
-        classes = _partition_bits(g, m_bits, probed)
+            return _ESCAPE, None, [_frame(g, t, probed, None, m_bits)]
+        probe_mask = mask_of(probed)
         worst = 0
-        for cls in classes:
+        for cls in _partition_bits(g, m_bits, probed):
             branches += 1
-            if cls.bit_count() == 1:
+            if not cls & (cls - 1):
                 worst = max(worst, t)
                 continue
             rep = (cls & -cls).bit_length() - 1
-            obs = observe(g, rep, probed)
-            nstate = policy.advance(state, probed, obs)
-            phase_key = (
-                (t % policy.period) if policy.period else t,
-                nstate,
-                cls,
-            )
-            if policy.period and phase_key in onpath:
-                return _ESCAPE, None, [_frame(t, probed, obs, cls)]
-            onpath.add(phase_key)
-            verdict, sub_worst, path = run(t + 1, nstate, cls, onpath)
-            onpath.discard(phase_key)
+            nstate = policy.advance(state, tuple(iter_bits(adj[rep] & probe_mask)))
+            node = (nstate, cls)
+            if node in onpath:
+                return _ESCAPE, None, [_frame(g, t, probed, rep, cls)]
+            onpath.add(node)
+            verdict, sub_worst, path = yield t + 1, nstate, cls
+            onpath.discard(node)
             if verdict != _CAPTURED:
-                frames = [_frame(t, probed, obs, cls)] + (path or [])
-                return verdict, None, frames
-            worst = max(worst, sub_worst or 0)
-        memo[key] = (_CAPTURED, worst)
+                return verdict, None, [_frame(g, t, probed, rep, cls)] + path
+            worst = max(worst, sub_worst)
+        memo[key] = worst
         return _CAPTURED, worst, None
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, round_cap * 4 + 1000))
-    try:
-        verdict, worst, path = run(1, policy.initial_state(), full, set())
-    finally:
-        sys.setrecursionlimit(old_limit)
+    stack = [run(1, policy.initial_state(), (1 << g.n) - 1)]
+    result = None
+    while stack:
+        try:
+            child = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+        else:
+            stack.append(run(*child))
+            result = None
+    verdict, worst, path = result
     if verdict == _CAPTURED:
         return SimulationResult("captured-all-branches", worst, branches)
     if verdict == _ESCAPE:
@@ -292,11 +292,12 @@ def simulate_policy(
     return SimulationResult("cap-exceeded", None, branches, path)
 
 
-def _frame(t: int, probed, obs, cls_bits: int) -> dict:
+def _frame(g: Graph, t: int, probed, rep: int | None, cls_bits: int) -> dict:
+    """One escape-path round; ``rep`` is a candidate whose outcomes it shows."""
     return {
         "round": t,
         "probes": [v + 1 for v in probed],
-        "observation": list(obs) if obs else None,
+        "observation": list(observe(g, rep, probed)) if probed else None,
         "candidates": [v + 1 for v in iter_bits(cls_bits)],
     }
 

@@ -71,6 +71,12 @@ class TestIsoCmd:
         assert code == 0
         assert csv.read_text().splitlines()[0] == "k,phi,exact"
 
+    def test_h_index_of_partial_profile_exit2(self, capsys):
+        # sizes the budget never reached hold a placeholder, not a minimum
+        code, _, err = run_cli(capsys, "iso", "--graph", "path:5", "--budget", "3",
+                               "--h-index")
+        assert code == 2 and "exact" in err
+
     def test_cap_exit3(self, capsys):
         code, _, err = run_cli(capsys, "iso", "--graph", "grid:6")
         assert code == 3 and "cap" in err
@@ -271,6 +277,15 @@ class TestUsageErrors:
     def test_output_directory_exit2(self, tmp_path, capsys, argv):
         code, _, err = run_cli(capsys, *argv, str(tmp_path))
         assert code == 2 and "cannot write" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [
+        ("zeta", "simulate", "--graph", "path:5", "--policy", "front-sweep"),
+        ("strat", "tree-log", "--graph", "path:5"),
+    ])
+    def test_round_cap_below_one_exit2(self, capsys, argv, cap):
+        code, out, err = run_cli(capsys, *argv, "--round-cap", cap)
+        assert code == 2 and "--round-cap" in err and not out
 
     def test_engine_bug_is_not_a_usage_error(self, monkeypatch):
         def broken(g, *, cap):

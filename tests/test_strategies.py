@@ -31,8 +31,9 @@ from lzl.errors import (
     SeparatorContractError,
     StrategyPreconditionError,
 )
-from lzl.prox import run_schedule
-from lzl.strategies import PathDecomposition
+from lzl.graphs import distances
+from lzl.prox import prox_solve, run_schedule
+from lzl.strategies import EndgameLiftPolicy, PathDecomposition, TreeLiftPolicy
 from lzl.zeta import zeta_winnable
 
 from conftest import random_tree
@@ -397,6 +398,38 @@ class TestLifts:
         sim = simulate_policy(g, policy)
         assert sim.outcome == "captured-all-branches"
         assert (sim.worst_capture_round, sim.branches) == (4, 59)
+
+
+    def test_tree_lift_spider555_pinned(self):
+        g = generate("spider", arms=[5, 5, 5])
+        policy = lift_prox_to_zeta(g, prox_solve(g)[1], variant="tree")
+        sim = simulate_policy(g, policy)
+        assert (sim.outcome, sim.worst_capture_round, sim.branches) == (
+            "captured-all-branches", 28, 408)
+
+    def test_losing_lifts_escape(self):
+        # both loop forever: the robber revisits a (policy state, candidates)
+        # pair, which is a finite escape witness, not a run to the round cap
+        g = generate("path", n=9)
+        policy = TreeLiftPolicy(g, ProbeSchedule.from_lists(1, [{4}]), 0)
+        sim = simulate_policy(g, policy)
+        assert sim.outcome == "escape-witness" and len(sim.escape_path) <= 8
+        g = generate("path", n=6)
+        policy = EndgameLiftPolicy(g, ProbeSchedule.from_lists(4, [{0}, {5}]))
+        sim = simulate_policy(g, policy)
+        assert sim.outcome == "escape-witness" and len(sim.escape_path) <= 8
+
+    def test_tree_lift_toward(self):
+        rng = random.Random(23)
+        for _ in range(20):
+            t = random_tree(rng, rng.randint(2, 12))
+            policy = TreeLiftPolicy(t, ProbeSchedule.from_lists(1, [{0}]), rng.randrange(t.n))
+            for u in range(t.n):
+                dist = distances(t, u)
+                for v in range(t.n):
+                    if v != u:
+                        hop = policy._toward(u, v)
+                        assert t.has_edge(u, hop) and distances(t, hop)[v] == dist[v] - 1
 
 
 def prox_number_of(g):

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -226,6 +227,45 @@ class TestSimulate:
         g = generate("path", n=5)
         sim = simulate_policy(g, SchedulePolicy([set(), set()], budget=1, cycle=cycle))
         assert sim.outcome == "escape-witness"
+
+    def test_empty_cycle_escapes(self):
+        g = generate("path", n=5)
+        sim = simulate_policy(g, SchedulePolicy([], budget=1, cycle=True))
+        assert sim.outcome == "escape-witness"
+
+    def test_deep_capture_needs_no_recursion_limit(self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError("simulate_policy changed the recursion limit")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        g = generate("path", n=1500)
+        sim = simulate_policy(g, build_policy("front-sweep", g), round_cap=3000)
+        assert sim.captured and sim.worst_capture_round == 1498
+
+    def test_escape_paths_pinned(self):
+        def frame(t, probe, obs, cands):
+            return {"round": t, "probes": [probe] if probe else [],
+                    "observation": [obs] if obs else None, "candidates": cands}
+
+        g = generate("path", n=5)
+        sim = simulate_policy(g, build_policy("sweep", g))
+        assert sim.escape_path == [
+            frame(1, 2, "1", [1, 3]), frame(2, 3, "1", [2, 4]),
+            frame(3, 4, "1", [3, 5]), frame(4, None, None, [2, 3, 4, 5]),
+        ]
+        g = generate("spider", arms=[3, 3, 3])
+        sim = simulate_policy(g, build_policy("arm-scan", g))
+        steps = [
+            (2, "1", [1, 3]), (3, "1", [2, 4]), (4, "*", [1, 2]), (5, "*", [2, 3, 8]),
+            (6, "*", [1, 2, 3, 4, 8, 9]), (7, "*", [1, 2, 3, 4, 5, 8, 9, 10]),
+            (8, "1", [1, 9]), (9, "1", [8, 10]), (10, "*", [1, 8]), (2, "*", [5, 8, 9]),
+            (3, "*", [1, 5, 6, 8, 9, 10]), (4, "*", [1, 2, 5, 6, 7, 8, 9, 10]),
+            (5, "1", [1, 6]), (6, "1", [5, 7]), (7, "*", [1, 5]), (8, "*", [2, 5, 6]),
+            (9, "*", [1, 2, 3, 5, 6, 7]), (10, "*", [1, 2, 3, 4, 5, 6, 7, 8]),
+            (2, "1", [1, 3]),
+        ]
+        assert (sim.outcome, sim.branches) == ("escape-witness", 38)
+        assert sim.escape_path == [frame(t, *step) for t, step in enumerate(steps, 1)]
 
     def test_budget_violation_raises(self):
         g = generate("path", n=4)
