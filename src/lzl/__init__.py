@@ -1,6 +1,6 @@
 """Exact engines for the one-visibility localization and one-proximity games.
 
-Modules: graphs (representation, generators, boundaries), iso (profiles,
+Modules: graphs (representation, generators, vertex-mask kernels), iso (profiles,
 h-index, bound rules), prox (contamination dynamics and the exact prox
 solver), zeta (localization fixpoint solver and policy simulator),
 strategies (tree, pathwidth, domination, separator strategies and lifts),
@@ -9,22 +9,17 @@ gridsweep (the five-panel grid sweep), cli (command-line surface).
 
 __version__ = "0.1.0"
 
-from .bitset import VertexSet
 from .graphs import (
     Graph,
     cartesian_product,
-    closed_neighborhood,
-    components_after_removal,
     diameter,
     distances,
-    edge_boundary_count,
     generate,
     is_c4_free,
     max_degree,
     parse_graph,
     serialize_graph,
     subdivide,
-    vertex_boundary,
 )
 from .iso import (
     BoundsReport,
@@ -41,7 +36,6 @@ from .iso import (
 )
 from .prox import (
     ProbeSchedule,
-    contamination_step,
     prox_number,
     prox_solve,
     prox_winnable,
@@ -51,7 +45,6 @@ from .zeta import (
     Policy,
     SchedulePolicy,
     observe,
-    partition_candidates,
     simulate_policy,
     zeta_number,
     zeta_winnable,

@@ -201,6 +201,8 @@ def cmd_gen(args) -> int:
 
 def cmd_iso(args) -> int:
     started = time.time()
+    if args.budget is not None and args.budget < 1:
+        raise UsageError(f"--budget must be at least 1, got {args.budget}")
     g, gid = load_graph(args.graph)
     cap = _env_cap(25)
     profile = iso_profile(g, args.mode, budget=args.budget, cap=cap,
@@ -255,7 +257,7 @@ def cmd_bounds(args) -> int:
     if args.pathwidth and g.n <= 10:
         quantities["pathwidth"] = brute_pathwidth(g).width
     if args.domination and g.n <= 20:
-        quantities["domination_number"] = len(min_dominating_set(g))
+        quantities["domination_number"] = min_dominating_set(g).bit_count()
     if args.solve:
         if g.n <= _env_cap(16):
             quantities["prox1"] = prox_number(g, cap=_env_cap(16))

@@ -6,6 +6,9 @@ game-semantics matter (the robber may stay put), not an adjacency fact.
 Generators cover every family the solvers and strategies consume: paths,
 cycles, complete graphs, square grids, k-ary trees, spiders, and edge
 subdivisions.
+
+A vertex set is an int mask throughout the package: bit v stands for the
+0-based vertex v.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .bitset import VertexSet, iter_bits
 from .errors import GraphParseError, GraphValidationError, SizeCapError
 
 #: Hard limit on graph order.  Python ints give arbitrary-width bitsets, so
@@ -30,6 +32,27 @@ DEFAULT_VERTEX_CAP = 16384
 MAX_SHIFT_OFFSETS = 8
 
 Labels = Mapping[int, Mapping[str, object]]
+
+
+def iter_bits(bits: int) -> Iterator[int]:
+    """Yield set bit positions of ``bits`` in ascending order."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+def mask_of(vertices: Iterable[int]) -> int:
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def check_mask(g: Graph, bits: int, what: str) -> None:
+    """Reject a mask with a negative sign or a bit at or above ``g.n``."""
+    if bits < 0 or bits >> g.n:
+        raise GraphValidationError(f"{what} is not a vertex set of a graph of order {g.n}")
 
 
 class Graph:
@@ -74,9 +97,6 @@ class Graph:
 
     # -- basic queries -------------------------------------------------
 
-    def neighbors(self, v: int) -> VertexSet:
-        return VertexSet(self.n, self.adj_bits[v])
-
     def degree(self, v: int) -> int:
         return self.adj_bits[v].bit_count()
 
@@ -90,12 +110,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return (self.adj_bits[u] >> v) & 1 == 1
-
-    def full_set(self) -> VertexSet:
-        return VertexSet.full(self.n)
-
-    def vertex_set(self, vertices: Iterable[int]) -> VertexSet:
-        return VertexSet.from_iterable(self.n, vertices)
 
     def label(self, v: int, key: str, default=None):
         return self.labels.get(v, {}).get(key, default)
@@ -448,7 +462,7 @@ def cartesian_product(
     return Graph(n, edges, labels, vertex_cap=vertex_cap)
 
 
-# -- neighborhood and boundary primitives --------------------------------
+# -- neighborhood and component kernels ----------------------------------
 
 
 def closed_nb_bits(g: Graph, bits: int) -> int:
@@ -476,21 +490,6 @@ def closed_nb_table(g: Graph, vertices: range) -> list[int]:
         low = s & -s
         table[s] = table[s ^ low] | nb[low.bit_length() - 1]
     return table
-
-
-def closed_neighborhood(g: Graph, s: VertexSet) -> VertexSet:
-    """N[S]: S together with every vertex adjacent to S."""
-    return VertexSet(g.n, closed_nb_bits(g, s.bits))
-
-
-def vertex_boundary(g: Graph, s: VertexSet) -> VertexSet:
-    """N[S] minus S: the vertices outside S touching it."""
-    return VertexSet(g.n, closed_nb_bits(g, s.bits) & ~s.bits)
-
-
-def edge_boundary_count(g: Graph, s: VertexSet) -> int:
-    """Number of edges with exactly one endpoint in S."""
-    return sum((g.adj_bits[v] & ~s.bits).bit_count() for v in iter_bits(s.bits))
 
 
 def distances(g: Graph, v: int) -> list[int]:
@@ -552,17 +551,10 @@ def components_bits(g: Graph, within: int) -> list[int]:
     return comps
 
 
-def components_after_removal(g: Graph, v: int) -> list[VertexSet]:
-    """Connected components of G - v, ordered by smallest member."""
-    if not 0 <= v < g.n:
-        raise GraphValidationError(f"vertex {v} out of range")
-    within = ((1 << g.n) - 1) & ~(1 << v)
-    return [VertexSet(g.n, c) for c in components_bits(g, within)]
-
-
-def induced_subgraph(g: Graph, s: VertexSet) -> tuple[Graph, list[int]]:
-    """Subgraph induced on ``s`` plus the old-index list (new -> old)."""
-    old = s.to_list()
+def induced_subgraph(g: Graph, s: int) -> tuple[Graph, list[int]]:
+    """Subgraph induced on the mask ``s`` plus the old-index list (new -> old)."""
+    check_mask(g, s, "induced vertex set")
+    old = list(iter_bits(s))
     index = {o: i for i, o in enumerate(old)}
     edges = [
         (index[u], index[v])

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitset import VertexSet
 from .errors import GridVerificationError, ScheduleError
 from .graphs import generate
 from .prox import ProbeSchedule, ScheduleTrace, run_schedule
@@ -54,8 +53,8 @@ class ForcedRegionIndex:
         return self.foot(1) > self.n
 
 
-def forced_region(idx: ForcedRegionIndex) -> VertexSet:
-    """Region vertices on the panel lattice, rows clipped to [1, n].
+def forced_region(idx: ForcedRegionIndex) -> int:
+    """Mask of the region's vertices on the panel lattice, rows clipped to [1, n].
 
     Vertex (r, c) lives at index (r-1)*m + (c-1) of an n*m lattice.
     """
@@ -63,7 +62,7 @@ def forced_region(idx: ForcedRegionIndex) -> VertexSet:
     for c in range(1, idx.m + 1):
         for r in range(max(1, idx.foot(c)), idx.n + 1):
             bits |= 1 << ((r - 1) * idx.m + (c - 1))
-    return VertexSet(idx.n * idx.m, bits)
+    return bits
 
 
 def probe_set(idx: ForcedRegionIndex, window: tuple[int, int]) -> tuple[Coord, ...]:

@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .bitset import iter_bits
 from .errors import InconsistentBoundsError, PartialProfileError, SizeCapError
-from .graphs import Graph, is_c4_free, max_degree
+from .graphs import Graph, is_c4_free, iter_bits, max_degree
 
 DEFAULT_ISO_CAP = 25
 
@@ -27,18 +26,19 @@ class IsoProfile:
 
     ``values[k-1]`` is the minimum boundary size over k-subsets; ``exact``
     is False when enumeration was truncated and each entry is only the
-    minimum over the subsets actually examined.
+    minimum over the subsets actually examined, or None when no k-subset
+    was examined.
     """
 
     mode: str  # "vertex" | "edge"
-    values: tuple[int, ...]
+    values: tuple[int | None, ...]
     exact: bool
 
     @property
     def n(self) -> int:
         return len(self.values)
 
-    def value(self, k: int) -> int:
+    def value(self, k: int) -> int | None:
         return self.values[k - 1]
 
 
@@ -112,13 +112,19 @@ def _scan_gray(
     return True
 
 
+def _unset(n: int) -> tuple[int, int]:
+    """Starting vertex- and edge-boundary minima, above any boundary on n vertices."""
+    return n + 1, 4 * n * n
+
+
 def _profile_job(args):
     adj, fixed_bits, free = args
     n = len(adj)
     nbrs = [tuple(iter_bits(row)) for row in adj]
     degs = [row.bit_count() for row in adj]
-    best_v = [n + 1] * (n + 1)
-    best_e = [4 * n * n] * (n + 1)
+    unset_v, unset_e = _unset(n)
+    best_v = [unset_v] * (n + 1)
+    best_e = [unset_e] * (n + 1)
     _scan_gray(adj, nbrs, degs, fixed_bits, free, best_v, best_e, None)
     return best_v, best_e
 
@@ -128,8 +134,9 @@ def _profiles_both(
 ) -> tuple[IsoProfile, IsoProfile]:
     n = g.n
     adj = g.adj_bits
-    best_v = [n + 1] * (n + 1)
-    best_e = [4 * n * n] * (n + 1)
+    unset_v, unset_e = _unset(n)
+    best_v = [unset_v] * (n + 1)
+    best_e = [unset_e] * (n + 1)
     complete = True
     # the shards run to completion, so a budget needs the serial scan
     if workers <= 1 or n < 8 or budget is not None:
@@ -151,8 +158,9 @@ def _profiles_both(
                     best_v[k] = min(best_v[k], jv[k])
                     best_e[k] = min(best_e[k], je[k])
 
-    prof_v = IsoProfile("vertex", tuple(best_v[1:]), complete)
-    prof_e = IsoProfile("edge", tuple(best_e[1:]), complete)
+    # a size that no examined subset reached has no minimum
+    prof_v = IsoProfile("vertex", tuple(None if x == unset_v else x for x in best_v[1:]), complete)
+    prof_e = IsoProfile("edge", tuple(None if x == unset_e else x for x in best_e[1:]), complete)
     return prof_v, prof_e
 
 
@@ -500,5 +508,5 @@ def profile_to_csv(profile: IsoProfile) -> str:
     lines = ["k,phi,exact"]
     exact = "true" if profile.exact else "false"
     for k, phi in enumerate(profile.values, start=1):
-        lines.append(f"{k},{phi},{exact}")
+        lines.append(f"{k},{'' if phi is None else phi},{exact}")
     return "\n".join(lines) + "\n"

@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations
 from typing import Iterable, Iterator
 
-from .bitset import VertexSet, iter_bits, mask_of
 from .errors import ScheduleError, SizeCapError
-from .graphs import Graph, closed_nb_bits, closed_nb_table
+from .graphs import Graph, check_mask, closed_nb_bits, closed_nb_table, iter_bits, mask_of
 
 DEFAULT_PROX_CAP = 16
 
@@ -102,12 +101,8 @@ class ScheduleTrace:
         }
 
 
-def contamination_step(g: Graph, s: VertexSet, u: VertexSet) -> VertexSet:
-    """One round: spread S to N[S], then clear N[U]."""
-    return VertexSet(g.n, step_bits(g, s.bits, u.bits))
-
-
 def step_bits(g: Graph, s_bits: int, u_bits: int) -> int:
+    """One round: spread S to N[S], then clear N[U]."""
     return closed_nb_bits(g, s_bits) & ~closed_nb_bits(g, u_bits)
 
 
@@ -115,9 +110,9 @@ def run_schedule(
     g: Graph,
     schedule: ProbeSchedule,
     *,
-    initial: VertexSet | None = None,
+    initial: int | None = None,
 ) -> ScheduleTrace:
-    """Run the contamination recursion from S = V(G) (or ``initial``).
+    """Run the contamination recursion from S = V(G) (or the mask ``initial``).
 
     A graph with a shift kernel (a lattice) steps S directly, a few big-int
     shifts per round.  Any other graph is stepped incrementally: the spread
@@ -127,7 +122,8 @@ def run_schedule(
     if schedule.mode != "prox":
         raise ScheduleError("run_schedule verifies prox-mode schedules")
     schedule.validate_for(g)
-    s = initial.bits if initial is not None else (1 << g.n) - 1
+    s = (1 << g.n) - 1 if initial is None else initial
+    check_mask(g, s, "initial territory")
     if g.shifts is not None:
         steps = _direct_steps(g, schedule, s)
     else:

@@ -15,7 +15,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Sequence
 
-from .bitset import VertexSet, iter_bits, mask_of
 from .errors import (
     GraphValidationError,
     ScheduleError,
@@ -25,11 +24,14 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    check_mask,
     closed_nb_bits,
     components_bits,
     distances,
     induced_subgraph,
     is_c4_free,
+    iter_bits,
+    mask_of,
     max_degree,
 )
 from .prox import ProbeSchedule, prox_solve, run_schedule
@@ -159,7 +161,7 @@ def strat_tree_depth(g: Graph, root: int) -> ProbeSchedule:
 @dataclass(frozen=True)
 class LevelDecomposition:
     root: int
-    levels: tuple[VertexSet, ...]  # L_1..L_d by distance from the root
+    levels: tuple[int, ...]  # masks of L_1..L_d by distance from the root
     nonleaf_counts: tuple[int, ...]
 
     @property
@@ -174,14 +176,12 @@ class LevelDecomposition:
 def level_decomposition(g: Graph, root: int) -> LevelDecomposition:
     _require_tree(g)
     dist = distances(g, root)
-    d = max(dist)
-    levels = []
-    counts = []
-    for i in range(1, d + 1):
-        members = [v for v in range(g.n) if dist[v] == i]
-        levels.append(VertexSet.from_iterable(g.n, members))
-        counts.append(sum(1 for v in members if g.degree(v) >= 2))
-    return LevelDecomposition(root, tuple(levels), tuple(counts))
+    levels = [0] * (max(dist) + 1)
+    counts = [0] * len(levels)
+    for v, i in enumerate(dist):
+        levels[i] |= 1 << v
+        counts[i] += g.degree(v) >= 2
+    return LevelDecomposition(root, tuple(levels[1:]), tuple(counts[1:]))
 
 
 class _Guard:
@@ -231,7 +231,7 @@ def strat_tree_levels(g: Graph, root: int) -> ProbeSchedule:
         rounds.append(probes)
 
     nonleaf_by_level = {
-        j: sorted(v for v in ld.levels[j - 1] if children[v])
+        j: [v for v in iter_bits(ld.levels[j - 1]) if children[v]]
         for j in range(1, d + 1)
     } if ld else {}
 
@@ -292,27 +292,29 @@ def strat_tree_levels(g: Graph, root: int) -> ProbeSchedule:
 
 @dataclass(frozen=True)
 class PathDecomposition:
-    bags: tuple[VertexSet, ...]
+    bags: tuple[int, ...]
 
     @property
     def width(self) -> int:
-        return max(len(b) for b in self.bags) - 1
+        return max(b.bit_count() for b in self.bags) - 1
 
 
-def validate_path_decomposition(g: Graph, bags: Sequence[VertexSet]) -> list[str]:
+def validate_path_decomposition(g: Graph, bags: Sequence[int]) -> list[str]:
     """Return the list of violated properties (empty when valid)."""
     violations = []
     cover = 0
-    for b in bags:
-        cover |= b.bits
+    for i, b in enumerate(bags, start=1):
+        check_mask(g, b, f"bag {i}")
+        cover |= b
     if cover != (1 << g.n) - 1:
         violations.append("(1) bags do not cover every vertex")
     for u, v in g.edges():
-        if not any(u in b and v in b for b in bags):
+        uv = (1 << u) | (1 << v)
+        if not any(b & uv == uv for b in bags):
             violations.append(f"(2) edge ({u + 1}, {v + 1}) is in no bag")
             break
     for v in range(g.n):
-        idx = [i for i, b in enumerate(bags) if v in b]
+        idx = [i for i, b in enumerate(bags) if (b >> v) & 1]
         if idx and idx != list(range(idx[0], idx[-1] + 1)):
             violations.append(f"(3) bags containing vertex {v + 1} are not contiguous")
             break
@@ -320,7 +322,7 @@ def validate_path_decomposition(g: Graph, bags: Sequence[VertexSet]) -> list[str
 
 
 def normalize_path_decomposition(
-    g: Graph, bags: Sequence[VertexSet]
+    g: Graph, bags: Sequence[int]
 ) -> PathDecomposition:
     """Drop redundant bags and trailing bag vertices without bag neighbors.
 
@@ -331,7 +333,7 @@ def normalize_path_decomposition(
     violations = validate_path_decomposition(g, bags)
     if violations:
         raise ScheduleError("; ".join(violations))
-    work = [b.bits for b in bags]
+    work = list(bags)
     changed = True
     while changed:
         changed = False
@@ -355,7 +357,7 @@ def normalize_path_decomposition(
                 if g.adj_bits[v] & work[last] == 0:
                     work[last] &= ~(1 << v)
                     changed = True
-    return PathDecomposition(tuple(VertexSet(g.n, b) for b in work))
+    return PathDecomposition(tuple(work))
 
 
 def brute_pathwidth(g: Graph, *, cap: int = 10) -> PathDecomposition:
@@ -401,8 +403,8 @@ def brute_pathwidth(g: Graph, *, cap: int = 10) -> PathDecomposition:
         for u in order[:i]:
             if any(pos[w] >= i for w in iter_bits(adj[u])):
                 bag |= 1 << u
-        bags.append(VertexSet(n, bag))
-    assert max(len(b) for b in bags) - 1 == best[full]
+        bags.append(bag)
+    assert max(b.bit_count() for b in bags) - 1 == best[full]
     return normalize_path_decomposition(g, bags)
 
 
@@ -422,16 +424,16 @@ def strat_pathwidth(g: Graph, decomposition: PathDecomposition) -> Policy:
         if k == 1:
             leaving = bag
         elif i + 1 < k:
-            leaving = bag - bags[i + 1]
+            leaving = bag & ~bags[i + 1]
         else:
-            leaving = bag - bags[i - 1]
-        u = next(iter(leaving), None)
-        if u is None or g.adj_bits[u] & bag.bits == 0:
+            leaving = bag & ~bags[i - 1]
+        u = (leaving & -leaving).bit_length() - 1  # lowest leaving vertex
+        nb = g.adj_bits[u] & bag if leaving else 0  # its neighbours in the bag
+        if not nb:
             raise StrategyPreconditionError(
                 f"bag {i + 1} has no leaving vertex with a bag neighbor; normalize first"
             )
-        v = (g.adj_bits[u] & bag.bits & -(g.adj_bits[u] & bag.bits)).bit_length() - 1
-        rounds.append(set(bag) - {v})
+        rounds.append(set(iter_bits(bag & ~(nb & -nb))))
     budget = max(1, decomposition.width)
     return SchedulePolicy(rounds, budget=budget, name="pathwidth")
 
@@ -439,14 +441,15 @@ def strat_pathwidth(g: Graph, decomposition: PathDecomposition) -> Policy:
 # -- domination -------------------------------------------------------------
 
 
-def min_dominating_set(g: Graph, *, cap: int = 20) -> VertexSet:
+def min_dominating_set(g: Graph, *, cap: int = 20) -> int:
     if g.n > cap:
         raise SizeCapError("exhaustive domination", g.n, cap)
     full = (1 << g.n) - 1
     for size in range(1, g.n + 1):
         for combo in combinations(range(g.n), size):
-            if closed_nb_bits(g, mask_of(combo)) == full:
-                return VertexSet.from_iterable(g.n, combo)
+            dom = mask_of(combo)
+            if closed_nb_bits(g, dom) == full:
+                return dom
     raise AssertionError("V(G) always dominates")
 
 
@@ -458,11 +461,11 @@ class DominationPolicy(Policy):
     the pair of adjacency flags then identifies the robber uniquely.
     """
 
-    def __init__(self, g: Graph, dom: VertexSet):
+    def __init__(self, g: Graph, dom: int):
         self.g = g
-        self.dom = frozenset(dom)
+        self.dom = frozenset(iter_bits(dom))
         self.name = "domination"
-        self.budget = len(dom) + max_degree(g)
+        self.budget = dom.bit_count() + max_degree(g)
 
     def probes(self, state) -> frozenset[int]:
         if state is None:
@@ -473,11 +476,13 @@ class DominationPolicy(Policy):
         return flagged[0] if flagged else None
 
 
-def strat_domination(g: Graph, dominating_set: VertexSet | None = None) -> Policy:
+def strat_domination(g: Graph, dominating_set: int | None = None) -> Policy:
+    if dominating_set is not None:
+        check_mask(g, dominating_set, "dominating set")
     if not is_c4_free(g):
         raise StrategyPreconditionError("domination strategy needs a C4-free graph")
     dom = dominating_set if dominating_set is not None else min_dominating_set(g)
-    if closed_nb_bits(g, dom.bits) != (1 << g.n) - 1:
+    if closed_nb_bits(g, dom) != (1 << g.n) - 1:
         raise StrategyPreconditionError("given set is not dominating")
     return DominationPolicy(g, dom)
 
@@ -490,8 +495,11 @@ def balanced_separator_brute(
     part_fraction: Fraction = Fraction(2, 3),
     *,
     cap: int = 20,
-) -> tuple[VertexSet, VertexSet, VertexSet]:
-    """Smallest C with the components of G - C splittable into balanced parts."""
+) -> tuple[int, int, int]:
+    """Smallest C with the components of G - C splittable into balanced parts.
+
+    Returns the masks (A, B, C).
+    """
     if g.n > cap:
         raise SizeCapError("exhaustive separator", g.n, cap)
     n = g.n
@@ -505,12 +513,7 @@ def balanced_separator_brute(
             comps.sort(key=lambda m: -m.bit_count())
             split = _split_parts(comps, limit_num, limit_den)
             if split is not None:
-                a_bits, b_bits = split
-                return (
-                    VertexSet(n, a_bits),
-                    VertexSet(n, b_bits),
-                    VertexSet(n, c_bits),
-                )
+                return (*split, c_bits)
     raise AssertionError("C = V always separates")
 
 
@@ -534,7 +537,7 @@ def _split_parts(comps: list[int], limit_num: int, limit_den: int):
     return None
 
 
-SeparatorOracle = Callable[[Graph], tuple[VertexSet, VertexSet, VertexSet]]
+SeparatorOracle = Callable[[Graph], tuple[int, int, int]]
 
 
 def strat_separator(
@@ -551,10 +554,10 @@ def strat_separator(
     def rec(region: int, guards: int) -> list[int]:
         if region.bit_count() <= base:
             return [region | guards]
-        sub, old = induced_subgraph(g, VertexSet(g.n, region))
+        sub, old = induced_subgraph(g, region)
         a, b, c = oracle(sub)
         _check_separator(sub, a, b, c)
-        to_old = lambda vs: mask_of(old[i] for i in vs)
+        to_old = lambda m: mask_of(old[i] for i in iter_bits(m))
         a_bits, b_bits, c_bits = to_old(a), to_old(b), to_old(c)
         inner_guards = guards | c_bits
         rounds: list[int] = []
@@ -574,16 +577,14 @@ def strat_separator(
     )
 
 
-def _check_separator(sub: Graph, a: VertexSet, b: VertexSet, c: VertexSet) -> None:
+def _check_separator(sub: Graph, a: int, b: int, c: int) -> None:
     n = sub.n
-    if (a.bits | b.bits | c.bits) != (1 << n) - 1 or (
-        a.bits & b.bits or a.bits & c.bits or b.bits & c.bits
-    ):
+    if (a | b | c) != (1 << n) - 1 or a & b or a & c or b & c:
         raise SeparatorContractError("A, B, C must partition the region")
-    if 3 * a.bits.bit_count() > 2 * n or 3 * b.bits.bit_count() > 2 * n:
+    if 3 * a.bit_count() > 2 * n or 3 * b.bit_count() > 2 * n:
         raise SeparatorContractError("parts exceed two thirds of the region")
-    for v in iter_bits(a.bits):
-        if sub.adj_bits[v] & b.bits:
+    for v in iter_bits(a):
+        if sub.adj_bits[v] & b:
             raise SeparatorContractError("edge between the two parts")
 
 

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Callable
 
-from .bitset import VertexSet, iter_bits, mask_of
 from .errors import PolicyError, SizeCapError
-from .graphs import Graph, closed_nb_bits, closed_nb_table
+from .graphs import Graph, closed_nb_bits, closed_nb_table, iter_bits, mask_of
 
 DEFAULT_ZETA_CAP = 12
 
@@ -26,11 +25,10 @@ OUT_ADJ = "1"
 OUT_NONE = "*"
 
 
-def observe(g: Graph, x: int, u: VertexSet | Iterable[int]) -> tuple[str, ...]:
-    """Per-probe outcomes for a robber on x, aligned with sorted probes."""
-    probed = sorted(u)
+def observe(g: Graph, x: int, u: int) -> tuple[str, ...]:
+    """Per-probe outcomes for a robber on x, one per probe in the mask ``u``, ascending."""
     out = []
-    for v in probed:
+    for v in iter_bits(u):
         if v == x:
             out.append(OUT_ON)
         elif g.has_edge(v, x):
@@ -60,16 +58,6 @@ def _partition_bits(g: Graph, m_bits: int, probed: tuple[int, ...]) -> list[int]
                     refined.append(part)
         classes = refined
     return classes
-
-
-def partition_candidates(
-    g: Graph, m: VertexSet, u: VertexSet | Iterable[int]
-) -> list[VertexSet]:
-    """Split candidates by observation vector; classes cover m disjointly."""
-    if not m.bits:
-        raise ValueError("candidate set must be nonempty")
-    probed = tuple(sorted(u))
-    return [VertexSet(g.n, c) for c in _partition_bits(g, m.bits, probed)]
 
 
 def zeta_winnable(g: Graph, k: int, *, cap: int = DEFAULT_ZETA_CAP) -> bool:
@@ -297,7 +285,7 @@ def _frame(g: Graph, t: int, probed, rep: int | None, cls_bits: int) -> dict:
     return {
         "round": t,
         "probes": [v + 1 for v in probed],
-        "observation": list(observe(g, rep, probed)) if probed else None,
+        "observation": list(observe(g, rep, mask_of(probed))) if probed else None,
         "candidates": [v + 1 for v in iter_bits(cls_bits)],
     }
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from lzl import Graph, generate
+from lzl.graphs import mask_of
 
 settings.register_profile(
     "default",
@@ -12,6 +13,16 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
+
+
+def mask(*vertices: int) -> int:
+    """Vertex-set mask with bit v set for each listed 0-based vertex v."""
+    return mask_of(vertices)
+
+
+def edge_boundary(g: Graph, s: int) -> int:
+    """Reference count of the edges with exactly one endpoint in the mask ``s``."""
+    return sum(((s >> u) ^ (s >> v)) & 1 for u, v in g.edges())
 
 
 def prufer_tree(seq) -> Graph:

@@ -29,7 +29,7 @@ from lzl import (
     zeta_number,
 )
 from lzl.cli import TABLE1_EXPECTED, table1_rows
-from lzl.graphs import induced_subgraph, closed_neighborhood
+from lzl.graphs import closed_nb_bits, induced_subgraph
 from lzl.gridsweep import five_panel_schedule
 from lzl.prox import run_schedule
 from lzl.strategies import brute_pathwidth
@@ -66,16 +66,12 @@ def test_criterion_2_tree_laws(tree_batch):
             subtree_checks += 1
             keep = 1 << rng.randrange(t.n)
             for _ in range(rng.randint(1, t.n - 2)):
-                frontier = closed_neighborhood(
-                    t, t.vertex_set([v for v in range(t.n) if (keep >> v) & 1])
-                ).bits & ~keep
+                frontier = closed_nb_bits(t, keep) & ~keep
                 if not frontier:
                     break
                 choices = [v for v in range(t.n) if (frontier >> v) & 1]
                 keep |= 1 << rng.choice(choices)
-            sub, _ = induced_subgraph(
-                t, t.vertex_set([v for v in range(t.n) if (keep >> v) & 1])
-            )
+            sub, _ = induced_subgraph(t, keep)
             assert zeta_number(sub) <= z
     _ok(2, f"tree laws on {len(tree_batch)} trees, {subtree_checks} subtree samples")
 

@@ -69,10 +69,35 @@ class TestIsoCmd:
         code, _, _ = run_cli(capsys, "iso", "--graph", "path:4", "--mode", "edge",
                              "--csv", str(csv))
         assert code == 0
-        assert csv.read_text().splitlines()[0] == "k,phi,exact"
+        assert csv.read_text() == "k,phi,exact\n1,1,true\n2,1,true\n3,1,true\n4,0,true\n"
+
+    @pytest.mark.parametrize("mode", ["vertex", "edge"])
+    def test_budget_leaves_unreached_sizes_null(self, capsys, mode):
+        # three Gray-code steps reach {v1}, {v1, v2} and {v2}: sizes 1 and 2 only
+        code, out, _ = run_cli(capsys, "iso", "--graph", "path:5", "--mode", mode,
+                               "--budget", "3")
+        assert code == 0
+        results = report_of(out)["report"]["results"]
+        assert results["values"] == [1, 1, None, None, None]
+        assert results["exact"] is False
+
+    def test_budget_csv_leaves_unreached_sizes_empty(self, tmp_path, capsys):
+        csv = tmp_path / "p.csv"
+        code, _, _ = run_cli(capsys, "iso", "--graph", "path:5", "--budget", "3",
+                             "--csv", str(csv))
+        assert code == 0
+        assert csv.read_text().splitlines()[1:] == [
+            "1,1,false", "2,1,false", "3,,false", "4,,false", "5,,false"]
+
+    @pytest.mark.parametrize("mode", ["vertex", "edge"])
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_below_one_exit2(self, capsys, mode, budget):
+        code, _, err = run_cli(capsys, "iso", "--graph", "path:5", "--mode", mode,
+                               "--budget", budget)
+        assert code == 2 and "--budget" in err
 
     def test_h_index_of_partial_profile_exit2(self, capsys):
-        # sizes the budget never reached hold a placeholder, not a minimum
+        # sizes the budget never reached have no minimum
         code, _, err = run_cli(capsys, "iso", "--graph", "path:5", "--budget", "3",
                                "--h-index")
         assert code == 2 and "exact" in err

@@ -5,29 +5,38 @@ from hypothesis import given, strategies as st
 
 from lzl import (
     Graph,
-    VertexSet,
     cartesian_product,
-    closed_neighborhood,
-    components_after_removal,
     diameter,
     distances,
-    edge_boundary_count,
     generate,
     is_c4_free,
     max_degree,
     parse_graph,
     serialize_graph,
     subdivide,
-    vertex_boundary,
 )
 from lzl.errors import GraphParseError, GraphValidationError, SizeCapError
-from lzl.graphs import FAMILIES, closed_nb_bits, closed_nb_table
+from lzl.graphs import (
+    FAMILIES,
+    closed_nb_bits,
+    closed_nb_table,
+    components_bits,
+    induced_subgraph,
+    iter_bits,
+    mask_of,
+)
+from lzl.prox import ProbeSchedule, run_schedule
+from lzl.strategies import (
+    normalize_path_decomposition,
+    strat_domination,
+    validate_path_decomposition,
+)
 
-from conftest import random_connected_graph
+from conftest import edge_boundary, mask, random_connected_graph
 
 
-def vs(g, *vertices):
-    return g.vertex_set(vertices)
+def full(g):
+    return (1 << g.n) - 1
 
 
 class TestParse:
@@ -141,35 +150,40 @@ class TestProduct:
         assert g.n == 2 and g.edge_count() == 1
 
 
+def boundary_bits(g, s):
+    """N[S] minus S: the vertices outside S touching it."""
+    return closed_nb_bits(g, s) & ~s
+
+
 class TestNeighborhoods:
     def test_closed_nb_path_center(self):
         g = generate("path", n=3)
-        assert closed_neighborhood(g, vs(g, 1)) == g.full_set()
+        assert closed_nb_bits(g, mask(1)) == full(g)
 
     def test_closed_nb_empty(self):
         g = generate("path", n=3)
-        assert closed_neighborhood(g, vs(g)) == vs(g)
+        assert closed_nb_bits(g, mask()) == mask()
 
     def test_closed_nb_complete(self):
         g = generate("complete", n=4)
-        assert closed_neighborhood(g, vs(g, 0)) == g.full_set()
+        assert closed_nb_bits(g, mask(0)) == full(g)
 
     def test_vertex_boundary_path(self):
         g = generate("path", n=4)
-        assert vertex_boundary(g, vs(g, 0)) == vs(g, 1)
-        assert vertex_boundary(g, g.full_set()) == vs(g)
+        assert boundary_bits(g, mask(0)) == mask(1)
+        assert boundary_bits(g, full(g)) == mask()
 
     def test_vertex_boundary_grid_corner(self):
         g = generate("grid", n=3)
-        corner = vs(g, 0)
-        assert len(vertex_boundary(g, corner)) == 2
+        corner = mask(0)
+        assert boundary_bits(g, corner).bit_count() == 2
 
     def test_edge_boundary(self):
         p4 = generate("path", n=4)
-        assert edge_boundary_count(p4, vs(p4, 0, 1)) == 1
+        assert edge_boundary(p4, mask(0, 1)) == 1
         k5 = generate("complete", n=5)
-        assert edge_boundary_count(k5, vs(k5, 0, 1)) == 6
-        assert edge_boundary_count(k5, vs(k5)) == 0
+        assert edge_boundary(k5, mask(0, 1)) == 6
+        assert edge_boundary(k5, mask()) == 0
 
 
 def _loop_closed_nb(g, bits):
@@ -267,48 +281,54 @@ class TestMetrics:
         assert max_degree(generate("spider", arms=[1] * 5)) == 5
 
 
+def components_without(g, v):
+    """Components of G - v."""
+    return components_bits(g, full(g) & ~mask(v))
+
+
 class TestComponents:
     def test_path_center_removal(self):
         g = generate("path", n=5)
-        comps = components_after_removal(g, 2)
-        assert sorted(len(c) for c in comps) == [2, 2]
+        comps = components_without(g, 2)
+        assert sorted(c.bit_count() for c in comps) == [2, 2]
 
     def test_star_center_removal(self):
         g = generate("spider", arms=[1, 1, 1, 1])
-        comps = components_after_removal(g, 0)
-        assert sorted(len(c) for c in comps) == [1, 1, 1, 1]
+        comps = components_without(g, 0)
+        assert sorted(c.bit_count() for c in comps) == [1, 1, 1, 1]
 
     def test_cycle_removal(self):
         g = generate("cycle", n=5)
-        comps = components_after_removal(g, 0)
-        assert [len(c) for c in comps] == [4]
+        comps = components_without(g, 0)
+        assert [c.bit_count() for c in comps] == [4]
 
 
 @given(st.integers(0, 10_000), st.integers(2, 9))
 def test_boundary_identities(seed, n):
     rng = random.Random(seed)
     g = random_connected_graph(rng, n)
-    members = [v for v in range(n) if rng.random() < 0.5]
-    s = g.vertex_set(members)
-    assert vertex_boundary(g, s) == closed_neighborhood(g, s) - s
-    assert edge_boundary_count(g, s) <= max_degree(g) * len(vertex_boundary(g, s))
+    s = mask_of(v for v in range(n) if rng.random() < 0.5)
+    boundary = boundary_bits(g, s)
+    assert boundary == mask_of(
+        w for w in range(n) if not (s >> w) & 1 and g.adj_bits[w] & s
+    )
+    assert edge_boundary(g, s) <= max_degree(g) * boundary.bit_count()
 
 
 @given(st.integers(0, 10_000), st.integers(3, 9))
 def test_components_partition(seed, n):
-    from lzl.graphs import induced_subgraph
-
     rng = random.Random(seed)
     g = random_connected_graph(rng, n)
     v = rng.randrange(n)
-    comps = components_after_removal(g, v)
-    union = g.vertex_set([])
+    comps = components_without(g, v)
+    union = 0
     for c in comps:
         assert not (union & c)
         union = union | c
         part, _ = induced_subgraph(g, c)
         assert part.is_connected()
-    assert union == g.full_set() - g.vertex_set([v])
+    assert comps == sorted(comps, key=lambda c: c & -c)
+    assert union == full(g) & ~mask(v)
 
 
 @given(st.integers(0, 10_000), st.integers(2, 9))
@@ -318,15 +338,37 @@ def test_parse_serialize_roundtrip(seed, n):
     assert parse_graph(serialize_graph(g)) == g
 
 
-def test_vertexset_basics():
-    s = VertexSet.from_iterable(8, [1, 3, 5])
-    assert list(s) == [1, 3, 5]
-    assert len(s) == 3
-    assert 3 in s and 2 not in s
-    t = VertexSet.from_iterable(8, [3, 4])
-    assert list(s | t) == [1, 3, 4, 5]
-    assert list(s & t) == [3]
-    assert list(s - t) == [1, 5]
-    assert list(s.complement()) == [0, 2, 4, 6, 7]
-    with pytest.raises(ValueError):
-        VertexSet.from_iterable(4, [9])
+def test_iter_bits_and_mask_of():
+    s = mask_of([5, 1, 3])
+    assert s == 0b101010
+    assert list(iter_bits(s)) == [1, 3, 5]
+    assert list(iter_bits(0)) == []
+    assert mask_of(iter_bits(s)) == s
+
+
+@pytest.mark.parametrize("bits", [-1, 1 << 4, 0b110000])
+@pytest.mark.parametrize("entry", [
+    "run_schedule",
+    "strat_domination",
+    "validate_path_decomposition",
+    "normalize_path_decomposition",
+    "induced_subgraph",
+])
+def test_entry_points_reject_foreign_masks(entry, bits):
+    """A mask with a sign or a bit at or above n names no vertex set of G."""
+    g = generate("path", n=4)
+    calls = {
+        "run_schedule": lambda: run_schedule(
+            g, ProbeSchedule.from_lists(1, [[1]]), initial=bits
+        ),
+        "strat_domination": lambda: strat_domination(g, bits),
+        "validate_path_decomposition": lambda: validate_path_decomposition(
+            g, [mask(0, 1), bits]
+        ),
+        "normalize_path_decomposition": lambda: normalize_path_decomposition(
+            g, [mask(0, 1), mask(1, 2), bits]
+        ),
+        "induced_subgraph": lambda: induced_subgraph(g, bits),
+    }
+    with pytest.raises(GraphValidationError, match="order 4"):
+        calls[entry]()

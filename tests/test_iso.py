@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from lzl import (
     assemble_bounds,
-    edge_boundary_count,
     generate,
     grid_profile_oracle,
     h_index,
@@ -18,12 +17,12 @@ from lzl import (
     max_degree,
     peak_to_h_lower,
     prox_lower_bounds,
-    vertex_boundary,
 )
 from lzl.errors import InconsistentBoundsError, PartialProfileError, SizeCapError
+from lzl.graphs import closed_nb_bits, mask_of
 from lzl.iso import IsoProfile, profile_to_csv
 
-from conftest import random_connected_graph
+from conftest import edge_boundary, random_connected_graph
 
 
 def naive_profile(g, mode):
@@ -32,11 +31,11 @@ def naive_profile(g, mode):
     for k in range(1, g.n + 1):
         best = None
         for combo in combinations(range(g.n), k):
-            s = g.vertex_set(combo)
+            s = mask_of(combo)
             size = (
-                len(vertex_boundary(g, s))
+                (closed_nb_bits(g, s) & ~s).bit_count()
                 if mode == "vertex"
-                else edge_boundary_count(g, s)
+                else edge_boundary(g, s)
             )
             best = size if best is None else min(best, size)
         values.append(best)
@@ -92,6 +91,8 @@ class TestProfiles:
     def test_budget_truncation_flags(self):
         prof = iso_profile(generate("path", n=6), "vertex", budget=5)
         assert not prof.exact
+        # the five subsets examined have at most three vertices
+        assert None not in prof.values[:3] and prof.values[3:] == (None, None, None)
         with pytest.raises(PartialProfileError):
             iso_peak(prof)
 

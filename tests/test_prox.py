@@ -9,39 +9,32 @@ from lzl import (
     ProbeSchedule,
     cartesian_product,
     clip_schedule,
-    closed_neighborhood,
-    contamination_step,
     five_panel_schedule,
     generate,
     prox_number,
     prox_winnable,
 )
-from lzl.bitset import iter_bits
 from lzl.errors import ScheduleError, SizeCapError
-from lzl.graphs import closed_nb_bits
-from lzl.prox import ScheduleTrace, _probe_candidates, prox_solve, run_schedule
+from lzl.graphs import closed_nb_bits, iter_bits, mask_of
+from lzl.prox import ScheduleTrace, _probe_candidates, prox_solve, run_schedule, step_bits
 from lzl.strategies import STRATEGY_REGISTRY
 from lzl.zeta import simulate_policy, zeta_number
 
-from conftest import random_connected_graph
-
-
-def vs(g, *vertices):
-    return g.vertex_set(vertices)
+from conftest import mask, random_connected_graph
 
 
 class TestContaminationStep:
     def test_full_state_one_probe(self):
         g = generate("path", n=4)
-        assert contamination_step(g, g.full_set(), vs(g, 1)) == vs(g, 3)
+        assert step_bits(g, (1 << g.n) - 1, mask(1)) == mask(3)
 
     def test_tail_probe_clears(self):
         g = generate("path", n=4)
-        assert contamination_step(g, vs(g, 3), vs(g, 2)) == vs(g)
+        assert step_bits(g, mask(3), mask(2)) == mask()
 
     def test_empty_stays_empty(self):
         g = generate("cycle", n=5)
-        assert contamination_step(g, vs(g), vs(g)) == vs(g)
+        assert step_bits(g, mask(), mask()) == mask()
 
     @given(st.integers(0, 5000), st.integers(2, 8))
     @settings(max_examples=40)
@@ -51,10 +44,10 @@ class TestContaminationStep:
         small = [v for v in range(n) if rng.random() < 0.4]
         extra = [v for v in range(n) if rng.random() < 0.4]
         probes = [v for v in range(n) if rng.random() < 0.3]
-        s1 = g.vertex_set(small)
-        s2 = s1 | g.vertex_set(extra)
-        u = g.vertex_set(probes)
-        assert contamination_step(g, s1, u) <= contamination_step(g, s2, u)
+        s1 = mask_of(small)
+        s2 = s1 | mask_of(extra)
+        u = mask_of(probes)
+        assert step_bits(g, s1, u) & ~step_bits(g, s2, u) == 0
 
 
 class TestRunSchedule:
@@ -113,11 +106,11 @@ class TestRunSchedule:
         ]
         sched = ProbeSchedule.from_lists(cops, rounds)
         trace = run_schedule(g, sched)
-        state = g.full_set()
+        state = (1 << g.n) - 1
         for t, r in enumerate(rounds, start=1):
-            state = contamination_step(g, state, g.vertex_set(r))
-            assert trace.counts[t - 1] == len(state)
-        assert trace.final_bits == state.bits
+            state = step_bits(g, state, mask_of(r))
+            assert trace.counts[t - 1] == state.bit_count()
+        assert trace.final_bits == state
 
     @given(st.integers(0, 5000), st.integers(2, 8))
     @settings(max_examples=25)
@@ -131,8 +124,8 @@ class TestRunSchedule:
         sched = ProbeSchedule.from_lists(2, rounds)
         big = [v for v in range(n) if rng.random() < 0.7]
         small = [v for v in big if rng.random() < 0.6]
-        tr_small = run_schedule(g, sched, initial=g.vertex_set(small))
-        tr_big = run_schedule(g, sched, initial=g.vertex_set(big))
+        tr_small = run_schedule(g, sched, initial=mask_of(small))
+        tr_big = run_schedule(g, sched, initial=mask_of(big))
         assert tr_small.final_bits & ~tr_big.final_bits == 0
         if tr_big.cleared:
             assert tr_small.cleared
@@ -141,7 +134,7 @@ class TestRunSchedule:
 def _incremental_reference(g, schedule, initial=None):
     """ScheduleTrace by per-vertex contaminated-neighbour counts, loop kernel."""
     adj = g.adj_bits
-    s = initial.bits if initial is not None else (1 << g.n) - 1
+    s = initial if initial is not None else (1 << g.n) - 1
     counts = [0] * g.n
     for v in iter_bits(s):
         for w in iter_bits(adj[v]):
@@ -197,7 +190,7 @@ class TestRunScheduleAgainstReference:
                 for _ in range(rng.randint(1, 12))
             ]
             sched = ProbeSchedule.from_lists(cops, rounds)
-            initial = g.vertex_set(v for v in range(g.n) if rng.random() < 0.4)
+            initial = mask_of(v for v in range(g.n) if rng.random() < 0.4)
             assert run_schedule(g, sched) == _incremental_reference(g, sched)
             assert run_schedule(g, sched, initial=initial) == _incremental_reference(
                 g, sched, initial

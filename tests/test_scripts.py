@@ -1,0 +1,29 @@
+"""Smoke test: each script under ``scripts/`` runs to completion on a small input.
+
+The scripts import the public API, so a renamed or retyped entry point
+breaks them; this runs each one in a fresh interpreter with ``src`` on the
+path and expects exit status 0.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve_small.py"],
+    ["verify_grids.py", "11"],
+    ["tree_bound_survey.py", "2", "3"],
+])
+def test_script_exits_zero(argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -31,12 +31,12 @@ from lzl.errors import (
     SeparatorContractError,
     StrategyPreconditionError,
 )
-from lzl.graphs import distances
+from lzl.graphs import components_bits, distances, iter_bits, mask_of
 from lzl.prox import prox_solve, run_schedule
 from lzl.strategies import EndgameLiftPolicy, PathDecomposition, TreeLiftPolicy
 from lzl.zeta import zeta_winnable
 
-from conftest import random_tree
+from conftest import mask, random_tree
 
 
 class TestMidway:
@@ -57,13 +57,11 @@ class TestMidway:
 
     def test_component_bound(self):
         rng = random.Random(5)
-        from lzl import components_after_removal
-
         for _ in range(30):
             t = random_tree(rng, rng.randint(2, 9))
             v = midway_vertex(t)
-            for comp in components_after_removal(t, v):
-                assert 2 * len(comp) <= t.n
+            for comp in components_bits(t, ((1 << t.n) - 1) & ~(1 << v)):
+                assert 2 * comp.bit_count() <= t.n
 
 
 class TestTreeLog:
@@ -122,10 +120,11 @@ class TestTreeLevels:
         assert ld.depth == 3
         assert ld.nonleaf_counts == (3, 9, 0)
         assert ld.max_nonleaf == 9
-        union = g.vertex_set([0])
+        union = mask(0)
         for level in ld.levels:
+            assert not union & level
             union = union | level
-        assert union == g.full_set()
+        assert union == (1 << g.n) - 1
 
     def test_t32_at_midway(self):
         g = generate("kary", k=3, d=2)
@@ -171,36 +170,31 @@ class TestTreeLevels:
 class TestPathDecomposition:
     def test_k4_single_bag(self):
         g = generate("complete", n=4)
-        bags = [g.full_set()]
+        bags = [(1 << g.n) - 1]
         assert validate_path_decomposition(g, bags) == []
         assert PathDecomposition(tuple(bags)).width == 3
 
     def test_p4_chain(self):
         g = generate("path", n=4)
-        bags = [g.vertex_set([0, 1]), g.vertex_set([1, 2]), g.vertex_set([2, 3])]
+        bags = [mask(0, 1), mask(1, 2), mask(2, 3)]
         assert validate_path_decomposition(g, bags) == []
         assert PathDecomposition(tuple(bags)).width == 1
 
     def test_interpolation_violation(self):
         g = generate("path", n=3)
-        bags = [g.vertex_set([0, 1]), g.vertex_set([1, 2]), g.vertex_set([0, 2])]
+        bags = [mask(0, 1), mask(1, 2), mask(0, 2)]
         violations = validate_path_decomposition(g, bags)
         assert any("(3)" in v for v in violations)
 
     def test_missing_edge_violation(self):
         g = generate("path", n=3)
-        bags = [g.vertex_set([0, 1]), g.vertex_set([2])]
+        bags = [mask(0, 1), mask(2)]
         violations = validate_path_decomposition(g, bags)
         assert any("(2)" in v for v in violations)
 
     def test_normalization_drops_nested(self):
         g = generate("path", n=4)
-        bags = [
-            g.vertex_set([0, 1]),
-            g.vertex_set([0, 1]),
-            g.vertex_set([1, 2]),
-            g.vertex_set([2, 3]),
-        ]
+        bags = [mask(0, 1), mask(0, 1), mask(1, 2), mask(2, 3)]
         pd = normalize_path_decomposition(g, bags)
         assert len(pd.bags) == 3
 
@@ -271,34 +265,30 @@ class TestDomination:
     def test_rejects_non_dominating(self):
         g = generate("path", n=5)
         with pytest.raises(StrategyPreconditionError):
-            strat_domination(g, g.vertex_set([0]))
+            strat_domination(g, mask(0))
 
     def test_min_dominating_sets(self):
-        assert len(min_dominating_set(generate("spider", arms=[1] * 5))) == 1
-        assert len(min_dominating_set(generate("path", n=4))) == 2
-        assert len(min_dominating_set(generate("cycle", n=6))) == 2
+        assert min_dominating_set(generate("spider", arms=[1] * 5)).bit_count() == 1
+        assert min_dominating_set(generate("path", n=4)).bit_count() == 2
+        assert min_dominating_set(generate("cycle", n=6)).bit_count() == 2
 
 
 class TestSeparator:
     def test_brute_contract(self, corpus):
         for name, g in corpus[:10]:
             a, b, c = balanced_separator_brute(g)
-            assert (a.bits | b.bits | c.bits) == g.full_set().bits
-            assert not (a.bits & b.bits or a.bits & c.bits or b.bits & c.bits)
-            assert 3 * len(a) <= 2 * g.n and 3 * len(b) <= 2 * g.n
-            for v in a:
-                assert not (g.adj_bits[v] & b.bits), name
+            assert (a | b | c) == (1 << g.n) - 1
+            assert not (a & b or a & c or b & c)
+            assert 3 * a.bit_count() <= 2 * g.n and 3 * b.bit_count() <= 2 * g.n
+            for v in iter_bits(a):
+                assert not (g.adj_bits[v] & b), name
 
     def test_p9_center_oracle(self):
         g = generate("path", n=9)
 
         def oracle(sub):
             if sub.n == 9:
-                return (
-                    sub.vertex_set(range(0, 4)),
-                    sub.vertex_set(range(5, 9)),
-                    sub.vertex_set([4]),
-                )
+                return mask_of(range(0, 4)), mask_of(range(5, 9)), mask(4)
             return balanced_separator_brute(sub)
 
         sched = strat_separator(g, oracle)
@@ -320,11 +310,7 @@ class TestSeparator:
 
         def bad_oracle(sub):
             half = sub.n // 2
-            return (
-                sub.vertex_set(range(half)),
-                sub.vertex_set(range(half, sub.n)),
-                sub.vertex_set([]),
-            )
+            return mask_of(range(half)), mask_of(range(half, sub.n)), mask()
 
         with pytest.raises(SeparatorContractError):
             strat_separator(g, bad_oracle)

@@ -5,72 +5,66 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lzl import (
-    closed_neighborhood,
     generate,
     max_degree,
     observe,
-    partition_candidates,
     prox_number,
     simulate_policy,
     zeta_number,
     zeta_winnable,
 )
-from lzl.bitset import iter_bits
 from lzl.errors import PolicyError, SizeCapError
-from lzl.graphs import FAMILIES, induced_subgraph
+from lzl.graphs import FAMILIES, closed_nb_bits, induced_subgraph, iter_bits, mask_of
 from lzl.zeta import OUT_ADJ, OUT_NONE, OUT_ON, SchedulePolicy, _partition_bits, build_policy
 
-from conftest import random_connected_graph, random_tree
-
-
-def vs(g, *vertices):
-    return g.vertex_set(vertices)
+from conftest import mask, random_connected_graph, random_tree
 
 
 class TestObserve:
     def test_adjacent(self):
         g = generate("path", n=3)
-        assert observe(g, 1, vs(g, 0)) == ("1",)
+        assert observe(g, 1, mask(0)) == ("1",)
 
     def test_far(self):
         g = generate("path", n=3)
-        assert observe(g, 2, vs(g, 0)) == ("*",)
+        assert observe(g, 2, mask(0)) == ("*",)
 
     def test_on_top(self):
         g = generate("cycle", n=5)
-        assert observe(g, 3, vs(g, 3)) == ("0",)
+        assert observe(g, 3, mask(3)) == ("0",)
 
     def test_vector_order(self):
         g = generate("path", n=4)
-        assert observe(g, 1, vs(g, 0, 2, 3)) == ("1", "1", "*")
+        assert observe(g, 1, mask(0, 2, 3)) == ("1", "1", "*")
+
+
+def partition(g, m_bits, probed):
+    """The classes of ``_partition_bits`` as sorted tuples of vertices."""
+    return sorted(tuple(iter_bits(c)) for c in _partition_bits(g, m_bits, probed))
 
 
 class TestPartition:
     def test_p3_three_classes(self):
         g = generate("path", n=3)
-        classes = partition_candidates(g, g.full_set(), vs(g, 0))
-        assert sorted(tuple(c) for c in classes) == [(0,), (1,), (2,)]
+        assert partition(g, (1 << g.n) - 1, (0,)) == [(0,), (1,), (2,)]
 
     def test_k4_two_classes(self):
         g = generate("complete", n=4)
-        classes = partition_candidates(g, g.full_set(), vs(g, 0))
-        assert sorted(tuple(c) for c in classes) == [(0,), (1, 2, 3)]
+        assert partition(g, (1 << g.n) - 1, (0,)) == [(0,), (1, 2, 3)]
 
     def test_p5_symmetry(self):
         g = generate("path", n=5)
-        classes = partition_candidates(g, g.full_set(), vs(g, 2))
-        assert sorted(tuple(c) for c in classes) == [(0, 4), (1, 3), (2,)]
+        assert partition(g, (1 << g.n) - 1, (2,)) == [(0, 4), (1, 3), (2,)]
 
     @given(st.integers(0, 5000), st.integers(2, 8))
     @settings(max_examples=30)
     def test_classes_partition(self, seed, n):
         rng = random.Random(seed)
         g = random_connected_graph(rng, n)
-        m = g.vertex_set([v for v in range(n) if rng.random() < 0.7] or [0])
-        u = g.vertex_set(rng.sample(range(n), rng.randint(1, min(3, n))))
-        classes = partition_candidates(g, m, u)
-        union = g.vertex_set([])
-        for c in classes:
+        m = mask_of([v for v in range(n) if rng.random() < 0.7] or [0])
+        probed = tuple(sorted(rng.sample(range(n), rng.randint(1, min(3, n)))))
+        union = 0
+        for c in _partition_bits(g, m, probed):
             assert c
             assert not (union & c)
             union = union | c
@@ -83,7 +77,7 @@ def observe_partition(g, m_bits, probed):
     rank = {OUT_ON: 0, OUT_ADJ: 1, OUT_NONE: 2}
     groups = {}
     for x in iter_bits(m_bits):
-        key = tuple(rank[o] for o in observe(g, x, probed))
+        key = tuple(rank[o] for o in observe(g, x, mask_of(probed)))
         groups[key] = groups.get(key, 0) | (1 << x)
     return [groups[key] for key in sorted(groups)]
 
@@ -174,18 +168,18 @@ def branch_enumerate(g, rounds):
     """
 
     def walk(t, candidates):
-        if len(candidates) == 1:
+        if candidates.bit_count() == 1:
             return True
         if t > len(rounds):
             return False
-        moved = closed_neighborhood(g, candidates)
+        moved = closed_nb_bits(g, candidates)
         groups = {}
-        for x in moved:
-            key = observe(g, x, g.vertex_set(rounds[t - 1]))
-            groups.setdefault(key, []).append(x)
-        return all(walk(t + 1, g.vertex_set(grp)) for grp in groups.values())
+        for x in iter_bits(moved):
+            key = observe(g, x, mask_of(rounds[t - 1]))
+            groups[key] = groups.get(key, 0) | (1 << x)
+        return all(walk(t + 1, grp) for grp in groups.values())
 
-    return walk(1, g.full_set())
+    return walk(1, (1 << g.n) - 1)
 
 
 class TestSimulate:
@@ -395,14 +389,10 @@ class TestCrossSolverLaws:
             start = rng.randrange(t.n)
             sub_bits = 1 << start
             for _ in range(rng.randint(1, t.n - 1)):
-                frontier = closed_neighborhood(t, t.vertex_set(list(
-                    v for v in range(t.n) if (sub_bits >> v) & 1
-                ))).bits & ~sub_bits
+                frontier = closed_nb_bits(t, sub_bits) & ~sub_bits
                 if not frontier:
                     break
                 picks = [v for v in range(t.n) if (frontier >> v) & 1]
                 sub_bits |= 1 << rng.choice(picks)
-            sub, _ = induced_subgraph(t, t.vertex_set(
-                [v for v in range(t.n) if (sub_bits >> v) & 1]
-            ))
+            sub, _ = induced_subgraph(t, sub_bits)
             assert zeta_number(sub) <= z
