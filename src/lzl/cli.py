@@ -4,7 +4,9 @@ Exit codes: 0 success or positive verification, 1 negative verification
 (the robber legitimately wins or a reproduction cell mismatches), 2 usage
 or validation errors, 3 size-cap violations.  Results are emitted as JSON
 with the deterministic payload under "report" and timing segregated under
-"timing"; identical inputs and caps give byte-identical report sections.
+"timing"; identical inputs give byte-identical report sections.  Each
+engine checks its own size cap; the "caps" block reports the ones a
+command ran under.
 """
 
 from __future__ import annotations
@@ -35,20 +37,23 @@ from .graphs import (
     subdivide,
 )
 from .iso import (
+    ISO_CAP,
     assemble_bounds,
     h_index,
     iso_peak,
     iso_profile,
     profile_to_csv,
 )
-from .prox import ProbeSchedule, prox_number, run_schedule
+from .prox import PROX_CAP, ProbeSchedule, prox_number, run_schedule
 from .strategies import (
+    DOMINATION_CAP,
+    PATHWIDTH_CAP,
     STRATEGY_REGISTRY,
     brute_pathwidth,
     level_decomposition,
     min_dominating_set,
 )
-from .zeta import build_policy, simulate_policy, zeta_number
+from .zeta import ZETA_CAP, build_policy, simulate_policy, zeta_number
 from .gridsweep import grid_strategy
 
 EXIT_OK = 0
@@ -62,16 +67,6 @@ def _int(text: str, what: str) -> int:
         return int(text)
     except ValueError:
         raise UsageError(f"{what}: '{text}' is not an integer") from None
-
-
-def _env_cap(default: int) -> int:
-    raw = os.environ.get("LZL_MAX_N")
-    return _int(raw, "LZL_MAX_N") if raw else default
-
-
-def _workers() -> int:
-    raw = os.environ.get("LZL_THREADS")
-    return max(1, _int(raw, "LZL_THREADS")) if raw else 1
 
 
 def _round_cap(args) -> int:
@@ -204,9 +199,8 @@ def cmd_iso(args) -> int:
     if args.budget is not None and args.budget < 1:
         raise UsageError(f"--budget must be at least 1, got {args.budget}")
     g, gid = load_graph(args.graph)
-    cap = _env_cap(25)
-    profile = iso_profile(g, args.mode, budget=args.budget, cap=cap,
-                          workers=_workers())
+    vertex, edge = iso_profile(g, budget=args.budget)
+    profile = vertex if args.mode == "vertex" else edge
     results: dict = {
         "mode": args.mode,
         "values": list(profile.values),
@@ -223,7 +217,7 @@ def cmd_iso(args) -> int:
         results["csv"] = args.csv
     body = _report("iso", g, {"graph": gid, "mode": args.mode,
                               "budget": args.budget}, results,
-                   caps={"iso": cap}, graph_id=gid)
+                   caps={"iso": ISO_CAP}, graph_id=gid)
     _emit(body, started)
     return EXIT_OK
 
@@ -233,6 +227,8 @@ def _grid_side_of(g: Graph) -> int | None:
 
     side = math.isqrt(g.n)
     if side * side != g.n or side < 2:
+        return None
+    if g.adj_bits != generate("grid", n=side).adj_bits:
         return None
     for r in range(1, side + 1):
         for c in range(1, side + 1):
@@ -245,30 +241,28 @@ def _grid_side_of(g: Graph) -> int | None:
 def cmd_bounds(args) -> int:
     started = time.time()
     g, gid = load_graph(args.graph)
-    iso_cap = _env_cap(25)
     quantities: dict = {}
-    if not args.no_iso and g.n <= iso_cap:
-        pv = iso_profile(g, "vertex", cap=iso_cap, workers=_workers())
-        pe = iso_profile(g, "edge", cap=iso_cap, workers=_workers())
+    if not args.no_iso and g.n <= ISO_CAP:
+        pv, pe = iso_profile(g)
         quantities["h_vertex"] = h_index(pv.values)
         quantities["h_edge"] = h_index(pe.values)
         quantities["phi_vertex_peak"] = iso_peak(pv)
         quantities["phi_edge_peak"] = iso_peak(pe)
-    if args.pathwidth and g.n <= 10:
+    if args.pathwidth and g.n <= PATHWIDTH_CAP:
         quantities["pathwidth"] = brute_pathwidth(g).width
-    if args.domination and g.n <= 20:
+    if args.domination and g.n <= DOMINATION_CAP:
         quantities["domination_number"] = min_dominating_set(g).bit_count()
     if args.solve:
-        if g.n <= _env_cap(16):
-            quantities["prox1"] = prox_number(g, cap=_env_cap(16))
-        if g.n <= _env_cap(12):
-            quantities["zeta1"] = zeta_number(g, cap=_env_cap(12))
+        if g.n <= PROX_CAP:
+            quantities["prox1"] = prox_number(g)
+        if g.n <= ZETA_CAP:
+            quantities["zeta1"] = zeta_number(g)
     side = _grid_side_of(g)
     if side:
         quantities["grid_side"] = side
     report = assemble_bounds(g, graph_id=gid, **quantities)
     body = _report("bounds", g, {"graph": gid}, report.as_dict(),
-                   caps={"iso": iso_cap}, graph_id=gid)
+                   caps={"iso": ISO_CAP}, graph_id=gid)
     _emit(body, started)
     return EXIT_OK
 
@@ -277,10 +271,9 @@ def cmd_prox(args) -> int:
     started = time.time()
     g, gid = load_graph(args.graph)
     if args.action == "solve":
-        cap = _env_cap(16)
-        value = prox_number(g, cap=cap)
+        value = prox_number(g)
         body = _report("prox-solve", g, {"graph": gid},
-                       {"prox1": value}, caps={"prox": cap}, graph_id=gid)
+                       {"prox1": value}, caps={"prox": PROX_CAP}, graph_id=gid)
         _emit(body, started)
         return EXIT_OK
     if not args.schedule:
@@ -301,10 +294,9 @@ def cmd_zeta(args) -> int:
     started = time.time()
     g, gid = load_graph(args.graph)
     if args.action == "solve":
-        cap = _env_cap(12)
-        value = zeta_number(g, cap=cap)
+        value = zeta_number(g)
         body = _report("zeta-solve", g, {"graph": gid},
-                       {"zeta1": value}, caps={"zeta": cap}, graph_id=gid)
+                       {"zeta1": value}, caps={"zeta": ZETA_CAP}, graph_id=gid)
         _emit(body, started)
         return EXIT_OK
     if not args.policy:

@@ -6,7 +6,7 @@ class LzlError(Exception):
 
 
 class UsageError(LzlError):
-    """A command-line value or environment setting is malformed."""
+    """A command-line value is malformed."""
 
 
 class GraphParseError(LzlError):
@@ -24,12 +24,12 @@ class GraphValidationError(LzlError):
 
 
 class SizeCapError(LzlError):
-    """Instance exceeds a configured size cap."""
+    """Instance exceeds the size cap of the engine it was given to."""
 
-    def __init__(self, what: str, size: int, cap: int):
+    def __init__(self, what: str, size: int, limit: int):
         self.size = size
-        self.cap = cap
-        super().__init__(f"{what}: size {size} exceeds cap {cap}")
+        self.limit = limit
+        super().__init__(f"{what}: size {size} exceeds cap {limit}")
 
 
 class PartialProfileError(LzlError):

@@ -22,7 +22,7 @@ from .errors import GraphParseError, GraphValidationError, SizeCapError
 #: this guards runaway constructions rather than a machine word size; the
 #: exponential solvers enforce their own much smaller caps.  Large enough
 #: for every verification target (ternary depth-8 trees have 9841 vertices).
-DEFAULT_VERTEX_CAP = 16384
+VERTEX_CAP = 16384
 
 #: Most distinct index offsets ``v - u`` over all edges (both signs) for which
 #: a graph gets the shift kernel.  Lattices have few: paths 2, grids and
@@ -67,12 +67,11 @@ class Graph:
         labels: Labels | None = None,
         *,
         allow_disconnected: bool = False,
-        vertex_cap: int = DEFAULT_VERTEX_CAP,
     ):
         if n <= 0:
             raise GraphValidationError("graph must have at least one vertex")
-        if n > vertex_cap:
-            raise SizeCapError("graph order", n, vertex_cap)
+        if n > VERTEX_CAP:
+            raise SizeCapError("graph order", n, VERTEX_CAP)
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -115,17 +114,8 @@ class Graph:
         return self.labels.get(v, {}).get(key, default)
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= self.adj_bits[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen == (1 << self.n) - 1
+        full = (1 << self.n) - 1
+        return _reach(self, 1, full) == full
 
     def is_tree(self) -> bool:
         return self.is_connected() and self.edge_count() == self.n - 1
@@ -180,12 +170,7 @@ def _shift_kernel(rows: Sequence[int]) -> tuple[tuple[int, int], ...] | None:
 # -- file format --------------------------------------------------------
 
 
-def parse_graph(
-    text: str,
-    *,
-    allow_disconnected: bool = False,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
-) -> Graph:
+def parse_graph(text: str, *, allow_disconnected: bool = False) -> Graph:
     """Parse the line-oriented graph format.
 
     ``# comment`` lines are skipped.  The header ``p <n> <m>`` precedes
@@ -215,8 +200,8 @@ def parse_graph(
                 raise GraphParseError("non-integer header fields", lineno) from None
             if n <= 0 or declared_m < 0:
                 raise GraphParseError("header values out of range", lineno)
-            if n > vertex_cap:
-                raise SizeCapError("graph order", n, vertex_cap)
+            if n > VERTEX_CAP:
+                raise SizeCapError("graph order", n, VERTEX_CAP)
         elif kind == "e":
             if n is None:
                 raise GraphParseError("edge before header", lineno)
@@ -258,13 +243,7 @@ def parse_graph(
         raise GraphParseError(
             f"header declares {declared_m} edges but {len(edges)} present"
         )
-    return Graph(
-        n,
-        edges,
-        labels,
-        allow_disconnected=allow_disconnected,
-        vertex_cap=vertex_cap,
-    )
+    return Graph(n, edges, labels, allow_disconnected=allow_disconnected)
 
 
 def _parse_label_value(value: str) -> object:
@@ -392,7 +371,7 @@ FAMILIES = {
 }
 
 
-def subdivide(base: Graph, i: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:
+def subdivide(base: Graph, i: int) -> Graph:
     """Insert exactly ``i`` new vertices on every edge of ``base``.
 
     When the base is fully depth-labeled with unit steps along edges (a
@@ -403,8 +382,8 @@ def subdivide(base: Graph, i: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> G
         raise GraphValidationError("subdivision count must be >= 0")
     base_edges = sorted(base.edges())
     n = base.n + i * len(base_edges)
-    if n > vertex_cap:
-        raise SizeCapError("subdivided order", n, vertex_cap)
+    if n > VERTEX_CAP:
+        raise SizeCapError("subdivided order", n, VERTEX_CAP)
 
     depths = {v: base.label(v, "depth") for v in range(base.n)}
     tree_labeled = all(d is not None for d in depths.values()) and all(
@@ -428,20 +407,18 @@ def subdivide(base: Graph, i: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> G
             ordered = chain if lo == u else chain[::-1]
             for step, w in enumerate(ordered[1:-1], start=1):
                 labels[w] = {"depth": (i + 1) * depths[lo] + step}
-    return Graph(n, edges, labels, vertex_cap=vertex_cap)
+    return Graph(n, edges, labels)
 
 
-def cartesian_product(
-    g: Graph, h: Graph, *, vertex_cap: int = DEFAULT_VERTEX_CAP
-) -> Graph:
+def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Cartesian product: (a,x) ~ (b,y) iff (a=b and x~y) or (a~b and x=y).
 
     Vertex (a, x) sits at index a*h.n + x.  If both factors carry ``pos``
     labels the product is labeled with grid-style (row, col) coordinates.
     """
     n = g.n * h.n
-    if n > vertex_cap:
-        raise SizeCapError("product order", n, vertex_cap)
+    if n > VERTEX_CAP:
+        raise SizeCapError("product order", n, VERTEX_CAP)
     edges = []
     for a in range(g.n):
         for x, y in h.edges():
@@ -459,7 +436,7 @@ def cartesian_product(
                     "row": g.label(a, "pos"),
                     "col": h.label(x, "pos"),
                 }
-    return Graph(n, edges, labels, vertex_cap=vertex_cap)
+    return Graph(n, edges, labels)
 
 
 # -- neighborhood and component kernels ----------------------------------
@@ -498,14 +475,10 @@ def distances(g: Graph, v: int) -> list[int]:
         raise GraphValidationError(f"vertex {v} out of range")
     dist = [-1] * g.n
     dist[v] = 0
-    seen = 1 << v
-    frontier = 1 << v
+    seen = frontier = 1 << v
     d = 0
     while frontier:
-        nxt = 0
-        for u in iter_bits(frontier):
-            nxt |= g.adj_bits[u]
-        frontier = nxt & ~seen
+        frontier = closed_nb_bits(g, frontier) & ~seen
         seen |= frontier
         d += 1
         for u in iter_bits(frontier):
@@ -532,20 +505,21 @@ def is_c4_free(g: Graph) -> bool:
     return True
 
 
+def _reach(g: Graph, seed: int, within: int) -> int:
+    """Vertices reachable from the mask ``seed`` inside the mask ``within``."""
+    seen = frontier = seed
+    while frontier:
+        frontier = closed_nb_bits(g, frontier) & within & ~seen
+        seen |= frontier
+    return seen
+
+
 def components_bits(g: Graph, within: int) -> list[int]:
     """Connected components of the subgraph induced on mask ``within``."""
     comps = []
     remaining = within
     while remaining:
-        seed = remaining & -remaining
-        comp = seed
-        frontier = seed
-        while frontier:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= g.adj_bits[v]
-            frontier = nxt & within & ~comp
-            comp |= frontier
+        comp = _reach(g, remaining & -remaining, remaining)
         comps.append(comp)
         remaining &= ~comp
     return comps

@@ -2,14 +2,16 @@
 
 The profile enumerator sweeps every vertex subset in Gray-code order so a
 single vertex toggles between consecutive subsets; vertex- and edge-boundary
-sizes are maintained incrementally in O(degree) per step.  On top of the
-profiles sit the h-index, the arithmetic lower-bound formulas, and the
+sizes are maintained incrementally in O(degree) per step, and a large scan
+is split into shards that run on every CPU the process may use.  On top of
+the profiles sit the h-index, the arithmetic lower-bound formulas, and the
 assembled per-graph bounds report.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -17,7 +19,12 @@ from typing import Sequence
 from .errors import InconsistentBoundsError, PartialProfileError, SizeCapError
 from .graphs import Graph, is_c4_free, iter_bits, max_degree
 
-DEFAULT_ISO_CAP = 25
+#: Largest order the subset scan accepts: 2^25 subsets.
+ISO_CAP = 25
+
+#: Fewest subsets in one shard of the scan, as a power of two.  A process
+#: pool takes about 15 ms to start; from 2^16 subsets a shard pays for it.
+MIN_SHARD_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -42,22 +49,20 @@ class IsoProfile:
         return self.values[k - 1]
 
 
-def _scan_gray(
-    adj: Sequence[int],
-    nbrs: Sequence[Sequence[int]],
-    degs: Sequence[int],
-    fixed_bits: int,
-    free: Sequence[int],
-    best_v: list[int],
-    best_e: list[int],
-    budget: int | None,
-) -> bool:
-    """Walk all subsets = fixed_bits + (subset of ``free``), Gray order.
+def _scan_shard(job) -> tuple[list[int], list[int], bool]:
+    """Walk the subsets fixed_bits + (subset of ``free``) in Gray order.
 
-    Updates per-cardinality minima in place.  Returns False when the budget
-    ran out before the walk finished.
+    Returns the vertex- and edge-boundary minimum for each size 0..n, and
+    False when the budget ran out before the walk finished.  The serial
+    scan is the one shard with no fixed bits and every vertex free.
     """
+    adj, fixed_bits, free, budget = job
     n = len(adj)
+    nbrs = [tuple(iter_bits(row)) for row in adj]
+    degs = [row.bit_count() for row in adj]
+    unset_v, unset_e = _unset(n)
+    best_v = [unset_v] * (n + 1)
+    best_e = [unset_e] * (n + 1)
     counts = [0] * n  # neighbors inside S, for every vertex
     in_s = fixed_bits
     size = fixed_bits.bit_count()
@@ -72,16 +77,14 @@ def _scan_gray(
         elif counts[v]:
             vb += 1
     if size:
-        if vb < best_v[size]:
-            best_v[size] = vb
-        if eb < best_e[size]:
-            best_e[size] = eb
+        best_v[size] = vb
+        best_e[size] = eb
 
     examined = 0
     k = len(free)
     for t in range(1, 1 << k):
         if budget is not None and examined >= budget:
-            return False
+            return best_v, best_e, False
         examined += 1
         v = free[(t & -t).bit_length() - 1]
         bit = 1 << v
@@ -109,7 +112,7 @@ def _scan_gray(
             best_v[size] = vb
         if eb < best_e[size]:
             best_e[size] = eb
-    return True
+    return best_v, best_e, True
 
 
 def _unset(n: int) -> tuple[int, int]:
@@ -117,78 +120,52 @@ def _unset(n: int) -> tuple[int, int]:
     return n + 1, 4 * n * n
 
 
-def _profile_job(args):
-    adj, fixed_bits, free = args
-    n = len(adj)
-    nbrs = [tuple(iter_bits(row)) for row in adj]
-    degs = [row.bit_count() for row in adj]
-    unset_v, unset_e = _unset(n)
-    best_v = [unset_v] * (n + 1)
-    best_e = [unset_e] * (n + 1)
-    _scan_gray(adj, nbrs, degs, fixed_bits, free, best_v, best_e, None)
-    return best_v, best_e
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _profiles_both(
-    g: Graph, budget: int | None, workers: int
-) -> tuple[IsoProfile, IsoProfile]:
+def _shard_bits(n: int, budget: int | None) -> int:
+    """log2 of the shard count: at least one shard per CPU, each of at least
+    2^MIN_SHARD_BITS subsets.  Shards run to completion, so a budget scans
+    serially.
+    """
+    if budget is not None:
+        return 0
+    return min((_cpu_count() - 1).bit_length(), max(0, n - MIN_SHARD_BITS))
+
+
+def iso_profile(g: Graph, *, budget: int | None = None) -> tuple[IsoProfile, IsoProfile]:
+    """Exact (vertex, edge) profiles Phi(G, k) for all k from one subset scan.
+
+    Shard p fixes the top vertices to the bits of p and scans the rest;
+    the minima of the shards combine by taking minima again.  A spent
+    budget yields partial profiles whose entries are flagged inexact (each
+    is only the minimum over the subsets examined); peak and h-index
+    computations refuse such profiles.
+    """
     n = g.n
-    adj = g.adj_bits
-    unset_v, unset_e = _unset(n)
-    best_v = [unset_v] * (n + 1)
-    best_e = [unset_e] * (n + 1)
-    complete = True
-    # the shards run to completion, so a budget needs the serial scan
-    if workers <= 1 or n < 8 or budget is not None:
-        nbrs = [tuple(iter_bits(row)) for row in adj]
-        degs = [row.bit_count() for row in adj]
-        complete = _scan_gray(adj, nbrs, degs, 0, list(range(n)), best_v, best_e, budget)
+    if n > ISO_CAP:
+        raise SizeCapError("isoperimetric enumeration", n, ISO_CAP)
+    width = _shard_bits(n, budget)
+    free = list(range(n - width))
+    jobs = [(g.adj_bits, p << (n - width), free, budget) for p in range(1 << width)]
+    if width:
+        with multiprocessing.Pool(min(len(jobs), _cpu_count())) as pool:
+            shards = pool.map(_scan_shard, jobs)
     else:
-        # partition by fixed prefix on the top bits; min-reduction commutes
-        width = max(1, (workers - 1).bit_length())
-        top = list(range(n - width, n))
-        free = list(range(n - width))
-        jobs = [
-            (adj, sum(1 << top[i] for i in range(width) if (p >> i) & 1), free)
-            for p in range(1 << width)
-        ]
-        with multiprocessing.Pool(workers) as pool:
-            for jv, je in pool.map(_profile_job, jobs):
-                for k in range(n + 1):
-                    best_v[k] = min(best_v[k], jv[k])
-                    best_e[k] = min(best_e[k], je[k])
+        shards = [_scan_shard(jobs[0])]
+    best_v = [min(col) for col in zip(*(s[0] for s in shards))]
+    best_e = [min(col) for col in zip(*(s[1] for s in shards))]
+    complete = all(s[2] for s in shards)
 
     # a size that no examined subset reached has no minimum
+    unset_v, unset_e = _unset(n)
     prof_v = IsoProfile("vertex", tuple(None if x == unset_v else x for x in best_v[1:]), complete)
     prof_e = IsoProfile("edge", tuple(None if x == unset_e else x for x in best_e[1:]), complete)
     return prof_v, prof_e
-
-
-_profile_cache: dict[tuple[str, int | None], tuple[IsoProfile, IsoProfile]] = {}
-
-
-def iso_profile(
-    g: Graph,
-    mode: str,
-    *,
-    budget: int | None = None,
-    cap: int = DEFAULT_ISO_CAP,
-    workers: int = 1,
-) -> IsoProfile:
-    """Exact Phi(G, k) for all k by full subset enumeration.
-
-    A spent budget yields a partial profile whose entries are flagged
-    inexact (each is only the minimum over the subsets examined); peak and
-    h-index computations refuse such profiles.
-    """
-    if mode not in ("vertex", "edge"):
-        raise ValueError("mode must be 'vertex' or 'edge'")
-    if g.n > cap:
-        raise SizeCapError("isoperimetric enumeration", g.n, cap)
-    key = (g.content_hash(), budget)
-    if key not in _profile_cache:
-        _profile_cache[key] = _profiles_both(g, budget, workers)
-    return _profile_cache[key][0 if mode == "vertex" else 1]
 
 
 def iso_peak(profile: IsoProfile) -> int:
@@ -216,11 +193,11 @@ def h_index(values: Sequence[int]) -> int:
     return 0
 
 
-def h_index_graph(g: Graph, mode: str, *, cap: int = DEFAULT_ISO_CAP) -> int:
-    profile = iso_profile(g, mode, cap=cap)
-    if not profile.exact:
-        raise PartialProfileError("h-index requires an exact profile")
-    return h_index(profile.values)
+def h_index_graph(g: Graph, mode: str) -> int:
+    if mode not in ("vertex", "edge"):
+        raise ValueError("mode must be 'vertex' or 'edge'")
+    vertex, edge = iso_profile(g)
+    return h_index((vertex if mode == "vertex" else edge).values)
 
 
 def prox_lower_bounds(

@@ -24,7 +24,8 @@ from typing import Iterable, Iterator
 from .errors import ScheduleError, SizeCapError
 from .graphs import Graph, check_mask, closed_nb_bits, closed_nb_table, iter_bits, mask_of
 
-DEFAULT_PROX_CAP = 16
+#: Largest order the exact prox solver accepts.
+PROX_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,6 @@ class ProbeSchedule:
 
     cops: int
     rounds: tuple[frozenset[int], ...]
-    mode: str = "prox"
     metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -58,7 +58,7 @@ class ProbeSchedule:
     def to_json(self) -> str:
         return json.dumps(
             {
-                "mode": self.mode,
+                "mode": "prox",
                 "cops": self.cops,
                 "rounds": [sorted(v + 1 for v in r) for r in self.rounds],
                 "metadata": self.metadata,
@@ -70,14 +70,17 @@ class ProbeSchedule:
     def from_json(cls, text: str) -> "ProbeSchedule":
         try:
             data = json.loads(text)
-            return cls.from_lists(
+            schedule = cls.from_lists(
                 data["cops"],
                 [[v - 1 for v in r] for r in data["rounds"]],
-                mode=data.get("mode", "prox"),
                 metadata=data.get("metadata", {}),
             )
+            mode = data.get("mode", "prox")
         except (ValueError, KeyError, TypeError) as exc:
             raise ScheduleError(f"malformed schedule JSON: {exc!r}") from None
+        if mode != "prox":
+            raise ScheduleError(f"schedule mode {mode!r} is not 'prox'")
+        return schedule
 
 
 @dataclass
@@ -119,8 +122,6 @@ def run_schedule(
     frontier is maintained through per-vertex inside-neighbor counts so
     each round costs O(changed vertices * degree) instead of O(|S| * degree).
     """
-    if schedule.mode != "prox":
-        raise ScheduleError("run_schedule verifies prox-mode schedules")
     schedule.validate_for(g)
     s = (1 << g.n) - 1 if initial is None else initial
     check_mask(g, s, "initial territory")
@@ -227,20 +228,15 @@ def _probe_candidates(g: Graph, territory: int) -> list[int]:
     return out
 
 
-def prox_winnable(
-    g: Graph,
-    p: int,
-    *,
-    cap: int = DEFAULT_PROX_CAP,
-) -> tuple[bool, ProbeSchedule | None]:
+def prox_winnable(g: Graph, p: int) -> tuple[bool, ProbeSchedule | None]:
     """Decide whether p cops clear the graph, with a witness when they do.
 
     Breadth-first reachability from V(G) to the empty set, so the witness
     is round-minimal.  A territory's future depends only on its spread
     N[S], so states are keyed by N[S] and each is expanded once.
     """
-    if g.n > cap:
-        raise SizeCapError("exact prox solver", g.n, cap)
+    if g.n > PROX_CAP:
+        raise SizeCapError("exact prox solver", g.n, PROX_CAP)
     if p < 1:
         return False, None
     n = g.n
@@ -284,21 +280,19 @@ def prox_winnable(
     return True, witness
 
 
-def prox_solve(
-    g: Graph, *, cap: int = DEFAULT_PROX_CAP
-) -> tuple[int, ProbeSchedule]:
+def prox_solve(g: Graph) -> tuple[int, ProbeSchedule]:
     """Minimum cop count clearing the graph, and a round-minimal witness.
 
     The one-vertex graph counts 0 cops, which keeps prox1 <= zeta1
     alongside zeta1(K1) = 0; its witness probes the vertex once.
     """
     for p in range(1, g.n + 1):
-        won, witness = prox_winnable(g, p, cap=cap)
+        won, witness = prox_winnable(g, p)
         if won:
             return (0 if g.n == 1 else p), witness
     raise AssertionError("unreachable: probing everything always clears")
 
 
-def prox_number(g: Graph, *, cap: int = DEFAULT_PROX_CAP) -> int:
+def prox_number(g: Graph) -> int:
     """Minimum cop count clearing the graph; 0 for the one-vertex graph."""
-    return prox_solve(g, cap=cap)[0]
+    return prox_solve(g)[0]

@@ -37,6 +37,11 @@ from .graphs import (
 from .prox import ProbeSchedule, prox_solve, run_schedule
 from .zeta import Policy, SchedulePolicy
 
+#: Largest orders the exhaustive pathwidth, domination and separator searches accept.
+PATHWIDTH_CAP = 10
+DOMINATION_CAP = 20
+SEPARATOR_CAP = 20
+
 
 def _require_tree(g: Graph) -> None:
     if not g.is_tree():
@@ -360,15 +365,15 @@ def normalize_path_decomposition(
     return PathDecomposition(tuple(work))
 
 
-def brute_pathwidth(g: Graph, *, cap: int = 10) -> PathDecomposition:
+def brute_pathwidth(g: Graph) -> PathDecomposition:
     """Minimum-width decomposition via exhaustive search over vertex orders.
 
     Dynamic program over prefix subsets (vertex separation form): the cost
     of a prefix is its count of vertices with a neighbor outside, and the
     optimal ordering is reconstructed from the subset table.
     """
-    if g.n > cap:
-        raise SizeCapError("exhaustive pathwidth", g.n, cap)
+    if g.n > PATHWIDTH_CAP:
+        raise SizeCapError("exhaustive pathwidth", g.n, PATHWIDTH_CAP)
     n = g.n
     full = (1 << n) - 1
     adj = g.adj_bits
@@ -441,9 +446,9 @@ def strat_pathwidth(g: Graph, decomposition: PathDecomposition) -> Policy:
 # -- domination -------------------------------------------------------------
 
 
-def min_dominating_set(g: Graph, *, cap: int = 20) -> int:
-    if g.n > cap:
-        raise SizeCapError("exhaustive domination", g.n, cap)
+def min_dominating_set(g: Graph) -> int:
+    if g.n > DOMINATION_CAP:
+        raise SizeCapError("exhaustive domination", g.n, DOMINATION_CAP)
     full = (1 << g.n) - 1
     for size in range(1, g.n + 1):
         for combo in combinations(range(g.n), size):
@@ -493,15 +498,13 @@ def strat_domination(g: Graph, dominating_set: int | None = None) -> Policy:
 def balanced_separator_brute(
     g: Graph,
     part_fraction: Fraction = Fraction(2, 3),
-    *,
-    cap: int = 20,
 ) -> tuple[int, int, int]:
     """Smallest C with the components of G - C splittable into balanced parts.
 
     Returns the masks (A, B, C).
     """
-    if g.n > cap:
-        raise SizeCapError("exhaustive separator", g.n, cap)
+    if g.n > SEPARATOR_CAP:
+        raise SizeCapError("exhaustive separator", g.n, SEPARATOR_CAP)
     n = g.n
     full = (1 << n) - 1
     limit_num = part_fraction.numerator * n
@@ -659,10 +662,11 @@ class EndgameLiftPolicy(Policy):
         self.schedule = schedule
         self.name = "lift-endgame"
         self.budget = schedule.cops
-        self.ball2 = []
-        for v in range(g.n):
-            d = distances(g, v)
-            self.ball2.append(frozenset(w for w in range(g.n) if 1 <= d[w] <= 2))
+        # N[N[v]] minus v: every vertex at distance one or two from v
+        self.ball2 = [
+            frozenset(iter_bits(closed_nb_bits(g, closed_nb_bits(g, 1 << v)) & ~(1 << v)))
+            for v in range(g.n)
+        ]
 
     def initial_state(self):
         return ("replay", 0)

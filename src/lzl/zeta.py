@@ -18,7 +18,8 @@ from typing import Callable
 from .errors import PolicyError, SizeCapError
 from .graphs import Graph, closed_nb_bits, closed_nb_table, iter_bits, mask_of
 
-DEFAULT_ZETA_CAP = 12
+#: Largest order the exact localization solver accepts.
+ZETA_CAP = 12
 
 OUT_ON = "0"
 OUT_ADJ = "1"
@@ -60,7 +61,7 @@ def _partition_bits(g: Graph, m_bits: int, probed: tuple[int, ...]) -> list[int]
     return classes
 
 
-def zeta_winnable(g: Graph, k: int, *, cap: int = DEFAULT_ZETA_CAP) -> bool:
+def zeta_winnable(g: Graph, k: int) -> bool:
     """True iff k cops capture on every robber trajectory in finite rounds.
 
     Least fixed point over candidate sets: singletons are won; a set R is
@@ -70,8 +71,8 @@ def zeta_winnable(g: Graph, k: int, *, cap: int = DEFAULT_ZETA_CAP) -> bool:
     indexed by closed neighbourhood and each distinct N[R] is checked once
     per pass until it is won.
     """
-    if g.n > cap:
-        raise SizeCapError("exact localization solver", g.n, cap)
+    if g.n > ZETA_CAP:
+        raise SizeCapError("exact localization solver", g.n, ZETA_CAP)
     if g.n == 1:
         return True
     if k < 1:
@@ -104,12 +105,12 @@ def zeta_winnable(g: Graph, k: int, *, cap: int = DEFAULT_ZETA_CAP) -> bool:
     return bool(won[full])
 
 
-def zeta_number(g: Graph, *, cap: int = DEFAULT_ZETA_CAP) -> int:
+def zeta_number(g: Graph) -> int:
     """Least k with a winning cop strategy; 0 for the one-vertex graph."""
     if g.n == 1:
         return 0
     for k in range(1, g.n):
-        if zeta_winnable(g, k, cap=cap):
+        if zeta_winnable(g, k):
             return k
     return g.n - 1  # always sufficient: probe all but one vertex forever
 

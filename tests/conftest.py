@@ -1,5 +1,6 @@
 import heapq
 import random
+from collections import deque
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -23,6 +24,26 @@ def mask(*vertices: int) -> int:
 def edge_boundary(g: Graph, s: int) -> int:
     """Reference count of the edges with exactly one endpoint in the mask ``s``."""
     return sum(((s >> u) ^ (s >> v)) & 1 for u, v in g.edges())
+
+
+def bfs_distances(g: Graph, v: int, within: int | None = None) -> list[int]:
+    """Reference hop counts from ``v`` by a queue over adjacency rows.
+
+    Only vertices of the mask ``within`` (default: all) are entered; -1
+    marks every vertex not reached.
+    """
+    if within is None:
+        within = (1 << g.n) - 1
+    dist = [-1] * g.n
+    dist[v] = 0
+    queue = deque([v])
+    while queue:
+        u = queue.popleft()
+        for w in range(g.n):
+            if (g.adj_bits[u] >> w) & 1 and (within >> w) & 1 and dist[w] == -1:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
 
 
 def prufer_tree(seq) -> Graph:

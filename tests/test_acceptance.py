@@ -111,8 +111,7 @@ def test_criterion_4_isoperimetric(corpus):
     for name, g in graphs:
         if g.n < 2:
             continue
-        pv = iso_profile(g, "vertex")
-        pe = iso_profile(g, "edge")
+        pv, pe = iso_profile(g)
         delta = max_degree(g)
         for k in range(1, g.n + 1):
             assert pv.value(k) <= pe.value(k) <= delta * pv.value(k), name
@@ -125,11 +124,11 @@ def test_criterion_4_isoperimetric(corpus):
         assert peak_to_h_lower(iso_peak(pv), delta, "vertex") <= hv, name
         assert peak_to_h_lower(iso_peak(pe), delta, "edge") <= he, name
     for n in (3, 4):
-        prof = iso_profile(generate("grid", n=n), "vertex")
+        prof = iso_profile(generate("grid", n=n))[0]
         lo, hi, val = grid_profile_oracle(n)
         for k in range(lo, hi + 1):
             assert prof.value(k) == val
-    assert h_index(iso_profile(generate("grid", n=4), "vertex").values) == 4
+    assert h_index(iso_profile(generate("grid", n=4))[0].values) == 4
     _ok(4, f"isoperimetric laws on {len(graphs)} graphs")
 
 
@@ -200,7 +199,7 @@ def test_criterion_7_table1():
 
 def test_criterion_8_lower_bound_realization(corpus):
     g4 = generate("grid", n=4)
-    hv = h_index(iso_profile(g4, "vertex").values)
+    hv = h_index(iso_profile(g4)[0].values)
     delta = max_degree(g4)
     bound = hv // (delta + 1) + 1
     assert bound == 1
@@ -210,7 +209,7 @@ def test_criterion_8_lower_bound_realization(corpus):
     for name, g in corpus:
         if g.n < 2:
             continue
-        hv = h_index(iso_profile(g, "vertex").values)
+        hv = h_index(iso_profile(g)[0].values)
         p = prox_number(g)
         assert p > hv / (max_degree(g) + 1), name
     _ok(8, "h-index lower bounds realized against exact solver values")
@@ -218,7 +217,7 @@ def test_criterion_8_lower_bound_realization(corpus):
 
 @pytest.mark.slow
 def test_criterion_4_long_mode_grid5():
-    prof = iso_profile(generate("grid", n=5), "vertex")
+    prof = iso_profile(generate("grid", n=5))[0]
     lo, hi, val = grid_profile_oracle(5)
     for k in range(lo, hi + 1):
         assert prof.value(k) == val

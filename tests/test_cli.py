@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lzl import parse_graph
+from lzl import generate, parse_graph, serialize_graph
 from lzl.cli import load_graph, main
 
 
@@ -118,6 +118,29 @@ class TestBoundsCmd:
         assert zeta_rules == {"order-cap", "grid-window-localization-cited"}
         assert any("cited" in note for note in results["notes"])
 
+    def test_grid_rule_needs_grid_edges(self, tmp_path, capsys):
+        # the path P9 with its vertices labelled as the 3x3 grid: prox1(P9) = 1
+        fake = tmp_path / "fake.graph"
+        labels = [f"l {v + 1} col={v % 3 + 1}\nl {v + 1} row={v // 3 + 1}" for v in range(9)]
+        fake.write_text("p 9 8\n" + "".join(f"e {v} {v + 1}\n" for v in range(1, 9))
+                        + "\n".join(labels) + "\n")
+        assert load_graph(str(fake))[0].label(8, "row") == 3
+        code, out, _ = run_cli(capsys, "bounds", "--graph", str(fake), "--no-iso", "--solve")
+        assert code == 0
+        results = report_of(out)["report"]["results"]
+        assert "grid_side" not in results["quantities"]
+        assert not any(b["rule"].startswith("grid-window") for b in results["bounds"])
+        assert results["quantities"]["prox1"] == 1 and results["best"]["prox1"]["upper"] == 1
+
+        real = tmp_path / "grid4.graph"
+        real.write_text(serialize_graph(generate("grid", n=4)))
+        code, out, _ = run_cli(capsys, "bounds", "--graph", str(real), "--no-iso")
+        assert code == 0
+        results = report_of(out)["report"]["results"]
+        assert results["quantities"]["grid_side"] == 4
+        assert {"target": "prox1", "kind": "lower", "value": 2,
+                "rule": "grid-window"} in results["bounds"]
+
     def test_k4_pathwidth_route(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--graph", "complete:4",
                                "--pathwidth", "--solve")
@@ -159,6 +182,13 @@ class TestSolveCmds:
         code, out, _ = run_cli(capsys, "prox", "verify", "--graph", "path:6",
                                "--schedule", str(sched))
         assert code == 1
+
+    def test_non_prox_schedule_exit2(self, tmp_path, capsys):
+        sched = tmp_path / "s.json"
+        sched.write_text(json.dumps({"mode": "zeta", "cops": 1, "rounds": [[2], [3], [4], [5]]}))
+        code, _, err = run_cli(capsys, "prox", "verify", "--graph", "path:6",
+                               "--schedule", str(sched))
+        assert code == 2 and "'zeta'" in err
 
     def test_zeta_simulate_escape_exit1(self, capsys):
         code, out, _ = run_cli(capsys, "zeta", "simulate", "--graph", "spider:3,3,3",
@@ -216,14 +246,6 @@ class TestDeterminismAndCache:
         r2 = json.dumps(report_of(out2)["report"], sort_keys=True)
         assert r1 == r2
 
-    def test_max_n_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("LZL_MAX_N", "9")
-        code, _, _ = run_cli(capsys, "prox", "solve", "--graph", "grid:3")
-        assert code == 0
-        monkeypatch.setenv("LZL_MAX_N", "8")
-        code, _, _ = run_cli(capsys, "prox", "solve", "--graph", "grid:3")
-        assert code == 3
-
 
 class TestUsageErrors:
     def test_gen_missing_n(self, capsys):
@@ -260,12 +282,6 @@ class TestUsageErrors:
     def test_bad_values_exit2(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and "error" in err
-
-    @pytest.mark.parametrize("var", ["LZL_MAX_N", "LZL_THREADS"])
-    def test_bad_environment_exit2(self, capsys, monkeypatch, var):
-        monkeypatch.setenv(var, "two")
-        code, _, err = run_cli(capsys, "bounds", "--graph", "path:4")
-        assert code == 2 and var in err
 
     @pytest.mark.parametrize("text", [
         "{", '{"cops": 1}', "[1]", '{"cops": 1, "rounds": [[2.5]]}',
@@ -313,7 +329,7 @@ class TestUsageErrors:
         assert code == 2 and "--round-cap" in err and not out
 
     def test_engine_bug_is_not_a_usage_error(self, monkeypatch):
-        def broken(g, *, cap):
+        def broken(g):
             raise KeyError("engine bug")
 
         monkeypatch.setattr("lzl.cli.zeta_number", broken)

@@ -27,12 +27,13 @@ from lzl.graphs import (
 )
 from lzl.prox import ProbeSchedule, run_schedule
 from lzl.strategies import (
+    EndgameLiftPolicy,
     normalize_path_decomposition,
     strat_domination,
     validate_path_decomposition,
 )
 
-from conftest import edge_boundary, mask, random_connected_graph
+from conftest import bfs_distances, edge_boundary, mask, random_connected_graph
 
 
 def full(g):
@@ -262,6 +263,50 @@ class TestNeighbourhoodKernel:
     def test_trees_stay_on_the_loop(self):
         assert generate("kary", k=3, d=8).shifts is None
         assert subdivide(generate("kary", k=3, d=3), 100).shifts is None
+
+
+def random_masks(g, count):
+    rng = random.Random(g.n)
+    return [rng.getrandbits(g.n) | 1 << rng.randrange(g.n) for _ in range(count)]
+
+
+class TestTraversals:
+    """Traversals step through the graph's neighbourhood kernel; a queue BFS checks them."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
+    def test_distances(self, name):
+        g = KERNEL_GRAPHS[name]
+        for v in range(g.n):
+            assert distances(g, v) == bfs_distances(g, v), v
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
+    def test_components(self, name):
+        g = KERNEL_GRAPHS[name]
+        for within in [full(g)] + random_masks(g, 30):
+            expected = []
+            remaining = within
+            while remaining:
+                seed = (remaining & -remaining).bit_length() - 1
+                comp = mask_of(w for w, d in enumerate(bfs_distances(g, seed, within)) if d >= 0)
+                expected.append(comp)
+                remaining &= ~comp
+            assert components_bits(g, within) == expected, within
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
+    def test_is_connected(self, name):
+        g = KERNEL_GRAPHS[name]
+        assert g.is_connected()
+        for within in random_masks(g, 30):
+            h, _ = induced_subgraph(g, within)
+            assert h.is_connected() == (min(bfs_distances(h, 0)) >= 0), within
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
+    def test_endgame_ball2(self, name):
+        g = KERNEL_GRAPHS[name]
+        policy = EndgameLiftPolicy(g, ProbeSchedule.from_lists(1, [[0]]))
+        for v in range(g.n):
+            ball = {w for w, d in enumerate(bfs_distances(g, v)) if 1 <= d <= 2}
+            assert policy.ball2[v] == ball, v
 
 
 class TestMetrics:

@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -20,9 +21,15 @@ from lzl import (
 )
 from lzl.errors import InconsistentBoundsError, PartialProfileError, SizeCapError
 from lzl.graphs import closed_nb_bits, mask_of
-from lzl.iso import IsoProfile, profile_to_csv
+from lzl.iso import IsoProfile, _shard_bits, profile_to_csv
 
 from conftest import edge_boundary, random_connected_graph
+
+
+def fake_cpus(monkeypatch, count):
+    """Make the scan see ``count`` CPUs, whichever query the platform offers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
 
 
 def naive_profile(g, mode):
@@ -55,30 +62,30 @@ def naive_h_index(values):
 
 class TestProfiles:
     def test_k5_vertex(self):
-        prof = iso_profile(generate("complete", n=5), "vertex")
+        prof = iso_profile(generate("complete", n=5))[0]
         assert prof.values == (4, 3, 2, 1, 0)
         assert prof.exact
 
     def test_p4_edge(self):
-        prof = iso_profile(generate("path", n=4), "edge")
+        prof = iso_profile(generate("path", n=4))[1]
         assert prof.values == (1, 1, 1, 0)
 
     def test_grid4_middle_window(self):
-        prof = iso_profile(generate("grid", n=4), "vertex")
+        prof = iso_profile(generate("grid", n=4))[0]
         lo, hi, value = grid_profile_oracle(4)
         assert (lo, hi, value) == (4, 9, 4)
         for k in range(lo, hi + 1):
             assert prof.value(k) == value
 
     def test_grid3_matches_oracle_window(self):
-        prof = iso_profile(generate("grid", n=3), "vertex")
+        prof = iso_profile(generate("grid", n=3))[0]
         lo, hi, value = grid_profile_oracle(3)
         assert (lo, hi, value) == (2, 5, 3)
         for k in range(lo, hi + 1):
             assert prof.value(k) == value
 
     def test_grid2_oracle(self):
-        prof = iso_profile(generate("grid", n=2), "vertex")
+        prof = iso_profile(generate("grid", n=2))[0]
         lo, hi, value = grid_profile_oracle(2)
         assert (lo, hi, value) == (1, 2, 2)
         for k in range(lo, hi + 1):
@@ -86,46 +93,59 @@ class TestProfiles:
 
     def test_cap(self):
         with pytest.raises(SizeCapError):
-            iso_profile(generate("grid", n=6), "vertex")
+            iso_profile(generate("grid", n=6))
 
     def test_budget_truncation_flags(self):
-        prof = iso_profile(generate("path", n=6), "vertex", budget=5)
-        assert not prof.exact
+        prof, edge = iso_profile(generate("path", n=6), budget=5)
+        assert not prof.exact and not edge.exact
         # the five subsets examined have at most three vertices
         assert None not in prof.values[:3] and prof.values[3:] == (None, None, None)
         with pytest.raises(PartialProfileError):
             iso_peak(prof)
 
-    def test_budget_truncation_with_workers(self):
-        prof = iso_profile(generate("path", n=12), "vertex", budget=10, workers=2)
-        assert not prof.exact
+    def test_budget_truncation_with_workers(self, monkeypatch):
+        # a budget scans serially and is inexact, however many CPUs there are
+        fake_cpus(monkeypatch, 2)
+        assert _shard_bits(20, 10) == 0
+        vertex, edge = iso_profile(generate("path", n=12), budget=10)
+        assert not vertex.exact and not edge.exact
 
-    def test_workers_match_sequential(self):
-        g = generate("grid", n=3)
-        seq = iso_profile(g, "vertex")
-        from lzl.iso import _profiles_both
-
-        par_v, par_e = _profiles_both(g, None, workers=2)
-        assert par_v.values == seq.values
+    def test_shards_match_serial_scan(self, monkeypatch):
+        graphs = [
+            generate("path", n=17),
+            generate("grid", n=4),
+            random_connected_graph(random.Random(17), 17, extra_edges=8),
+        ]
+        fake_cpus(monkeypatch, 1)
+        serial = [iso_profile(g) for g in graphs]
+        for cpus in (2, 3, 4):
+            fake_cpus(monkeypatch, cpus)
+            # grid:4 has 2^16 subsets, one shard's worth: it stays serial
+            assert [_shard_bits(g.n, None) for g in graphs] == [1, 0, 1]
+            assert _shard_bits(20, None) == (cpus - 1).bit_length()
+            assert [iso_profile(g) for g in graphs] == serial
+        fake_cpus(monkeypatch, 1)
+        assert _shard_bits(25, None) == 0
 
     @given(st.integers(0, 5000), st.integers(2, 8))
     @settings(max_examples=30)
     def test_gray_scan_matches_naive(self, seed, n):
         rng = random.Random(seed)
         g = random_connected_graph(rng, n)
-        for mode in ("vertex", "edge"):
-            assert iso_profile(g, mode).values == naive_profile(g, mode)
+        vertex, edge = iso_profile(g)
+        assert vertex.values == naive_profile(g, "vertex")
+        assert edge.values == naive_profile(g, "edge")
 
 
 class TestPeaksAndH:
     def test_peak_k5(self):
-        assert iso_peak(iso_profile(generate("complete", n=5), "vertex")) == 4
+        assert iso_peak(iso_profile(generate("complete", n=5))[0]) == 4
 
     def test_peak_grid4(self):
-        assert iso_peak(iso_profile(generate("grid", n=4), "vertex")) == 4
+        assert iso_peak(iso_profile(generate("grid", n=4))[0]) == 4
 
     def test_peak_p10_edge(self):
-        assert iso_peak(iso_profile(generate("path", n=10), "edge")) == 1
+        assert iso_peak(iso_profile(generate("path", n=10))[1]) == 1
 
     def test_h_examples(self):
         assert h_index([2, 2, 2]) == 2
@@ -161,7 +181,7 @@ class TestBoundFormulas:
     def test_peak_to_h_counterexample_graphs(self):
         # triangle: peak 2, max degree 2, H_V = 1; threshold 1.2 must floor
         g = generate("cycle", n=3)
-        prof = iso_profile(g, "vertex")
+        prof = iso_profile(g)[0]
         assert iso_peak(prof) == 2 and h_index(prof.values) == 1
         assert peak_to_h_lower(2, 2, "vertex") == 1
         # K5: peak 4, max degree 4, H_V = 2; threshold 2.22 must floor
@@ -189,8 +209,7 @@ class TestProfileLaws:
     def test_sandwich_shifts_and_h_relations(self, seed, n):
         rng = random.Random(seed)
         g = random_connected_graph(rng, n)
-        pv = iso_profile(g, "vertex")
-        pe = iso_profile(g, "edge")
+        pv, pe = iso_profile(g)
         delta = max_degree(g)
         assert pv.value(n) == 0 and pe.value(n) == 0
         for k in range(1, n + 1):
