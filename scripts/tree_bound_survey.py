@@ -18,10 +18,9 @@ from lzl.prox import run_schedule
 
 def survey(k: int, d: int, sub: int) -> None:
     g = subdivide(generate("kary", k=k, d=d), sub)
-    depth = max(g.label(v, "depth") for v in range(g.n))
     ld = level_decomposition(g, 0)
     order_bound = (g.n - 1).bit_length()
-    depth_bound = depth // 4 + 2
+    depth_bound = ld.depth // 4 + 2
     level_bound = -(-ld.max_nonleaf // 3) + 1
 
     sched_d = strat_tree_depth(g, 0)
@@ -30,7 +29,7 @@ def survey(k: int, d: int, sub: int) -> None:
     ok_l = run_schedule(g, sched_l).cleared
 
     print(
-        f"kary({k},{d})+sub{sub}: n={g.n} depth={depth} | "
+        f"kary({k},{d})+sub{sub}: n={g.n} depth={ld.depth} | "
         f"order {order_bound}, depth {depth_bound}, levels {level_bound} | "
         f"depth-schedule {sched_d.cops} cops ({'ok' if ok_d else 'FAIL'}), "
         f"level-schedule {sched_l.cops} cops ({'ok' if ok_l else 'FAIL'})"

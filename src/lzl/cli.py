@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -111,9 +112,8 @@ def load_graph(spec: str) -> tuple[Graph, str]:
     if "arms" in names:
         g = generate(family, arms=values)
     elif len(values) < len(names):
-        raise GraphValidationError(
-            f"family spec '{spec}' is missing parameters"
-        )
+        missing = " and ".join(names[len(values):])
+        raise GraphValidationError(f"family spec '{spec}' is missing {missing}")
     else:
         g = generate(family, **dict(zip(names, values)))
     if len(parts) > 2:
@@ -124,9 +124,10 @@ def load_graph(spec: str) -> tuple[Graph, str]:
     return g, spec
 
 
-def _report(command: str, graph: Graph | None, parameters: dict, results: dict,
-            caps: dict | None = None, notes: list | None = None,
-            graph_id: str | None = None) -> dict:
+def _report(command: str, graph: Graph | None, graph_id: str | None,
+            parameters: dict, results: dict,
+            caps: dict | None = None, notes: list | None = None) -> dict:
+    """The deterministic report; ``graph_id`` is the name ``load_graph`` gave."""
     body = {
         "command": command,
         "engine_version": __version__,
@@ -137,7 +138,7 @@ def _report(command: str, graph: Graph | None, parameters: dict, results: dict,
     }
     if graph is not None:
         body["graph"] = {
-            "id": graph_id or graph.content_hash(),
+            "id": graph_id,
             "hash": graph.content_hash(),
             "n": graph.n,
             "m": graph.edge_count(),
@@ -160,37 +161,15 @@ def _emit(body: dict, started: float) -> None:
 
 def cmd_gen(args) -> int:
     started = time.time()
-    if args.family not in FAMILIES:
-        raise GraphValidationError(f"unknown family '{args.family}'")
-    params = {name: getattr(args, name) for name in FAMILIES[args.family][1]}
-    missing = [f"--{name}" for name, value in params.items() if value in (None, "")]
-    if missing:
-        raise GraphValidationError(f"{args.family} needs {' and '.join(missing)}")
-    if "arms" in params:
-        params["arms"] = [_int(x, "--arms") for x in args.arms.split(",")]
-    g = generate(args.family, **params)
-    if args.subdivide:
-        g = subdivide(g, args.subdivide)
+    g, gid = load_graph(args.graph)
     text = serialize_graph(g)
-    if args.out:
-        _write_text(args.out, text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
-    body = _report(
-        "gen",
-        g,
-        {
-            "family": args.family,
-            "n": args.n,
-            "k": args.k,
-            "d": args.d,
-            "arms": args.arms,
-            "subdivide": args.subdivide,
-        },
-        {"n": g.n, "m": g.edge_count(), "out": args.out},
-    )
-    if args.out:
-        _emit(body, started)
+        return EXIT_OK
+    _write_text(args.out, text)
+    body = _report("gen", g, gid, {"graph": gid},
+                   {"n": g.n, "m": g.edge_count(), "out": args.out})
+    _emit(body, started)
     return EXIT_OK
 
 
@@ -215,26 +194,18 @@ def cmd_iso(args) -> int:
     if args.csv:
         _write_text(args.csv, profile_to_csv(profile))
         results["csv"] = args.csv
-    body = _report("iso", g, {"graph": gid, "mode": args.mode,
-                              "budget": args.budget}, results,
-                   caps={"iso": ISO_CAP}, graph_id=gid)
+    body = _report("iso", g, gid, {"graph": gid, "mode": args.mode,
+                                   "budget": args.budget}, results,
+                   caps={"iso": ISO_CAP})
     _emit(body, started)
     return EXIT_OK
 
 
 def _grid_side_of(g: Graph) -> int | None:
-    import math
-
+    """n when ``g`` is the n-by-n grid with the generator's vertex order."""
     side = math.isqrt(g.n)
-    if side * side != g.n or side < 2:
+    if side * side != g.n or side < 2 or g.adj_bits != generate("grid", n=side).adj_bits:
         return None
-    if g.adj_bits != generate("grid", n=side).adj_bits:
-        return None
-    for r in range(1, side + 1):
-        for c in range(1, side + 1):
-            v = (r - 1) * side + (c - 1)
-            if g.label(v, "row") != r or g.label(v, "col") != c:
-                return None
     return side
 
 
@@ -261,8 +232,8 @@ def cmd_bounds(args) -> int:
     if side:
         quantities["grid_side"] = side
     report = assemble_bounds(g, graph_id=gid, **quantities)
-    body = _report("bounds", g, {"graph": gid}, report.as_dict(),
-                   caps={"iso": ISO_CAP}, graph_id=gid)
+    body = _report("bounds", g, gid, {"graph": gid}, report.as_dict(),
+                   caps={"iso": ISO_CAP})
     _emit(body, started)
     return EXIT_OK
 
@@ -272,8 +243,8 @@ def cmd_prox(args) -> int:
     g, gid = load_graph(args.graph)
     if args.action == "solve":
         value = prox_number(g)
-        body = _report("prox-solve", g, {"graph": gid},
-                       {"prox1": value}, caps={"prox": PROX_CAP}, graph_id=gid)
+        body = _report("prox-solve", g, gid, {"graph": gid},
+                       {"prox1": value}, caps={"prox": PROX_CAP})
         _emit(body, started)
         return EXIT_OK
     if not args.schedule:
@@ -283,6 +254,7 @@ def cmd_prox(args) -> int:
     body = _report(
         "prox-verify",
         g,
+        gid,
         {"graph": gid, "schedule": args.schedule, "cops": schedule.cops},
         trace.as_dict(),
     )
@@ -295,8 +267,8 @@ def cmd_zeta(args) -> int:
     g, gid = load_graph(args.graph)
     if args.action == "solve":
         value = zeta_number(g)
-        body = _report("zeta-solve", g, {"graph": gid},
-                       {"zeta1": value}, caps={"zeta": ZETA_CAP}, graph_id=gid)
+        body = _report("zeta-solve", g, gid, {"graph": gid},
+                       {"zeta1": value}, caps={"zeta": ZETA_CAP})
         _emit(body, started)
         return EXIT_OK
     if not args.policy:
@@ -306,6 +278,7 @@ def cmd_zeta(args) -> int:
     body = _report(
         "zeta-simulate",
         g,
+        gid,
         {"graph": gid, "policy": args.policy, "round_cap": round_cap},
         sim.as_dict(),
     )
@@ -325,6 +298,7 @@ def cmd_strat(args) -> int:
         body = _report(
             "strat",
             None,
+            None,
             {"name": "grid-sweep", "n": args.n},
             {
                 "budget": schedule.cops,
@@ -335,7 +309,7 @@ def cmd_strat(args) -> int:
             notes=schedule.metadata.get("notes", []),
         )
         _emit(body, started)
-        return EXIT_OK if trace.cleared else EXIT_NEGATIVE
+        return EXIT_OK
 
     if not args.graph:
         raise GraphValidationError(f"strategy '{args.name}' needs --graph")
@@ -360,16 +334,11 @@ def cmd_strat(args) -> int:
     else:
         sim = simulate_policy(g, artifact, round_cap=round_cap)
         verdict = sim.captured
-        results = {
-            "kind": kind,
-            "budget": artifact.budget,
-            "outcome": sim.outcome,
-            "worst_capture_round": sim.worst_capture_round,
-        }
+        results = {"kind": kind, "budget": artifact.budget, **sim.as_dict()}
         if args.emit:
             _write_text(args.emit, json.dumps({"policy": artifact.name,
                                                "budget": artifact.budget}))
-    body = _report("strat", g, {"name": args.name, "graph": gid}, results)
+    body = _report("strat", g, gid, {"name": args.name, "graph": gid}, results)
     _emit(body, started)
     return EXIT_OK if verdict else EXIT_NEGATIVE
 
@@ -387,12 +356,10 @@ def table1_rows() -> dict[str, tuple[int, int, int]]:
     base = generate("kary", k=3, d=3)
     for name, i in (("T0", 0), ("T10", 10), ("T100", 100)):
         g = subdivide(base, i)
-        n = g.n
-        depth = max(g.label(v, "depth") for v in range(n))
         ld = level_decomposition(g, 0)
         rows[name] = (
-            (n - 1).bit_length(),  # ceil(log2 n)
-            depth // 4 + 2,
+            (g.n - 1).bit_length(),  # ceil(log2 n)
+            ld.depth // 4 + 2,
             -(-ld.max_nonleaf // 3) + 1,
         )
     return rows
@@ -414,6 +381,7 @@ def cmd_table(args) -> int:
     body = _report(
         "table",
         None,
+        None,
         {"name": args.name},
         {"rows": {k: list(v) for k, v in rows.items()},
          "mismatches": mismatches},
@@ -430,13 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    g = sub.add_parser("gen", help="generate a graph file")
-    g.add_argument("--family", required=True)
-    g.add_argument("--n", type=int)
-    g.add_argument("--k", type=int)
-    g.add_argument("--d", type=int)
-    g.add_argument("--arms")
-    g.add_argument("--subdivide", type=int, default=0)
+    g = sub.add_parser("gen", help="write a graph spec or file in the file format")
+    g.add_argument("--graph", required=True)
     g.add_argument("--out")
     g.set_defaults(fn=cmd_gen)
 

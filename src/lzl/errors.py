@@ -52,13 +52,20 @@ class SeparatorContractError(LzlError):
     """A separator oracle returned sets violating the (A, B, C) contract."""
 
 
-class GridVerificationError(LzlError):
-    """Grid sweep schedule failed mechanical verification."""
+class GridVerificationError(AssertionError):
+    """Grid sweep schedule failed mechanical verification.
+
+    An engine fault, not a usage error: like every AssertionError it is
+    not caught by the command line.
+    """
 
     def __init__(self, message: str, trace=None):
         self.trace = trace
         super().__init__(message)
 
 
-class InconsistentBoundsError(LzlError):
-    """A derived lower bound exceeds a derived upper bound for the same target."""
+class InconsistentBoundsError(AssertionError):
+    """A derived lower bound exceeds a derived upper bound for the same target.
+
+    An engine fault: some bound rule or solver is wrong.
+    """

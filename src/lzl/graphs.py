@@ -14,7 +14,7 @@ A vertex set is an int mask throughout the package: bit v stands for the
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphParseError, GraphValidationError, SizeCapError
 
@@ -30,8 +30,6 @@ VERTEX_CAP = 16384
 #: faster kernel (K9 has 16 offsets), and trees in breadth-first order have
 #: thousands.
 MAX_SHIFT_OFFSETS = 8
-
-Labels = Mapping[int, Mapping[str, object]]
 
 
 def iter_bits(bits: int) -> Iterator[int]:
@@ -58,13 +56,12 @@ def check_mask(g: Graph, bits: int, what: str) -> None:
 class Graph:
     """Connected (unless explicitly allowed otherwise) simple graph."""
 
-    __slots__ = ("n", "adj_bits", "labels", "shifts", "_hash")
+    __slots__ = ("n", "adj_bits", "shifts", "_hash")
 
     def __init__(
         self,
         n: int,
         edges: Iterable[tuple[int, int]],
-        labels: Labels | None = None,
         *,
         allow_disconnected: bool = False,
     ):
@@ -83,10 +80,6 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj_bits", tuple(rows))
         object.__setattr__(self, "shifts", _shift_kernel(rows))
-        clean_labels = {
-            v: dict(kv) for v, kv in (labels or {}).items() if kv
-        }
-        object.__setattr__(self, "labels", clean_labels)
         object.__setattr__(self, "_hash", None)
         if not allow_disconnected and not self.is_connected():
             raise GraphValidationError("graph is disconnected")
@@ -110,9 +103,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return (self.adj_bits[u] >> v) & 1 == 1
 
-    def label(self, v: int, key: str, default=None):
-        return self.labels.get(v, {}).get(key, default)
-
     def is_connected(self) -> bool:
         full = (1 << self.n) - 1
         return _reach(self, 1, full) == full
@@ -129,11 +119,7 @@ class Graph:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Graph):
-            return (
-                self.n == other.n
-                and self.adj_bits == other.adj_bits
-                and self.labels == other.labels
-            )
+            return self.n == other.n and self.adj_bits == other.adj_bits
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -174,14 +160,14 @@ def parse_graph(text: str, *, allow_disconnected: bool = False) -> Graph:
     """Parse the line-oriented graph format.
 
     ``# comment`` lines are skipped.  The header ``p <n> <m>`` precedes
-    ``m`` edge lines ``e <u> <v>`` with ``1 <= u < v <= n`` and optional
-    label lines ``l <v> <key>=<value>``.
+    ``m`` edge lines ``e <u> <v>`` with ``1 <= u < v <= n``.  Files written
+    by earlier versions may also hold ``l <v> <key>=<value>`` lines: they are
+    checked for shape and vertex range, then ignored.
     """
     n = None
     declared_m = 0
     edges: list[tuple[int, int]] = []
     seen_edges: set[tuple[int, int]] = set()
-    labels: dict[int, dict[str, object]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -232,8 +218,6 @@ def parse_graph(text: str, *, allow_disconnected: bool = False) -> Graph:
                 raise GraphParseError("non-integer label vertex", lineno) from None
             if not 1 <= v <= n:
                 raise GraphParseError(f"label vertex {v} out of range", lineno)
-            key, _, value = line.split(None, 2)[2].partition("=")
-            labels.setdefault(v - 1, {})[key] = _parse_label_value(value)
         else:
             raise GraphParseError(f"unknown record '{kind}'", lineno)
 
@@ -243,24 +227,14 @@ def parse_graph(text: str, *, allow_disconnected: bool = False) -> Graph:
         raise GraphParseError(
             f"header declares {declared_m} edges but {len(edges)} present"
         )
-    return Graph(n, edges, labels, allow_disconnected=allow_disconnected)
-
-
-def _parse_label_value(value: str) -> object:
-    try:
-        return int(value)
-    except ValueError:
-        return value
+    return Graph(n, edges, allow_disconnected=allow_disconnected)
 
 
 def serialize_graph(g: Graph) -> str:
-    """Byte-stable serialization: header, sorted edges, sorted labels."""
+    """Byte-stable serialization: the header, then the edges in sorted order."""
     lines = [f"p {g.n} {g.edge_count()}"]
     for u, v in g.edges():
         lines.append(f"e {u + 1} {v + 1}")
-    for v in sorted(g.labels):
-        for key in sorted(g.labels[v]):
-            lines.append(f"l {v + 1} {key}={g.labels[v][key]}")
     return "\n".join(lines) + "\n"
 
 
@@ -281,15 +255,14 @@ def generate(family: str, **params) -> Graph:
 def _gen_path(n: int) -> Graph:
     if n < 1:
         raise GraphValidationError("path needs n >= 1")
-    labels = {i: {"pos": i + 1} for i in range(n)}
-    return Graph(n, [(i, i + 1) for i in range(n - 1)], labels)
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def _gen_cycle(n: int) -> Graph:
     if n < 3:
         raise GraphValidationError("cycle needs n >= 3")
     edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
-    return Graph(n, edges, {i: {"pos": i + 1} for i in range(n)})
+    return Graph(n, edges)
 
 
 def _gen_complete(n: int) -> Graph:
@@ -299,44 +272,39 @@ def _gen_complete(n: int) -> Graph:
 
 
 def _gen_grid(n: int) -> Graph:
-    """n-by-n grid; vertex (row, col) at index (row-1)*n + (col-1), 1-based labels."""
+    """n-by-n grid; the 0-based cell (r, c) is vertex r*n + c."""
     if n < 1:
         raise GraphValidationError("grid needs n >= 1")
     edges = []
-    labels = {}
     for r in range(n):
         for c in range(n):
             v = r * n + c
-            labels[v] = {"row": r + 1, "col": c + 1}
             if c + 1 < n:
                 edges.append((v, v + 1))
             if r + 1 < n:
                 edges.append((v, v + n))
-    return Graph(n * n, edges, labels)
+    return Graph(n * n, edges)
 
 
 def _gen_kary(k: int, d: int) -> Graph:
     """Rooted k-ary tree of depth d: every non-leaf has exactly k children.
 
-    Vertices are breadth-first: root 0, then each level in order.  Depth
-    labels drive the level decomposition and subdivision relabeling.
+    Vertices are breadth-first: root 0, then each level in order.
     """
     if k < 1 or d < 0:
         raise GraphValidationError("kary needs k >= 1 and d >= 0")
     edges = []
-    labels = {0: {"depth": 0}}
     level = [0]
     next_vertex = 1
-    for depth in range(1, d + 1):
+    for _ in range(d):
         new_level = []
         for parent in level:
             for _ in range(k):
                 edges.append((parent, next_vertex))
-                labels[next_vertex] = {"depth": depth}
                 new_level.append(next_vertex)
                 next_vertex += 1
         level = new_level
-    return Graph(next_vertex, edges, labels)
+    return Graph(next_vertex, edges)
 
 
 def _gen_spider(arms: Sequence[int]) -> Graph:
@@ -347,16 +315,14 @@ def _gen_spider(arms: Sequence[int]) -> Graph:
     if any(a < 1 for a in arms):
         raise GraphValidationError("spider arm lengths must be positive")
     edges = []
-    labels = {0: {"depth": 0}}
     next_vertex = 1
     for length in arms:
         prev = 0
-        for step in range(1, length + 1):
+        for _ in range(length):
             edges.append((prev, next_vertex))
-            labels[next_vertex] = {"depth": step}
             prev = next_vertex
             next_vertex += 1
-    return Graph(next_vertex, edges, labels)
+    return Graph(next_vertex, edges)
 
 
 #: family -> (builder, parameter names); ``spider`` takes its whole
@@ -374,9 +340,8 @@ FAMILIES = {
 def subdivide(base: Graph, i: int) -> Graph:
     """Insert exactly ``i`` new vertices on every edge of ``base``.
 
-    When the base is fully depth-labeled with unit steps along edges (a
-    rooted tree), depths are rescaled by ``i + 1`` and interpolated so the
-    level structure of the result stays meaningful.
+    Base vertices keep their indices; the new vertices of the k-th edge in
+    sorted order take the k-th block of ``i`` indices after them.
     """
     if i < 0:
         raise GraphValidationError("subdivision count must be >= 0")
@@ -385,36 +350,19 @@ def subdivide(base: Graph, i: int) -> Graph:
     if n > VERTEX_CAP:
         raise SizeCapError("subdivided order", n, VERTEX_CAP)
 
-    depths = {v: base.label(v, "depth") for v in range(base.n)}
-    tree_labeled = all(d is not None for d in depths.values()) and all(
-        abs(depths[u] - depths[v]) == 1 for u, v in base_edges
-    )
-
     edges: list[tuple[int, int]] = []
-    labels: dict[int, dict[str, object]] = {}
-    if tree_labeled:
-        for v in range(base.n):
-            labels[v] = {"depth": (i + 1) * depths[v]}
     next_vertex = base.n
     for u, v in base_edges:
         chain = [u] + list(range(next_vertex, next_vertex + i)) + [v]
         next_vertex += i
-        for a, b in zip(chain, chain[1:]):
-            edges.append((a, b))
-        if tree_labeled:
-            lo, hi = (u, v) if depths[u] < depths[v] else (v, u)
-            # walk from the shallow endpoint so interpolated depths ascend
-            ordered = chain if lo == u else chain[::-1]
-            for step, w in enumerate(ordered[1:-1], start=1):
-                labels[w] = {"depth": (i + 1) * depths[lo] + step}
-    return Graph(n, edges, labels)
+        edges.extend(zip(chain, chain[1:]))
+    return Graph(n, edges)
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Cartesian product: (a,x) ~ (b,y) iff (a=b and x~y) or (a~b and x=y).
 
-    Vertex (a, x) sits at index a*h.n + x.  If both factors carry ``pos``
-    labels the product is labeled with grid-style (row, col) coordinates.
+    Vertex (a, x) sits at index a*h.n + x.
     """
     n = g.n * h.n
     if n > VERTEX_CAP:
@@ -426,17 +374,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     for a, b in g.edges():
         for x in range(h.n):
             edges.append((a * h.n + x, b * h.n + x))
-    labels = {}
-    if all(g.label(a, "pos") for a in range(g.n)) and all(
-        h.label(x, "pos") for x in range(h.n)
-    ):
-        for a in range(g.n):
-            for x in range(h.n):
-                labels[a * h.n + x] = {
-                    "row": g.label(a, "pos"),
-                    "col": h.label(x, "pos"),
-                }
-    return Graph(n, edges, labels)
+    return Graph(n, edges)
 
 
 # -- neighborhood and component kernels ----------------------------------
@@ -535,8 +473,4 @@ def induced_subgraph(g: Graph, s: int) -> tuple[Graph, list[int]]:
         for u, v in g.edges()
         if u in index and v in index
     ]
-    labels = {index[o]: g.labels[o] for o in old if o in g.labels}
-    return (
-        Graph(len(old), edges, labels, allow_disconnected=True),
-        old,
-    )
+    return Graph(len(old), edges, allow_disconnected=True), old

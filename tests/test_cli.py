@@ -1,9 +1,12 @@
+import dataclasses
 import json
 
 import pytest
 
 from lzl import generate, parse_graph, serialize_graph
 from lzl.cli import load_graph, main
+from lzl.errors import GridVerificationError, InconsistentBoundsError
+from lzl.prox import run_schedule
 
 
 def run_cli(capsys, *argv):
@@ -19,27 +22,33 @@ def report_of(stdout: str) -> dict:
 class TestGen:
     def test_grid_file(self, tmp_path, capsys):
         out = tmp_path / "g.graph"
-        code, _, _ = run_cli(capsys, "gen", "--family", "grid", "--n", "4", "--out", str(out))
+        code, _, _ = run_cli(capsys, "gen", "--graph", "grid:4", "--out", str(out))
         assert code == 0
         g = parse_graph(out.read_text())
         assert g.n == 16 and g.edge_count() == 24
 
     def test_kary_counts(self, tmp_path, capsys):
         out = tmp_path / "t.graph"
-        code, _, _ = run_cli(capsys, "gen", "--family", "kary", "--k", "3", "--d", "3",
-                             "--out", str(out))
+        code, _, _ = run_cli(capsys, "gen", "--graph", "kary:3,3", "--out", str(out))
         assert code == 0
         g = parse_graph(out.read_text())
         assert g.n == 40 and g.edge_count() == 39
 
     def test_spider_stdout(self, capsys):
-        code, out, _ = run_cli(capsys, "gen", "--family", "spider", "--arms", "3,3,3")
+        code, out, _ = run_cli(capsys, "gen", "--graph", "spider:3,3,3")
         assert code == 0
         assert out.startswith("p 10 9")
 
     def test_unknown_family_exit2(self, capsys):
-        code, _, err = run_cli(capsys, "gen", "--family", "moebius", "--n", "4")
+        code, _, err = run_cli(capsys, "gen", "--graph", "moebius:4")
         assert code == 2 and "error" in err
+
+    def test_legacy_file_loses_label_lines(self, tmp_path, capsys):
+        old = tmp_path / "old.graph"
+        old.write_text("p 3 2\ne 1 2\ne 2 3\nl 1 pos=1\nl 2 pos=2\nl 3 pos=3\n")
+        code, out, _ = run_cli(capsys, "gen", "--graph", str(old))
+        assert code == 0
+        assert out == "p 3 2\ne 1 2\ne 2 3\n"
 
 
 class TestGraphSpecs:
@@ -124,7 +133,6 @@ class TestBoundsCmd:
         labels = [f"l {v + 1} col={v % 3 + 1}\nl {v + 1} row={v // 3 + 1}" for v in range(9)]
         fake.write_text("p 9 8\n" + "".join(f"e {v} {v + 1}\n" for v in range(1, 9))
                         + "\n".join(labels) + "\n")
-        assert load_graph(str(fake))[0].label(8, "row") == 3
         code, out, _ = run_cli(capsys, "bounds", "--graph", str(fake), "--no-iso", "--solve")
         assert code == 0
         results = report_of(out)["report"]["results"]
@@ -139,6 +147,19 @@ class TestBoundsCmd:
         results = report_of(out)["report"]["results"]
         assert results["quantities"]["grid_side"] == 4
         assert {"target": "prox1", "kind": "lower", "value": 2,
+                "rule": "grid-window"} in results["bounds"]
+
+    def test_unlabelled_grid_file_gets_grid_rules(self, tmp_path, capsys):
+        g = generate("grid", n=4)
+        path = tmp_path / "grid4.graph"
+        path.write_text("p 16 24\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in g.edges()))
+        code, out, _ = run_cli(capsys, "bounds", "--graph", str(path), "--no-iso")
+        assert code == 0
+        results = report_of(out)["report"]["results"]
+        assert results["quantities"]["grid_side"] == 4
+        assert {"target": "prox1", "kind": "lower", "value": 2,
+                "rule": "grid-window"} in results["bounds"]
+        assert {"target": "prox1", "kind": "upper", "value": 5,
                 "rule": "grid-window"} in results["bounds"]
 
     def test_k4_pathwidth_route(self, capsys):
@@ -228,6 +249,34 @@ class TestStratCmd:
         code, _, err = run_cli(capsys, "strat", "domination", "--graph", "grid:2")
         assert code == 2
 
+    def test_policy_cap_exceeded_reports_witness(self, capsys):
+        code, out, _ = run_cli(capsys, "strat", "tree-log", "--graph", "path:9",
+                               "--round-cap", "2")
+        assert code == 1
+        results = report_of(out)["report"]["results"]
+        assert results["outcome"] == "cap-exceeded"
+        assert results["worst_capture_round"] is None
+        assert len(results["escape_path"]) == 2 and results["branches"] >= 1
+
+
+class TestGraphId:
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--graph", "path:9", "--out", "{tmp}/p.graph"),
+        ("iso", "--graph", "path:9"),
+        ("bounds", "--graph", "path:9"),
+        ("prox", "solve", "--graph", "path:9"),
+        ("prox", "verify", "--graph", "path:9", "--schedule", "{tmp}/s.json"),
+        ("zeta", "solve", "--graph", "path:9"),
+        ("zeta", "simulate", "--graph", "path:9", "--policy", "front-sweep"),
+        ("strat", "tree-log", "--graph", "path:9"),
+        ("strat", "tree-depth", "--graph", "path:9"),
+    ], ids=["gen", "iso", "bounds", "prox-solve", "prox-verify", "zeta-solve",
+            "zeta-simulate", "strat-policy", "strat-schedule"])
+    def test_id_is_the_graph_argument(self, tmp_path, capsys, argv):
+        (tmp_path / "s.json").write_text(json.dumps({"cops": 1, "rounds": [[2]]}))
+        _, out, _ = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert report_of(out)["report"]["graph"]["id"] == "path:9"
+
 
 class TestTableCmd:
     def test_tab1_reproduces(self, capsys):
@@ -249,12 +298,12 @@ class TestDeterminismAndCache:
 
 class TestUsageErrors:
     def test_gen_missing_n(self, capsys):
-        code, _, err = run_cli(capsys, "gen", "--family", "path")
-        assert code == 2 and "--n" in err
+        code, _, err = run_cli(capsys, "gen", "--graph", "path")
+        assert code == 2 and "missing n" in err
 
     def test_gen_missing_kary_params(self, capsys):
-        code, _, err = run_cli(capsys, "gen", "--family", "kary", "--k", "3")
-        assert code == 2 and "--d" in err
+        code, _, err = run_cli(capsys, "gen", "--graph", "kary:3")
+        assert code == 2 and "missing d" in err
 
     def test_strat_missing_graph(self, capsys):
         code, _, err = run_cli(capsys, "strat", "tree-depth")
@@ -275,7 +324,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ("zeta", "solve", "--graph", "grid:x"),
         ("zeta", "solve", "--graph", "path:4:subx"),
-        ("gen", "--family", "spider", "--arms", "3,x,3"),
+        ("gen", "--graph", "spider:3,x,3"),
         ("zeta", "simulate", "--graph", "path:4", "--policy", "nonesuch"),
         ("strat", "tree-depth", "--graph", "path:4", "--root", "4"),
     ])
@@ -309,7 +358,7 @@ class TestUsageErrors:
         assert code == 2 and "error" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
-        ("gen", "--family", "grid", "--n", "3", "--out"),
+        ("gen", "--graph", "grid:3", "--out"),
         ("iso", "--graph", "path:4", "--mode", "edge", "--csv"),
         ("strat", "grid-sweep", "--n", "5", "--emit"),
         ("strat", "tree-depth", "--graph", "kary:2,3", "--emit"),
@@ -335,3 +384,18 @@ class TestUsageErrors:
         monkeypatch.setattr("lzl.cli.zeta_number", broken)
         with pytest.raises(KeyError):
             main(["zeta", "solve", "--graph", "path:4"])
+
+    def test_inconsistent_bounds_is_not_a_usage_error(self, monkeypatch):
+        # a zeta1 of 1 caps prox1 at 1, below the grid-window lower bound 2
+        monkeypatch.setattr("lzl.cli.zeta_number", lambda g: 1)
+        with pytest.raises(InconsistentBoundsError):
+            main(["bounds", "--graph", "grid:3", "--no-iso", "--solve"])
+
+    def test_failed_grid_verification_is_not_a_usage_error(self, monkeypatch):
+        def uncleared(g, schedule):
+            return dataclasses.replace(run_schedule(g, schedule), cleared=False,
+                                       clear_round=None)
+
+        monkeypatch.setattr("lzl.gridsweep.run_schedule", uncleared)
+        with pytest.raises(GridVerificationError):
+            main(["strat", "grid-sweep", "--n", "11"])

@@ -81,7 +81,32 @@ class TestParse:
 
     def test_comments_and_labels(self):
         g = parse_graph("# a note\np 2 1\ne 1 2\nl 1 row=1\nl 1 col=2\n")
-        assert g.label(0, "row") == 1 and g.label(0, "col") == 2
+        assert g == parse_graph("# a note\np 2 1\ne 1 2\n")
+
+    @pytest.mark.parametrize("text", [
+        "l 1 row=1\np 2 1\ne 1 2\n",  # before the header
+        "p 2 1\ne 1 2\nl 1 row\n",  # no '='
+        "p 2 1\ne 1 2\nl x row=1\n",  # non-integer vertex
+        "p 2 1\ne 1 2\nl 0 row=1\n",  # vertex 0
+        "p 2 1\ne 1 2\nl 3 row=1\n",  # vertex n + 1
+    ])
+    def test_malformed_label_line_rejected(self, text):
+        with pytest.raises(GraphParseError):
+            parse_graph(text)
+
+    @pytest.mark.parametrize("spec", ["grid:4", "kary:3,3:sub2"])
+    def test_legacy_label_lines_are_ignored(self, spec):
+        # label lines as earlier versions wrote them: after the edges, by
+        # vertex, keys sorted; grids carried row/col, trees their depth
+        if spec == "grid:4":
+            g = generate("grid", n=4)
+            labels = [f"l {v + 1} col={v % 4 + 1}\nl {v + 1} row={v // 4 + 1}\n"
+                      for v in range(g.n)]
+        else:
+            g = subdivide(generate("kary", k=3, d=3), 2)
+            labels = [f"l {v + 1} depth={d}\n" for v, d in enumerate(distances(g, 0))]
+        legacy = parse_graph(serialize_graph(g) + "".join(labels))
+        assert legacy == g and legacy.content_hash() == g.content_hash()
 
     def test_roundtrip_labeled_families(self):
         for g in [
@@ -111,7 +136,7 @@ class TestGenerate:
         base = generate("kary", k=3, d=3)
         g = subdivide(base, 10)
         assert g.n == 430
-        assert max(g.label(v, "depth") for v in range(g.n)) == 33
+        assert max(distances(g, 0)) == 33
 
     def test_spider_333(self):
         g = generate("spider", arms=[3, 3, 3])
