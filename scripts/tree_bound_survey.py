@@ -3,8 +3,11 @@
 
 For k-ary trees (optionally subdivided) this prints, per tree: the order
 bound ceil(log2 n), the depth bound floor(d/4)+2, the level bound
-ceil(max nonleaf-per-level / 3)+1, and the mechanically verified cop
-budgets of the depth and level schedules.
+ceil(max nonleaf-per-level / 3)+1, the vertex h-index h_V of the exact
+isoperimetric profile with the prox1 lower bound it gives
+(prox1 > h_V/(Delta+1)), and the mechanically verified cop budgets of the
+depth and level schedules.  The lower bound and the smaller verified
+budget make a verified prox1 window.
 
 Usage: python scripts/tree_bound_survey.py [k d [subdivide]] ...
 Default survey: kary(3,3) with subdivisions 0, 10, 100.
@@ -12,7 +15,17 @@ Default survey: kary(3,3) with subdivisions 0, 10, 100.
 
 import sys
 
-from lzl import generate, level_decomposition, strat_tree_depth, strat_tree_levels, subdivide
+from lzl import (
+    generate,
+    h_index,
+    iso_profile,
+    level_decomposition,
+    max_degree,
+    prox_lower_bounds,
+    strat_tree_depth,
+    strat_tree_levels,
+    subdivide,
+)
 from lzl.prox import run_schedule
 
 
@@ -22,6 +35,8 @@ def survey(k: int, d: int, sub: int) -> None:
     order_bound = (g.n - 1).bit_length()
     depth_bound = ld.depth // 4 + 2
     level_bound = -(-ld.max_nonleaf // 3) + 1
+    h_v = h_index(iso_profile(g)[0].values)
+    lower = prox_lower_bounds(h_v, None, max_degree(g))["from_vertex_h"]
 
     sched_d = strat_tree_depth(g, 0)
     ok_d = run_schedule(g, sched_d).cleared
@@ -31,6 +46,7 @@ def survey(k: int, d: int, sub: int) -> None:
     print(
         f"kary({k},{d})+sub{sub}: n={g.n} depth={ld.depth} | "
         f"order {order_bound}, depth {depth_bound}, levels {level_bound} | "
+        f"h_V {h_v}, prox1 >= {lower} (h-index-vertex) | "
         f"depth-schedule {sched_d.cops} cops ({'ok' if ok_d else 'FAIL'}), "
         f"level-schedule {sched_l.cops} cops ({'ok' if ok_l else 'FAIL'})"
     )

@@ -209,11 +209,26 @@ def _grid_side_of(g: Graph) -> int | None:
     return side
 
 
+def _kary_shape_of(g: Graph) -> tuple[int, int] | None:
+    """(k, d) when ``g`` is the k-ary tree of depth d >= 2 with the generator's
+    vertex order."""
+    k = g.degree(0)
+    if k < 2 or not g.is_tree():
+        return None
+    d = level_decomposition(g, 0).depth
+    # the order test keeps a wide shallow tree from generating a huge one
+    if d < 2 or g.n != (k ** (d + 1) - 1) // (k - 1):
+        return None
+    if g.adj_bits != generate("kary", k=k, d=d).adj_bits:
+        return None
+    return k, d
+
+
 def cmd_bounds(args) -> int:
     started = time.time()
     g, gid = load_graph(args.graph)
     quantities: dict = {}
-    if not args.no_iso and g.n <= ISO_CAP:
+    if not args.no_iso and (g.n <= ISO_CAP or g.is_tree()):
         pv, pe = iso_profile(g)
         quantities["h_vertex"] = h_index(pv.values)
         quantities["h_edge"] = h_index(pe.values)
@@ -231,6 +246,9 @@ def cmd_bounds(args) -> int:
     side = _grid_side_of(g)
     if side:
         quantities["grid_side"] = side
+    shape = _kary_shape_of(g)
+    if shape:
+        quantities["kary_shape"] = shape
     report = assemble_bounds(g, graph_id=gid, **quantities)
     body = _report("bounds", g, gid, {"graph": gid}, report.as_dict(),
                    caps={"iso": ISO_CAP})

@@ -14,6 +14,7 @@ A vertex set is an int mask throughout the package: bit v stands for the
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphParseError, GraphValidationError, SizeCapError
@@ -422,6 +423,24 @@ def distances(g: Graph, v: int) -> list[int]:
         for u in iter_bits(frontier):
             dist[u] = d
     return dist
+
+
+def rooted_tree(g: Graph, root: int) -> tuple[list[int], list[list[int]], list[int]]:
+    """BFS parents, children and depths of the tree ``g`` rooted at ``root``."""
+    parent = [-1] * g.n
+    depth = [-1] * g.n
+    children: list[list[int]] = [[] for _ in range(g.n)]
+    depth[root] = 0
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for w in iter_bits(g.adj_bits[v]):
+            if depth[w] == -1:
+                depth[w] = depth[v] + 1
+                parent[w] = v
+                children[v].append(w)
+                queue.append(w)
+    return parent, children, depth
 
 
 def max_degree(g: Graph) -> int:

@@ -1,10 +1,12 @@
 """Exact isoperimetric profiles, peaks, h-index machinery, and bound rules.
 
-The profile enumerator sweeps every vertex subset in Gray-code order so a
-single vertex toggles between consecutive subsets; vertex- and edge-boundary
-sizes are maintained incrementally in O(degree) per step, and a large scan
-is split into shards that run on every CPU the process may use.  On top of
-the profiles sit the h-index, the arithmetic lower-bound formulas, and the
+A tree's profiles come from a min-plus dynamic program over its rooted
+subtrees, O(n^2) in the order.  Any other graph, and any call with a
+budget, sweeps every vertex subset in Gray-code order so a single vertex
+toggles between consecutive subsets; vertex- and edge-boundary sizes are
+maintained incrementally in O(degree) per step, and a large scan is split
+into shards that run on every CPU the process may use.  On top of the
+profiles sit the h-index, the arithmetic lower-bound formulas, and the
 assembled per-graph bounds report.
 """
 
@@ -17,9 +19,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InconsistentBoundsError, PartialProfileError, SizeCapError
-from .graphs import Graph, is_c4_free, iter_bits, max_degree
+from .graphs import Graph, is_c4_free, iter_bits, max_degree, rooted_tree
 
-#: Largest order the subset scan accepts: 2^25 subsets.
+#: Largest order the subset scan accepts: 2^25 subsets.  Trees take the
+#: dynamic program instead and are capped only by the graph order cap.
 ISO_CAP = 25
 
 #: Fewest subsets in one shard of the scan, as a power of two.  A process
@@ -138,6 +141,18 @@ def _shard_bits(n: int, budget: int | None) -> int:
 
 
 def iso_profile(g: Graph, *, budget: int | None = None) -> tuple[IsoProfile, IsoProfile]:
+    """(vertex, edge) profiles Phi(G, k) for all k.
+
+    A tree without a budget gets exact profiles from ``_tree_profiles`` at
+    any order; every other call scans subsets with ``_scan_profiles``,
+    which a budget bounds and ``ISO_CAP`` caps.
+    """
+    if budget is None and g.is_tree():
+        return _tree_profiles(g)
+    return _scan_profiles(g, budget=budget)
+
+
+def _scan_profiles(g: Graph, *, budget: int | None = None) -> tuple[IsoProfile, IsoProfile]:
     """Exact (vertex, edge) profiles Phi(G, k) for all k from one subset scan.
 
     Shard p fixes the top vertices to the bits of p and scans the rest;
@@ -166,6 +181,109 @@ def iso_profile(g: Graph, *, budget: int | None = None) -> tuple[IsoProfile, Iso
     prof_v = IsoProfile("vertex", tuple(None if x == unset_v else x for x in best_v[1:]), complete)
     prof_e = IsoProfile("edge", tuple(None if x == unset_e else x for x in best_e[1:]), complete)
     return prof_v, prof_e
+
+
+class _Lanes:
+    """Arrays of small non-negative ints, each packed into one int.
+
+    Entry s of an array sits in bits [s*w, (s+1)*w); callers keep the entry
+    count beside it.  ``inf`` = 2^(w-2) - 1 marks a size that no set
+    reaches and exceeds every boundary of a graph of order n.  Entries
+    stay at most inf + 1, and ``convolve`` adds only entries below inf to
+    them, so every sum stays below 2^(w-1), the top bit of its field, which
+    ``min`` borrows from; ``convolve`` returns entries of at most inf.
+    """
+
+    def __init__(self, n: int):
+        self.w = (n + 1).bit_length() + 2
+        self.inf = (1 << (self.w - 2)) - 1
+        self.longest = n + 1
+        self.ones = ((1 << (self.longest * self.w)) - 1) // ((1 << self.w) - 1)
+        self.tops = self.ones << (self.w - 1)
+
+    def fill(self, value: int, count: int) -> int:
+        """``count`` entries equal to ``value``."""
+        return (self.ones >> ((self.longest - count) * self.w)) * value
+
+    def min(self, x: int, y: int, count: int) -> int:
+        """Entrywise minimum of two arrays of ``count`` entries."""
+        top = self.tops >> ((self.longest - count) * self.w)
+        ge = ((x | top) - y) & top  # top bit set where x >= y
+        return x ^ ((x ^ y) & ((ge << 1) - (ge >> (self.w - 1))))
+
+    def convolve(self, a: int, p: int, b: int, q: int) -> int:
+        """Min-plus product of ``a`` (p entries) and ``b`` (q entries).
+
+        Entry k of the result, one of p + q - 1, is the least a[i] + b[k-i],
+        or ``inf`` when every such sum involves ``inf``.
+        """
+        if p > q:
+            a, p, b, q = b, q, a, p
+        w, inf = self.w, self.inf
+        count = p + q - 1
+        span = (1 << (q * w)) - 1
+        one = self.fill(1, q)
+        out = self.fill(inf, count)
+        for i in range(p):
+            x = (a >> (i * w)) & ((1 << w) - 1)
+            if x < inf:
+                shift = i * w
+                # entries outside the window [i, i + q) keep their value
+                term = ((b + x * one) << shift) | (out & ~(span << shift))
+                out = self.min(out, term, count)
+        return out
+
+    def unpack(self, x: int, count: int) -> list[int]:
+        """The ``count`` entries of ``x``, entry 0 first."""
+        bits = format(x, f"0{count * self.w}b")
+        return [int(bits[j : j + self.w], 2) for j in range(0, len(bits), self.w)][::-1]
+
+
+def _tree_profiles(g: Graph) -> tuple[IsoProfile, IsoProfile]:
+    """Exact (vertex, edge) profiles of a tree by a min-plus DP over its subtrees.
+
+    Rooted at 0 and walked deepest level first, each vertex v keeps, for
+    every size of S within its subtree, the least boundary inside the
+    subtree in three states: ``a`` with v in S, ``o`` with v outside S and
+    not counted, ``c`` with v and all its children outside S.  A vertex
+    outside S is on the boundary iff its parent or a child is in S, so a
+    child outside S costs o + 1 under a parent in S and min(c, o + 1) under
+    a parent outside S.  The edge profile keeps two states, v in S (``ei``)
+    and v outside S (``eo``), and pays 1 per cut edge.  A child is merged
+    into its parent by one min-plus convolution per state, truncated to the
+    merged subtree's size: O(n^2) entry operations in all, with each array
+    packed into one int so that an int operation covers all its entries.
+    """
+    lanes = _Lanes(g.n)
+    # a lone vertex: sizes 0 and 1, with the vertex in S or outside S
+    alone_in, alone_out = lanes.inf, lanes.inf << lanes.w
+    _, children, depth = rooted_tree(g, 0)
+    up: list[tuple | None] = [None] * g.n  # a vertex's costs as seen by its parent
+    for v in sorted(range(g.n), key=depth.__getitem__, reverse=True):
+        count = 2
+        a, o, c, ei, eo = alone_in, alone_out, alone_out, alone_in, alone_out
+        for u in children[v]:
+            q, to_in, to_out, quiet, e_in, e_out = up[u]
+            up[u] = None
+            a = lanes.convolve(a, count, to_in, q)
+            o = lanes.convolve(o, count, to_out, q)
+            c = lanes.convolve(c, count, quiet, q)
+            ei = lanes.convolve(ei, count, e_in, q)
+            eo = lanes.convolve(eo, count, e_out, q)
+            count += q - 1
+        one = lanes.fill(1, count)
+        quiet = lanes.min(c, o + one, count)
+        up[v] = (
+            count,
+            lanes.min(a, o + one, count),
+            lanes.min(a, quiet, count),
+            quiet,
+            lanes.min(ei, eo + one, count),
+            lanes.min(ei + one, eo, count),
+        )
+    vertex = lanes.unpack(up[0][2], count)[1:]
+    edge = lanes.unpack(lanes.min(ei, eo, count), count)[1:]
+    return IsoProfile("vertex", tuple(vertex), True), IsoProfile("edge", tuple(edge), True)
 
 
 def iso_peak(profile: IsoProfile) -> int:
@@ -362,6 +480,7 @@ def assemble_bounds(
     pathwidth: int | None = None,
     domination_number: int | None = None,
     grid_side: int | None = None,
+    kary_shape: tuple[int, int] | None = None,
 ) -> BoundsReport:
     """Chain every applicable inequality through the known quantities.
 
@@ -381,6 +500,7 @@ def assemble_bounds(
             "pathwidth": pathwidth,
             "domination_number": domination_number,
             "grid_side": grid_side,
+            "kary_shape": kary_shape,
         }.items()
         if v is not None
     }
@@ -467,6 +587,15 @@ def assemble_bounds(
                 "the grid zeta1 window is cited from the paper; no policy "
                 "in this package verifies it"
             )
+    if kary_shape is not None:
+        kary = kary_bound_report(*kary_shape)
+        rule = "kary-depth-cited"
+        add(DerivedBound("prox1", "lower", kary.lower_integer, rule))
+        add(DerivedBound("prox1", "upper", kary.upper, rule))
+        report.notes.append(
+            "the k-ary prox1 depth bounds are cited from the paper; bounds "
+            "does not verify them"
+        )
     report.notes.append(
         "asymptotic separator and binary-tree statements carry hidden "
         "constants and are never instantiated numerically"

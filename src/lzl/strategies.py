@@ -33,6 +33,7 @@ from .graphs import (
     iter_bits,
     mask_of,
     max_degree,
+    rooted_tree,
 )
 from .prox import ProbeSchedule, prox_solve, run_schedule
 from .zeta import Policy, SchedulePolicy
@@ -46,24 +47,6 @@ SEPARATOR_CAP = 20
 def _require_tree(g: Graph) -> None:
     if not g.is_tree():
         raise GraphValidationError("operation requires a tree")
-
-
-def _rooted(g: Graph, root: int):
-    """BFS parents/children/depths for a tree rooted at ``root``."""
-    parent = [-1] * g.n
-    depth = [-1] * g.n
-    children: list[list[int]] = [[] for _ in range(g.n)]
-    depth[root] = 0
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w in iter_bits(g.adj_bits[v]):
-            if depth[w] == -1:
-                depth[w] = depth[v] + 1
-                parent[w] = v
-                children[v].append(w)
-                queue.append(w)
-    return parent, children, depth
 
 
 # -- midway vertex and the order-based strategy ---------------------------
@@ -116,7 +99,7 @@ def strat_tree_log(g: Graph) -> Policy:
 
 def _leaf_paths(g: Graph, root: int) -> list[list[int]]:
     """Root-to-leaf paths in DFS order, children visited ascending."""
-    parent, children, depth = _rooted(g, root)
+    parent, children, depth = rooted_tree(g, root)
     paths = []
     stack = [root]
     while stack:
@@ -219,7 +202,7 @@ def strat_tree_levels(g: Graph, root: int) -> ProbeSchedule:
     free.
     """
     _require_tree(g)
-    parent, children, depth = _rooted(g, root)
+    parent, children, depth = rooted_tree(g, root)
     d = max(depth)
     ld = level_decomposition(g, root) if d >= 1 else None
     k = -(-ld.max_nonleaf // 3) if ld else 0
@@ -616,7 +599,7 @@ class TreeLiftPolicy(Policy):
         self.budget = schedule.cops + 1
         self.root = root
         self.nbrs = [tuple(iter_bits(g.adj_bits[v])) for v in range(g.n)]
-        self.parent, _, self.depth = _rooted(g, root)
+        self.parent, _, self.depth = rooted_tree(g, root)
 
     def _toward(self, u: int, v: int) -> int:
         """The neighbor of u on the tree path from u to v != u."""

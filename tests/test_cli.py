@@ -162,6 +162,59 @@ class TestBoundsCmd:
         assert {"target": "prox1", "kind": "upper", "value": 5,
                 "rule": "grid-window"} in results["bounds"]
 
+    @pytest.mark.parametrize("spec, h_vertex", [
+        ("kary:2,8", 4), ("kary:2,9", 4), ("kary:3,6", 5),
+    ])
+    def test_trees_beyond_scan_cap_are_profiled(self, capsys, spec, h_vertex):
+        code, out, _ = run_cli(capsys, "bounds", "--graph", spec)
+        assert code == 0
+        results = report_of(out)["report"]["results"]
+        assert results["n"] > 25
+        assert results["quantities"]["h_vertex"] == h_vertex
+        assert {"target": "prox1", "kind": "lower", "value": 2,
+                "rule": "h-index-vertex"} in results["bounds"]
+        # the paper's depth formula, for comparison, gives only 1
+        assert {"target": "prox1", "kind": "lower", "value": 1,
+                "rule": "kary-depth-cited"} in results["bounds"]
+        assert results["best"]["prox1"]["lower"] == 2
+
+    def test_kary_rule(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--graph", "kary:2,8", "--no-iso")
+        assert code == 0
+        results = report_of(out)["report"]["results"]
+        assert results["quantities"]["kary_shape"] == [2, 8]
+        cited = [b for b in results["bounds"] if b["rule"] == "kary-depth-cited"]
+        assert cited == [
+            {"target": "prox1", "kind": "lower", "value": 1, "rule": "kary-depth-cited"},
+            {"target": "prox1", "kind": "upper", "value": 4, "rule": "kary-depth-cited"},
+        ]
+        assert any("k-ary" in note and "cited" in note for note in results["notes"])
+
+    def test_kary_rule_needs_kary_tree(self, tmp_path, capsys):
+        # kary:2,3 with vertices 1..14 in reverse order: same root, degree
+        # and depth, other edges
+        g = generate("kary", k=2, d=3)
+        relabel = [0] + list(range(g.n - 1, 0, -1))
+        fake = tmp_path / "kary-relabelled.graph"
+        fake.write_text(f"p {g.n} {g.n - 1}\n" + "".join(
+            f"e {min(relabel[u], relabel[v]) + 1} {max(relabel[u], relabel[v]) + 1}\n"
+            for u, v in g.edges()))
+        for spec in ("spider:5,5,5", "path:9", str(fake)):
+            code, out, _ = run_cli(capsys, "bounds", "--graph", spec)
+            assert code == 0
+            results = report_of(out)["report"]["results"]
+            assert "kary_shape" not in results["quantities"], spec
+            assert not any(b["rule"] == "kary-depth-cited" for b in results["bounds"]), spec
+
+    def test_kary_rule_consistent_with_solve(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--graph", "kary:2,3", "--solve")
+        assert code == 0
+        results = report_of(out)["report"]["results"]
+        assert results["quantities"]["kary_shape"] == [2, 3]
+        best = results["best"]["prox1"]
+        assert best["lower"] <= results["quantities"]["prox1"] <= best["upper"]
+        assert any(b["rule"] == "kary-depth-cited" for b in results["bounds"])
+
     def test_k4_pathwidth_route(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--graph", "complete:4",
                                "--pathwidth", "--solve")

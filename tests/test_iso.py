@@ -20,10 +20,17 @@ from lzl import (
     prox_lower_bounds,
 )
 from lzl.errors import InconsistentBoundsError, PartialProfileError, SizeCapError
-from lzl.graphs import closed_nb_bits, mask_of
-from lzl.iso import IsoProfile, _shard_bits, profile_to_csv
+from lzl.graphs import Graph, closed_nb_bits, mask_of, subdivide
+from lzl.iso import (
+    ISO_CAP,
+    IsoProfile,
+    _scan_profiles,
+    _shard_bits,
+    _tree_profiles,
+    profile_to_csv,
+)
 
-from conftest import edge_boundary, random_connected_graph
+from conftest import edge_boundary, random_connected_graph, random_tree
 
 
 def fake_cpus(monkeypatch, count):
@@ -112,7 +119,7 @@ class TestProfiles:
 
     def test_shards_match_serial_scan(self, monkeypatch):
         graphs = [
-            generate("path", n=17),
+            generate("cycle", n=17),
             generate("grid", n=4),
             random_connected_graph(random.Random(17), 17, extra_edges=8),
         ]
@@ -132,9 +139,75 @@ class TestProfiles:
     def test_gray_scan_matches_naive(self, seed, n):
         rng = random.Random(seed)
         g = random_connected_graph(rng, n)
-        vertex, edge = iso_profile(g)
+        vertex, edge = _scan_profiles(g)
         assert vertex.values == naive_profile(g, "vertex")
         assert edge.values == naive_profile(g, "edge")
+
+
+def family_trees():
+    """Trees of every tree family within the subset-scan cap, some subdivided;
+    among them every k-ary tree with k, d >= 2 within it."""
+    specs = [
+        ("path1", generate("path", n=1)),
+        ("path2", generate("path", n=2)),
+        ("path16", generate("path", n=16)),
+        ("path25", generate("path", n=ISO_CAP)),
+        ("kary1-5", generate("kary", k=1, d=5)),
+        ("kary2-2", generate("kary", k=2, d=2)),
+        ("kary2-3", generate("kary", k=2, d=3)),
+        ("kary3-2", generate("kary", k=3, d=2)),
+        ("kary4-2", generate("kary", k=4, d=2)),
+        ("spider111", generate("spider", arms=[1, 1, 1])),
+        ("star12", generate("spider", arms=[1] * 12)),
+        ("spider1234", generate("spider", arms=[1, 2, 3, 4])),
+        ("spider555", generate("spider", arms=[5, 5, 5])),
+        ("spider2x8", generate("spider", arms=[2] * 8)),
+        ("kary2-2-sub1", subdivide(generate("kary", k=2, d=2), 1)),
+        ("kary2-2-sub2", subdivide(generate("kary", k=2, d=2), 2)),
+        ("kary3-2-sub1", subdivide(generate("kary", k=3, d=2), 1)),
+        ("spider333-sub1", subdivide(generate("spider", arms=[3, 3, 3]), 1)),
+        ("path5-sub3", subdivide(generate("path", n=5), 3)),
+    ]
+    # scans past 2^17 subsets run in the slow tier
+    return [
+        pytest.param(g, id=name, marks=[pytest.mark.slow] if g.n > 17 else [])
+        for name, g in specs
+    ]
+
+
+class TestTreeProfiles:
+    """The tree DP against the Gray-code scan, which stays the oracle."""
+
+    @given(st.integers(0, 10**6), st.integers(1, 16))
+    @settings(max_examples=60)
+    def test_random_trees_match_scan(self, seed, n):
+        t = random_tree(random.Random(seed), n)
+        assert _tree_profiles(t) == _scan_profiles(t)
+
+    @pytest.mark.parametrize("g", family_trees())
+    def test_family_trees_match_scan(self, g):
+        assert g.is_tree() and g.n <= ISO_CAP
+        assert _tree_profiles(g) == _scan_profiles(g)
+
+    def test_smallest_trees(self):
+        for g, values in ((Graph(1, []), (0,)), (Graph(2, [(0, 1)]), (1, 0))):
+            vertex, edge = iso_profile(g)
+            assert vertex == IsoProfile("vertex", values, True)
+            assert edge == IsoProfile("edge", values, True)
+            assert (vertex, edge) == _scan_profiles(g)
+
+    def test_trees_skip_the_scan_cap(self):
+        vertex, edge = iso_profile(generate("path", n=40))
+        assert vertex.values == edge.values == (1,) * 39 + (0,)
+        assert vertex.exact and edge.exact
+        # a budget bounds a subset scan, so it stays under the scan's cap
+        with pytest.raises(SizeCapError):
+            iso_profile(generate("path", n=40), budget=10)
+
+    def test_budget_on_a_tree_scans(self):
+        vertex, edge = iso_profile(generate("path", n=12), budget=100)
+        assert not vertex.exact and not edge.exact
+        assert (vertex, edge) == _scan_profiles(generate("path", n=12), budget=100)
 
 
 class TestPeaksAndH:

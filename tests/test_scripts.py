@@ -2,7 +2,8 @@
 
 The scripts import the public API, so a renamed or retyped entry point
 breaks them; this runs each one in a fresh interpreter with ``src`` on the
-path and expects exit status 0.
+path and expects exit status 0, plus the output fragment that ``EXPECTED``
+names for it, if any.
 """
 
 import os
@@ -13,6 +14,13 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+#: what a script must print on its input below, where the test checks output
+EXPECTED = {
+    # kary(2,3): h_V = 2 and Delta = 3, so prox1 > 2/4
+    "tree_bound_survey.py": "h_V 2, prox1 >= 1 (h-index-vertex)",
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -27,3 +35,4 @@ def test_script_exits_zero(argv):
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert EXPECTED.get(argv[0], "") in proc.stdout
