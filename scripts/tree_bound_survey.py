@@ -9,7 +9,10 @@ isoperimetric profile with the prox1 lower bound it gives
 depth and level schedules.  The lower bound and the smaller verified
 budget make a verified prox1 window.
 
-Usage: python scripts/tree_bound_survey.py [k d [subdivide]] ...
+Usage: python scripts/tree_bound_survey.py [K,D[,SUB] ...]
+Each argument is one tree: the K-ary tree of depth D (K, D >= 1), each
+edge subdivided SUB times (default 0); for example ``2,8,3 3,6``.  A
+malformed argument prints the usage line and exits 2.
 Default survey: kary(3,3) with subdivisions 0, 10, 100.
 """
 
@@ -52,16 +55,28 @@ def survey(k: int, d: int, sub: int) -> None:
     )
 
 
+USAGE = "usage: tree_bound_survey.py [K,D[,SUB] ...]"
+
+
+def parse_tree(arg: str) -> tuple[int, int, int]:
+    """``K,D`` or ``K,D,SUB`` as (k, d, sub); ValueError when malformed."""
+    fields = [int(f) for f in arg.split(",")]
+    if len(fields) not in (2, 3):
+        raise ValueError(f"expected K,D or K,D,SUB, got {arg!r}")
+    k, d, sub = fields + [0] * (3 - len(fields))
+    if k < 1 or d < 1 or sub < 0:
+        raise ValueError(f"need K >= 1, D >= 1 and SUB >= 0, got {arg!r}")
+    return k, d, sub
+
+
 def main() -> int:
-    args = [int(a) for a in sys.argv[1:]]
-    if args:
-        groups = [args[i : i + 3] for i in range(0, len(args), 3)]
-        for grp in groups:
-            k, d = grp[0], grp[1]
-            survey(k, d, grp[2] if len(grp) > 2 else 0)
-    else:
-        for sub in (0, 10, 100):
-            survey(3, 3, sub)
+    try:
+        trees = [parse_tree(a) for a in sys.argv[1:]]
+    except ValueError as exc:
+        print(f"{USAGE}\n{exc}", file=sys.stderr)
+        return 2
+    for k, d, sub in trees or [(3, 3, sub) for sub in (0, 10, 100)]:
+        survey(k, d, sub)
     return 0
 
 

@@ -425,16 +425,26 @@ def distances(g: Graph, v: int) -> list[int]:
     return dist
 
 
+def neighbor_tuples(g: Graph) -> list[tuple[int, ...]]:
+    """The neighbors of every vertex in ascending order, from one pass over the edges."""
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges():
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return [tuple(row) for row in nbrs]
+
+
 def rooted_tree(g: Graph, root: int) -> tuple[list[int], list[list[int]], list[int]]:
     """BFS parents, children and depths of the tree ``g`` rooted at ``root``."""
     parent = [-1] * g.n
     depth = [-1] * g.n
     children: list[list[int]] = [[] for _ in range(g.n)]
+    nbrs = neighbor_tuples(g)
     depth[root] = 0
     queue = deque([root])
     while queue:
         v = queue.popleft()
-        for w in iter_bits(g.adj_bits[v]):
+        for w in nbrs[v]:
             if depth[w] == -1:
                 depth[w] = depth[v] + 1
                 parent[w] = v

@@ -19,10 +19,17 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, combinations
-from typing import Iterable, Iterator
+from typing import Generator, Iterable
 
 from .errors import ScheduleError, SizeCapError
-from .graphs import Graph, check_mask, closed_nb_bits, closed_nb_table, iter_bits, mask_of
+from .graphs import (
+    Graph,
+    check_mask,
+    closed_nb_bits,
+    closed_nb_table,
+    mask_of,
+    neighbor_tuples,
+)
 
 #: Largest order the exact prox solver accepts.
 PROX_CAP = 16
@@ -117,28 +124,33 @@ def run_schedule(
 ) -> ScheduleTrace:
     """Run the contamination recursion from S = V(G) (or the mask ``initial``).
 
-    A graph with a shift kernel (a lattice) steps S directly, a few big-int
-    shifts per round.  Any other graph is stepped incrementally: the spread
-    frontier is maintained through per-vertex inside-neighbor counts so
-    each round costs O(changed vertices * degree) instead of O(|S| * degree).
+    A graph with a shift kernel (a lattice) steps S as a mask, a few big-int
+    shifts per round.  Any other graph is stepped on neighbor lists: only
+    the vertices that change and their neighbors are touched, so a round
+    costs O(changed vertices * degree) whatever the order of the graph.
+    Both steppers yield each round's territory size and whether it grew,
+    and return the final territory as a mask.
     """
     schedule.validate_for(g)
     s = (1 << g.n) - 1 if initial is None else initial
     check_mask(g, s, "initial territory")
-    if g.shifts is not None:
-        steps = _direct_steps(g, schedule, s)
-    else:
-        steps = _incremental_steps(g, schedule, s)
+    stepper = _shift_steps if g.shifts is not None else _sparse_steps
+    steps = stepper(g, schedule, s)
 
     trace_counts: list[int] = []
     clear_round = None
     recontam_round = None
     max_contam = s.bit_count()
-    for t, new_s in enumerate(steps, start=1):
-        if recontam_round is None and new_s & ~s:
+    t = 0
+    while True:
+        try:
+            size, grew = next(steps)
+        except StopIteration as done:
+            final_bits = done.value
+            break
+        t += 1
+        if recontam_round is None and grew:
             recontam_round = t
-        s = new_s
-        size = s.bit_count()
         trace_counts.append(size)
         max_contam = max(max_contam, size)
         if size == 0 and clear_round is None:
@@ -150,55 +162,67 @@ def run_schedule(
         counts=trace_counts,
         max_contamination=max_contam,
         first_recontamination_round=recontam_round,
-        final_bits=s,
+        final_bits=final_bits,
     )
 
 
-def _direct_steps(g: Graph, schedule: ProbeSchedule, s: int) -> Iterator[int]:
-    """Territory after each round, as N[S] minus N[probes]."""
+def _shift_steps(
+    g: Graph, schedule: ProbeSchedule, s: int
+) -> Generator[tuple[int, bool], None, int]:
+    """Step S as a mask: N[S] minus N[probes]."""
     for probes in schedule.rounds:
-        s = step_bits(g, s, mask_of(probes))
-        yield s
+        new_s = step_bits(g, s, mask_of(probes))
+        grew = new_s & ~s != 0
+        s = new_s
+        yield s.bit_count(), grew
+    return s
 
 
-def _incremental_steps(g: Graph, schedule: ProbeSchedule, s: int) -> Iterator[int]:
-    """Territory after each round, with N[S] kept up to date from the changes."""
-    n = g.n
-    adj = g.adj_bits
-    counts = [0] * n  # neighbors currently contaminated, per vertex
-    for v in iter_bits(s):
-        for w in iter_bits(adj[v]):
-            counts[w] += 1
-    fringe = 0  # clean vertices with a contaminated neighbor
-    for v in range(n):
-        if not (s >> v) & 1 and counts[v]:
-            fringe |= 1 << v
+def _sparse_steps(
+    g: Graph, schedule: ProbeSchedule, s: int
+) -> Generator[tuple[int, bool], None, int]:
+    """Step S on neighbor lists, touching only the vertices that change.
+
+    S is kept as per-vertex flags, with the number of contaminated neighbors
+    of every vertex and the fringe: the clean vertices with a contaminated
+    neighbor.  A round adds the fringe outside N[probes] and removes S
+    inside N[probes], then mends counts and fringe around those vertices.
+    """
+    nbrs = neighbor_tuples(g)
+    inside = [bit == "1" for bit in reversed(format(s, f"0{g.n}b"))]
+    size = s.bit_count()
+    counts = [0] * g.n
+    for v, contaminated in enumerate(inside):
+        if contaminated:
+            for w in nbrs[v]:
+                counts[w] += 1
+    fringe = {v for v, c in enumerate(counts) if c and not inside[v]}
 
     for probes in schedule.rounds:
-        probe_nb = 0
+        probe_nb = set(probes)
         for v in probes:
-            probe_nb |= adj[v] | (1 << v)
-        new_s = (s | fringe) & ~probe_nb
-        added = new_s & ~s
-        removed = s & ~new_s
-        changed = added | removed
-        if changed:
-            touched = changed
-            for v in iter_bits(added):
-                for w in iter_bits(adj[v]):
-                    counts[w] += 1
-                touched |= adj[v]
-            for v in iter_bits(removed):
-                for w in iter_bits(adj[v]):
-                    counts[w] -= 1
-                touched |= adj[v]
-            s = new_s
-            for v in iter_bits(touched):
-                if not (s >> v) & 1 and counts[v]:
-                    fringe |= 1 << v
-                else:
-                    fringe &= ~(1 << v)
-        yield s
+            probe_nb.update(nbrs[v])
+        added = [v for v in fringe if v not in probe_nb]
+        removed = [v for v in probe_nb if inside[v]]
+        touched = {*added, *removed}
+        for v in added:
+            inside[v] = True
+            for w in nbrs[v]:
+                counts[w] += 1
+            touched.update(nbrs[v])
+        for v in removed:
+            inside[v] = False
+            for w in nbrs[v]:
+                counts[w] -= 1
+            touched.update(nbrs[v])
+        for v in touched:
+            if counts[v] and not inside[v]:
+                fringe.add(v)
+            else:
+                fringe.discard(v)
+        size += len(added) - len(removed)
+        yield size, bool(added)
+    return int("".join("1" if c else "0" for c in reversed(inside)), 2)
 
 
 def _probe_candidates(g: Graph, territory: int) -> list[int]:

@@ -33,6 +33,7 @@ from .graphs import (
     iter_bits,
     mask_of,
     max_degree,
+    neighbor_tuples,
     rooted_tree,
 )
 from .prox import ProbeSchedule, prox_solve, run_schedule
@@ -598,7 +599,7 @@ class TreeLiftPolicy(Policy):
         self.name = "lift-tree"
         self.budget = schedule.cops + 1
         self.root = root
-        self.nbrs = [tuple(iter_bits(g.adj_bits[v])) for v in range(g.n)]
+        self.nbrs = neighbor_tuples(g)
         self.parent, _, self.depth = rooted_tree(g, root)
 
     def _toward(self, u: int, v: int) -> int:

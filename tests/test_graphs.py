@@ -24,6 +24,7 @@ from lzl.graphs import (
     induced_subgraph,
     iter_bits,
     mask_of,
+    neighbor_tuples,
 )
 from lzl.prox import ProbeSchedule, run_schedule
 from lzl.strategies import (
@@ -324,6 +325,13 @@ class TestTraversals:
         for within in random_masks(g, 30):
             h, _ = induced_subgraph(g, within)
             assert h.is_connected() == (min(bfs_distances(h, 0)) >= 0), within
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
+    def test_neighbor_tuples(self, name):
+        g = KERNEL_GRAPHS[name]
+        assert neighbor_tuples(g) == [
+            tuple(w for w in range(g.n) if g.has_edge(v, w)) for v in range(g.n)
+        ]
 
     @pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
     def test_endgame_ball2(self, name):

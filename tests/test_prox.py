@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lzl import (
+    Graph,
     ProbeSchedule,
     cartesian_product,
     clip_schedule,
@@ -13,14 +14,25 @@ from lzl import (
     generate,
     prox_number,
     prox_winnable,
+    strat_tree_depth,
+    strat_tree_levels,
+    subdivide,
 )
 from lzl.errors import ScheduleError, SizeCapError
 from lzl.graphs import closed_nb_bits, iter_bits, mask_of
-from lzl.prox import ScheduleTrace, _probe_candidates, prox_solve, run_schedule, step_bits
+from lzl.prox import (
+    ScheduleTrace,
+    _probe_candidates,
+    _shift_steps,
+    _sparse_steps,
+    prox_solve,
+    run_schedule,
+    step_bits,
+)
 from lzl.strategies import STRATEGY_REGISTRY
 from lzl.zeta import simulate_policy, zeta_number
 
-from conftest import mask, random_connected_graph
+from conftest import mask, random_connected_graph, random_tree
 
 
 class TestContaminationStep:
@@ -167,7 +179,15 @@ RUN_GRAPHS = {
     "grid:5": generate("grid", n=5),
     "torus:4x5": cartesian_product(generate("cycle", n=4), generate("cycle", n=5)),
     "kary:2,3": generate("kary", k=2, d=3),
+    "complete:6": generate("complete", n=6),
+    "kary:3,3:sub2": subdivide(generate("kary", k=3, d=3), 2),
+    # wider than one machine word
+    "tree:70": random_tree(random.Random(70), 70),
+    "rand:70": random_connected_graph(random.Random(71), 70, extra_edges=30),
 }
+
+#: graphs of RUN_GRAPHS stepped on neighbor lists rather than shifts
+NO_SHIFT_KERNEL = ("kary:2,3", "complete:6", "kary:3,3:sub2", "tree:70", "rand:70")
 
 
 class TestRunScheduleAgainstReference:
@@ -195,6 +215,70 @@ class TestRunScheduleAgainstReference:
             assert run_schedule(g, sched, initial=initial) == _incremental_reference(
                 g, sched, initial
             )
+
+    @pytest.mark.parametrize("name", NO_SHIFT_KERNEL)
+    def test_no_shift_kernel(self, name):
+        assert RUN_GRAPHS[name].shifts is None
+
+    @pytest.mark.parametrize("strategy, g", [
+        (strat_tree_depth, generate("kary", k=3, d=4)),
+        (strat_tree_levels, subdivide(generate("kary", k=3, d=2), 5)),
+    ], ids=["depth-kary:3,4", "levels-kary:3,2:sub5"])
+    def test_tree_schedules(self, strategy, g):
+        assert g.shifts is None
+        sched = strategy(g, 0)
+        trace = run_schedule(g, sched)
+        assert trace.cleared
+        assert trace == _incremental_reference(g, sched)
+
+    @pytest.mark.parametrize("name", NO_SHIFT_KERNEL)
+    def test_edge_cases(self, name):
+        g = RUN_GRAPHS[name]
+        probes = ProbeSchedule.from_lists(2, [{0}, {1, g.n - 1}, set(), {g.n // 2}])
+        no_rounds = ProbeSchedule.from_lists(1, [])
+        assert run_schedule(g, probes, initial=0) == _incremental_reference(g, probes, 0)
+        assert run_schedule(g, no_rounds) == _incremental_reference(g, no_rounds)
+        assert run_schedule(g, no_rounds, initial=0) == _incremental_reference(
+            g, no_rounds, 0
+        )
+
+    def test_one_vertex_graph(self):
+        g = Graph(1, [])  # an empty shift kernel: it steps by shifts
+        for rounds in ([], [set()], [{0}], [set(), {0}]):
+            sched = ProbeSchedule.from_lists(1, rounds)
+            for initial in (None, 0, 1):
+                assert run_schedule(g, sched, initial=initial) == _incremental_reference(
+                    g, sched, initial
+                )
+
+
+def drain(steps):
+    """The (size, grew) pairs a stepper yields, and the final mask it returns."""
+    out = []
+    while True:
+        try:
+            out.append(next(steps))
+        except StopIteration as done:
+            return out, done.value
+
+
+class TestSteppersAgree:
+    """Both steppers run on graphs that have a shift kernel, so they can be compared."""
+
+    @pytest.mark.parametrize("name", ["path:9", "cycle:10", "grid:5", "torus:4x5", "K1"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sparse_equals_shift(self, name, seed):
+        g = Graph(1, []) if name == "K1" else RUN_GRAPHS[name]
+        assert g.shifts is not None
+        rng = random.Random(seed)
+        for _ in range(10):
+            rounds = [
+                set(rng.sample(range(g.n), rng.randint(0, min(2, g.n))))
+                for _ in range(rng.randint(0, 12))
+            ]
+            sched = ProbeSchedule.from_lists(2, rounds)
+            s = mask_of(v for v in range(g.n) if rng.random() < 0.5)
+            assert drain(_sparse_steps(g, sched, s)) == drain(_shift_steps(g, sched, s))
 
 
 class TestSolver:

@@ -3,7 +3,7 @@
 The scripts import the public API, so a renamed or retyped entry point
 breaks them; this runs each one in a fresh interpreter with ``src`` on the
 path and expects exit status 0, plus the output fragment that ``EXPECTED``
-names for it, if any.
+names for it, if any.  A malformed argument exits 2 with the usage line.
 """
 
 import os
@@ -23,16 +23,34 @@ EXPECTED = {
 }
 
 
-@pytest.mark.parametrize("argv", [
-    ["solve_small.py"],
-    ["verify_grids.py", "11"],
-    ["tree_bound_survey.py", "2", "3"],
-])
-def test_script_exits_zero(argv):
+def run_script(argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve_small.py"],
+    ["verify_grids.py", "11"],
+    ["tree_bound_survey.py", "2,3"],
+])
+def test_script_exits_zero(argv):
+    proc = run_script(argv)
     assert proc.returncode == 0, proc.stderr
     assert EXPECTED.get(argv[0], "") in proc.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ["2", "8", "3", "6"],  # the old k d sub grouping: "2" is not K,D
+    ["2,x"],
+    ["2,3,1,1"],
+    ["2,0"],
+    ["2,3", "3,2,-1"],
+])
+def test_tree_survey_rejects_malformed_trees(args):
+    proc = run_script(["tree_bound_survey.py", *args])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("usage: tree_bound_survey.py")
+    assert proc.stdout == ""
