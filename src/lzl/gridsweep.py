@@ -104,49 +104,6 @@ def m_of_n(n: int) -> int:
     return m
 
 
-class _Panel:
-    """One panel's sweep automaton on the unbounded lattice.
-
-    Active two rounds in five from its start round; silent rounds relax
-    the region, active rounds emit the knight-spaced probes and apply the
-    natural move.  All coordinates are emitted globally via the column
-    offset; the row stagger between panels is carried by the start index.
-    """
-
-    def __init__(self, m: int, n: int, start_round: int, start_i: int, col_offset: int):
-        self.m = m
-        self.n = n
-        self.start_round = start_round
-        self.start_i = start_i
-        self.col_offset = col_offset
-        # the start round's relaxation lands exactly on the start index
-        self.idx = ForcedRegionIndex(start_i + 1, m, m, n)
-        self.trace: dict[int, dict] = {}
-        self.empty_from: int | None = None
-
-    def active(self, t: int) -> bool:
-        r = self.start_round % 5
-        return t >= self.start_round and t % 5 in (r, (r + 3) % 5)
-
-    def round(self, t: int) -> list[Coord]:
-        if t < self.start_round or self.empty_from is not None:
-            return []
-        self.idx = spread_step(self.idx)
-        if self.idx.is_empty():
-            self.empty_from = t
-            return []
-        if not self.active(t):
-            return []
-        pre = self.idx
-        local = probe_set(pre, (0, self.m + 1))
-        probes = [(r, c + self.col_offset) for r, c in local]
-        if len(probes) > (self.m + 3) // 2:
-            raise AssertionError("panel probe budget exceeded")
-        self.trace[t] = {"index": (pre.i, pre.j), "probes": tuple(probes)}
-        self.idx = natural_step(pre)
-        return probes
-
-
 @dataclass
 class GridSweepPlan:
     """Extended-lattice schedule plus per-panel traces for cadence checks."""
@@ -158,22 +115,64 @@ class GridSweepPlan:
     panel_starts: list[tuple[int, int]]  # (start round, start index)
 
 
-def _sweep(panels: list[_Panel], m: int, n: int) -> GridSweepPlan:
-    """Run the panels until every region is empty, then a 5m-round margin."""
-    rounds: list[list[Coord]] = []
-    hard_cap = 10 * m * (n + 4 * m) + 100
-    while any(p.empty_from is None for p in panels):
-        if len(rounds) >= hard_cap:
+def _panel_sweep(
+    m: int, n: int, start_round: int, start_i: int, col_offset: int, hard_cap: int
+) -> tuple[dict[int, dict], int]:
+    """One panel's probe rounds on the unbounded lattice and the round it empties.
+
+    The panel's state is its region index (i, j).  Every round from the
+    start round relaxes it; two rounds in five the panel then probes S(i, j)
+    and applies the natural move.  S(i, j) is S(0, j) shifted up by i rows,
+    so the m patterns are built once, in global columns via the offset; the
+    row stagger between panels is carried by the start index.
+    """
+    patterns: list[tuple[Coord, ...]] = [()]  # focus zero is always reindexed
+    for j in range(1, m + 1):
+        local = probe_set(ForcedRegionIndex(0, j, m, n), (0, m + 1))
+        if len(local) > (m + 3) // 2:
+            raise AssertionError("panel probe budget exceeded")
+        patterns.append(tuple((r, c + col_offset) for r, c in local))
+    # feet fall leftward from the focus j >= 1, so column 1's is the lowest
+    # and the region is empty exactly when i > n - f_eval(0, j, 1)
+    top = [n - f_eval(0, j, 1) for j in range(m + 1)]
+    trace: dict[int, dict] = {}
+    # the start round's relaxation lands exactly on the start index
+    i, j, t = start_i + 1, m, start_round
+    while True:
+        if t > hard_cap:
             raise GridVerificationError("grid sweep failed to terminate")
-        t = len(rounds) + 1
-        rounds.append([probe for p in panels for probe in p.round(t)])
-    rounds.extend([] for _ in range(5 * m))
+        i -= 1
+        if i > top[j]:
+            return trace, t
+        if (t - start_round) % 5 in (0, 3):
+            probes = tuple([(i + dr, c) for dr, c in patterns[j]])
+            trace[t] = {"index": (i, j), "probes": probes}
+            i, j = i + 2, j - 1
+            if j == 0:
+                i, j = i + (m + 1) // 2, m
+        t += 1
+
+
+def _sweep(panels: list[tuple[int, int, int]], m: int, n: int) -> GridSweepPlan:
+    """Run the panels until every region is empty, then a 5m-round margin.
+
+    Each panel is (start round, start index, column offset); a round's
+    probes are the panels' probes in panel order.
+    """
+    hard_cap = 10 * m * (n + 4 * m) + 100
+    sweeps = [_panel_sweep(m, n, *panel, hard_cap) for panel in panels]
+    rounds: list[list[Coord]] = [
+        [] for _ in range(max(end for _, end in sweeps) + 5 * m)
+    ]
+    for trace, _ in sweeps:
+        for t, entry in trace.items():
+            rounds[t - 1].extend(entry["probes"])
     return GridSweepPlan(
         n=n,
         m=m,
         rounds=rounds,
-        panel_traces=[p.trace for p in panels],
-        panel_starts=[(p.start_round, p.start_i) for p in panels],
+        panel_traces=[trace for trace, _ in sweeps],
+        panel_starts=[(start_round, start_i) for start_round, start_i, _ in panels],
     )
 
 
@@ -184,7 +183,7 @@ def panel_schedule(
     if m % 2 == 0:
         raise ScheduleError("panel width must be odd")
     start_i = -2 * m if start_index is None else start_index
-    return _sweep([_Panel(m, n, start_round, start_i, 0)], m, n)
+    return _sweep([(start_round, start_i, 0)], m, n)
 
 
 def five_panel_schedule(n: int) -> GridSweepPlan:
@@ -196,39 +195,37 @@ def five_panel_schedule(n: int) -> GridSweepPlan:
     total stays within m+3.
     """
     m = m_of_n(n)
-    panels = [
-        _Panel(m, n, j, -2 * m + (j - 1) * (m - 1) // 2, (j - 1) * m)
-        for j in range(1, 6)
-    ]
+    panels = [(j, -2 * m + (j - 1) * (m - 1) // 2, (j - 1) * m) for j in range(1, 6)]
     return _sweep(panels, m, n)
-
-
-def clip_round(probes, n_rows: int, n_cols: int) -> set[Coord]:
-    """Delete probes outside [0, n+1]^2 and fold border probes inward."""
-    out: set[Coord] = set()
-    for r, c in probes:
-        if not (0 <= r <= n_rows + 1 and 0 <= c <= n_cols + 1):
-            continue
-        r = min(max(r, 1), n_rows)
-        c = min(max(c, 1), n_cols)
-        out.add((r, c))
-    return out
 
 
 def clip_schedule(
     plan: GridSweepPlan, n: int, *, n_cols: int | None = None
 ) -> ProbeSchedule:
-    """Clip an extended-lattice plan onto the finite n-row lattice."""
+    """Clip an extended-lattice plan onto the finite n-row lattice.
+
+    Probes outside [0, n+1] x [0, n_cols+1] are deleted and border probes
+    fold inward.  A row maps to the offset of its clipped row and a column
+    to its clipped column index; a row or column outside that band has no
+    entry, which deletes the probe.
+    """
     n_cols = n if n_cols is None else n_cols
-    vertex_rounds = []
-    coord_rounds = []
-    for probes in plan.rounds:
-        clipped = sorted(clip_round(probes, n, n_cols))
-        coord_rounds.append([[r, c] for r, c in clipped])
-        vertex_rounds.append({(r - 1) * n_cols + (c - 1) for r, c in clipped})
+    row_offset = {r: (min(max(r, 1), n) - 1) * n_cols for r in range(n + 2)}
+    col_offset = {c: min(max(c, 1), n_cols) - 1 for c in range(n_cols + 2)}
+    vertex_rounds = [
+        frozenset([
+            row_offset[r] + col_offset[c]
+            for r, c in probes
+            if r in row_offset and c in col_offset
+        ])
+        for probes in plan.rounds
+    ]
     while vertex_rounds and not vertex_rounds[-1]:
         vertex_rounds.pop()
-        coord_rounds.pop()
+    # row-major vertex ids sort as their (row, col) pairs do; the rounds
+    # share this table's [r, c] lists
+    coords = [[r, c] for r in range(1, n + 1) for c in range(1, n_cols + 1)]
+    coord_rounds = [[coords[v] for v in sorted(vs)] for vs in vertex_rounds]
     budget = max((len(r) for r in vertex_rounds), default=1) or 1
     return ProbeSchedule.from_lists(
         budget,
@@ -256,13 +253,14 @@ def grid_strategy(n: int) -> tuple[ProbeSchedule, ScheduleTrace]:
     """
     if n < 2:
         raise ScheduleError("grid strategy needs n >= 2")
+    # the graph's order cap is checked before any planning
+    g = generate("grid", n=n)
     plan = five_panel_schedule(n)
     schedule = clip_schedule(plan, n)
     if schedule.cops > plan.m + 3:
         raise GridVerificationError(
             f"clipped budget {schedule.cops} exceeds m+3 = {plan.m + 3}"
         )
-    g = generate("grid", n=n)
     trace = run_schedule(g, schedule)
     if not trace.cleared:
         raise GridVerificationError(

@@ -286,6 +286,27 @@ class TestStratCmd:
         data = json.loads(emit.read_text())
         assert data["cops"] == 6
 
+    @pytest.mark.parametrize("n,budget,clear_round,rounds", [
+        (51, 14, 4181, 4236),
+        (61, 16, 5916, 5981),
+    ])
+    def test_grid_sweep_benchmark_answers(self, capsys, n, budget, clear_round, rounds):
+        # the answers the benchmark's grid workload checks
+        code, out, _ = run_cli(capsys, "strat", "grid-sweep", "--n", str(n))
+        assert code == 0
+        assert report_of(out)["report"]["results"] == {
+            "budget": budget, "cleared": True, "clear_round": clear_round,
+            "rounds": rounds,
+        }
+
+    def test_grid_sweep_cap_checked_before_planning(self, capsys, monkeypatch):
+        def unreachable(n):
+            raise AssertionError("planned a grid beyond the vertex cap")
+
+        monkeypatch.setattr("lzl.gridsweep.five_panel_schedule", unreachable)
+        code, _, err = run_cli(capsys, "strat", "grid-sweep", "--n", "129")
+        assert code == 3 and "exceeds cap" in err
+
     def test_tree_depth(self, capsys):
         code, out, _ = run_cli(capsys, "strat", "tree-depth", "--graph", "kary:2,8")
         assert code == 0

@@ -15,10 +15,10 @@ from lzl import (
     probe_set,
     spread_step,
 )
-from lzl.errors import ScheduleError
+from lzl.errors import GridVerificationError, ScheduleError
 from lzl.graphs import closed_nb_bits
-from lzl.gridsweep import clip_round
-from lzl.prox import run_schedule
+from lzl.gridsweep import GridSweepPlan
+from lzl.prox import ProbeSchedule, run_schedule
 
 
 def lattice(n_rows, n_cols):
@@ -167,15 +167,22 @@ class TestMOfN:
             assert m % 2 == 1 and 0 <= 5 * m - n <= 9
 
 
+def clip_one_round(probes, n_rows, n_cols):
+    """The (row, col) pairs that clip_schedule makes of one round of probes."""
+    plan = GridSweepPlan(n_rows, 1, [list(probes)], [], [])
+    rounds_rc = clip_schedule(plan, n_rows, n_cols=n_cols).metadata["rounds_rc"]
+    return {tuple(rc) for rc in rounds_rc[0]} if rounds_rc else set()
+
+
 class TestClip:
     def test_fold_bottom(self):
-        assert clip_round([(0, 4)], 11, 11) == {(1, 4)}
+        assert clip_one_round([(0, 4)], 11, 11) == {(1, 4)}
 
     def test_delete_far(self):
-        assert clip_round([(-3, 2)], 11, 11) == set()
+        assert clip_one_round([(-3, 2)], 11, 11) == set()
 
     def test_fold_all_sides(self):
-        assert clip_round([(12, 5), (5, 0), (5, 12), (0, 0)], 11, 11) == {
+        assert clip_one_round([(12, 5), (5, 0), (5, 12), (0, 0)], 11, 11) == {
             (11, 5),
             (5, 1),
             (5, 11),
@@ -283,3 +290,131 @@ class TestGridStrategy:
         sched, _ = grid_strategy(11)
         assert sched.metadata["m"] == 3
         assert "panel_starts" in sched.metadata
+
+
+class ReferencePanel:
+    """The per-round sweep automaton the planner replaced, kept as its oracle.
+
+    It walks a ForcedRegionIndex through spread_step and natural_step and
+    calls probe_set afresh on every active round.
+    """
+
+    def __init__(self, m, n, start_round, start_i, col_offset):
+        self.m = m
+        self.n = n
+        self.start_round = start_round
+        self.start_i = start_i
+        self.col_offset = col_offset
+        self.idx = ForcedRegionIndex(start_i + 1, m, m, n)
+        self.trace = {}
+        self.empty_from = None
+
+    def active(self, t):
+        r = self.start_round % 5
+        return t >= self.start_round and t % 5 in (r, (r + 3) % 5)
+
+    def round(self, t):
+        if t < self.start_round or self.empty_from is not None:
+            return []
+        self.idx = spread_step(self.idx)
+        if self.idx.is_empty():
+            self.empty_from = t
+            return []
+        if not self.active(t):
+            return []
+        pre = self.idx
+        local = probe_set(pre, (0, self.m + 1))
+        probes = [(r, c + self.col_offset) for r, c in local]
+        if len(probes) > (self.m + 3) // 2:
+            raise AssertionError("panel probe budget exceeded")
+        self.trace[t] = {"index": (pre.i, pre.j), "probes": tuple(probes)}
+        self.idx = natural_step(pre)
+        return probes
+
+
+def reference_sweep(panels, m, n):
+    rounds = []
+    hard_cap = 10 * m * (n + 4 * m) + 100
+    while any(p.empty_from is None for p in panels):
+        if len(rounds) >= hard_cap:
+            raise GridVerificationError("grid sweep failed to terminate")
+        t = len(rounds) + 1
+        rounds.append([probe for p in panels for probe in p.round(t)])
+    rounds.extend([] for _ in range(5 * m))
+    return GridSweepPlan(
+        n=n,
+        m=m,
+        rounds=rounds,
+        panel_traces=[p.trace for p in panels],
+        panel_starts=[(p.start_round, p.start_i) for p in panels],
+    )
+
+
+def reference_clip_round(probes, n_rows, n_cols):
+    """Delete probes outside [0, n+1]^2 and fold border probes inward."""
+    out = set()
+    for r, c in probes:
+        if not (0 <= r <= n_rows + 1 and 0 <= c <= n_cols + 1):
+            continue
+        out.add((min(max(r, 1), n_rows), min(max(c, 1), n_cols)))
+    return out
+
+
+def reference_clip_schedule(plan, n, n_cols):
+    """Clip probe by probe through coordinate tuples, then number the vertices."""
+    vertex_rounds = []
+    coord_rounds = []
+    for probes in plan.rounds:
+        clipped = sorted(reference_clip_round(probes, n, n_cols))
+        coord_rounds.append([[r, c] for r, c in clipped])
+        vertex_rounds.append({(r - 1) * n_cols + (c - 1) for r, c in clipped})
+    while vertex_rounds and not vertex_rounds[-1]:
+        vertex_rounds.pop()
+        coord_rounds.pop()
+    budget = max((len(r) for r in vertex_rounds), default=1) or 1
+    return ProbeSchedule.from_lists(
+        budget,
+        vertex_rounds,
+        metadata={
+            "strategy": "grid-sweep",
+            "n": n,
+            "m": plan.m,
+            "panel_starts": plan.panel_starts,
+            "rounds_rc": coord_rounds,
+            "notes": [
+                "panel activity residues follow the five-round cadence",
+                "termination by region emptiness plus a 5m-round margin",
+            ],
+        },
+    )
+
+
+class TestAgainstReference:
+    """Plans and clipped schedules equal the per-round automaton's, byte for byte."""
+
+    @staticmethod
+    def assert_same(plan, reference, n, n_cols):
+        assert plan.rounds == reference.rounds
+        assert plan.panel_traces == reference.panel_traces
+        assert plan.panel_starts == reference.panel_starts
+        clipped = clip_schedule(plan, n, n_cols=n_cols).to_json()
+        assert clipped == reference_clip_schedule(reference, n, n_cols).to_json()
+
+    @pytest.mark.parametrize("n", [
+        *range(2, 71),
+        pytest.param(101, marks=pytest.mark.slow),
+        pytest.param(126, marks=pytest.mark.slow),
+    ])
+    def test_five_panel(self, n):
+        m = m_of_n(n)
+        reference = reference_sweep(
+            [ReferencePanel(m, n, j, -2 * m + (j - 1) * (m - 1) // 2, (j - 1) * m)
+             for j in range(1, 6)],
+            m, n,
+        )
+        self.assert_same(five_panel_schedule(n), reference, n, n)
+
+    @pytest.mark.parametrize("m", range(1, 16, 2))
+    def test_single_panel(self, m):
+        reference = reference_sweep([ReferencePanel(m, 11, 1, -2 * m, 0)], m, 11)
+        self.assert_same(panel_schedule(m, 11), reference, 11, m)

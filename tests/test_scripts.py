@@ -54,3 +54,11 @@ def test_tree_survey_rejects_malformed_trees(args):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("usage: tree_bound_survey.py")
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("args", [["x"], ["11", "2.5"], ["1"], ["-4"]])
+def test_verify_grids_rejects_bad_sizes(args):
+    proc = run_script(["verify_grids.py", *args])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("usage: verify_grids.py")
+    assert proc.stdout == ""
