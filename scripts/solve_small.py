@@ -6,7 +6,10 @@ lift, so the inequality chain prox1 <= zeta1 <= Delta * prox1 and the
 strict bound prox1 > H_V/(Delta+1) can be eyeballed per graph.
 """
 
-from lzl import generate, h_index_graph, max_degree, prox_number, zeta_number
+from lzl.graphs import generate, max_degree
+from lzl.iso import h_index_graph
+from lzl.prox import prox_number
+from lzl.zeta import zeta_number
 
 SHELF = [
     ("P4", "path", {"n": 4}),

@@ -18,18 +18,10 @@ Default survey: kary(3,3) with subdivisions 0, 10, 100.
 
 import sys
 
-from lzl import (
-    generate,
-    h_index,
-    iso_profile,
-    level_decomposition,
-    max_degree,
-    prox_lower_bounds,
-    strat_tree_depth,
-    strat_tree_levels,
-    subdivide,
-)
+from lzl.graphs import generate, max_degree, subdivide
+from lzl.iso import h_index, iso_profile, prox_lower_bounds
 from lzl.prox import run_schedule
+from lzl.strategies import level_decomposition, strat_tree_depth, strat_tree_levels
 
 
 def survey(k: int, d: int, sub: int) -> None:

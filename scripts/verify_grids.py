@@ -13,7 +13,7 @@ exits 2.
 import sys
 import time
 
-from lzl import grid_strategy, m_of_n
+from lzl.gridsweep import grid_strategy, m_of_n
 
 
 USAGE = "usage: verify_grids.py [n ...]"

@@ -97,7 +97,9 @@ def _write_text(path: str, text: str) -> None:
 def load_graph(spec: str) -> tuple[Graph, str]:
     """A file path, or a family spec like grid:4, kary:3,3, spider:3,3,3.
 
-    An optional trailing :sub<i> segment subdivides every edge i times.
+    An optional trailing :sub<i> segment subdivides every edge i times.  A
+    spec with more values than its family takes, or with anything after
+    the :sub<i> segment, is rejected rather than read in part.
     """
     if os.path.exists(spec):
         return parse_graph(_read_text(spec, GraphParseError)), os.path.basename(spec)
@@ -109,18 +111,24 @@ def load_graph(spec: str) -> tuple[Graph, str]:
         )
     names = FAMILIES[family][1]
     values = [_int(x, spec) for x in parts[1].split(",")] if len(parts) > 1 and parts[1] else []
-    if "arms" in names:
-        g = generate(family, arms=values)
-    elif len(values) < len(names):
+    if "arms" not in names and len(values) < len(names):
         missing = " and ".join(names[len(values):])
         raise GraphValidationError(f"family spec '{spec}' is missing {missing}")
-    else:
-        g = generate(family, **dict(zip(names, values)))
+    if "arms" not in names and len(values) > len(names):
+        raise GraphValidationError(f"family spec '{spec}' has values beyond {' and '.join(names)}")
+    sub = None
     if len(parts) > 2:
         seg = parts[2]
         if not seg.startswith("sub"):
             raise GraphValidationError(f"unknown graph spec segment '{seg}'")
-        g = subdivide(g, _int(seg[3:], spec))
+        if len(parts) > 3:
+            raise GraphValidationError(f"graph spec '{spec}' has a segment after ':{seg}'")
+        sub = _int(seg[3:], spec)
+    # the whole spec is checked before any graph is built
+    params = {"arms": values} if "arms" in names else dict(zip(names, values))
+    g = generate(family, **params)
+    if sub is not None:
+        g = subdivide(g, sub)
     return g, spec
 
 

@@ -360,24 +360,6 @@ def subdivide(base: Graph, i: int) -> Graph:
     return Graph(n, edges)
 
 
-def cartesian_product(g: Graph, h: Graph) -> Graph:
-    """Cartesian product: (a,x) ~ (b,y) iff (a=b and x~y) or (a~b and x=y).
-
-    Vertex (a, x) sits at index a*h.n + x.
-    """
-    n = g.n * h.n
-    if n > VERTEX_CAP:
-        raise SizeCapError("product order", n, VERTEX_CAP)
-    edges = []
-    for a in range(g.n):
-        for x, y in h.edges():
-            edges.append((a * h.n + x, a * h.n + y))
-    for a, b in g.edges():
-        for x in range(h.n):
-            edges.append((a * h.n + x, b * h.n + x))
-    return Graph(n, edges)
-
-
 # -- neighborhood and component kernels ----------------------------------
 
 
@@ -455,12 +437,6 @@ def rooted_tree(g: Graph, root: int) -> tuple[list[int], list[list[int]], list[i
 
 def max_degree(g: Graph) -> int:
     return max(row.bit_count() for row in g.adj_bits)
-
-
-def diameter(g: Graph) -> int:
-    if not g.is_connected():
-        raise GraphValidationError("diameter requires a connected graph")
-    return max(max(distances(g, v)) for v in range(g.n))
 
 
 def is_c4_free(g: Graph) -> bool:

@@ -26,6 +26,7 @@ from .graphs import generate
 from .prox import ProbeSchedule, ScheduleTrace, run_schedule
 
 Coord = tuple[int, int]
+Probes = tuple[Coord, ...]
 
 
 def f_eval(i: int, j: int, c: int) -> int:
@@ -35,63 +36,19 @@ def f_eval(i: int, j: int, c: int) -> int:
     return i + -((j - c) // 2)  # i + ceil((c-j)/2) for c-j <= 0
 
 
-@dataclass(frozen=True)
-class ForcedRegionIndex:
-    """Index (i, j) of a forced region on an n-row panel of width m."""
-
-    i: int
-    j: int
-    m: int
-    n: int
-
-    def foot(self, c: int) -> int:
-        return f_eval(self.i, self.j, c)
-
-    def is_empty(self) -> bool:
-        # feet fall leftward from the focus and rise to its right, so with
-        # the focus j >= 1 the lowest foot on columns [1, m] is column 1's
-        return self.foot(1) > self.n
-
-
-def forced_region(idx: ForcedRegionIndex) -> int:
-    """Mask of the region's vertices on the panel lattice, rows clipped to [1, n].
-
-    Vertex (r, c) lives at index (r-1)*m + (c-1) of an n*m lattice.
-    """
-    bits = 0
-    for c in range(1, idx.m + 1):
-        for r in range(max(1, idx.foot(c)), idx.n + 1):
-            bits |= 1 << ((r - 1) * idx.m + (c - 1))
-    return bits
-
-
-def probe_set(idx: ForcedRegionIndex, window: tuple[int, int]) -> tuple[Coord, ...]:
-    """Knight-spaced probes S(i, j) within the column window, unclipped.
+def probe_set(j: int, m: int) -> Probes:
+    """Knight-spaced probes S(0, j) of a width-m panel on the column window [0, m+1].
 
     One probe per column of the right parity, one row above the staircase
-    foot; rows at or below zero are kept and folded later by clipping.
+    foot; S(i, j) is this pattern shifted up i rows.  Rows at or below zero
+    are kept and folded later by clipping.
     """
-    lo, hi = window
     out = []
-    for c in range(lo, hi + 1):
-        delta = c - idx.j
+    for c in range(m + 2):
+        delta = c - j
         if (delta > 0 and delta % 2 == 1) or (delta <= 0 and delta % 2 == 0):
-            out.append((f_eval(idx.i, idx.j, c) + 1, c))
+            out.append((f_eval(0, j, c) + 1, c))
     return tuple(out)
-
-
-def natural_step(idx: ForcedRegionIndex) -> ForcedRegionIndex:
-    """Post-probe region: (i, j) -> (i+2, j-1), reindexing at focus zero."""
-    i, j = idx.i + 2, idx.j - 1
-    if j == 0:
-        i += (idx.m + 1) // 2
-        j = idx.m
-    return ForcedRegionIndex(i, j, idx.m, idx.n)
-
-
-def spread_step(idx: ForcedRegionIndex) -> ForcedRegionIndex:
-    """Silent-round relaxation: (i, j) -> (i-1, j)."""
-    return ForcedRegionIndex(idx.i - 1, idx.j, idx.m, idx.n)
 
 
 def m_of_n(n: int) -> int:
@@ -106,36 +63,26 @@ def m_of_n(n: int) -> int:
 
 @dataclass
 class GridSweepPlan:
-    """Extended-lattice schedule plus per-panel traces for cadence checks."""
+    """Extended-lattice schedule: every round's probes as (row, col) pairs."""
 
     n: int
     m: int
     rounds: list[list[Coord]]
-    panel_traces: list[dict[int, dict]]
     panel_starts: list[tuple[int, int]]  # (start round, start index)
 
 
 def _panel_sweep(
-    m: int, n: int, start_round: int, start_i: int, col_offset: int, hard_cap: int
-) -> tuple[dict[int, dict], int]:
-    """One panel's probe rounds on the unbounded lattice and the round it empties.
+    patterns: list[Probes], top: list[int], start_round: int, start_i: int, hard_cap: int
+) -> tuple[dict[int, Probes], int]:
+    """One panel's probes by round on the unbounded lattice, and the round it empties.
 
     The panel's state is its region index (i, j).  Every round from the
-    start round relaxes it; two rounds in five the panel then probes S(i, j)
-    and applies the natural move.  S(i, j) is S(0, j) shifted up by i rows,
-    so the m patterns are built once, in global columns via the offset; the
-    row stagger between panels is carried by the start index.
+    start round relaxes it; two rounds in five the panel then probes S(i, j),
+    the focus-j pattern shifted up i rows, and applies the natural move.
+    The region is empty exactly when i > top[j].
     """
-    patterns: list[tuple[Coord, ...]] = [()]  # focus zero is always reindexed
-    for j in range(1, m + 1):
-        local = probe_set(ForcedRegionIndex(0, j, m, n), (0, m + 1))
-        if len(local) > (m + 3) // 2:
-            raise AssertionError("panel probe budget exceeded")
-        patterns.append(tuple((r, c + col_offset) for r, c in local))
-    # feet fall leftward from the focus j >= 1, so column 1's is the lowest
-    # and the region is empty exactly when i > n - f_eval(0, j, 1)
-    top = [n - f_eval(0, j, 1) for j in range(m + 1)]
-    trace: dict[int, dict] = {}
+    m = len(patterns) - 1
+    probe_rounds: dict[int, Probes] = {}
     # the start round's relaxation lands exactly on the start index
     i, j, t = start_i + 1, m, start_round
     while True:
@@ -143,10 +90,9 @@ def _panel_sweep(
             raise GridVerificationError("grid sweep failed to terminate")
         i -= 1
         if i > top[j]:
-            return trace, t
+            return probe_rounds, t
         if (t - start_round) % 5 in (0, 3):
-            probes = tuple([(i + dr, c) for dr, c in patterns[j]])
-            trace[t] = {"index": (i, j), "probes": probes}
+            probe_rounds[t] = tuple([(i + dr, c) for dr, c in patterns[j]])
             i, j = i + 2, j - 1
             if j == 0:
                 i, j = i + (m + 1) // 2, m
@@ -157,33 +103,34 @@ def _sweep(panels: list[tuple[int, int, int]], m: int, n: int) -> GridSweepPlan:
     """Run the panels until every region is empty, then a 5m-round margin.
 
     Each panel is (start round, start index, column offset); a round's
-    probes are the panels' probes in panel order.
+    probes are the panels' probes in panel order.  The m focus patterns are
+    built once and moved into each panel's columns by its offset; the row
+    stagger between panels is carried by the start index.
     """
     hard_cap = 10 * m * (n + 4 * m) + 100
-    sweeps = [_panel_sweep(m, n, *panel, hard_cap) for panel in panels]
+    local = [probe_set(j, m) for j in range(1, m + 1)]
+    if max(map(len, local)) > (m + 3) // 2:
+        raise AssertionError("panel probe budget exceeded")
+    # feet fall leftward from the focus j >= 1, so column 1's is the lowest
+    # and the region is empty exactly when i > n - f_eval(0, j, 1)
+    top = [n - f_eval(0, j, 1) for j in range(m + 1)]
+    sweeps = []
+    for start_round, start_i, col_offset in panels:
+        # focus zero is always reindexed, so it has no pattern
+        patterns = [()] + [tuple([(r, c + col_offset) for r, c in p]) for p in local]
+        sweeps.append(_panel_sweep(patterns, top, start_round, start_i, hard_cap))
     rounds: list[list[Coord]] = [
         [] for _ in range(max(end for _, end in sweeps) + 5 * m)
     ]
-    for trace, _ in sweeps:
-        for t, entry in trace.items():
-            rounds[t - 1].extend(entry["probes"])
+    for probe_rounds, _ in sweeps:
+        for t, probes in probe_rounds.items():
+            rounds[t - 1].extend(probes)
     return GridSweepPlan(
         n=n,
         m=m,
         rounds=rounds,
-        panel_traces=[trace for trace, _ in sweeps],
         panel_starts=[(start_round, start_i) for start_round, start_i, _ in panels],
     )
-
-
-def panel_schedule(
-    m: int, n: int, *, start_round: int = 1, start_index: int | None = None
-) -> GridSweepPlan:
-    """Single-panel sweep on columns [1, m], probes on the window [0, m+1]."""
-    if m % 2 == 0:
-        raise ScheduleError("panel width must be odd")
-    start_i = -2 * m if start_index is None else start_index
-    return _sweep([(start_round, start_i, 0)], m, n)
 
 
 def five_panel_schedule(n: int) -> GridSweepPlan:
@@ -199,19 +146,16 @@ def five_panel_schedule(n: int) -> GridSweepPlan:
     return _sweep(panels, m, n)
 
 
-def clip_schedule(
-    plan: GridSweepPlan, n: int, *, n_cols: int | None = None
-) -> ProbeSchedule:
-    """Clip an extended-lattice plan onto the finite n-row lattice.
+def clip_schedule(plan: GridSweepPlan, n: int) -> ProbeSchedule:
+    """Clip an extended-lattice plan onto the finite n-by-n lattice.
 
-    Probes outside [0, n+1] x [0, n_cols+1] are deleted and border probes
-    fold inward.  A row maps to the offset of its clipped row and a column
-    to its clipped column index; a row or column outside that band has no
-    entry, which deletes the probe.
+    Probes outside [0, n+1]^2 are deleted and border probes fold inward.
+    A row maps to the offset of its clipped row and a column to its clipped
+    column index; a row or column outside that band has no entry, which
+    deletes the probe.
     """
-    n_cols = n if n_cols is None else n_cols
-    row_offset = {r: (min(max(r, 1), n) - 1) * n_cols for r in range(n + 2)}
-    col_offset = {c: min(max(c, 1), n_cols) - 1 for c in range(n_cols + 2)}
+    row_offset = {r: (min(max(r, 1), n) - 1) * n for r in range(n + 2)}
+    col_offset = {c: min(max(c, 1), n) - 1 for c in range(n + 2)}
     vertex_rounds = [
         frozenset([
             row_offset[r] + col_offset[c]
@@ -224,7 +168,7 @@ def clip_schedule(
         vertex_rounds.pop()
     # row-major vertex ids sort as their (row, col) pairs do; the rounds
     # share this table's [r, c] lists
-    coords = [[r, c] for r in range(1, n + 1) for c in range(1, n_cols + 1)]
+    coords = [[r, c] for r in range(1, n + 1) for c in range(1, n + 1)]
     coord_rounds = [[coords[v] for v in sorted(vs)] for vs in vertex_rounds]
     budget = max((len(r) for r in vertex_rounds), default=1) or 1
     return ProbeSchedule.from_lists(

@@ -355,19 +355,6 @@ def peak_to_h_lower(phi_peak: int, delta: int, mode: str) -> int:
     raise ValueError("mode must be 'vertex' or 'edge'")
 
 
-def grid_profile_oracle(n: int) -> tuple[int, int, int]:
-    """Closed-form middle window of the n-by-n grid vertex profile.
-
-    Returns (k_lo, k_hi, n): Phi_V equals n on every k in [k_lo, k_hi],
-    a run of 2n-2 consecutive entries.
-    """
-    if n < 2:
-        raise ValueError("grid oracle needs n >= 2")
-    k_lo = (n * n - 3 * n + 4) // 2
-    k_hi = (n * n + n - 2) // 2
-    return k_lo, k_hi, n
-
-
 @dataclass(frozen=True)
 class KaryBoundReport:
     """Formula-level lower/upper bounds for the k-ary tree of depth d."""
@@ -378,16 +365,6 @@ class KaryBoundReport:
     lower_integer: int
     upper: int
     asymptotic_note: str | None
-
-    def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "d": self.d,
-            "lower_rational": str(self.lower_rational),
-            "lower_integer": self.lower_integer,
-            "upper": self.upper,
-            "asymptotic_note": self.asymptotic_note,
-        }
 
 
 def kary_bound_report(k: int, d: int) -> KaryBoundReport:

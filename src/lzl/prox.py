@@ -57,10 +57,11 @@ class ProbeSchedule:
         return cls(cops, tuple(frozenset(r) for r in rounds), **kw)
 
     def validate_for(self, g: Graph) -> None:
+        """Reject a probe that is not a vertex of ``g``, named by its 1-based id."""
         for t, r in enumerate(self.rounds, start=1):
             for v in r:
                 if not (isinstance(v, int) and 0 <= v < g.n):
-                    raise ScheduleError(f"round {t} probes vertex {v} out of range")
+                    raise ScheduleError(f"round {t} probes vertex {v + 1}, outside 1..{g.n}")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -75,19 +76,22 @@ class ProbeSchedule:
 
     @classmethod
     def from_json(cls, text: str) -> "ProbeSchedule":
+        """Read the file format: ``cops`` and the 1-based probe ids are JSON integers."""
         try:
             data = json.loads(text)
-            schedule = cls.from_lists(
-                data["cops"],
-                [[v - 1 for v in r] for r in data["rounds"]],
-                metadata=data.get("metadata", {}),
-            )
-            mode = data.get("mode", "prox")
+            cops, rounds = data["cops"], [list(r) for r in data["rounds"]]
+            metadata, mode = data.get("metadata", {}), data.get("mode", "prox")
         except (ValueError, KeyError, TypeError) as exc:
             raise ScheduleError(f"malformed schedule JSON: {exc!r}") from None
         if mode != "prox":
             raise ScheduleError(f"schedule mode {mode!r} is not 'prox'")
-        return schedule
+        if type(cops) is not int:  # bool is an int subclass, but true is no count
+            raise ScheduleError(f"cops {json.dumps(cops)} is not an integer")
+        for t, r in enumerate(rounds, start=1):
+            for v in r:
+                if type(v) is not int:
+                    raise ScheduleError(f"round {t} probes {json.dumps(v)}, not an integer id")
+        return cls.from_lists(cops, [[v - 1 for v in r] for r in rounds], metadata=metadata)
 
 
 @dataclass

@@ -54,18 +54,13 @@ def _require_tree(g: Graph) -> None:
 
 
 def _midway_bits(g: Graph, comp: int) -> int:
+    """Smallest vertex of the subtree ``comp`` whose removal leaves parts of order <= |comp|/2."""
     size = comp.bit_count()
     for v in iter_bits(comp):
         parts = components_bits(g, comp & ~(1 << v))
         if all(2 * p.bit_count() <= size for p in parts):
             return v
     raise AssertionError("every tree has a midway vertex")
-
-
-def midway_vertex(g: Graph) -> int:
-    """Smallest vertex whose removal leaves components of order <= n/2."""
-    _require_tree(g)
-    return _midway_bits(g, (1 << g.n) - 1)
 
 
 def _log_rounds(g: Graph, comp: int) -> list[int]:
@@ -407,6 +402,9 @@ def strat_pathwidth(g: Graph, decomposition: PathDecomposition) -> Policy:
     bags = decomposition.bags
     if validate_path_decomposition(g, bags):
         raise StrategyPreconditionError("invalid path decomposition")
+    if g.n == 1:
+        # the robber's one vertex is known before any probe
+        return SchedulePolicy([], budget=1, name="pathwidth")
     rounds = []
     k = len(bags)
     for i, bag in enumerate(bags):

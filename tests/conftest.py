@@ -5,8 +5,7 @@ from collections import deque
 import pytest
 from hypothesis import HealthCheck, settings
 
-from lzl import Graph, generate
-from lzl.graphs import mask_of
+from lzl.graphs import Graph, generate, mask_of
 
 settings.register_profile(
     "default",
@@ -44,6 +43,63 @@ def bfs_distances(g: Graph, v: int, within: int | None = None) -> list[int]:
                 dist[w] = dist[u] + 1
                 queue.append(w)
     return dist
+
+
+def cartesian_product(g: Graph, h: Graph) -> Graph:
+    """Cartesian product: (a,x) ~ (b,y) iff (a=b and x~y) or (a~b and x=y).
+
+    Vertex (a, x) sits at index a*h.n + x, so path:r x path:c is the
+    r-by-c lattice in row-major order and cycle:a x cycle:b a torus.
+    """
+    edges = []
+    for a in range(g.n):
+        for x, y in h.edges():
+            edges.append((a * h.n + x, a * h.n + y))
+    for a, b in g.edges():
+        for x in range(h.n):
+            edges.append((a * h.n + x, b * h.n + x))
+    return Graph(g.n * h.n, edges)
+
+
+def grid_profile_oracle(n: int) -> tuple[int, int, int]:
+    """Closed-form middle window of the n-by-n grid vertex profile.
+
+    Returns (k_lo, k_hi, n): Phi_V equals n on every k in [k_lo, k_hi],
+    a run of 2n-2 consecutive entries.
+    """
+    assert n >= 2, "grid oracle needs n >= 2"
+    k_lo = (n * n - 3 * n + 4) // 2
+    k_hi = (n * n + n - 2) // 2
+    return k_lo, k_hi, n
+
+
+def panel_rounds(plan) -> list[dict[int, tuple]]:
+    """Each panel's probes by round, split off ``plan.rounds`` by column window.
+
+    Panel p (0-based) of a plan with panel width m probes the columns
+    [p*m, p*m + m + 1] on the rounds t >= its start round s with
+    t - s = 0 or 3 mod 5, and the round lists the active panels' probes in
+    panel order.  Two panels active in one round are two or three apart,
+    so for m >= 3 their windows are disjoint; the split must give back
+    every round exactly, which also checks that no panel probes off its
+    cadence.
+    """
+    m = plan.m
+    panels: list[dict[int, tuple]] = [{} for _ in plan.panel_starts]
+    for t, probes in enumerate(plan.rounds, 1):
+        parts = []
+        active = 0
+        for p, (start, _) in enumerate(plan.panel_starts):
+            if t < start or (t - start) % 5 not in (0, 3):
+                continue
+            active += 1
+            own = tuple(rc for rc in probes if p * m <= rc[1] <= p * m + m + 1)
+            if own:
+                panels[p][t] = own
+            parts.extend(own)
+        assert active <= 2, (t, active)
+        assert parts == list(probes), t
+    return panels
 
 
 def prufer_tree(seq) -> Graph:

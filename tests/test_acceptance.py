@@ -8,31 +8,21 @@ import random
 
 import pytest
 
-from lzl import (
-    ForcedRegionIndex,
-    generate,
-    grid_strategy,
-    h_index,
-    iso_peak,
-    iso_profile,
-    grid_profile_oracle,
-    max_degree,
-    midway_vertex,
-    peak_to_h_lower,
-    probe_set,
-    prox_number,
-    simulate_policy,
+from lzl.cli import TABLE1_EXPECTED, table1_rows
+from lzl.graphs import closed_nb_bits, generate, induced_subgraph, max_degree
+from lzl.gridsweep import five_panel_schedule, grid_strategy, probe_set
+from lzl.iso import h_index, iso_peak, iso_profile, peak_to_h_lower
+from lzl.prox import prox_number, run_schedule
+from lzl.strategies import (
+    _midway_bits,
+    brute_pathwidth,
     strat_tree_depth,
     strat_tree_levels,
     strat_tree_log,
-    subdivide,
-    zeta_number,
 )
-from lzl.cli import TABLE1_EXPECTED, table1_rows
-from lzl.graphs import closed_nb_bits, induced_subgraph
-from lzl.gridsweep import five_panel_schedule
-from lzl.prox import run_schedule
-from lzl.strategies import brute_pathwidth
+from lzl.zeta import simulate_policy, zeta_number
+
+from conftest import grid_profile_oracle, panel_rounds
 
 
 def _ok(num: int, name: str) -> None:
@@ -146,22 +136,21 @@ def test_criterion_5_grid_theorem():
 
         plan = five_panel_schedule(n)
         m = plan.m
-        first = plan.panel_traces[0]
+        panels = panel_rounds(plan)
+        first = panels[0]
         for alpha in range(4):
             t = 1 + 5 * m * alpha
             if t not in first:
                 break
-            assert first[t]["index"] == (-2 * m + alpha, m)
-            assert tuple(first[t]["probes"]) == probe_set(
-                ForcedRegionIndex(-2 * m + alpha, m, m, n), (0, m + 1)
+            # the probes of round 1 + 5m*alpha are S(-2m + alpha, m)
+            assert first[t] == tuple(
+                (r - 2 * m + alpha, c) for r, c in probe_set(m, m)
             )
         shift = (m - 1) // 2
-        for a, b in zip(plan.panel_traces, plan.panel_traces[1:]):
-            for t, entry in a.items():
+        for a, b in zip(panels, panels[1:]):
+            for t, probes in a.items():
                 if t + 1 in b:
-                    assert set(b[t + 1]["probes"]) == {
-                        (r + shift, c + m) for r, c in entry["probes"]
-                    }
+                    assert set(b[t + 1]) == {(r + shift, c + m) for r, c in probes}
     _ok(5, "grid sweeps verified at n=11,16,21,26 with budgets 6,8,8,10")
 
 
@@ -173,7 +162,7 @@ def test_criterion_6_tree_strategies(tree_batch):
             assert sched.cops <= d // 4 + 1, (k, d)
             assert run_schedule(g, sched).cleared, (k, d)
     t32 = generate("kary", k=3, d=2)
-    sched = strat_tree_levels(t32, midway_vertex(t32))
+    sched = strat_tree_levels(t32, _midway_bits(t32, (1 << t32.n) - 1))
     assert sched.cops == 2 and run_schedule(t32, sched).cleared
     t33 = generate("kary", k=3, d=3)
     sched = strat_tree_levels(t33, 0)

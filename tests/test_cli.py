@@ -3,10 +3,11 @@ import json
 
 import pytest
 
-from lzl import generate, parse_graph, serialize_graph
+from lzl.graphs import generate, parse_graph, serialize_graph
 from lzl.cli import load_graph, main
 from lzl.errors import GridVerificationError, InconsistentBoundsError
 from lzl.prox import run_schedule
+from lzl.strategies import STRATEGY_REGISTRY
 
 
 def run_cli(capsys, *argv):
@@ -333,6 +334,25 @@ class TestStratCmd:
         assert len(results["escape_path"]) == 2 and results["branches"] >= 1
 
 
+#: strategies that refuse a tiny graph, with the precondition they state
+TINY_GRAPH_PRECONDITIONS = {("tree-log", "complete:1"): "needs n >= 2"}
+
+
+@pytest.mark.parametrize("graph", ["complete:1", "path:2"])
+@pytest.mark.parametrize("name", sorted(STRATEGY_REGISTRY))
+def test_every_strategy_on_tiny_graphs(capsys, name, graph):
+    code, out, err = run_cli(capsys, "strat", name, "--graph", graph)
+    if (name, graph) in TINY_GRAPH_PRECONDITIONS:
+        assert code == 2 and TINY_GRAPH_PRECONDITIONS[name, graph] in err
+        return
+    assert code == 0, err
+    results = report_of(out)["report"]["results"]
+    if results["kind"] == "schedule":
+        assert results["cleared"]
+    else:
+        assert results["outcome"] == "captured-all-branches"
+
+
 class TestGraphId:
     @pytest.mark.parametrize("argv", [
         ("gen", "--graph", "path:9", "--out", "{tmp}/p.graph"),
@@ -401,6 +421,10 @@ class TestUsageErrors:
         ("gen", "--graph", "spider:3,x,3"),
         ("zeta", "simulate", "--graph", "path:4", "--policy", "nonesuch"),
         ("strat", "tree-depth", "--graph", "path:4", "--root", "4"),
+        ("gen", "--graph", "path:4,9"),
+        ("gen", "--graph", "kary:3,2,7"),
+        ("gen", "--graph", "grid:3:sub1:junk"),
+        ("gen", "--graph", "grid:200:junk"),  # a bad spec is no cap error
     ])
     def test_bad_values_exit2(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)
@@ -415,6 +439,19 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "prox", "verify", "--graph", "path:4",
                                "--schedule", str(sched))
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"cops": 1, "rounds": [[true]]}', "probes true, not an integer"),
+        ('{"cops": 1, "rounds": [[1.0]]}', "probes 1.0, not an integer"),
+        ('{"cops": 1, "rounds": [[0]]}', "vertex 0, outside 1..4"),
+        ('{"cops": true, "rounds": [[1]]}', "cops true is not an integer"),
+    ], ids=["bool-id", "float-id", "zero-id", "bool-cops"])
+    def test_schedule_ids_are_json_integers(self, tmp_path, capsys, text, message):
+        sched = tmp_path / "s.json"
+        sched.write_text(text)
+        code, out, err = run_cli(capsys, "prox", "verify", "--graph", "path:4",
+                                 "--schedule", str(sched))
+        assert code == 2 and message in err and not out
 
     def test_non_utf8_graph_file_exit2(self, tmp_path, capsys):
         path = tmp_path / "g.graph"

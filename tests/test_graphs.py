@@ -3,28 +3,23 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from lzl import (
-    Graph,
-    cartesian_product,
-    diameter,
-    distances,
-    generate,
-    is_c4_free,
-    max_degree,
-    parse_graph,
-    serialize_graph,
-    subdivide,
-)
 from lzl.errors import GraphParseError, GraphValidationError, SizeCapError
 from lzl.graphs import (
     FAMILIES,
     closed_nb_bits,
     closed_nb_table,
     components_bits,
+    distances,
+    generate,
     induced_subgraph,
+    is_c4_free,
     iter_bits,
     mask_of,
+    max_degree,
     neighbor_tuples,
+    parse_graph,
+    serialize_graph,
+    subdivide,
 )
 from lzl.prox import ProbeSchedule, run_schedule
 from lzl.strategies import (
@@ -34,7 +29,13 @@ from lzl.strategies import (
     validate_path_decomposition,
 )
 
-from conftest import bfs_distances, edge_boundary, mask, random_connected_graph
+from conftest import (
+    bfs_distances,
+    cartesian_product,
+    edge_boundary,
+    mask,
+    random_connected_graph,
+)
 
 
 def full(g):
@@ -348,7 +349,8 @@ class TestMetrics:
         assert distances(g, 0) == [0, 1, 2, 3]
 
     def test_diameter_grid(self):
-        assert diameter(generate("grid", n=4)) == 6
+        g = generate("grid", n=4)
+        assert max(max(distances(g, v)) for v in range(g.n)) == 6
 
     def test_c4_free(self):
         assert not is_c4_free(generate("grid", n=2))

@@ -1,29 +1,90 @@
+from dataclasses import dataclass
+
 import pytest
 
-from lzl import (
-    ForcedRegionIndex,
-    cartesian_product,
+from lzl.errors import GridVerificationError
+from lzl.graphs import closed_nb_bits, generate
+from lzl.gridsweep import (
+    GridSweepPlan,
+    _sweep,
     clip_schedule,
     f_eval,
     five_panel_schedule,
-    forced_region,
-    generate,
     grid_strategy,
     m_of_n,
-    natural_step,
-    panel_schedule,
     probe_set,
-    spread_step,
 )
-from lzl.errors import GridVerificationError, ScheduleError
-from lzl.graphs import closed_nb_bits
-from lzl.gridsweep import GridSweepPlan
 from lzl.prox import ProbeSchedule, run_schedule
+
+from conftest import cartesian_product, panel_rounds
 
 
 def lattice(n_rows, n_cols):
     """The n_rows-by-n_cols grid, (row, col)-labelled, row-major."""
     return cartesian_product(generate("path", n=n_rows), generate("path", n=n_cols))
+
+
+def single_panel(m, n):
+    """One width-m panel on columns [1, m], started in round 1 at index -2m."""
+    return _sweep([(1, -2 * m, 0)], m, n)
+
+
+# -- the forced-region automaton the planner replaced, kept as its oracle ----
+
+
+@dataclass(frozen=True)
+class ForcedRegionIndex:
+    """Index (i, j) of a forced region on an n-row panel of width m."""
+
+    i: int
+    j: int
+    m: int
+    n: int
+
+    def foot(self, c):
+        return f_eval(self.i, self.j, c)
+
+    def is_empty(self):
+        # feet fall leftward from the focus and rise to its right, so with
+        # the focus j >= 1 the lowest foot on columns [1, m] is column 1's
+        return self.foot(1) > self.n
+
+
+def forced_region(idx):
+    """Mask of the region's vertices on the panel lattice, rows clipped to [1, n].
+
+    Vertex (r, c) lives at index (r-1)*m + (c-1) of an n*m lattice.
+    """
+    bits = 0
+    for c in range(1, idx.m + 1):
+        for r in range(max(1, idx.foot(c)), idx.n + 1):
+            bits |= 1 << ((r - 1) * idx.m + (c - 1))
+    return bits
+
+
+def reference_probe_set(idx, window):
+    """Knight-spaced probes S(i, j) within the column window, unclipped."""
+    lo, hi = window
+    out = []
+    for c in range(lo, hi + 1):
+        delta = c - idx.j
+        if (delta > 0 and delta % 2 == 1) or (delta <= 0 and delta % 2 == 0):
+            out.append((idx.foot(c) + 1, c))
+    return tuple(out)
+
+
+def natural_step(idx):
+    """Post-probe region: (i, j) -> (i+2, j-1), reindexing at focus zero."""
+    i, j = idx.i + 2, idx.j - 1
+    if j == 0:
+        i += (idx.m + 1) // 2
+        j = idx.m
+    return ForcedRegionIndex(i, j, idx.m, idx.n)
+
+
+def spread_step(idx):
+    """Silent-round relaxation: (i, j) -> (i-1, j)."""
+    return ForcedRegionIndex(idx.i - 1, idx.j, idx.m, idx.n)
 
 
 class TestFEval:
@@ -80,31 +141,37 @@ class TestForcedRegion:
 
 class TestProbeSet:
     def test_example_pattern(self):
-        probes = probe_set(ForcedRegionIndex(0, 3, 7, 11), (0, 8))
+        probes = probe_set(3, 7)
         assert set(probes) == {(0, 1), (1, 3), (2, 4), (3, 6), (4, 8)}
         assert len(probes) == (7 + 3) // 2
 
     def test_focus_at_right_edge(self):
         m = 7
-        probes = probe_set(ForcedRegionIndex(0, m, m, 11), (0, m + 1))
-        lefts = [c for _, c in probes if c <= m]
+        lefts = [c for _, c in probe_set(m, m) if c <= m]
         assert len(lefts) == m // 2 + 1
 
     def test_rows_below_one_retained(self):
-        probes = probe_set(ForcedRegionIndex(-3, 3, 3, 11), (0, 4))
-        assert any(r <= 0 for r, _ in probes)
+        assert any(r <= 0 for r, _ in probe_set(3, 3))
 
     def test_count_bound_all_indices(self):
         for m in (3, 5, 7):
             for j in range(1, m + 1):
-                probes = probe_set(ForcedRegionIndex(0, j, m, 11), (0, m + 1))
-                assert len(probes) <= (m + 3) // 2
+                assert len(probe_set(j, m)) <= (m + 3) // 2
+
+    def test_shifted_pattern_is_reference_probe_set(self):
+        # S(i, j) is S(0, j) shifted up i rows
+        for m in range(1, 16, 2):
+            for j in range(1, m + 1):
+                for i in range(-2 * m, 5):
+                    shifted = tuple((r + i, c) for r, c in probe_set(j, m))
+                    idx = ForcedRegionIndex(i, j, m, 11)
+                    assert shifted == reference_probe_set(idx, (0, m + 1)), (m, j, i)
 
 
 def region_minus_probes(g, idx, window, n, m):
     reg = forced_region(idx)
     probe_bits = 0
-    for r, c in probe_set(idx, window):
+    for r, c in reference_probe_set(idx, window):
         for rr, cc in ((r, c), (r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
             if 1 <= rr <= n and 1 <= cc <= m:
                 probe_bits |= 1 << ((rr - 1) * m + (cc - 1))
@@ -167,22 +234,22 @@ class TestMOfN:
             assert m % 2 == 1 and 0 <= 5 * m - n <= 9
 
 
-def clip_one_round(probes, n_rows, n_cols):
+def clip_one_round(probes, n):
     """The (row, col) pairs that clip_schedule makes of one round of probes."""
-    plan = GridSweepPlan(n_rows, 1, [list(probes)], [], [])
-    rounds_rc = clip_schedule(plan, n_rows, n_cols=n_cols).metadata["rounds_rc"]
+    plan = GridSweepPlan(n, 1, [list(probes)], [])
+    rounds_rc = clip_schedule(plan, n).metadata["rounds_rc"]
     return {tuple(rc) for rc in rounds_rc[0]} if rounds_rc else set()
 
 
 class TestClip:
     def test_fold_bottom(self):
-        assert clip_one_round([(0, 4)], 11, 11) == {(1, 4)}
+        assert clip_one_round([(0, 4)], 11) == {(1, 4)}
 
     def test_delete_far(self):
-        assert clip_one_round([(-3, 2)], 11, 11) == set()
+        assert clip_one_round([(-3, 2)], 11) == set()
 
     def test_fold_all_sides(self):
-        assert clip_one_round([(12, 5), (5, 0), (5, 12), (0, 0)], 11, 11) == {
+        assert clip_one_round([(12, 5), (5, 0), (5, 12), (0, 0)], 11) == {
             (11, 5),
             (5, 1),
             (5, 11),
@@ -197,36 +264,29 @@ class TestClip:
 
 
 class TestPanel:
-    def test_requires_odd_width(self):
-        with pytest.raises(ScheduleError):
-            panel_schedule(4, 11)
-
     def test_single_panel_clears_lattice(self):
-        plan = panel_schedule(3, 11)
-        sched = clip_schedule(plan, 11, n_cols=3)
+        sched = reference_clip_schedule(single_panel(3, 11), 11, 3)
         trace = run_schedule(lattice(11, 3), sched)
         assert trace.cleared
         assert sched.cops <= 3  # (m+3)/2
 
     def test_active_round_budget(self):
-        plan = panel_schedule(5, 16)
+        plan = single_panel(5, 16)
         for probes in plan.rounds:
             assert len(probes) <= 4  # (5+3)/2
 
     def test_property1_cadence(self):
         # probes in round 1 + 5m*a land on S(-2m+a, m)
         m, n = 3, 11
-        plan = panel_schedule(m, n)
-        trace = plan.panel_traces[0]
+        probes_by_round = panel_rounds(single_panel(m, n))[0]
         for alpha in range(0, 4):
             t = 1 + 5 * m * alpha
-            if t not in trace:
+            if t not in probes_by_round:
                 break
-            assert trace[t]["index"] == (-2 * m + alpha, m)
-            expected = probe_set(
+            expected = reference_probe_set(
                 ForcedRegionIndex(-2 * m + alpha, m, m, n), (0, m + 1)
             )
-            assert tuple(trace[t]["probes"]) == expected
+            assert probes_by_round[t] == expected
 
 
 class TestFivePanel:
@@ -241,20 +301,20 @@ class TestFivePanel:
     def test_two_panels_per_round(self):
         plan = five_panel_schedule(11)
         m = plan.m
+        panels = panel_rounds(plan)
         active = [t for t, probes in enumerate(plan.rounds, 1) if probes]
         for t in active[: 5 * m]:
-            panels = sum(1 for tr in plan.panel_traces if t in tr)
-            assert panels <= 2
+            assert sum(1 for p in panels if t in p) <= 2
 
     def test_property4_shift(self):
         plan = five_panel_schedule(11)
         m = plan.m
         shift = (m - 1) // 2
-        for a, b in zip(plan.panel_traces, plan.panel_traces[1:]):
-            for t, entry in a.items():
+        panels = panel_rounds(plan)
+        for a, b in zip(panels, panels[1:]):
+            for t, probes in a.items():
                 if t + 1 in b:
-                    expected = {(r + shift, c + m) for r, c in entry["probes"]}
-                    assert set(b[t + 1]["probes"]) == expected
+                    assert set(b[t + 1]) == {(r + shift, c + m) for r, c in probes}
 
     def test_budget_m_plus_3(self):
         for n in (11, 16):
@@ -296,7 +356,7 @@ class ReferencePanel:
     """The per-round sweep automaton the planner replaced, kept as its oracle.
 
     It walks a ForcedRegionIndex through spread_step and natural_step and
-    calls probe_set afresh on every active round.
+    calls reference_probe_set afresh on every active round.
     """
 
     def __init__(self, m, n, start_round, start_i, col_offset):
@@ -306,7 +366,6 @@ class ReferencePanel:
         self.start_i = start_i
         self.col_offset = col_offset
         self.idx = ForcedRegionIndex(start_i + 1, m, m, n)
-        self.trace = {}
         self.empty_from = None
 
     def active(self, t):
@@ -323,11 +382,10 @@ class ReferencePanel:
         if not self.active(t):
             return []
         pre = self.idx
-        local = probe_set(pre, (0, self.m + 1))
+        local = reference_probe_set(pre, (0, self.m + 1))
         probes = [(r, c + self.col_offset) for r, c in local]
         if len(probes) > (self.m + 3) // 2:
             raise AssertionError("panel probe budget exceeded")
-        self.trace[t] = {"index": (pre.i, pre.j), "probes": tuple(probes)}
         self.idx = natural_step(pre)
         return probes
 
@@ -345,7 +403,6 @@ def reference_sweep(panels, m, n):
         n=n,
         m=m,
         rounds=rounds,
-        panel_traces=[p.trace for p in panels],
         panel_starts=[(p.start_round, p.start_i) for p in panels],
     )
 
@@ -393,12 +450,9 @@ class TestAgainstReference:
     """Plans and clipped schedules equal the per-round automaton's, byte for byte."""
 
     @staticmethod
-    def assert_same(plan, reference, n, n_cols):
+    def assert_same(plan, reference):
         assert plan.rounds == reference.rounds
-        assert plan.panel_traces == reference.panel_traces
         assert plan.panel_starts == reference.panel_starts
-        clipped = clip_schedule(plan, n, n_cols=n_cols).to_json()
-        assert clipped == reference_clip_schedule(reference, n, n_cols).to_json()
 
     @pytest.mark.parametrize("n", [
         *range(2, 71),
@@ -412,9 +466,12 @@ class TestAgainstReference:
              for j in range(1, 6)],
             m, n,
         )
-        self.assert_same(five_panel_schedule(n), reference, n, n)
+        plan = five_panel_schedule(n)
+        self.assert_same(plan, reference)
+        clipped = clip_schedule(plan, n).to_json()
+        assert clipped == reference_clip_schedule(reference, n, n).to_json()
 
     @pytest.mark.parametrize("m", range(1, 16, 2))
     def test_single_panel(self, m):
         reference = reference_sweep([ReferencePanel(m, 11, 1, -2 * m, 0)], m, 11)
-        self.assert_same(panel_schedule(m, 11), reference, 11, m)
+        self.assert_same(single_panel(m, 11), reference)

@@ -6,31 +6,26 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lzl import (
-    assemble_bounds,
-    generate,
-    grid_profile_oracle,
-    h_index,
-    h_index_graph,
-    iso_peak,
-    iso_profile,
-    kary_bound_report,
-    max_degree,
-    peak_to_h_lower,
-    prox_lower_bounds,
-)
 from lzl.errors import InconsistentBoundsError, PartialProfileError, SizeCapError
-from lzl.graphs import Graph, closed_nb_bits, mask_of, subdivide
+from lzl.graphs import Graph, closed_nb_bits, generate, mask_of, max_degree, subdivide
 from lzl.iso import (
     ISO_CAP,
     IsoProfile,
     _scan_profiles,
     _shard_bits,
     _tree_profiles,
+    assemble_bounds,
+    h_index,
+    h_index_graph,
+    iso_peak,
+    iso_profile,
+    kary_bound_report,
+    peak_to_h_lower,
     profile_to_csv,
+    prox_lower_bounds,
 )
 
-from conftest import edge_boundary, random_connected_graph, random_tree
+from conftest import edge_boundary, grid_profile_oracle, random_connected_graph, random_tree
 
 
 def fake_cpus(monkeypatch, count):

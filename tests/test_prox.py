@@ -5,34 +5,25 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lzl import (
-    Graph,
-    ProbeSchedule,
-    cartesian_product,
-    clip_schedule,
-    five_panel_schedule,
-    generate,
-    prox_number,
-    prox_winnable,
-    strat_tree_depth,
-    strat_tree_levels,
-    subdivide,
-)
 from lzl.errors import ScheduleError, SizeCapError
-from lzl.graphs import closed_nb_bits, iter_bits, mask_of
+from lzl.graphs import Graph, closed_nb_bits, generate, iter_bits, mask_of, subdivide
+from lzl.gridsweep import clip_schedule, five_panel_schedule
 from lzl.prox import (
+    ProbeSchedule,
     ScheduleTrace,
     _probe_candidates,
     _shift_steps,
     _sparse_steps,
+    prox_number,
     prox_solve,
+    prox_winnable,
     run_schedule,
     step_bits,
 )
-from lzl.strategies import STRATEGY_REGISTRY
+from lzl.strategies import STRATEGY_REGISTRY, strat_tree_depth, strat_tree_levels
 from lzl.zeta import simulate_policy, zeta_number
 
-from conftest import mask, random_connected_graph, random_tree
+from conftest import cartesian_product, mask, random_connected_graph, random_tree
 
 
 class TestContaminationStep:

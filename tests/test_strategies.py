@@ -3,63 +3,72 @@ from fractions import Fraction
 
 import pytest
 
-from lzl import (
-    ProbeSchedule,
+from lzl.errors import (
+    GraphValidationError,
+    SeparatorContractError,
+    StrategyPreconditionError,
+)
+from lzl.graphs import (
+    components_bits,
+    distances,
+    generate,
+    iter_bits,
+    mask_of,
+    max_degree,
+    subdivide,
+)
+from lzl.prox import ProbeSchedule, prox_number, prox_solve, prox_winnable, run_schedule
+from lzl.strategies import (
+    EndgameLiftPolicy,
+    PathDecomposition,
+    TreeLiftPolicy,
+    _midway_bits,
     balanced_separator_brute,
     brute_pathwidth,
-    generate,
     level_decomposition,
     lift_prox_to_zeta,
-    max_degree,
-    midway_vertex,
     min_dominating_set,
     normalize_path_decomposition,
-    prox_winnable,
-    simulate_policy,
     strat_domination,
     strat_pathwidth,
     strat_separator,
     strat_tree_depth,
     strat_tree_levels,
     strat_tree_log,
-    subdivide,
     validate_path_decomposition,
-    zeta_number,
 )
-from lzl.errors import (
-    GraphValidationError,
-    SeparatorContractError,
-    StrategyPreconditionError,
-)
-from lzl.graphs import components_bits, distances, iter_bits, mask_of
-from lzl.prox import prox_solve, run_schedule
-from lzl.strategies import EndgameLiftPolicy, PathDecomposition, TreeLiftPolicy
-from lzl.zeta import zeta_winnable
+from lzl.zeta import simulate_policy, zeta_number
 
 from conftest import mask, random_tree
 
 
+def midway(g):
+    """The midway vertex of the whole tree ``g``."""
+    return _midway_bits(g, (1 << g.n) - 1)
+
+
 class TestMidway:
     def test_p5(self):
-        assert midway_vertex(generate("path", n=5)) == 2
+        assert midway(generate("path", n=5)) == 2
 
     def test_star(self):
-        assert midway_vertex(generate("spider", arms=[1] * 6)) == 0
+        assert midway(generate("spider", arms=[1] * 6)) == 0
 
     def test_p4(self):
         g = generate("path", n=4)
-        v = midway_vertex(g)
+        v = midway(g)
         assert v == 1
 
     def test_rejects_non_tree(self):
+        # the midway recursion runs only behind strat_tree_log's tree check
         with pytest.raises(GraphValidationError):
-            midway_vertex(generate("cycle", n=5))
+            strat_tree_log(generate("cycle", n=5))
 
     def test_component_bound(self):
         rng = random.Random(5)
         for _ in range(30):
             t = random_tree(rng, rng.randint(2, 9))
-            v = midway_vertex(t)
+            v = midway(t)
             for comp in components_bits(t, ((1 << t.n) - 1) & ~(1 << v)):
                 assert 2 * comp.bit_count() <= t.n
 
@@ -128,7 +137,7 @@ class TestTreeLevels:
 
     def test_t32_at_midway(self):
         g = generate("kary", k=3, d=2)
-        sched = strat_tree_levels(g, midway_vertex(g))
+        sched = strat_tree_levels(g, midway(g))
         assert sched.cops == 2
         assert run_schedule(g, sched).cleared
 
@@ -335,7 +344,7 @@ class TestLifts:
         for name, g in corpus[:8]:
             if g.n < 2:
                 continue
-            won, witness = prox_winnable(g, prox_number_of(g))
+            won, witness = prox_winnable(g, prox_number(g))
             policy = lift_prox_to_zeta(g, witness, variant="delta")
             assert policy.budget <= max_degree(g) * witness.cops, name
 
@@ -353,7 +362,7 @@ class TestLifts:
         rng = random.Random(17)
         for _ in range(25):
             t = random_tree(rng, rng.randint(2, 9))
-            won, witness = prox_winnable(t, prox_number_of(t))
+            won, witness = prox_winnable(t, prox_number(t))
             root = rng.randrange(t.n)
             policy = lift_prox_to_zeta(t, witness, variant="tree", root=root)
             assert policy.budget == witness.cops + 1
@@ -417,8 +426,3 @@ class TestLifts:
                         hop = policy._toward(u, v)
                         assert t.has_edge(u, hop) and distances(t, hop)[v] == dist[v] - 1
 
-
-def prox_number_of(g):
-    from lzl import prox_number
-
-    return prox_number(g)

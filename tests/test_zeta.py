@@ -4,18 +4,29 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lzl import (
+from lzl.errors import PolicyError, SizeCapError
+from lzl.graphs import (
+    FAMILIES,
+    closed_nb_bits,
     generate,
+    induced_subgraph,
+    iter_bits,
+    mask_of,
     max_degree,
+)
+from lzl.prox import prox_number
+from lzl.zeta import (
+    OUT_ADJ,
+    OUT_NONE,
+    OUT_ON,
+    SchedulePolicy,
+    _partition_bits,
+    build_policy,
     observe,
-    prox_number,
     simulate_policy,
     zeta_number,
     zeta_winnable,
 )
-from lzl.errors import PolicyError, SizeCapError
-from lzl.graphs import FAMILIES, closed_nb_bits, induced_subgraph, iter_bits, mask_of
-from lzl.zeta import OUT_ADJ, OUT_NONE, OUT_ON, SchedulePolicy, _partition_bits, build_policy
 
 from conftest import mask, random_connected_graph, random_tree
 
