@@ -48,10 +48,6 @@ class StrategyPreconditionError(LzlError):
     """A strategy generator was invoked outside its preconditions."""
 
 
-class SeparatorContractError(LzlError):
-    """A separator oracle returned sets violating the (A, B, C) contract."""
-
-
 class GridVerificationError(AssertionError):
     """Grid sweep schedule failed mechanical verification.
 

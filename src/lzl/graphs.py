@@ -157,7 +157,7 @@ def _shift_kernel(rows: Sequence[int]) -> tuple[tuple[int, int], ...] | None:
 # -- file format --------------------------------------------------------
 
 
-def parse_graph(text: str, *, allow_disconnected: bool = False) -> Graph:
+def parse_graph(text: str) -> Graph:
     """Parse the line-oriented graph format.
 
     ``# comment`` lines are skipped.  The header ``p <n> <m>`` precedes
@@ -228,7 +228,7 @@ def parse_graph(text: str, *, allow_disconnected: bool = False) -> Graph:
         raise GraphParseError(
             f"header declares {declared_m} edges but {len(edges)} present"
         )
-    return Graph(n, edges, allow_disconnected=allow_disconnected)
+    return Graph(n, edges)
 
 
 def serialize_graph(g: Graph) -> str:

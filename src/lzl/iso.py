@@ -15,7 +15,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import InconsistentBoundsError, PartialProfileError, SizeCapError
@@ -43,13 +42,6 @@ class IsoProfile:
     mode: str  # "vertex" | "edge"
     values: tuple[int | None, ...]
     exact: bool
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    def value(self, k: int) -> int | None:
-        return self.values[k - 1]
 
 
 def _scan_shard(job) -> tuple[list[int], list[int], bool]:
@@ -311,13 +303,6 @@ def h_index(values: Sequence[int]) -> int:
     return 0
 
 
-def h_index_graph(g: Graph, mode: str) -> int:
-    if mode not in ("vertex", "edge"):
-        raise ValueError("mode must be 'vertex' or 'edge'")
-    vertex, edge = iso_profile(g)
-    return h_index((vertex if mode == "vertex" else edge).values)
-
-
 def prox_lower_bounds(
     h_vertex: int | None, h_edge: int | None, delta: int
 ) -> dict[str, int]:
@@ -355,43 +340,16 @@ def peak_to_h_lower(phi_peak: int, delta: int, mode: str) -> int:
     raise ValueError("mode must be 'vertex' or 'edge'")
 
 
-@dataclass(frozen=True)
-class KaryBoundReport:
-    """Formula-level lower/upper bounds for the k-ary tree of depth d."""
+def kary_bound_report(k: int, d: int) -> tuple[int, int]:
+    """The depth-based (lower, upper) bounds on prox1 of the k-ary tree of depth d.
 
-    k: int
-    d: int
-    lower_rational: Fraction
-    lower_integer: int
-    upper: int
-    asymptotic_note: str | None
-
-
-def kary_bound_report(k: int, d: int) -> KaryBoundReport:
-    """Instantiate the depth-based bounds on prox1 of the k-ary tree.
-
-    The strict rational lower bound (3/80)(d-2)(2/(2k+3)) is reported
-    exactly together with its integer consequence; the upper bound is
-    floor(d/4)+2.  For binary trees the sharper asymptotic lower bound has
-    a hidden constant, so it is surfaced as text only.
+    The strict rational lower bound (3/80)(d-2)(2/(2k+3)) becomes its
+    floor plus one, since prox1 is an integer; the upper bound is
+    floor(d/4)+2.
     """
     if k < 2 or d < 2:
         raise ValueError("kary bounds need k >= 2 and d >= 2")
-    lower = Fraction(3, 80) * (d - 2) * Fraction(2, 2 * k + 3)
-    note = None
-    if k == 2:
-        note = (
-            "binary trees also satisfy d/60 - O(log d) < prox1; the hidden "
-            "constant is not computable, so only the symbolic form is reported"
-        )
-    return KaryBoundReport(
-        k=k,
-        d=d,
-        lower_rational=lower,
-        lower_integer=int(lower) + 1,
-        upper=d // 4 + 2,
-        asymptotic_note=note,
-    )
+    return 3 * (d - 2) // (40 * (2 * k + 3)) + 1, d // 4 + 2
 
 
 @dataclass(frozen=True)
@@ -565,10 +523,10 @@ def assemble_bounds(
                 "in this package verifies it"
             )
     if kary_shape is not None:
-        kary = kary_bound_report(*kary_shape)
+        lower, upper = kary_bound_report(*kary_shape)
         rule = "kary-depth-cited"
-        add(DerivedBound("prox1", "lower", kary.lower_integer, rule))
-        add(DerivedBound("prox1", "upper", kary.upper, rule))
+        add(DerivedBound("prox1", "lower", lower, rule))
+        add(DerivedBound("prox1", "upper", upper, rule))
         report.notes.append(
             "the k-ary prox1 depth bounds are cited from the paper; bounds "
             "does not verify them"

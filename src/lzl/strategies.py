@@ -11,20 +11,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Sequence
 
-from .errors import (
-    GraphValidationError,
-    ScheduleError,
-    SeparatorContractError,
-    SizeCapError,
-    StrategyPreconditionError,
-)
+from .errors import GraphValidationError, SizeCapError, StrategyPreconditionError
 from .graphs import (
     Graph,
-    check_mask,
     closed_nb_bits,
     components_bits,
     distances,
@@ -283,28 +275,6 @@ class PathDecomposition:
         return max(b.bit_count() for b in self.bags) - 1
 
 
-def validate_path_decomposition(g: Graph, bags: Sequence[int]) -> list[str]:
-    """Return the list of violated properties (empty when valid)."""
-    violations = []
-    cover = 0
-    for i, b in enumerate(bags, start=1):
-        check_mask(g, b, f"bag {i}")
-        cover |= b
-    if cover != (1 << g.n) - 1:
-        violations.append("(1) bags do not cover every vertex")
-    for u, v in g.edges():
-        uv = (1 << u) | (1 << v)
-        if not any(b & uv == uv for b in bags):
-            violations.append(f"(2) edge ({u + 1}, {v + 1}) is in no bag")
-            break
-    for v in range(g.n):
-        idx = [i for i, b in enumerate(bags) if (b >> v) & 1]
-        if idx and idx != list(range(idx[0], idx[-1] + 1)):
-            violations.append(f"(3) bags containing vertex {v + 1} are not contiguous")
-            break
-    return violations
-
-
 def normalize_path_decomposition(
     g: Graph, bags: Sequence[int]
 ) -> PathDecomposition:
@@ -314,9 +284,6 @@ def normalize_path_decomposition(
     vertex in its last bag keeps a neighbor inside that bag (a vertex whose
     only bag it is always does, in a connected graph).
     """
-    violations = validate_path_decomposition(g, bags)
-    if violations:
-        raise ScheduleError("; ".join(violations))
     work = list(bags)
     changed = True
     while changed:
@@ -392,16 +359,15 @@ def brute_pathwidth(g: Graph) -> PathDecomposition:
     return normalize_path_decomposition(g, bags)
 
 
-def strat_pathwidth(g: Graph, decomposition: PathDecomposition) -> Policy:
-    """Probe each bag minus one designated vertex, left to right.
+def strat_pathwidth(g: Graph) -> Policy:
+    """Probe each bag of ``brute_pathwidth(g)`` minus one designated vertex, left to right.
 
     The designated vertex of a bag is a bag neighbor of a vertex leaving
     the decomposition at that bag, so an adjacency flag there pins the
-    robber.  Budget equals the decomposition width.
+    robber.  Budget equals the pathwidth.
     """
+    decomposition = brute_pathwidth(g)
     bags = decomposition.bags
-    if validate_path_decomposition(g, bags):
-        raise StrategyPreconditionError("invalid path decomposition")
     if g.n == 1:
         # the robber's one vertex is known before any probe
         return SchedulePolicy([], budget=1, name="pathwidth")
@@ -417,9 +383,7 @@ def strat_pathwidth(g: Graph, decomposition: PathDecomposition) -> Policy:
         u = (leaving & -leaving).bit_length() - 1  # lowest leaving vertex
         nb = g.adj_bits[u] & bag if leaving else 0  # its neighbours in the bag
         if not nb:
-            raise StrategyPreconditionError(
-                f"bag {i + 1} has no leaving vertex with a bag neighbor; normalize first"
-            )
+            raise AssertionError(f"bag {i + 1} has no leaving vertex with a bag neighbor")
         rounds.append(set(iter_bits(bag & ~(nb & -nb))))
     budget = max(1, decomposition.width)
     return SchedulePolicy(rounds, budget=budget, name="pathwidth")
@@ -463,25 +427,17 @@ class DominationPolicy(Policy):
         return flagged[0] if flagged else None
 
 
-def strat_domination(g: Graph, dominating_set: int | None = None) -> Policy:
-    if dominating_set is not None:
-        check_mask(g, dominating_set, "dominating set")
+def strat_domination(g: Graph) -> Policy:
     if not is_c4_free(g):
         raise StrategyPreconditionError("domination strategy needs a C4-free graph")
-    dom = dominating_set if dominating_set is not None else min_dominating_set(g)
-    if closed_nb_bits(g, dom) != (1 << g.n) - 1:
-        raise StrategyPreconditionError("given set is not dominating")
-    return DominationPolicy(g, dom)
+    return DominationPolicy(g, min_dominating_set(g))
 
 
 # -- separators --------------------------------------------------------------
 
 
-def balanced_separator_brute(
-    g: Graph,
-    part_fraction: Fraction = Fraction(2, 3),
-) -> tuple[int, int, int]:
-    """Smallest C with the components of G - C splittable into balanced parts.
+def balanced_separator_brute(g: Graph) -> tuple[int, int, int]:
+    """Smallest C with the components of G - C splittable into parts of order <= 2n/3.
 
     Returns the masks (A, B, C).
     """
@@ -489,59 +445,65 @@ def balanced_separator_brute(
         raise SizeCapError("exhaustive separator", g.n, SEPARATOR_CAP)
     n = g.n
     full = (1 << n) - 1
-    limit_num = part_fraction.numerator * n
-    limit_den = part_fraction.denominator
     for size in range(0, n + 1):
         for combo in combinations(range(n), size):
             c_bits = mask_of(combo)
             comps = components_bits(g, full & ~c_bits)
             comps.sort(key=lambda m: -m.bit_count())
-            split = _split_parts(comps, limit_num, limit_den)
+            split = _split_parts(comps, n)
             if split is not None:
                 return (*split, c_bits)
     raise AssertionError("C = V always separates")
 
 
-def _split_parts(comps: list[int], limit_num: int, limit_den: int):
-    """Assign components to two parts, each of order <= limit_num/limit_den."""
-    if len(comps) > 16:
-        return None
+def _split_parts(comps: list[int], n: int) -> tuple[int, int] | None:
+    """Assign components to parts A and B, each of order at most 2n/3.
+
+    Of the assignments that fit, returns the one whose A-membership bits
+    (component i is bit i) form the smallest integer, or None when none
+    fits.  ``reach[i]`` holds as bits the orders the first i components
+    can give A, so bits are fixed from the top component down, each 0
+    whenever the components below can still bring A into the window.
+    """
     sizes = [c.bit_count() for c in comps]
-    for assign in range(1 << len(comps)):
-        a = sum(sizes[i] for i in range(len(comps)) if (assign >> i) & 1)
-        b = sum(sizes) - a
-        if a * limit_den <= limit_num and b * limit_den <= limit_num:
-            a_bits = 0
-            b_bits = 0
-            for i, c in enumerate(comps):
-                if (assign >> i) & 1:
-                    a_bits |= c
-                else:
-                    b_bits |= c
-            return a_bits, b_bits
-    return None
+    limit = 2 * n // 3
+    lo = sum(sizes) - limit  # B fits exactly when A has at least this order
+    reach = [1]
+    for size in sizes:
+        reach.append(reach[-1] | reach[-1] << size)
+
+    def fits(i: int, a: int) -> bool:
+        """Some choice among components 0..i-1 brings A from order a into [lo, limit]."""
+        low, high = max(lo - a, 0), limit - a
+        return low <= high and (reach[i] >> low) & ((2 << (high - low)) - 1) != 0
+
+    if not fits(len(comps), 0):
+        return None
+    a = 0
+    a_bits = 0
+    b_bits = 0
+    for i in range(len(comps) - 1, -1, -1):
+        if fits(i, a):
+            b_bits |= comps[i]
+        else:
+            a += sizes[i]
+            a_bits |= comps[i]
+    return a_bits, b_bits
 
 
-SeparatorOracle = Callable[[Graph], tuple[int, int, int]]
-
-
-def strat_separator(
-    g: Graph, separator_oracle: SeparatorOracle | None = None
-) -> ProbeSchedule:
+def strat_separator(g: Graph) -> ProbeSchedule:
     """Divide-and-conquer prox schedule: hold C every round, clear A then B.
 
     Base instances of order at most sqrt(n) of the original graph are
     probed wholesale in a single round under the accumulated guards.
     """
-    oracle = separator_oracle or balanced_separator_brute
     base = max(1, math.isqrt(g.n))
 
     def rec(region: int, guards: int) -> list[int]:
         if region.bit_count() <= base:
             return [region | guards]
         sub, old = induced_subgraph(g, region)
-        a, b, c = oracle(sub)
-        _check_separator(sub, a, b, c)
+        a, b, c = balanced_separator_brute(sub)
         to_old = lambda m: mask_of(old[i] for i in iter_bits(m))
         a_bits, b_bits, c_bits = to_old(a), to_old(b), to_old(c)
         inner_guards = guards | c_bits
@@ -560,17 +522,6 @@ def strat_separator(
         [set(iter_bits(m)) for m in round_masks],
         metadata={"strategy": "separator", "base_size": base},
     )
-
-
-def _check_separator(sub: Graph, a: int, b: int, c: int) -> None:
-    n = sub.n
-    if (a | b | c) != (1 << n) - 1 or a & b or a & c or b & c:
-        raise SeparatorContractError("A, B, C must partition the region")
-    if 3 * a.bit_count() > 2 * n or 3 * b.bit_count() > 2 * n:
-        raise SeparatorContractError("parts exceed two thirds of the region")
-    for v in iter_bits(a):
-        if sub.adj_bits[v] & b:
-            raise SeparatorContractError("edge between the two parts")
 
 
 # -- lifting prox strategies into the localization game ---------------------
@@ -718,7 +669,7 @@ STRATEGY_REGISTRY: dict[str, Callable] = {
     "tree-log": lambda g, **kw: ("policy", strat_tree_log(g)),
     "tree-depth": lambda g, root=0, **kw: ("schedule", strat_tree_depth(g, root)),
     "tree-levels": lambda g, root=0, **kw: ("schedule", strat_tree_levels(g, root)),
-    "pathwidth": lambda g, **kw: ("policy", strat_pathwidth(g, brute_pathwidth(g))),
+    "pathwidth": lambda g, **kw: ("policy", strat_pathwidth(g)),
     "domination": lambda g, **kw: ("policy", strat_domination(g)),
     "separator": lambda g, **kw: ("schedule", strat_separator(g)),
     "lift-delta": lambda g, **kw: (

@@ -317,7 +317,7 @@ def _arm_scan(g: Graph) -> Policy:
     return SchedulePolicy(rounds, budget=1, name="arm-scan", cycle=True)
 
 
-POLICY_REGISTRY: dict[str, Callable[..., Policy]] = {
+POLICY_REGISTRY: dict[str, Callable[[Graph], Policy]] = {
     "probe-all-but-one": _probe_all_but_one,
     "sweep": _interior_sweep,
     "front-sweep": _front_sweep,
@@ -325,7 +325,7 @@ POLICY_REGISTRY: dict[str, Callable[..., Policy]] = {
 }
 
 
-def build_policy(name: str, g: Graph, **params) -> Policy:
+def build_policy(name: str, g: Graph) -> Policy:
     if name not in POLICY_REGISTRY:
         raise PolicyError(f"unknown policy '{name}'")
-    return POLICY_REGISTRY[name](g, **params)
+    return POLICY_REGISTRY[name](g)

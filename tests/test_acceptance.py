@@ -104,11 +104,11 @@ def test_criterion_4_isoperimetric(corpus):
         pv, pe = iso_profile(g)
         delta = max_degree(g)
         for k in range(1, g.n + 1):
-            assert pv.value(k) <= pe.value(k) <= delta * pv.value(k), name
+            assert pv.values[k - 1] <= pe.values[k - 1] <= delta * pv.values[k - 1], name
         for k in range(1, g.n):
-            assert pv.value(k + 1) >= pv.value(k) - 1, name
-            assert pv.value(k) >= pv.value(k + 1) - delta, name
-            assert pe.value(k + 1) >= pe.value(k) - delta, name
+            assert pv.values[k] >= pv.values[k - 1] - 1, name
+            assert pv.values[k - 1] >= pv.values[k] - delta, name
+            assert pe.values[k] >= pe.values[k - 1] - delta, name
         hv, he = h_index(pv.values), h_index(pe.values)
         assert he <= delta * hv and hv <= he, name
         assert peak_to_h_lower(iso_peak(pv), delta, "vertex") <= hv, name
@@ -117,7 +117,7 @@ def test_criterion_4_isoperimetric(corpus):
         prof = iso_profile(generate("grid", n=n))[0]
         lo, hi, val = grid_profile_oracle(n)
         for k in range(lo, hi + 1):
-            assert prof.value(k) == val
+            assert prof.values[k - 1] == val
     assert h_index(iso_profile(generate("grid", n=4))[0].values) == 4
     _ok(4, f"isoperimetric laws on {len(graphs)} graphs")
 
@@ -209,6 +209,6 @@ def test_criterion_4_long_mode_grid5():
     prof = iso_profile(generate("grid", n=5))[0]
     lo, hi, val = grid_profile_oracle(5)
     for k in range(lo, hi + 1):
-        assert prof.value(k) == val
+        assert prof.values[k - 1] == val
     assert h_index(prof.values) >= 5
     _ok(4, "long mode: grid 5 profile matches the closed-form window")

@@ -22,12 +22,7 @@ from lzl.graphs import (
     subdivide,
 )
 from lzl.prox import ProbeSchedule, run_schedule
-from lzl.strategies import (
-    EndgameLiftPolicy,
-    normalize_path_decomposition,
-    strat_domination,
-    validate_path_decomposition,
-)
+from lzl.strategies import EndgameLiftPolicy
 
 from conftest import (
     bfs_distances,
@@ -78,8 +73,6 @@ class TestParse:
         text = "p 4 2\ne 1 2\ne 3 4\n"
         with pytest.raises(GraphValidationError):
             parse_graph(text)
-        g = parse_graph(text, allow_disconnected=True)
-        assert g.n == 4
 
     def test_comments_and_labels(self):
         g = parse_graph("# a note\np 2 1\ne 1 2\nl 1 row=1\nl 1 col=2\n")
@@ -429,9 +422,6 @@ def test_iter_bits_and_mask_of():
 @pytest.mark.parametrize("bits", [-1, 1 << 4, 0b110000])
 @pytest.mark.parametrize("entry", [
     "run_schedule",
-    "strat_domination",
-    "validate_path_decomposition",
-    "normalize_path_decomposition",
     "induced_subgraph",
 ])
 def test_entry_points_reject_foreign_masks(entry, bits):
@@ -440,13 +430,6 @@ def test_entry_points_reject_foreign_masks(entry, bits):
     calls = {
         "run_schedule": lambda: run_schedule(
             g, ProbeSchedule.from_lists(1, [[1]]), initial=bits
-        ),
-        "strat_domination": lambda: strat_domination(g, bits),
-        "validate_path_decomposition": lambda: validate_path_decomposition(
-            g, [mask(0, 1), bits]
-        ),
-        "normalize_path_decomposition": lambda: normalize_path_decomposition(
-            g, [mask(0, 1), mask(1, 2), bits]
         ),
         "induced_subgraph": lambda: induced_subgraph(g, bits),
     }

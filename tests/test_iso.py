@@ -1,6 +1,5 @@
 import os
 import random
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -16,7 +15,6 @@ from lzl.iso import (
     _tree_profiles,
     assemble_bounds,
     h_index,
-    h_index_graph,
     iso_peak,
     iso_profile,
     kary_bound_report,
@@ -77,21 +75,21 @@ class TestProfiles:
         lo, hi, value = grid_profile_oracle(4)
         assert (lo, hi, value) == (4, 9, 4)
         for k in range(lo, hi + 1):
-            assert prof.value(k) == value
+            assert prof.values[k - 1] == value
 
     def test_grid3_matches_oracle_window(self):
         prof = iso_profile(generate("grid", n=3))[0]
         lo, hi, value = grid_profile_oracle(3)
         assert (lo, hi, value) == (2, 5, 3)
         for k in range(lo, hi + 1):
-            assert prof.value(k) == value
+            assert prof.values[k - 1] == value
 
     def test_grid2_oracle(self):
         prof = iso_profile(generate("grid", n=2))[0]
         lo, hi, value = grid_profile_oracle(2)
         assert (lo, hi, value) == (1, 2, 2)
         for k in range(lo, hi + 1):
-            assert prof.value(k) == value
+            assert prof.values[k - 1] == value
 
     def test_cap(self):
         with pytest.raises(SizeCapError):
@@ -221,9 +219,9 @@ class TestPeaksAndH:
         assert h_index([0, 0, 0]) == 0
 
     def test_h_graph_values(self):
-        assert h_index_graph(generate("grid", n=4), "vertex") == 4
-        assert h_index_graph(generate("complete", n=5), "vertex") == 2
-        assert h_index_graph(generate("path", n=10), "edge") == 1
+        assert h_index(iso_profile(generate("grid", n=4))[0].values) == 4
+        assert h_index(iso_profile(generate("complete", n=5))[0].values) == 2
+        assert h_index(iso_profile(generate("path", n=10))[1].values) == 1
 
     @given(st.lists(st.integers(0, 12), min_size=1, max_size=14))
     def test_h_matches_naive_and_caps(self, values):
@@ -254,21 +252,17 @@ class TestBoundFormulas:
         assert peak_to_h_lower(2, 2, "vertex") == 1
         # K5: peak 4, max degree 4, H_V = 2; threshold 2.22 must floor
         k5 = generate("complete", n=5)
-        assert h_index_graph(k5, "vertex") == 2
+        assert h_index(iso_profile(k5)[0].values) == 2
         assert peak_to_h_lower(4, 4, "vertex") == 2
 
     def test_kary_bounds(self):
-        r = kary_bound_report(2, 82)
-        assert r.lower_rational == Fraction(6, 7)
-        assert r.lower_integer == 1
-        assert r.upper == 22
-        assert r.asymptotic_note is not None
-        r = kary_bound_report(3, 42)
-        assert r.lower_rational == Fraction(1, 3)
-        assert r.upper == 12
-        r = kary_bound_report(2, 2)
-        assert r.lower_rational == 0 and r.upper == 2
-        assert kary_bound_report(3, 3).asymptotic_note is None
+        # (3/80)(d-2)(2/(2k+3)) crosses 1 between d = 95 and 96 for k = 2, is
+        # exactly 3 at d = 282 (a strict bound, so 4), and crosses 1 between
+        # d = 121 and 122 for k = 3
+        cases = {(2, 95): 1, (2, 96): 2, (2, 282): 4, (3, 121): 1, (3, 122): 2,
+                 (2, 2): 1, (3, 3): 1, (2, 82): 1, (3, 42): 1}
+        for (k, d), lower in cases.items():
+            assert kary_bound_report(k, d) == (lower, d // 4 + 2), (k, d)
 
 
 class TestProfileLaws:
@@ -279,13 +273,13 @@ class TestProfileLaws:
         g = random_connected_graph(rng, n)
         pv, pe = iso_profile(g)
         delta = max_degree(g)
-        assert pv.value(n) == 0 and pe.value(n) == 0
+        assert pv.values[n - 1] == 0 and pe.values[n - 1] == 0
         for k in range(1, n + 1):
-            assert pv.value(k) <= pe.value(k) <= delta * pv.value(k)
+            assert pv.values[k - 1] <= pe.values[k - 1] <= delta * pv.values[k - 1]
         for k in range(1, n):
-            assert pv.value(k + 1) >= pv.value(k) - 1
-            assert pv.value(k) >= pv.value(k + 1) - delta
-            assert pe.value(k + 1) >= pe.value(k) - delta
+            assert pv.values[k] >= pv.values[k - 1] - 1
+            assert pv.values[k - 1] >= pv.values[k] - delta
+            assert pe.values[k] >= pe.values[k - 1] - delta
         hv, he = h_index(pv.values), h_index(pe.values)
         assert he / delta <= hv <= he
         assert peak_to_h_lower(iso_peak(pv), delta, "vertex") <= hv
@@ -328,5 +322,7 @@ class TestBoundsReport:
 
 
 def test_profile_csv():
-    prof = IsoProfile("vertex", (2, 1, 0), (True, True, True))
+    prof = IsoProfile("vertex", (2, 1, 0), True)
     assert profile_to_csv(prof) == "k,phi,exact\n1,2,true\n2,1,true\n3,0,true\n"
+    partial = IsoProfile("vertex", (2, None, None), False)
+    assert profile_to_csv(partial) == "k,phi,exact\n1,2,false\n2,,false\n3,,false\n"

@@ -2,8 +2,9 @@
 
 The scripts import the public API, so a renamed or retyped entry point
 breaks them; this runs each one in a fresh interpreter with ``src`` on the
-path and expects exit status 0, plus the output fragment that ``EXPECTED``
-names for it, if any.  A malformed argument exits 2 with the usage line.
+path and warnings turned into errors, and expects exit status 0, plus the
+output fragment that ``EXPECTED`` names for it, if any.  A malformed
+argument exits 2 with the usage line.
 """
 
 import os
@@ -20,13 +21,15 @@ ROOT = Path(__file__).resolve().parents[1]
 EXPECTED = {
     # kary(2,3): h_V = 2 and Delta = 3, so prox1 > 2/4
     "tree_bound_survey.py": "h_V 2, prox1 >= 1 (h-index-vertex)",
+    # grid3: n Delta prox1 zeta1 H_V h-bound lift
+    "solve_small.py": "grid3   9     4     1     2    3       1     4",
 }
 
 
 def run_script(argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        [sys.executable, "-W", "error", str(ROOT / "scripts" / argv[0]), *argv[1:]],
         capture_output=True, text=True, env=env, timeout=120,
     )
 

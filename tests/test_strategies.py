@@ -1,19 +1,13 @@
 import random
-from fractions import Fraction
 
 import pytest
 
-from lzl.errors import (
-    GraphValidationError,
-    SeparatorContractError,
-    StrategyPreconditionError,
-)
+from lzl.errors import GraphValidationError, StrategyPreconditionError
 from lzl.graphs import (
     components_bits,
     distances,
     generate,
     iter_bits,
-    mask_of,
     max_degree,
     subdivide,
 )
@@ -23,6 +17,7 @@ from lzl.strategies import (
     PathDecomposition,
     TreeLiftPolicy,
     _midway_bits,
+    _split_parts,
     balanced_separator_brute,
     brute_pathwidth,
     level_decomposition,
@@ -35,11 +30,50 @@ from lzl.strategies import (
     strat_tree_depth,
     strat_tree_levels,
     strat_tree_log,
-    validate_path_decomposition,
 )
 from lzl.zeta import simulate_policy, zeta_number
 
 from conftest import mask, random_tree
+
+
+def validate_path_decomposition(g, bags):
+    """Return the list of violated path-decomposition properties (empty when valid)."""
+    violations = []
+    cover = 0
+    for b in bags:
+        cover |= b
+    if cover != (1 << g.n) - 1:
+        violations.append("(1) bags do not cover every vertex")
+    for u, v in g.edges():
+        uv = (1 << u) | (1 << v)
+        if not any(b & uv == uv for b in bags):
+            violations.append(f"(2) edge ({u + 1}, {v + 1}) is in no bag")
+            break
+    for v in range(g.n):
+        idx = [i for i, b in enumerate(bags) if (b >> v) & 1]
+        if idx and idx != list(range(idx[0], idx[-1] + 1)):
+            violations.append(f"(3) bags containing vertex {v + 1} are not contiguous")
+            break
+    return violations
+
+
+def split_parts_by_scan(comps, n):
+    """The old separator split: the first of the 2^len(comps) assignments, in
+    integer order, whose parts each have order at most 2n/3."""
+    sizes = [c.bit_count() for c in comps]
+    for assign in range(1 << len(comps)):
+        a = sum(sizes[i] for i in range(len(comps)) if (assign >> i) & 1)
+        b = sum(sizes) - a
+        if 3 * a <= 2 * n and 3 * b <= 2 * n:
+            a_bits = 0
+            b_bits = 0
+            for i, c in enumerate(comps):
+                if (assign >> i) & 1:
+                    a_bits |= c
+                else:
+                    b_bits |= c
+            return a_bits, b_bits
+    return None
 
 
 def midway(g):
@@ -222,20 +256,20 @@ class TestPathDecomposition:
 class TestPathwidthStrategy:
     def test_k4(self):
         g = generate("complete", n=4)
-        policy = strat_pathwidth(g, brute_pathwidth(g))
+        policy = strat_pathwidth(g)
         sim = simulate_policy(g, policy)
         assert policy.budget == 3
         assert sim.captured and sim.worst_capture_round == 1
 
     def test_p6(self):
         g = generate("path", n=6)
-        policy = strat_pathwidth(g, brute_pathwidth(g))
+        policy = strat_pathwidth(g)
         assert policy.budget == 1
         assert simulate_policy(g, policy).captured
 
     def test_grid3(self):
         g = generate("grid", n=3)
-        policy = strat_pathwidth(g, brute_pathwidth(g))
+        policy = strat_pathwidth(g)
         assert policy.budget == 3
         assert simulate_policy(g, policy).captured
 
@@ -271,11 +305,6 @@ class TestDomination:
         with pytest.raises(StrategyPreconditionError):
             strat_domination(generate("grid", n=2))
 
-    def test_rejects_non_dominating(self):
-        g = generate("path", n=5)
-        with pytest.raises(StrategyPreconditionError):
-            strat_domination(g, mask(0))
-
     def test_min_dominating_sets(self):
         assert min_dominating_set(generate("spider", arms=[1] * 5)).bit_count() == 1
         assert min_dominating_set(generate("path", n=4)).bit_count() == 2
@@ -292,17 +321,29 @@ class TestSeparator:
             for v in iter_bits(a):
                 assert not (g.adj_bits[v] & b), name
 
-    def test_p9_center_oracle(self):
+    def test_p9(self):
         g = generate("path", n=9)
-
-        def oracle(sub):
-            if sub.n == 9:
-                return mask_of(range(0, 4)), mask_of(range(5, 9)), mask(4)
-            return balanced_separator_brute(sub)
-
-        sched = strat_separator(g, oracle)
+        sched = strat_separator(g)
         assert run_schedule(g, sched).cleared
         assert sched.cops <= 5
+
+    @pytest.mark.parametrize("leaves", [17, 19])
+    def test_star_beyond_sixteen_components(self, leaves):
+        # G - {head} has one component per leaf; none may be skipped
+        g = generate("spider", arms=[1] * leaves)
+        assert balanced_separator_brute(g)[2] == mask(0)
+        assert run_schedule(g, strat_separator(g)).cleared
+
+    def test_split_matches_scan(self):
+        rng = random.Random(7)
+        for _ in range(400):
+            sizes = [rng.randint(1, 6) for _ in range(rng.randint(0, 16))]
+            comps, low = [], 0
+            for size in sizes:
+                comps.append(((1 << size) - 1) << low)
+                low += size
+            n = low + rng.randint(0, 4)
+            assert _split_parts(comps, n) == split_parts_by_scan(comps, n), (sizes, n)
 
     def test_star_one_round(self):
         g = generate("spider", arms=[1] * 8)
@@ -313,16 +354,6 @@ class TestSeparator:
         g = generate("grid", n=4)
         sched = strat_separator(g)
         assert run_schedule(g, sched).cleared
-
-    def test_oracle_contract_enforced(self):
-        g = generate("path", n=9)
-
-        def bad_oracle(sub):
-            half = sub.n // 2
-            return mask_of(range(half)), mask_of(range(half, sub.n)), mask()
-
-        with pytest.raises(SeparatorContractError):
-            strat_separator(g, bad_oracle)
 
 
 class TestLifts:
