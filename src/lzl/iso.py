@@ -2,18 +2,16 @@
 
 A tree's profiles come from a min-plus dynamic program over its rooted
 subtrees, O(n^2) in the order.  Any other graph, and any call with a
-budget, sweeps every vertex subset in Gray-code order so a single vertex
-toggles between consecutive subsets; vertex- and edge-boundary sizes are
-maintained incrementally in O(degree) per step, and a large scan is split
-into shards that run on every CPU the process may use.  On top of the
-profiles sit the h-index, the arithmetic lower-bound formulas, and the
-assembled per-graph bounds report.
+budget, is scanned subset by subset: every subset of the low half of the
+vertices is one lane of a packed int, and the subsets of the high half are
+walked in Gray-code order, so one int operation updates all 2^(n/2) lanes
+and the scan takes about 2^(n/2) packed steps.  On top of the profiles sit
+the h-index, the arithmetic lower-bound formulas, and the assembled
+per-graph bounds report.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -23,10 +21,6 @@ from .graphs import Graph, is_c4_free, iter_bits, max_degree, rooted_tree
 #: Largest order the subset scan accepts: 2^25 subsets.  Trees take the
 #: dynamic program instead and are capped only by the graph order cap.
 ISO_CAP = 25
-
-#: Fewest subsets in one shard of the scan, as a power of two.  A process
-#: pool takes about 15 ms to start; from 2^16 subsets a shard pays for it.
-MIN_SHARD_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -44,94 +38,6 @@ class IsoProfile:
     exact: bool
 
 
-def _scan_shard(job) -> tuple[list[int], list[int], bool]:
-    """Walk the subsets fixed_bits + (subset of ``free``) in Gray order.
-
-    Returns the vertex- and edge-boundary minimum for each size 0..n, and
-    False when the budget ran out before the walk finished.  The serial
-    scan is the one shard with no fixed bits and every vertex free.
-    """
-    adj, fixed_bits, free, budget = job
-    n = len(adj)
-    nbrs = [tuple(iter_bits(row)) for row in adj]
-    degs = [row.bit_count() for row in adj]
-    unset_v, unset_e = _unset(n)
-    best_v = [unset_v] * (n + 1)
-    best_e = [unset_e] * (n + 1)
-    counts = [0] * n  # neighbors inside S, for every vertex
-    in_s = fixed_bits
-    size = fixed_bits.bit_count()
-    vb = 0
-    eb = 0
-    for v in iter_bits(fixed_bits):
-        for w in nbrs[v]:
-            counts[w] += 1
-    for v in range(n):
-        if (in_s >> v) & 1:
-            eb += degs[v] - counts[v]
-        elif counts[v]:
-            vb += 1
-    if size:
-        best_v[size] = vb
-        best_e[size] = eb
-
-    examined = 0
-    k = len(free)
-    for t in range(1, 1 << k):
-        if budget is not None and examined >= budget:
-            return best_v, best_e, False
-        examined += 1
-        v = free[(t & -t).bit_length() - 1]
-        bit = 1 << v
-        if in_s & bit:  # remove v
-            in_s &= ~bit
-            size -= 1
-            eb -= degs[v] - 2 * counts[v]
-            for w in nbrs[v]:
-                counts[w] -= 1
-                if not (in_s >> w) & 1 and counts[w] == 0:
-                    vb -= 1
-            if counts[v]:
-                vb += 1
-        else:  # add v
-            if counts[v]:
-                vb -= 1
-            in_s |= bit
-            size += 1
-            eb += degs[v] - 2 * counts[v]
-            for w in nbrs[v]:
-                counts[w] += 1
-                if not (in_s >> w) & 1 and counts[w] == 1:
-                    vb += 1
-        if vb < best_v[size]:
-            best_v[size] = vb
-        if eb < best_e[size]:
-            best_e[size] = eb
-    return best_v, best_e, True
-
-
-def _unset(n: int) -> tuple[int, int]:
-    """Starting vertex- and edge-boundary minima, above any boundary on n vertices."""
-    return n + 1, 4 * n * n
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _shard_bits(n: int, budget: int | None) -> int:
-    """log2 of the shard count: at least one shard per CPU, each of at least
-    2^MIN_SHARD_BITS subsets.  Shards run to completion, so a budget scans
-    serially.
-    """
-    if budget is not None:
-        return 0
-    return min((_cpu_count() - 1).bit_length(), max(0, n - MIN_SHARD_BITS))
-
-
 def iso_profile(g: Graph, *, budget: int | None = None) -> tuple[IsoProfile, IsoProfile]:
     """(vertex, edge) profiles Phi(G, k) for all k.
 
@@ -145,51 +51,120 @@ def iso_profile(g: Graph, *, budget: int | None = None) -> tuple[IsoProfile, Iso
 
 
 def _scan_profiles(g: Graph, *, budget: int | None = None) -> tuple[IsoProfile, IsoProfile]:
-    """Exact (vertex, edge) profiles Phi(G, k) for all k from one subset scan.
+    """(vertex, edge) profiles Phi(G, k) for all k from one subset scan.
 
-    Shard p fixes the top vertices to the bits of p and scans the rest;
-    the minima of the shards combine by taking minima again.  A spent
-    budget yields partial profiles whose entries are flagged inexact (each
-    is only the minimum over the subsets examined); peak and h-index
-    computations refuse such profiles.
+    The low L = ceil(n/2) vertices index the lanes: lane S_L of a packed
+    int holds a value for the low subset S_L.  Tables built once give, per
+    lane, |N[S_L]|, the edge boundary of S_L, a 0/1 lane "x not in N[S_L]"
+    for each vertex x, and |N(y) & S_L| for each high vertex y.  The high
+    subsets S_H are walked in Gray order, keeping how many members of S_H
+    cover each vertex in their closed neighbourhoods, so that
+    T = |N[S_L | S_H]| changes only where a count crosses 0 and 1, and
+    U = sum over y in S_H of |N(y) & S_L|.  The edge boundary of S_L | S_H is
+    then E = cut(S_L) + cut(S_H) - 2U.  T and E go into one lane-wise
+    minimum per |S_H|; folding the lanes into the sizes |S_H| + |S_L| = k
+    then leaves the least T and E of each k, and the vertex boundary T - k.
+
+    A budget B examines the subsets gray(0..B) of the n-bit walk with
+    vertex 0 as its lowest bit, the order in which one vertex toggles per
+    step.  gray(q * 2^L + j) has high half gray(q) and low half
+    gray(j) ^ (q & 1) << (L - 1), so those subsets are whole outer blocks
+    plus the first lanes, in that order, of one more; lanes the budget
+    does not reach are set to ``inf`` before the minimum.  Such partial
+    profiles are flagged inexact (each entry is only the minimum over the
+    subsets examined); peak and h-index computations refuse them.
     """
     n = g.n
     if n > ISO_CAP:
         raise SizeCapError("isoperimetric enumeration", n, ISO_CAP)
-    width = _shard_bits(n, budget)
-    free = list(range(n - width))
-    jobs = [(g.adj_bits, p << (n - width), free, budget) for p in range(1 << width)]
-    if width:
-        with multiprocessing.Pool(min(len(jobs), _cpu_count())) as pool:
-            shards = pool.map(_scan_shard, jobs)
-    else:
-        shards = [_scan_shard(jobs[0])]
-    best_v = [min(col) for col in zip(*(s[0] for s in shards))]
-    best_e = [min(col) for col in zip(*(s[1] for s in shards))]
-    complete = all(s[2] for s in shards)
+    adj = g.adj_bits
+    degs = [row.bit_count() for row in adj]
+    low = (n + 1) // 2
+    size = 1 << low
+    # an edge lane sums two boundaries, up to 2m, below the top bit of a lane sized for m
+    lanes = _Lanes(max(n, g.edge_count()), size)
+    w, inf, ones = lanes.w, lanes.inf, lanes.fill(1, size)
+    seen = 1 << n if budget is None else min(budget + 1, 1 << n)
+    blocks, rest = divmod(seen, size)
 
-    # a size that no examined subset reached has no minimum
-    unset_v, unset_e = _unset(n)
-    prof_v = IsoProfile("vertex", tuple(None if x == unset_v else x for x in best_v[1:]), complete)
-    prof_e = IsoProfile("edge", tuple(None if x == unset_e else x for x in best_e[1:]), complete)
-    return prof_v, prof_e
+    miss = []  # lane S of miss[x] is 1 iff x lies outside N[S]
+    for x in range(n):
+        lane = 1
+        for i in range(low):
+            if not (adj[x] | 1 << x) >> i & 1:
+                lane |= lane << (w << i)
+        miss.append(lane)
+    hits = {}  # lane S of hits[y] is |N(y) & S|, for a high vertex y
+    for y in range(low, n):
+        lane = 0
+        for i in range(low):
+            lane |= (lane + (adj[y] >> i & 1) * lanes.fill(1, 1 << i)) << (w << i)
+        hits[y] = lane
+    cuts = [0] * size  # edge boundary of each low subset
+    for s in range(1, size):
+        v = s.bit_length() - 1
+        cuts[s] = cuts[s ^ 1 << v] + degs[v] - 2 * (adj[v] & s).bit_count()
+    cut_l = lanes.pack(cuts)
+
+    cover = [0] * n
+    t, u, cut_h, in_h, size_h = lanes.fill(n, size) - sum(miss), 0, 0, 0, 0
+    best_t = [lanes.fill(inf, size)] * (n - low + 1)
+    best_e = list(best_t)
+    for q in range(blocks + (rest > 0)):
+        if q:
+            y = low + (q & -q).bit_length() - 1
+            in_h ^= 1 << y
+            step = 1 if in_h >> y & 1 else -1
+            size_h += step
+            cut_h += step * (degs[y] - 2 * (adj[y] & in_h).bit_count())
+            u += step * hits[y]
+            for x in iter_bits(adj[y] | 1 << y):
+                was = cover[x]
+                cover[x] += step
+                if not was or not cover[x]:
+                    t += step * miss[x]
+        e = cut_l + cut_h * ones - (u << 1)
+        if q == blocks:  # the lanes past the budget in its last block
+            hole = [inf] * size
+            for j in range(rest):
+                hole[j ^ j >> 1 ^ (q & 1) << (low - 1)] = 0
+            hole = lanes.pack(hole)
+            t, e = t | hole, e | hole
+        best_t[size_h] = lanes.min(best_t[size_h], t, size)
+        best_e[size_h] = lanes.min(best_e[size_h], e, size)
+
+    # Fold low vertex i into the size: lane S | {i} of entry k moves to lane S
+    # of entry k + 1.  Once every low vertex is folded, entry k is one lane
+    # holding the minimum over all examined k-subsets, or inf if none.
+    for i in reversed(range(low)):
+        span, at = 1 << i, w << i
+        none = lanes.fill(inf, 2 * span)
+        for best in (best_t, best_e):
+            best[:] = [
+                lanes.min(kept & ((1 << at) - 1), moved >> at, span)
+                for kept, moved in zip(best + [none], [none] + best)
+            ]
+    exact = seen == 1 << n
+    vertex = tuple(None if x == inf else x - k for k, x in enumerate(best_t))
+    edge = tuple(None if x == inf else x for x in best_e)
+    return IsoProfile("vertex", vertex[1:], exact), IsoProfile("edge", edge[1:], exact)
 
 
 class _Lanes:
-    """Arrays of small non-negative ints, each packed into one int.
+    """Arrays of at most ``count`` small non-negative ints, each packed into one int.
 
     Entry s of an array sits in bits [s*w, (s+1)*w); callers keep the entry
     count beside it.  ``inf`` = 2^(w-2) - 1 marks a size that no set
-    reaches and exceeds every boundary of a graph of order n.  Entries
+    reaches and exceeds ``largest``, every value the caller stores.  Entries
     stay at most inf + 1, and ``convolve`` adds only entries below inf to
     them, so every sum stays below 2^(w-1), the top bit of its field, which
     ``min`` borrows from; ``convolve`` returns entries of at most inf.
     """
 
-    def __init__(self, n: int):
-        self.w = (n + 1).bit_length() + 2
+    def __init__(self, largest: int, count: int):
+        self.w = (largest + 1).bit_length() + 2
         self.inf = (1 << (self.w - 2)) - 1
-        self.longest = n + 1
+        self.longest = count
         self.ones = ((1 << (self.longest * self.w)) - 1) // ((1 << self.w) - 1)
         self.tops = self.ones << (self.w - 1)
 
@@ -230,6 +205,10 @@ class _Lanes:
         bits = format(x, f"0{count * self.w}b")
         return [int(bits[j : j + self.w], 2) for j in range(0, len(bits), self.w)][::-1]
 
+    def pack(self, values: Sequence[int]) -> int:
+        """The array whose entries are ``values``, entry 0 first."""
+        return int("".join(format(v, f"0{self.w}b") for v in reversed(values)), 2)
+
 
 def _tree_profiles(g: Graph) -> tuple[IsoProfile, IsoProfile]:
     """Exact (vertex, edge) profiles of a tree by a min-plus DP over its subtrees.
@@ -246,7 +225,7 @@ def _tree_profiles(g: Graph) -> tuple[IsoProfile, IsoProfile]:
     merged subtree's size: O(n^2) entry operations in all, with each array
     packed into one int so that an int operation covers all its entries.
     """
-    lanes = _Lanes(g.n)
+    lanes = _Lanes(g.n, g.n + 1)
     # a lone vertex: sizes 0 and 1, with the vertex in S or outside S
     alone_in, alone_out = lanes.inf, lanes.inf << lanes.w
     _, children, depth = rooted_tree(g, 0)

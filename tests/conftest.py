@@ -5,7 +5,8 @@ from collections import deque
 import pytest
 from hypothesis import HealthCheck, settings
 
-from lzl.graphs import Graph, generate, mask_of
+from lzl.graphs import Graph, generate, iter_bits, mask_of
+from lzl.iso import IsoProfile
 
 settings.register_profile(
     "default",
@@ -23,6 +24,58 @@ def mask(*vertices: int) -> int:
 def edge_boundary(g: Graph, s: int) -> int:
     """Reference count of the edges with exactly one endpoint in the mask ``s``."""
     return sum(((s >> u) ^ (s >> v)) & 1 for u, v in g.edges())
+
+
+def gray_scan_oracle(g: Graph, budget: int | None = None) -> tuple[IsoProfile, IsoProfile]:
+    """Reference (vertex, edge) profiles by a one-vertex-per-step Gray-code walk.
+
+    Step t toggles vertex ctz(t), so it examines the subset gray(t); both
+    boundary sizes are kept up to date in O(degree) per step.  A budget B
+    stops the walk after B steps, and the profiles are exact iff it
+    examined every nonempty subset.
+    """
+    n = g.n
+    nbrs = [tuple(iter_bits(row)) for row in g.adj_bits]
+    degs = [len(row) for row in nbrs]
+    best_v: list[int | None] = [None] * (n + 1)
+    best_e: list[int | None] = [None] * (n + 1)
+    counts = [0] * n  # neighbors inside S, for every vertex
+    in_s = size = vb = eb = 0
+    exact = True
+    for t in range(1, 1 << n):
+        if budget is not None and t > budget:
+            exact = False
+            break
+        v = (t & -t).bit_length() - 1
+        bit = 1 << v
+        if in_s & bit:  # remove v
+            in_s &= ~bit
+            size -= 1
+            eb -= degs[v] - 2 * counts[v]
+            for w in nbrs[v]:
+                counts[w] -= 1
+                if not (in_s >> w) & 1 and counts[w] == 0:
+                    vb -= 1
+            if counts[v]:
+                vb += 1
+        else:  # add v
+            if counts[v]:
+                vb -= 1
+            in_s |= bit
+            size += 1
+            eb += degs[v] - 2 * counts[v]
+            for w in nbrs[v]:
+                counts[w] += 1
+                if not (in_s >> w) & 1 and counts[w] == 1:
+                    vb += 1
+        if best_v[size] is None or vb < best_v[size]:
+            best_v[size] = vb
+        if best_e[size] is None or eb < best_e[size]:
+            best_e[size] = eb
+    return (
+        IsoProfile("vertex", tuple(best_v[1:]), exact),
+        IsoProfile("edge", tuple(best_e[1:]), exact),
+    )
 
 
 def bfs_distances(g: Graph, v: int, within: int | None = None) -> list[int]:

@@ -204,7 +204,6 @@ def test_criterion_8_lower_bound_realization(corpus):
     _ok(8, "h-index lower bounds realized against exact solver values")
 
 
-@pytest.mark.slow
 def test_criterion_4_long_mode_grid5():
     prof = iso_profile(generate("grid", n=5))[0]
     lo, hi, val = grid_profile_oracle(5)

@@ -1,6 +1,9 @@
 import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +14,6 @@ from lzl.iso import (
     ISO_CAP,
     IsoProfile,
     _scan_profiles,
-    _shard_bits,
     _tree_profiles,
     assemble_bounds,
     h_index,
@@ -23,13 +25,15 @@ from lzl.iso import (
     prox_lower_bounds,
 )
 
-from conftest import edge_boundary, grid_profile_oracle, random_connected_graph, random_tree
+from conftest import (
+    edge_boundary,
+    gray_scan_oracle,
+    grid_profile_oracle,
+    random_connected_graph,
+    random_tree,
+)
 
-
-def fake_cpus(monkeypatch, count):
-    """Make the scan see ``count`` CPUs, whichever query the platform offers."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: count)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def naive_profile(g, mode):
@@ -103,29 +107,43 @@ class TestProfiles:
         with pytest.raises(PartialProfileError):
             iso_peak(prof)
 
-    def test_budget_truncation_with_workers(self, monkeypatch):
-        # a budget scans serially and is inexact, however many CPUs there are
-        fake_cpus(monkeypatch, 2)
-        assert _shard_bits(20, 10) == 0
+    def test_budget_truncation_with_workers(self):
+        # 10 of the 4095 nonempty subsets
         vertex, edge = iso_profile(generate("path", n=12), budget=10)
         assert not vertex.exact and not edge.exact
 
-    def test_shards_match_serial_scan(self, monkeypatch):
-        graphs = [
-            generate("cycle", n=17),
-            generate("grid", n=4),
-            random_connected_graph(random.Random(17), 17, extra_edges=8),
-        ]
-        fake_cpus(monkeypatch, 1)
-        serial = [iso_profile(g) for g in graphs]
-        for cpus in (2, 3, 4):
-            fake_cpus(monkeypatch, cpus)
-            # grid:4 has 2^16 subsets, one shard's worth: it stays serial
-            assert [_shard_bits(g.n, None) for g in graphs] == [1, 0, 1]
-            assert _shard_bits(20, None) == (cpus - 1).bit_length()
-            assert [iso_profile(g) for g in graphs] == serial
-        fake_cpus(monkeypatch, 1)
-        assert _shard_bits(25, None) == 0
+    @given(st.integers(0, 10**6), st.integers(1, 14), st.booleans())
+    @settings(max_examples=40)
+    def test_scan_matches_gray_oracle(self, seed, n, connected):
+        rng = random.Random(seed)
+        if connected:
+            g = random_connected_graph(rng, n, extra_edges=rng.randint(0, n))
+        else:
+            p = rng.random()
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            g = Graph(n, edges, allow_disconnected=True)
+        half = 1 << (n + 1) // 2
+        budgets = {1, half - 1, half, half + 1, (1 << n) - 2, (1 << n) - 1, 1 << n}
+        budgets |= {rng.randint(1, 1 << n) for _ in range(3)}
+        for budget in [None, *sorted(budgets - {0})]:
+            assert _scan_profiles(g, budget=budget) == gray_scan_oracle(g, budget), budget
+
+    def test_closed_forms_at_the_cap(self):
+        n = ISO_CAP
+        vertex, edge = iso_profile(generate("cycle", n=n))
+        assert vertex.values == (2,) * (n - 2) + (1, 0) and vertex.exact
+        assert edge.values == (2,) * (n - 1) + (0,) and edge.exact
+        vertex, edge = iso_profile(generate("complete", n=n))
+        assert vertex.values == tuple(n - k for k in range(1, n + 1)) and vertex.exact
+        assert edge.values == tuple(k * (n - k) for k in range(1, n + 1)) and edge.exact
+
+    def test_cli_import_skips_multiprocessing(self):
+        # the scan runs in-process, so importing the CLI must not pay for a pool
+        code = "import lzl.cli, sys; print('multiprocessing' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=60, check=True)
+        assert out.stdout.strip() == "False"
 
     @given(st.integers(0, 5000), st.integers(2, 8))
     @settings(max_examples=30)
@@ -161,11 +179,7 @@ def family_trees():
         ("spider333-sub1", subdivide(generate("spider", arms=[3, 3, 3]), 1)),
         ("path5-sub3", subdivide(generate("path", n=5), 3)),
     ]
-    # scans past 2^17 subsets run in the slow tier
-    return [
-        pytest.param(g, id=name, marks=[pytest.mark.slow] if g.n > 17 else [])
-        for name, g in specs
-    ]
+    return [pytest.param(g, id=name) for name, g in specs]
 
 
 class TestTreeProfiles:
