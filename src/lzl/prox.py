@@ -190,9 +190,12 @@ def _sparse_steps(
     S is kept as per-vertex flags, with the number of contaminated neighbors
     of every vertex and the fringe: the clean vertices with a contaminated
     neighbor.  A round adds the fringe outside N[probes] and removes S
-    inside N[probes], then mends counts and fringe around those vertices.
+    inside N[probes], then mends counts and fringe in place: a neighbor of
+    an added vertex joins the fringe unless it is inside, a vertex whose
+    count drops to 0 leaves it, and a removed vertex with a count rejoins it.
     """
     nbrs = neighbor_tuples(g)
+    closed = [(v, *row) for v, row in enumerate(nbrs)]
     inside = [bit == "1" for bit in reversed(format(s, f"0{g.n}b"))]
     size = s.bit_count()
     counts = [0] * g.n
@@ -203,27 +206,28 @@ def _sparse_steps(
     fringe = {v for v, c in enumerate(counts) if c and not inside[v]}
 
     for probes in schedule.rounds:
-        probe_nb = set(probes)
+        probe_nb = set()
         for v in probes:
-            probe_nb.update(nbrs[v])
+            probe_nb.update(closed[v])
         added = [v for v in fringe if v not in probe_nb]
         removed = [v for v in probe_nb if inside[v]]
-        touched = {*added, *removed}
         for v in added:
             inside[v] = True
+        fringe.difference_update(added)
+        for v in added:
             for w in nbrs[v]:
                 counts[w] += 1
-            touched.update(nbrs[v])
+                if not inside[w]:
+                    fringe.add(w)
         for v in removed:
             inside[v] = False
             for w in nbrs[v]:
                 counts[w] -= 1
-            touched.update(nbrs[v])
-        for v in touched:
-            if counts[v] and not inside[v]:
+                if not counts[w]:
+                    fringe.discard(w)
+        for v in removed:
+            if counts[v]:
                 fringe.add(v)
-            else:
-                fringe.discard(v)
         size += len(added) - len(removed)
         yield size, bool(added)
     return int("".join("1" if c else "0" for c in reversed(inside)), 2)

@@ -46,13 +46,29 @@ def _require_tree(g: Graph) -> None:
 
 
 def _midway_bits(g: Graph, comp: int) -> int:
-    """Smallest vertex of the subtree ``comp`` whose removal leaves parts of order <= |comp|/2."""
+    """Smallest vertex of the subtree ``comp`` whose removal leaves parts of order <= |comp|/2.
+
+    That is the smaller-index centroid (Jordan 1869), read off subtree sizes
+    with ``comp`` rooted at its lowest vertex: removing v leaves the
+    subtrees of its children and the |comp| - size(v) vertices above it.
+    """
+    adj = g.adj_bits
     size = comp.bit_count()
-    for v in iter_bits(comp):
-        parts = components_bits(g, comp & ~(1 << v))
-        if all(2 * p.bit_count() <= size for p in parts):
-            return v
-    raise AssertionError("every tree has a midway vertex")
+    root = (comp & -comp).bit_length() - 1
+    bfs = [root]
+    parent = {root: -1}
+    for v in bfs:  # the list grows while it is read
+        for w in iter_bits(adj[v] & comp):
+            if w != parent[v]:
+                parent[w] = v
+                bfs.append(w)
+    below = dict.fromkeys(bfs, 1)
+    largest = dict.fromkeys(bfs, 0)  # order of the largest child subtree
+    for v in reversed(bfs[1:]):
+        p = parent[v]
+        below[p] += below[v]
+        largest[p] = max(largest[p], below[v])
+    return min(v for v in bfs if 2 * max(largest[v], size - below[v]) <= size)
 
 
 def _log_rounds(g: Graph, comp: int) -> list[int]:

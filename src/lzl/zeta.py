@@ -45,18 +45,26 @@ def _partition_bits(g: Graph, m_bits: int, probed: tuple[int, ...]) -> list[int]
     Each probe v refines every class into its parts on v, adjacent to v and
     beyond N[v], in that order, so the classes come out ordered by their
     outcome vectors read as base-3 codes (0 < 1 < *), first probe first.
+    A class that misses N[v] is all beyond it and stays whole.
     """
     adj = g.adj_bits
     classes = [m_bits]
     for v in probed:
         on = 1 << v
         nb = adj[v]
-        far = ~(nb | on)
+        hit = nb | on
+        far = ~hit
         refined = []
         for c in classes:
-            for part in (c & on, c & nb, c & far):
-                if part:
-                    refined.append(part)
+            if not c & hit:
+                refined.append(c)
+                continue
+            if c & on:
+                refined.append(on)
+            if c & nb:
+                refined.append(c & nb)
+            if c & far:
+                refined.append(c & far)
         classes = refined
     return classes
 
@@ -214,12 +222,15 @@ def simulate_policy(
     revisited on one branch, or an idle round after which the policy never
     probes again while several candidates remain.  Each round is a generator
     that yields its sub-rounds and is sent their verdicts, so the depth is
-    bounded by ``round_cap`` and not by the interpreter's stack.
+    bounded by ``round_cap`` and not by the interpreter's stack.  A sub-round
+    already in the memo is read there and never started, and N[R] is
+    computed once per candidate set R.
     """
     if g.n == 1:
         return SimulationResult("captured-all-branches", 0, 1)
     adj = g.adj_bits
     memo: dict[tuple, int] = {}  # (t, state, R) -> worst round, captured only
+    spread: dict[int, int] = {}  # R -> N[R]
     onpath: set = set()
     branches = 0
 
@@ -227,10 +238,9 @@ def simulate_policy(
         nonlocal branches
         if t > round_cap:
             return _CAP, None, []
-        key = (t, state, r_bits)
-        if key in memo:
-            return _CAPTURED, memo[key], None
-        m_bits = closed_nb_bits(g, r_bits)
+        m_bits = spread.get(r_bits)
+        if m_bits is None:
+            m_bits = spread[r_bits] = closed_nb_bits(g, r_bits)
         probe_set = policy.probes(state)
         if len(probe_set) > policy.budget:
             raise PolicyError(
@@ -253,13 +263,15 @@ def simulate_policy(
             node = (nstate, cls)
             if node in onpath:
                 return _ESCAPE, None, [_frame(g, t, probed, rep, cls)]
-            onpath.add(node)
-            verdict, sub_worst, path = yield t + 1, nstate, cls
-            onpath.discard(node)
-            if verdict != _CAPTURED:
-                return verdict, None, [_frame(g, t, probed, rep, cls)] + path
+            sub_worst = memo.get((t + 1, nstate, cls))
+            if sub_worst is None:
+                onpath.add(node)
+                verdict, sub_worst, path = yield t + 1, nstate, cls
+                onpath.discard(node)
+                if verdict != _CAPTURED:
+                    return verdict, None, [_frame(g, t, probed, rep, cls)] + path
             worst = max(worst, sub_worst)
-        memo[key] = worst
+        memo[t, state, r_bits] = worst
         return _CAPTURED, worst, None
 
     stack = [run(1, policy.initial_state(), (1 << g.n) - 1)]

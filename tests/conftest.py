@@ -182,6 +182,11 @@ def random_tree(rng: random.Random, n: int) -> Graph:
     return prufer_tree([rng.randrange(n) for _ in range(n - 2)])
 
 
+def random_recursive_tree(rng: random.Random, n: int) -> Graph:
+    """Vertex i > 0 joins a uniform earlier vertex."""
+    return Graph(n, [(rng.randrange(i), i) for i in range(1, n)])
+
+
 def random_connected_graph(rng: random.Random, n: int, extra_edges: int = 2) -> Graph:
     """Random tree plus a few extra edges; always connected."""
     t = random_tree(rng, n)

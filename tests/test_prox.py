@@ -213,14 +213,49 @@ class TestRunScheduleAgainstReference:
 
     @pytest.mark.parametrize("strategy, g", [
         (strat_tree_depth, generate("kary", k=3, d=4)),
+        (strat_tree_depth, generate("kary", k=3, d=5)),
         (strat_tree_levels, subdivide(generate("kary", k=3, d=2), 5)),
-    ], ids=["depth-kary:3,4", "levels-kary:3,2:sub5"])
+        (strat_tree_levels, subdivide(generate("kary", k=3, d=3), 10)),
+    ], ids=["depth-kary:3,4", "depth-kary:3,5", "levels-kary:3,2:sub5",
+            "levels-kary:3,3:sub10"])
     def test_tree_schedules(self, strategy, g):
         assert g.shifts is None
         sched = strategy(g, 0)
         trace = run_schedule(g, sched)
         assert trace.cleared
         assert trace == _incremental_reference(g, sched)
+
+    @given(st.integers(0, 10**6), st.booleans(), st.integers(4, 200))
+    @settings(max_examples=60)
+    def test_hub_and_its_neighbors(self, seed, spider, n):
+        """Rounds alternate between a hub and the hub's neighbors, so the
+        vertices one round adds and the next removes share neighbors."""
+        rng = random.Random(seed)
+        if spider:
+            legs = rng.randint(3, 8)
+            g = generate("spider", arms=[rng.randint(1, max(1, (n - 1) // legs))
+                                         for _ in range(legs)])
+        else:
+            g = random_tree(rng, n)
+        nbrs = [list(iter_bits(row)) for row in g.adj_bits]
+        hubs = [v for v in range(g.n) if 2 <= len(nbrs[v]) <= 8]
+        rounds = []
+        for _ in range(rng.randint(1, 15)):
+            hub = rng.choice(hubs)
+            rounds += [{hub}, set(nbrs[hub])]
+            if rng.random() < 0.3:
+                rounds.append(set())
+        sched = ProbeSchedule.from_lists(max(map(len, rounds)), rounds)
+        initial = mask_of(v for v in range(g.n) if rng.random() < 0.5)
+        for start in (None, initial):
+            ref = _incremental_reference(g, sched, start)
+            assert run_schedule(g, sched, initial=start) == ref
+            # a spider may step by shifts in run_schedule, so drive the sparse stepper too
+            s = (1 << g.n) - 1 if start is None else start
+            steps, final = drain(_sparse_steps(g, sched, s))
+            assert [size for size, _ in steps] == ref.counts and final == ref.final_bits
+            grew = [t for t, (_, g_t) in enumerate(steps, start=1) if g_t]
+            assert (grew or [None])[0] == ref.first_recontamination_round
 
     @pytest.mark.parametrize("name", NO_SHIFT_KERNEL)
     def test_edge_cases(self, name):

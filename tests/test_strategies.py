@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from lzl import strategies
 from lzl.errors import GraphValidationError, StrategyPreconditionError
 from lzl.graphs import (
     components_bits,
@@ -33,7 +34,7 @@ from lzl.strategies import (
 )
 from lzl.zeta import simulate_policy, zeta_number
 
-from conftest import mask, random_tree
+from conftest import mask, random_recursive_tree, random_tree
 
 
 def validate_path_decomposition(g, bags):
@@ -81,6 +82,17 @@ def midway(g):
     return _midway_bits(g, (1 << g.n) - 1)
 
 
+def midway_by_scan(g, comp):
+    """The old midway search: the first vertex of ``comp``, ascending, whose
+    removal leaves components of order at most |comp|/2."""
+    size = comp.bit_count()
+    for v in iter_bits(comp):
+        parts = components_bits(g, comp & ~(1 << v))
+        if all(2 * p.bit_count() <= size for p in parts):
+            return v
+    raise AssertionError("every tree has a midway vertex")
+
+
 class TestMidway:
     def test_p5(self):
         assert midway(generate("path", n=5)) == 2
@@ -105,6 +117,36 @@ class TestMidway:
             v = midway(t)
             for comp in components_bits(t, ((1 << t.n) - 1) & ~(1 << v)):
                 assert 2 * comp.bit_count() <= t.n
+
+    def test_matches_scan_on_random_subtrees(self):
+        rng = random.Random(8)
+        for _ in range(200):
+            t = random_tree(rng, rng.randint(1, 40))
+            # a connected part: the component of a random vertex after cutting one
+            cut = rng.randrange(t.n)
+            comps = components_bits(t, ((1 << t.n) - 1) & ~(1 << cut)) or [1 << cut]
+            for comp in [(1 << t.n) - 1, rng.choice(comps)]:
+                assert _midway_bits(t, comp) == midway_by_scan(t, comp)
+
+    @pytest.mark.parametrize("g", [
+        generate("path", n=64),
+        generate("kary", k=3, d=4),
+        generate("spider", arms=[1, 4, 4, 9]),
+        subdivide(generate("kary", k=2, d=3), 3),
+    ] + [random_recursive_tree(random.Random(n), n) for n in (30, 120)],
+        ids=["path:64", "kary:3,4", "spider:1,4,4,9", "kary:2,3:sub3", "rrt30", "rrt120"])
+    def test_matches_scan_on_every_log_component(self, g, monkeypatch):
+        seen = []
+
+        def checked(g, comp):
+            seen.append(comp)
+            v = _midway_bits(g, comp)
+            assert v == midway_by_scan(g, comp), comp
+            return v
+
+        monkeypatch.setattr(strategies, "_midway_bits", checked)
+        strat_tree_log(g)
+        assert seen[0] == (1 << g.n) - 1 and len(seen) > 1
 
 
 class TestTreeLog:

@@ -14,12 +14,19 @@ from lzl.graphs import (
     mask_of,
     max_degree,
 )
-from lzl.prox import prox_number
+from lzl.prox import prox_number, prox_solve
+from lzl.strategies import lift_prox_to_zeta, strat_tree_log
 from lzl.zeta import (
+    _CAP,
+    _CAPTURED,
+    _ESCAPE,
     OUT_ADJ,
     OUT_NONE,
     OUT_ON,
+    POLICY_REGISTRY,
     SchedulePolicy,
+    SimulationResult,
+    _frame,
     _partition_bits,
     build_policy,
     observe,
@@ -28,7 +35,7 @@ from lzl.zeta import (
     zeta_winnable,
 )
 
-from conftest import mask, random_connected_graph, random_tree
+from conftest import mask, random_connected_graph, random_recursive_tree, random_tree
 
 
 class TestObserve:
@@ -300,8 +307,6 @@ class TestSimulate:
 
     def test_capture_certificates_from_tree_strategy(self, corpus):
         # a policy capture at budget k is a zeta_winnable(G, k) certificate
-        from lzl.strategies import strat_tree_log
-
         for name, g in corpus:
             if g.n < 2 or not g.is_tree():
                 continue
@@ -309,6 +314,150 @@ class TestSimulate:
             sim = simulate_policy(g, policy)
             assert sim.captured, name
             assert zeta_winnable(g, policy.budget), name
+
+
+def split_oracle(g, m_bits, probed):
+    """Three-way refinement of every class by every probe, none left whole."""
+    classes = [m_bits]
+    for v in probed:
+        on, nb = 1 << v, g.adj_bits[v]
+        classes = [
+            part
+            for c in classes
+            for part in (c & on, c & nb, c & ~(nb | on))
+            if part
+        ]
+    return classes
+
+
+def simulate_oracle(g, policy, *, round_cap=400):
+    """The branch simulator without its shortcuts: N[R] is computed on every
+    visit, and a sub-round already in the memo is still started and returns
+    the stored worst round."""
+    if g.n == 1:
+        return SimulationResult("captured-all-branches", 0, 1)
+    adj = g.adj_bits
+    memo = {}
+    onpath = set()
+    branches = 0
+
+    def run(t, state, r_bits):
+        nonlocal branches
+        if t > round_cap:
+            return _CAP, None, []
+        key = (t, state, r_bits)
+        if key in memo:
+            return _CAPTURED, memo[key], None
+        m_bits = closed_nb_bits(g, r_bits)
+        probe_set = policy.probes(state)
+        if len(probe_set) > policy.budget:
+            raise PolicyError("over budget")
+        probed = tuple(sorted(probe_set))
+        if not probed and m_bits.bit_count() > 1 and not policy.probes_after(state):
+            return _ESCAPE, None, [_frame(g, t, probed, None, m_bits)]
+        probe_mask = mask_of(probed)
+        worst = 0
+        for cls in split_oracle(g, m_bits, probed):
+            branches += 1
+            if not cls & (cls - 1):
+                worst = max(worst, t)
+                continue
+            rep = (cls & -cls).bit_length() - 1
+            nstate = policy.advance(state, tuple(iter_bits(adj[rep] & probe_mask)))
+            node = (nstate, cls)
+            if node in onpath:
+                return _ESCAPE, None, [_frame(g, t, probed, rep, cls)]
+            onpath.add(node)
+            verdict, sub_worst, path = yield t + 1, nstate, cls
+            onpath.discard(node)
+            if verdict != _CAPTURED:
+                return verdict, None, [_frame(g, t, probed, rep, cls)] + path
+            worst = max(worst, sub_worst)
+        memo[key] = worst
+        return _CAPTURED, worst, None
+
+    stack = [run(1, policy.initial_state(), (1 << g.n) - 1)]
+    result = None
+    while stack:
+        try:
+            child = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+        else:
+            stack.append(run(*child))
+            result = None
+    verdict, worst, path = result
+    if verdict == _CAPTURED:
+        return SimulationResult("captured-all-branches", worst, branches)
+    if verdict == _ESCAPE:
+        return SimulationResult("escape-witness", None, branches, path)
+    return SimulationResult("cap-exceeded", None, branches, path)
+
+
+def assert_same_as_oracle(g, policy, **kw):
+    got = simulate_policy(g, policy, **kw).as_dict()
+    assert got == simulate_oracle(g, policy, **kw).as_dict()
+    return got
+
+
+ORACLE_GRAPHS = {
+    "path:2": generate("path", n=2),
+    "path:5": generate("path", n=5),
+    "path:9": generate("path", n=9),
+    "cycle:3": generate("cycle", n=3),
+    "cycle:6": generate("cycle", n=6),
+    "cycle:9": generate("cycle", n=9),
+    "spider:1,2,3": generate("spider", arms=[1, 2, 3]),
+    "spider:3,3,3": generate("spider", arms=[3, 3, 3]),
+    "spider:5,5,5": generate("spider", arms=[5, 5, 5]),
+}
+
+
+class TestSimulateAgainstOracle:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_tree_log_on_random_recursive_trees(self, seed):
+        rng = random.Random(seed)
+        for n in (rng.randint(2, 40), rng.randint(40, 300)):
+            g = random_recursive_tree(rng, n)
+            assert assert_same_as_oracle(g, strat_tree_log(g))["outcome"] == (
+                "captured-all-branches")
+
+    @pytest.mark.parametrize("variant", ["tree", "delta"])
+    @pytest.mark.parametrize("graph", [
+        generate("spider", arms=[3, 3, 3]),
+        generate("spider", arms=[5, 5, 5]),
+        generate("spider", arms=[1, 2, 4, 4]),
+        generate("kary", k=2, d=3),
+    ], ids=["spider:3,3,3", "spider:5,5,5", "spider:1,2,4,4", "kary:2,3"])
+    def test_lifts(self, variant, graph):
+        policy = lift_prox_to_zeta(graph, prox_solve(graph)[1], variant=variant)
+        assert_same_as_oracle(graph, policy)
+
+    @pytest.mark.parametrize("policy", sorted(POLICY_REGISTRY))
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    def test_registry_policies(self, policy, name):
+        g = ORACLE_GRAPHS[name]
+        assert_same_as_oracle(g, build_policy(policy, g))
+
+    def test_registry_gives_escape_witnesses(self):
+        escapes = [
+            (name, policy)
+            for name, g in ORACLE_GRAPHS.items()
+            for policy in POLICY_REGISTRY
+            if simulate_policy(g, build_policy(policy, g)).escape_path
+        ]
+        assert len(escapes) >= 10
+
+    @pytest.mark.parametrize("round_cap", [1, 2, 3, 5, 8])
+    def test_cap_exceeded(self, round_cap):
+        rng = random.Random(round_cap)
+        g = random_recursive_tree(rng, 60)
+        got = assert_same_as_oracle(g, strat_tree_log(g), round_cap=round_cap)
+        assert got["outcome"] == "cap-exceeded"
+        got = assert_same_as_oracle(
+            g, build_policy("front-sweep", g), round_cap=round_cap)
+        assert got["outcome"] in ("cap-exceeded", "escape-witness")
 
 
 def bounded_round_winnable(g, k, rounds_left, r_bits=None, memo=None):
