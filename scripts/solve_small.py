@@ -7,7 +7,7 @@ strict bound prox1 > H_V/(Delta+1) can be eyeballed per graph.
 """
 
 from lzl.graphs import generate, max_degree
-from lzl.iso import h_index, iso_profile
+from lzl.iso import assemble_bounds, h_index, iso_profile
 from lzl.prox import prox_number
 from lzl.zeta import zeta_number
 
@@ -35,8 +35,8 @@ def main() -> int:
         delta = max_degree(g)
         p = prox_number(g)
         z = zeta_number(g) if g.n <= 12 else None
-        hv = h_index(iso_profile(g)[0].values)
-        bound = hv // (delta + 1) + 1
+        hv = h_index(iso_profile(g)[0])
+        bound = assemble_bounds(g, h_vertex=hv).best("prox1")[0]
         assert p >= bound
         if z is not None:
             assert p <= z <= delta * p

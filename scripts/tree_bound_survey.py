@@ -18,8 +18,8 @@ Default survey: kary(3,3) with subdivisions 0, 10, 100.
 
 import sys
 
-from lzl.graphs import generate, max_degree, subdivide
-from lzl.iso import h_index, iso_profile, prox_lower_bounds
+from lzl.graphs import generate, subdivide
+from lzl.iso import assemble_bounds, h_index, iso_profile
 from lzl.prox import run_schedule
 from lzl.strategies import level_decomposition, strat_tree_depth, strat_tree_levels
 
@@ -30,8 +30,8 @@ def survey(k: int, d: int, sub: int) -> None:
     order_bound = (g.n - 1).bit_length()
     depth_bound = ld.depth // 4 + 2
     level_bound = -(-ld.max_nonleaf // 3) + 1
-    h_v = h_index(iso_profile(g)[0].values)
-    lower = prox_lower_bounds(h_v, None, max_degree(g))["from_vertex_h"]
+    h_v = h_index(iso_profile(g)[0])
+    lower = assemble_bounds(g, h_vertex=h_v).best("prox1")[0]
 
     sched_d = strat_tree_depth(g, 0)
     ok_d = run_schedule(g, sched_d).cleared

@@ -23,7 +23,6 @@ from .errors import (
     GraphParseError,
     GraphValidationError,
     LzlError,
-    PartialProfileError,
     ScheduleError,
     SizeCapError,
     UsageError,
@@ -41,7 +40,6 @@ from .iso import (
     ISO_CAP,
     assemble_bounds,
     h_index,
-    iso_peak,
     iso_profile,
     profile_to_csv,
 )
@@ -183,27 +181,18 @@ def cmd_gen(args) -> int:
 
 def cmd_iso(args) -> int:
     started = time.time()
-    if args.budget is not None and args.budget < 1:
-        raise UsageError(f"--budget must be at least 1, got {args.budget}")
     g, gid = load_graph(args.graph)
-    vertex, edge = iso_profile(g, budget=args.budget)
+    vertex, edge = iso_profile(g)
     profile = vertex if args.mode == "vertex" else edge
-    results: dict = {
-        "mode": args.mode,
-        "values": list(profile.values),
-        "exact": profile.exact,
-    }
+    results: dict = {"mode": args.mode, "values": list(profile), "exact": True}
     if args.peak:
-        results["peak"] = iso_peak(profile)
+        results["peak"] = max(profile)
     if args.h_index:
-        if not profile.exact:
-            raise PartialProfileError("h-index requires every profile entry exact")
-        results["h_index"] = h_index(profile.values)
+        results["h_index"] = h_index(profile)
     if args.csv:
         _write_text(args.csv, profile_to_csv(profile))
         results["csv"] = args.csv
-    body = _report("iso", g, gid, {"graph": gid, "mode": args.mode,
-                                   "budget": args.budget}, results,
+    body = _report("iso", g, gid, {"graph": gid, "mode": args.mode}, results,
                    caps={"iso": ISO_CAP})
     _emit(body, started)
     return EXIT_OK
@@ -238,10 +227,10 @@ def cmd_bounds(args) -> int:
     quantities: dict = {}
     if not args.no_iso and (g.n <= ISO_CAP or g.is_tree()):
         pv, pe = iso_profile(g)
-        quantities["h_vertex"] = h_index(pv.values)
-        quantities["h_edge"] = h_index(pe.values)
-        quantities["phi_vertex_peak"] = iso_peak(pv)
-        quantities["phi_edge_peak"] = iso_peak(pe)
+        quantities["h_vertex"] = h_index(pv)
+        quantities["h_edge"] = h_index(pe)
+        quantities["phi_vertex_peak"] = max(pv)
+        quantities["phi_edge_peak"] = max(pe)
     if args.pathwidth and g.n <= PATHWIDTH_CAP:
         quantities["pathwidth"] = brute_pathwidth(g).width
     if args.domination and g.n <= DOMINATION_CAP:
@@ -434,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--mode", choices=("vertex", "edge"), default="vertex")
     i.add_argument("--peak", action="store_true")
     i.add_argument("--h-index", dest="h_index", action="store_true")
-    i.add_argument("--budget", type=int)
     i.add_argument("--csv")
     i.set_defaults(fn=cmd_iso)
 

@@ -32,10 +32,6 @@ class SizeCapError(LzlError):
         super().__init__(f"{what}: size {size} exceeds cap {limit}")
 
 
-class PartialProfileError(LzlError):
-    """An operation required a fully exact profile but got a truncated one."""
-
-
 class ScheduleError(LzlError):
     """A probe schedule violates its declared contract."""
 

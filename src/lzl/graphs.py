@@ -57,7 +57,7 @@ def check_mask(g: Graph, bits: int, what: str) -> None:
 class Graph:
     """Connected (unless explicitly allowed otherwise) simple graph."""
 
-    __slots__ = ("n", "adj_bits", "shifts", "_hash")
+    __slots__ = ("n", "adj_bits", "shifts", "_hash", "_nbrs")
 
     def __init__(
         self,
@@ -82,6 +82,7 @@ class Graph:
         object.__setattr__(self, "adj_bits", tuple(rows))
         object.__setattr__(self, "shifts", _shift_kernel(rows))
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_nbrs", None)
         if not allow_disconnected and not self.is_connected():
             raise GraphValidationError("graph is disconnected")
 
@@ -407,13 +408,21 @@ def distances(g: Graph, v: int) -> list[int]:
     return dist
 
 
-def neighbor_tuples(g: Graph) -> list[tuple[int, ...]]:
-    """The neighbors of every vertex in ascending order, from one pass over the edges."""
-    nbrs: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges():
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    return [tuple(row) for row in nbrs]
+def neighbor_tuples(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The neighbors of every vertex in ascending order.
+
+    Built from one pass over the edges on the first call and kept on the
+    graph, so every later caller shares the same immutable value.
+    """
+    nbrs = g._nbrs
+    if nbrs is None:
+        rows: list[list[int]] = [[] for _ in range(g.n)]
+        for u, v in g.edges():
+            rows[u].append(v)
+            rows[v].append(u)
+        nbrs = tuple(tuple(row) for row in rows)
+        object.__setattr__(g, "_nbrs", nbrs)
+    return nbrs
 
 
 def rooted_tree(g: Graph, root: int) -> tuple[list[int], list[list[int]], list[int]]:

@@ -1,11 +1,11 @@
-"""Exact isoperimetric profiles, peaks, h-index machinery, and bound rules.
+"""Exact isoperimetric profiles, the h-index, and bound rules.
 
-A tree's profiles come from a min-plus dynamic program over its rooted
-subtrees, O(n^2) in the order.  Any other graph, and any call with a
-budget, is scanned subset by subset: every subset of the low half of the
-vertices is one lane of a packed int, and the subsets of the high half are
-walked in Gray-code order, so one int operation updates all 2^(n/2) lanes
-and the scan takes about 2^(n/2) packed steps.  On top of the profiles sit
+Every profile is exact.  A tree's profiles come from a min-plus dynamic
+program over its rooted subtrees, O(n^2) in the order.  Any other graph is
+scanned subset by subset: every subset of the low half of the vertices is
+one lane of a packed int, and the subsets of the high half are walked in
+Gray-code order, so one int operation updates all 2^(n/2) lanes and the
+scan takes about 2^(n/2) packed steps.  On top of the profiles sit
 the h-index, the arithmetic lower-bound formulas, and the assembled
 per-graph bounds report.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import InconsistentBoundsError, PartialProfileError, SizeCapError
+from .errors import InconsistentBoundsError, SizeCapError
 from .graphs import Graph, is_c4_free, iter_bits, max_degree, rooted_tree
 
 #: Largest order the subset scan accepts: 2^25 subsets.  Trees take the
@@ -23,34 +23,22 @@ from .graphs import Graph, is_c4_free, iter_bits, max_degree, rooted_tree
 ISO_CAP = 25
 
 
-@dataclass(frozen=True)
-class IsoProfile:
-    """Boundary minima Phi(G, k) for k = 1..n.
+#: A profile: entry k-1 is Phi(G, k), the least boundary of a k-subset.
+Profile = tuple[int, ...]
 
-    ``values[k-1]`` is the minimum boundary size over k-subsets; ``exact``
-    is False when enumeration was truncated and each entry is only the
-    minimum over the subsets actually examined, or None when no k-subset
-    was examined.
+
+def iso_profile(g: Graph) -> tuple[Profile, Profile]:
+    """Exact (vertex, edge) profiles Phi(G, k) for k = 1..n.
+
+    A tree gets them from ``_tree_profiles`` at any order; any other graph
+    is scanned by ``_scan_profiles``, which ``ISO_CAP`` caps.
     """
-
-    mode: str  # "vertex" | "edge"
-    values: tuple[int | None, ...]
-    exact: bool
-
-
-def iso_profile(g: Graph, *, budget: int | None = None) -> tuple[IsoProfile, IsoProfile]:
-    """(vertex, edge) profiles Phi(G, k) for all k.
-
-    A tree without a budget gets exact profiles from ``_tree_profiles`` at
-    any order; every other call scans subsets with ``_scan_profiles``,
-    which a budget bounds and ``ISO_CAP`` caps.
-    """
-    if budget is None and g.is_tree():
+    if g.is_tree():
         return _tree_profiles(g)
-    return _scan_profiles(g, budget=budget)
+    return _scan_profiles(g)
 
 
-def _scan_profiles(g: Graph, *, budget: int | None = None) -> tuple[IsoProfile, IsoProfile]:
+def _scan_profiles(g: Graph) -> tuple[Profile, Profile]:
     """(vertex, edge) profiles Phi(G, k) for all k from one subset scan.
 
     The low L = ceil(n/2) vertices index the lanes: lane S_L of a packed
@@ -64,15 +52,6 @@ def _scan_profiles(g: Graph, *, budget: int | None = None) -> tuple[IsoProfile, 
     then E = cut(S_L) + cut(S_H) - 2U.  T and E go into one lane-wise
     minimum per |S_H|; folding the lanes into the sizes |S_H| + |S_L| = k
     then leaves the least T and E of each k, and the vertex boundary T - k.
-
-    A budget B examines the subsets gray(0..B) of the n-bit walk with
-    vertex 0 as its lowest bit, the order in which one vertex toggles per
-    step.  gray(q * 2^L + j) has high half gray(q) and low half
-    gray(j) ^ (q & 1) << (L - 1), so those subsets are whole outer blocks
-    plus the first lanes, in that order, of one more; lanes the budget
-    does not reach are set to ``inf`` before the minimum.  Such partial
-    profiles are flagged inexact (each entry is only the minimum over the
-    subsets examined); peak and h-index computations refuse them.
     """
     n = g.n
     if n > ISO_CAP:
@@ -84,8 +63,6 @@ def _scan_profiles(g: Graph, *, budget: int | None = None) -> tuple[IsoProfile, 
     # an edge lane sums two boundaries, up to 2m, below the top bit of a lane sized for m
     lanes = _Lanes(max(n, g.edge_count()), size)
     w, inf, ones = lanes.w, lanes.inf, lanes.fill(1, size)
-    seen = 1 << n if budget is None else min(budget + 1, 1 << n)
-    blocks, rest = divmod(seen, size)
 
     miss = []  # lane S of miss[x] is 1 iff x lies outside N[S]
     for x in range(n):
@@ -110,7 +87,7 @@ def _scan_profiles(g: Graph, *, budget: int | None = None) -> tuple[IsoProfile, 
     t, u, cut_h, in_h, size_h = lanes.fill(n, size) - sum(miss), 0, 0, 0, 0
     best_t = [lanes.fill(inf, size)] * (n - low + 1)
     best_e = list(best_t)
-    for q in range(blocks + (rest > 0)):
+    for q in range(1 << (n - low)):
         if q:
             y = low + (q & -q).bit_length() - 1
             in_h ^= 1 << y
@@ -124,18 +101,12 @@ def _scan_profiles(g: Graph, *, budget: int | None = None) -> tuple[IsoProfile, 
                 if not was or not cover[x]:
                     t += step * miss[x]
         e = cut_l + cut_h * ones - (u << 1)
-        if q == blocks:  # the lanes past the budget in its last block
-            hole = [inf] * size
-            for j in range(rest):
-                hole[j ^ j >> 1 ^ (q & 1) << (low - 1)] = 0
-            hole = lanes.pack(hole)
-            t, e = t | hole, e | hole
         best_t[size_h] = lanes.min(best_t[size_h], t, size)
         best_e[size_h] = lanes.min(best_e[size_h], e, size)
 
     # Fold low vertex i into the size: lane S | {i} of entry k moves to lane S
     # of entry k + 1.  Once every low vertex is folded, entry k is one lane
-    # holding the minimum over all examined k-subsets, or inf if none.
+    # holding the minimum over all k-subsets.
     for i in reversed(range(low)):
         span, at = 1 << i, w << i
         none = lanes.fill(inf, 2 * span)
@@ -144,10 +115,7 @@ def _scan_profiles(g: Graph, *, budget: int | None = None) -> tuple[IsoProfile, 
                 lanes.min(kept & ((1 << at) - 1), moved >> at, span)
                 for kept, moved in zip(best + [none], [none] + best)
             ]
-    exact = seen == 1 << n
-    vertex = tuple(None if x == inf else x - k for k, x in enumerate(best_t))
-    edge = tuple(None if x == inf else x for x in best_e)
-    return IsoProfile("vertex", vertex[1:], exact), IsoProfile("edge", edge[1:], exact)
+    return tuple(x - k for k, x in enumerate(best_t))[1:], tuple(best_e[1:])
 
 
 class _Lanes:
@@ -210,7 +178,7 @@ class _Lanes:
         return int("".join(format(v, f"0{self.w}b") for v in reversed(values)), 2)
 
 
-def _tree_profiles(g: Graph) -> tuple[IsoProfile, IsoProfile]:
+def _tree_profiles(g: Graph) -> tuple[Profile, Profile]:
     """Exact (vertex, edge) profiles of a tree by a min-plus DP over its subtrees.
 
     Rooted at 0 and walked deepest level first, each vertex v keeps, for
@@ -254,14 +222,7 @@ def _tree_profiles(g: Graph) -> tuple[IsoProfile, IsoProfile]:
         )
     vertex = lanes.unpack(up[0][2], count)[1:]
     edge = lanes.unpack(lanes.min(ei, eo, count), count)[1:]
-    return IsoProfile("vertex", tuple(vertex), True), IsoProfile("edge", tuple(edge), True)
-
-
-def iso_peak(profile: IsoProfile) -> int:
-    """max_k Phi(G, k); demands a fully exact profile."""
-    if not profile.exact:
-        raise PartialProfileError("peak requires every profile entry exact")
-    return max(profile.values)
+    return tuple(vertex), tuple(edge)
 
 
 def h_index(values: Sequence[int]) -> int:
@@ -280,43 +241,6 @@ def h_index(values: Sequence[int]) -> int:
             if run >= h:
                 return h
     return 0
-
-
-def prox_lower_bounds(
-    h_vertex: int | None, h_edge: int | None, delta: int
-) -> dict[str, int]:
-    """Integer consequences of the strict h-index bounds on prox1.
-
-    prox1 > H_V/(Delta+1) and prox1 > H_E/((Delta+1)*Delta) become
-    floor(x)+1 since prox1 is an integer.
-    """
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
-    out: dict[str, int] = {}
-    if h_vertex is not None:
-        out["from_vertex_h"] = h_vertex // (delta + 1) + 1
-    if h_edge is not None:
-        out["from_edge_h"] = h_edge // ((delta + 1) * delta) + 1
-    return out
-
-
-def peak_to_h_lower(phi_peak: int, delta: int, mode: str) -> int:
-    """Lower bound on the h-index from the matching isoperimetric peak.
-
-    The adjacent-entry shift bounds pin a window around the peak whose
-    entries stay large; the window supports h = floor of the balanced
-    threshold (vertex: Phi*(Delta+1)/(2*Delta+1), edge: 2*Phi/(Delta+2)).
-    The unrounded threshold itself is not a valid bound: at peaks sitting
-    at k = 1 with steeply falling profiles (triangles, complete graphs)
-    the integer window is one shorter than the real-valued count suggests.
-    """
-    if phi_peak < 0 or delta < 1:
-        raise ValueError("phi_peak must be >= 0 and delta >= 1")
-    if mode == "vertex":
-        return phi_peak * (delta + 1) // (2 * delta + 1)
-    if mode == "edge":
-        return 2 * phi_peak // (delta + 2)
-    raise ValueError("mode must be 'vertex' or 'edge'")
 
 
 def kary_bound_report(k: int, d: int) -> tuple[int, int]:
@@ -451,44 +375,13 @@ def assemble_bounds(
             )
         )
     if delta >= 1:
+        # prox1 > H_V/(Delta+1) and prox1 > H_E/((Delta+1)*Delta) are strict
+        # and prox1 is an integer, so each bound is the floor plus one
         if h_vertex is not None:
-            add(
-                DerivedBound(
-                    "prox1",
-                    "lower",
-                    prox_lower_bounds(h_vertex, None, delta)["from_vertex_h"],
-                    "h-index-vertex",
-                )
-            )
+            add(DerivedBound("prox1", "lower", h_vertex // (delta + 1) + 1, "h-index-vertex"))
         if h_edge is not None:
-            add(
-                DerivedBound(
-                    "prox1",
-                    "lower",
-                    prox_lower_bounds(None, h_edge, delta)["from_edge_h"],
-                    "h-index-edge",
-                )
-            )
-        if phi_vertex_peak is not None and h_vertex is None:
-            hv = peak_to_h_lower(phi_vertex_peak, delta, "vertex")
-            add(
-                DerivedBound(
-                    "prox1",
-                    "lower",
-                    prox_lower_bounds(hv, None, delta)["from_vertex_h"],
-                    "peak-chain-vertex",
-                )
-            )
-        if phi_edge_peak is not None and h_edge is None:
-            he = peak_to_h_lower(phi_edge_peak, delta, "edge")
-            add(
-                DerivedBound(
-                    "prox1",
-                    "lower",
-                    prox_lower_bounds(None, he, delta)["from_edge_h"],
-                    "peak-chain-edge",
-                )
-            )
+            add(DerivedBound("prox1", "lower", h_edge // ((delta + 1) * delta) + 1,
+                             "h-index-edge"))
     if grid_side is not None:
         lo = -(-grid_side // 5) + 1
         add(DerivedBound("prox1", "lower", lo, "grid-window"))
@@ -524,9 +417,9 @@ def assemble_bounds(
     return report
 
 
-def profile_to_csv(profile: IsoProfile) -> str:
+def profile_to_csv(profile: Profile) -> str:
+    """One ``k,phi,exact`` row per entry; every profile is exact."""
     lines = ["k,phi,exact"]
-    exact = "true" if profile.exact else "false"
-    for k, phi in enumerate(profile.values, start=1):
-        lines.append(f"{k},{'' if phi is None else phi},{exact}")
+    for k, phi in enumerate(profile, start=1):
+        lines.append(f"{k},{phi},true")
     return "\n".join(lines) + "\n"

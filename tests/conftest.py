@@ -6,7 +6,6 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from lzl.graphs import Graph, generate, iter_bits, mask_of
-from lzl.iso import IsoProfile
 
 settings.register_profile(
     "default",
@@ -26,13 +25,11 @@ def edge_boundary(g: Graph, s: int) -> int:
     return sum(((s >> u) ^ (s >> v)) & 1 for u, v in g.edges())
 
 
-def gray_scan_oracle(g: Graph, budget: int | None = None) -> tuple[IsoProfile, IsoProfile]:
+def gray_scan_oracle(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Reference (vertex, edge) profiles by a one-vertex-per-step Gray-code walk.
 
     Step t toggles vertex ctz(t), so it examines the subset gray(t); both
-    boundary sizes are kept up to date in O(degree) per step.  A budget B
-    stops the walk after B steps, and the profiles are exact iff it
-    examined every nonempty subset.
+    boundary sizes are kept up to date in O(degree) per step.
     """
     n = g.n
     nbrs = [tuple(iter_bits(row)) for row in g.adj_bits]
@@ -41,11 +38,7 @@ def gray_scan_oracle(g: Graph, budget: int | None = None) -> tuple[IsoProfile, I
     best_e: list[int | None] = [None] * (n + 1)
     counts = [0] * n  # neighbors inside S, for every vertex
     in_s = size = vb = eb = 0
-    exact = True
     for t in range(1, 1 << n):
-        if budget is not None and t > budget:
-            exact = False
-            break
         v = (t & -t).bit_length() - 1
         bit = 1 << v
         if in_s & bit:  # remove v
@@ -72,10 +65,24 @@ def gray_scan_oracle(g: Graph, budget: int | None = None) -> tuple[IsoProfile, I
             best_v[size] = vb
         if best_e[size] is None or eb < best_e[size]:
             best_e[size] = eb
-    return (
-        IsoProfile("vertex", tuple(best_v[1:]), exact),
-        IsoProfile("edge", tuple(best_e[1:]), exact),
-    )
+    return tuple(best_v[1:]), tuple(best_e[1:])
+
+
+def peak_to_h_lower(phi_peak: int, delta: int, mode: str) -> int:
+    """The paper's lower bound on the h-index from the matching profile peak.
+
+    The adjacent-entry shift bounds pin a window around the peak whose
+    entries stay large; the window supports h = floor of the balanced
+    threshold (vertex: Phi*(Delta+1)/(2*Delta+1), edge: 2*Phi/(Delta+2)).
+    The unrounded threshold itself is not a valid bound: at peaks sitting
+    at k = 1 with steeply falling profiles (triangles, complete graphs)
+    the integer window is one shorter than the real-valued count suggests.
+    """
+    assert phi_peak >= 0 and delta >= 1
+    if mode == "vertex":
+        return phi_peak * (delta + 1) // (2 * delta + 1)
+    assert mode == "edge"
+    return 2 * phi_peak // (delta + 2)
 
 
 def bfs_distances(g: Graph, v: int, within: int | None = None) -> list[int]:

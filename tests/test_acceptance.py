@@ -11,7 +11,7 @@ import pytest
 from lzl.cli import TABLE1_EXPECTED, table1_rows
 from lzl.graphs import closed_nb_bits, generate, induced_subgraph, max_degree
 from lzl.gridsweep import five_panel_schedule, grid_strategy, probe_set
-from lzl.iso import h_index, iso_peak, iso_profile, peak_to_h_lower
+from lzl.iso import h_index, iso_profile
 from lzl.prox import prox_number, run_schedule
 from lzl.strategies import (
     _midway_bits,
@@ -22,7 +22,7 @@ from lzl.strategies import (
 )
 from lzl.zeta import simulate_policy, zeta_number
 
-from conftest import grid_profile_oracle, panel_rounds
+from conftest import grid_profile_oracle, panel_rounds, peak_to_h_lower
 
 
 def _ok(num: int, name: str) -> None:
@@ -104,21 +104,21 @@ def test_criterion_4_isoperimetric(corpus):
         pv, pe = iso_profile(g)
         delta = max_degree(g)
         for k in range(1, g.n + 1):
-            assert pv.values[k - 1] <= pe.values[k - 1] <= delta * pv.values[k - 1], name
+            assert pv[k - 1] <= pe[k - 1] <= delta * pv[k - 1], name
         for k in range(1, g.n):
-            assert pv.values[k] >= pv.values[k - 1] - 1, name
-            assert pv.values[k - 1] >= pv.values[k] - delta, name
-            assert pe.values[k] >= pe.values[k - 1] - delta, name
-        hv, he = h_index(pv.values), h_index(pe.values)
+            assert pv[k] >= pv[k - 1] - 1, name
+            assert pv[k - 1] >= pv[k] - delta, name
+            assert pe[k] >= pe[k - 1] - delta, name
+        hv, he = h_index(pv), h_index(pe)
         assert he <= delta * hv and hv <= he, name
-        assert peak_to_h_lower(iso_peak(pv), delta, "vertex") <= hv, name
-        assert peak_to_h_lower(iso_peak(pe), delta, "edge") <= he, name
+        assert peak_to_h_lower(max(pv), delta, "vertex") <= hv, name
+        assert peak_to_h_lower(max(pe), delta, "edge") <= he, name
     for n in (3, 4):
         prof = iso_profile(generate("grid", n=n))[0]
         lo, hi, val = grid_profile_oracle(n)
         for k in range(lo, hi + 1):
-            assert prof.values[k - 1] == val
-    assert h_index(iso_profile(generate("grid", n=4))[0].values) == 4
+            assert prof[k - 1] == val
+    assert h_index(iso_profile(generate("grid", n=4))[0]) == 4
     _ok(4, f"isoperimetric laws on {len(graphs)} graphs")
 
 
@@ -188,7 +188,7 @@ def test_criterion_7_table1():
 
 def test_criterion_8_lower_bound_realization(corpus):
     g4 = generate("grid", n=4)
-    hv = h_index(iso_profile(g4)[0].values)
+    hv = h_index(iso_profile(g4)[0])
     delta = max_degree(g4)
     bound = hv // (delta + 1) + 1
     assert bound == 1
@@ -198,7 +198,7 @@ def test_criterion_8_lower_bound_realization(corpus):
     for name, g in corpus:
         if g.n < 2:
             continue
-        hv = h_index(iso_profile(g)[0].values)
+        hv = h_index(iso_profile(g)[0])
         p = prox_number(g)
         assert p > hv / (max_degree(g) + 1), name
     _ok(8, "h-index lower bounds realized against exact solver values")
@@ -208,6 +208,6 @@ def test_criterion_4_long_mode_grid5():
     prof = iso_profile(generate("grid", n=5))[0]
     lo, hi, val = grid_profile_oracle(5)
     for k in range(lo, hi + 1):
-        assert prof.values[k - 1] == val
-    assert h_index(prof.values) >= 5
+        assert prof[k - 1] == val
+    assert h_index(prof) >= 5
     _ok(4, "long mode: grid 5 profile matches the closed-form window")

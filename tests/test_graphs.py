@@ -323,9 +323,10 @@ class TestTraversals:
     @pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
     def test_neighbor_tuples(self, name):
         g = KERNEL_GRAPHS[name]
-        assert neighbor_tuples(g) == [
+        assert neighbor_tuples(g) == tuple(
             tuple(w for w in range(g.n) if g.has_edge(v, w)) for v in range(g.n)
-        ]
+        )
+        assert neighbor_tuples(g) is neighbor_tuples(g)  # built once per graph
 
     @pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
     def test_endgame_ball2(self, name):

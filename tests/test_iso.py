@@ -8,27 +8,24 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lzl.errors import InconsistentBoundsError, PartialProfileError, SizeCapError
+from lzl.errors import InconsistentBoundsError, SizeCapError
 from lzl.graphs import Graph, closed_nb_bits, generate, mask_of, max_degree, subdivide
 from lzl.iso import (
     ISO_CAP,
-    IsoProfile,
     _scan_profiles,
     _tree_profiles,
     assemble_bounds,
     h_index,
-    iso_peak,
     iso_profile,
     kary_bound_report,
-    peak_to_h_lower,
     profile_to_csv,
-    prox_lower_bounds,
 )
 
 from conftest import (
     edge_boundary,
     gray_scan_oracle,
     grid_profile_oracle,
+    peak_to_h_lower,
     random_connected_graph,
     random_tree,
 )
@@ -67,50 +64,36 @@ def naive_h_index(values):
 class TestProfiles:
     def test_k5_vertex(self):
         prof = iso_profile(generate("complete", n=5))[0]
-        assert prof.values == (4, 3, 2, 1, 0)
-        assert prof.exact
+        assert prof == (4, 3, 2, 1, 0)
 
     def test_p4_edge(self):
         prof = iso_profile(generate("path", n=4))[1]
-        assert prof.values == (1, 1, 1, 0)
+        assert prof == (1, 1, 1, 0)
 
     def test_grid4_middle_window(self):
         prof = iso_profile(generate("grid", n=4))[0]
         lo, hi, value = grid_profile_oracle(4)
         assert (lo, hi, value) == (4, 9, 4)
         for k in range(lo, hi + 1):
-            assert prof.values[k - 1] == value
+            assert prof[k - 1] == value
 
     def test_grid3_matches_oracle_window(self):
         prof = iso_profile(generate("grid", n=3))[0]
         lo, hi, value = grid_profile_oracle(3)
         assert (lo, hi, value) == (2, 5, 3)
         for k in range(lo, hi + 1):
-            assert prof.values[k - 1] == value
+            assert prof[k - 1] == value
 
     def test_grid2_oracle(self):
         prof = iso_profile(generate("grid", n=2))[0]
         lo, hi, value = grid_profile_oracle(2)
         assert (lo, hi, value) == (1, 2, 2)
         for k in range(lo, hi + 1):
-            assert prof.values[k - 1] == value
+            assert prof[k - 1] == value
 
     def test_cap(self):
         with pytest.raises(SizeCapError):
             iso_profile(generate("grid", n=6))
-
-    def test_budget_truncation_flags(self):
-        prof, edge = iso_profile(generate("path", n=6), budget=5)
-        assert not prof.exact and not edge.exact
-        # the five subsets examined have at most three vertices
-        assert None not in prof.values[:3] and prof.values[3:] == (None, None, None)
-        with pytest.raises(PartialProfileError):
-            iso_peak(prof)
-
-    def test_budget_truncation_with_workers(self):
-        # 10 of the 4095 nonempty subsets
-        vertex, edge = iso_profile(generate("path", n=12), budget=10)
-        assert not vertex.exact and not edge.exact
 
     @given(st.integers(0, 10**6), st.integers(1, 14), st.booleans())
     @settings(max_examples=40)
@@ -122,20 +105,16 @@ class TestProfiles:
             p = rng.random()
             edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
             g = Graph(n, edges, allow_disconnected=True)
-        half = 1 << (n + 1) // 2
-        budgets = {1, half - 1, half, half + 1, (1 << n) - 2, (1 << n) - 1, 1 << n}
-        budgets |= {rng.randint(1, 1 << n) for _ in range(3)}
-        for budget in [None, *sorted(budgets - {0})]:
-            assert _scan_profiles(g, budget=budget) == gray_scan_oracle(g, budget), budget
+        assert _scan_profiles(g) == gray_scan_oracle(g)
 
     def test_closed_forms_at_the_cap(self):
         n = ISO_CAP
         vertex, edge = iso_profile(generate("cycle", n=n))
-        assert vertex.values == (2,) * (n - 2) + (1, 0) and vertex.exact
-        assert edge.values == (2,) * (n - 1) + (0,) and edge.exact
+        assert vertex == (2,) * (n - 2) + (1, 0)
+        assert edge == (2,) * (n - 1) + (0,)
         vertex, edge = iso_profile(generate("complete", n=n))
-        assert vertex.values == tuple(n - k for k in range(1, n + 1)) and vertex.exact
-        assert edge.values == tuple(k * (n - k) for k in range(1, n + 1)) and edge.exact
+        assert vertex == tuple(n - k for k in range(1, n + 1))
+        assert edge == tuple(k * (n - k) for k in range(1, n + 1))
 
     def test_cli_import_skips_multiprocessing(self):
         # the scan runs in-process, so importing the CLI must not pay for a pool
@@ -151,8 +130,8 @@ class TestProfiles:
         rng = random.Random(seed)
         g = random_connected_graph(rng, n)
         vertex, edge = _scan_profiles(g)
-        assert vertex.values == naive_profile(g, "vertex")
-        assert edge.values == naive_profile(g, "edge")
+        assert vertex == naive_profile(g, "vertex")
+        assert edge == naive_profile(g, "edge")
 
 
 def family_trees():
@@ -198,34 +177,22 @@ class TestTreeProfiles:
 
     def test_smallest_trees(self):
         for g, values in ((Graph(1, []), (0,)), (Graph(2, [(0, 1)]), (1, 0))):
-            vertex, edge = iso_profile(g)
-            assert vertex == IsoProfile("vertex", values, True)
-            assert edge == IsoProfile("edge", values, True)
-            assert (vertex, edge) == _scan_profiles(g)
+            assert iso_profile(g) == (values, values) == _scan_profiles(g)
 
     def test_trees_skip_the_scan_cap(self):
         vertex, edge = iso_profile(generate("path", n=40))
-        assert vertex.values == edge.values == (1,) * 39 + (0,)
-        assert vertex.exact and edge.exact
-        # a budget bounds a subset scan, so it stays under the scan's cap
-        with pytest.raises(SizeCapError):
-            iso_profile(generate("path", n=40), budget=10)
-
-    def test_budget_on_a_tree_scans(self):
-        vertex, edge = iso_profile(generate("path", n=12), budget=100)
-        assert not vertex.exact and not edge.exact
-        assert (vertex, edge) == _scan_profiles(generate("path", n=12), budget=100)
+        assert vertex == edge == (1,) * 39 + (0,)
 
 
 class TestPeaksAndH:
     def test_peak_k5(self):
-        assert iso_peak(iso_profile(generate("complete", n=5))[0]) == 4
+        assert max(iso_profile(generate("complete", n=5))[0]) == 4
 
     def test_peak_grid4(self):
-        assert iso_peak(iso_profile(generate("grid", n=4))[0]) == 4
+        assert max(iso_profile(generate("grid", n=4))[0]) == 4
 
     def test_peak_p10_edge(self):
-        assert iso_peak(iso_profile(generate("path", n=10))[1]) == 1
+        assert max(iso_profile(generate("path", n=10))[1]) == 1
 
     def test_h_examples(self):
         assert h_index([2, 2, 2]) == 2
@@ -233,9 +200,9 @@ class TestPeaksAndH:
         assert h_index([0, 0, 0]) == 0
 
     def test_h_graph_values(self):
-        assert h_index(iso_profile(generate("grid", n=4))[0].values) == 4
-        assert h_index(iso_profile(generate("complete", n=5))[0].values) == 2
-        assert h_index(iso_profile(generate("path", n=10))[1].values) == 1
+        assert h_index(iso_profile(generate("grid", n=4))[0]) == 4
+        assert h_index(iso_profile(generate("complete", n=5))[0]) == 2
+        assert h_index(iso_profile(generate("path", n=10))[1]) == 1
 
     @given(st.lists(st.integers(0, 12), min_size=1, max_size=14))
     def test_h_matches_naive_and_caps(self, values):
@@ -247,9 +214,11 @@ class TestPeaksAndH:
 
 class TestBoundFormulas:
     def test_prox_lower_examples(self):
-        assert prox_lower_bounds(25, None, 4)["from_vertex_h"] == 6
-        assert prox_lower_bounds(4, None, 4)["from_vertex_h"] == 1
-        assert prox_lower_bounds(None, 40, 4)["from_edge_h"] == 3
+        # grid:4 has max degree 4: prox1 > H_V/5 and prox1 > H_E/20
+        g = generate("grid", n=4)
+        for quantities, lower in (({"h_vertex": 25}, 6), ({"h_vertex": 4}, 1),
+                                  ({"h_edge": 40}, 3), ({"h_edge": 39}, 2)):
+            assert assemble_bounds(g, **quantities).best("prox1")[0] == lower, quantities
 
     def test_peak_to_h_examples(self):
         # floor of 20/9: the real-valued threshold 2.22 rounds DOWN; the
@@ -262,11 +231,11 @@ class TestBoundFormulas:
         # triangle: peak 2, max degree 2, H_V = 1; threshold 1.2 must floor
         g = generate("cycle", n=3)
         prof = iso_profile(g)[0]
-        assert iso_peak(prof) == 2 and h_index(prof.values) == 1
+        assert max(prof) == 2 and h_index(prof) == 1
         assert peak_to_h_lower(2, 2, "vertex") == 1
         # K5: peak 4, max degree 4, H_V = 2; threshold 2.22 must floor
         k5 = generate("complete", n=5)
-        assert h_index(iso_profile(k5)[0].values) == 2
+        assert h_index(iso_profile(k5)[0]) == 2
         assert peak_to_h_lower(4, 4, "vertex") == 2
 
     def test_kary_bounds(self):
@@ -287,17 +256,17 @@ class TestProfileLaws:
         g = random_connected_graph(rng, n)
         pv, pe = iso_profile(g)
         delta = max_degree(g)
-        assert pv.values[n - 1] == 0 and pe.values[n - 1] == 0
+        assert pv[n - 1] == 0 and pe[n - 1] == 0
         for k in range(1, n + 1):
-            assert pv.values[k - 1] <= pe.values[k - 1] <= delta * pv.values[k - 1]
+            assert pv[k - 1] <= pe[k - 1] <= delta * pv[k - 1]
         for k in range(1, n):
-            assert pv.values[k] >= pv.values[k - 1] - 1
-            assert pv.values[k - 1] >= pv.values[k] - delta
-            assert pe.values[k] >= pe.values[k - 1] - delta
-        hv, he = h_index(pv.values), h_index(pe.values)
+            assert pv[k] >= pv[k - 1] - 1
+            assert pv[k - 1] >= pv[k] - delta
+            assert pe[k] >= pe[k - 1] - delta
+        hv, he = h_index(pv), h_index(pe)
         assert he / delta <= hv <= he
-        assert peak_to_h_lower(iso_peak(pv), delta, "vertex") <= hv
-        assert peak_to_h_lower(iso_peak(pe), delta, "edge") <= he
+        assert peak_to_h_lower(max(pv), delta, "vertex") <= hv
+        assert peak_to_h_lower(max(pe), delta, "edge") <= he
 
 
 class TestBoundsReport:
@@ -336,7 +305,4 @@ class TestBoundsReport:
 
 
 def test_profile_csv():
-    prof = IsoProfile("vertex", (2, 1, 0), True)
-    assert profile_to_csv(prof) == "k,phi,exact\n1,2,true\n2,1,true\n3,0,true\n"
-    partial = IsoProfile("vertex", (2, None, None), False)
-    assert profile_to_csv(partial) == "k,phi,exact\n1,2,false\n2,,false\n3,,false\n"
+    assert profile_to_csv((2, 1, 0)) == "k,phi,exact\n1,2,true\n2,1,true\n3,0,true\n"
