@@ -33,6 +33,7 @@ from .graphs import (
     generate,
     max_degree,
     parse_graph,
+    rooted_tree,
     serialize_graph,
     subdivide,
 )
@@ -49,11 +50,11 @@ from .strategies import (
     PATHWIDTH_CAP,
     STRATEGY_REGISTRY,
     brute_pathwidth,
-    level_decomposition,
     min_dominating_set,
+    nonleaf_levels,
 )
 from .zeta import ZETA_CAP, build_policy, simulate_policy, zeta_number
-from .gridsweep import grid_strategy
+from .gridsweep import SWEEP_NOTES, grid_strategy
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -212,7 +213,7 @@ def _kary_shape_of(g: Graph) -> tuple[int, int] | None:
     k = g.degree(0)
     if k < 2 or not g.is_tree():
         return None
-    d = level_decomposition(g, 0).depth
+    d = max(rooted_tree(g, 0)[2])
     # the order test keeps a wide shallow tree from generating a huge one
     if d < 2 or g.n != (k ** (d + 1) - 1) // (k - 1):
         return None
@@ -321,7 +322,7 @@ def cmd_strat(args) -> int:
                 "clear_round": trace.clear_round,
                 "rounds": len(schedule.rounds),
             },
-            notes=schedule.metadata.get("notes", []),
+            notes=SWEEP_NOTES,
         )
         _emit(body, started)
         return EXIT_OK
@@ -371,11 +372,12 @@ def table1_rows() -> dict[str, tuple[int, int, int]]:
     base = generate("kary", k=3, d=3)
     for name, i in (("T0", 0), ("T10", 10), ("T100", 100)):
         g = subdivide(base, i)
-        ld = level_decomposition(g, 0)
+        _, children, depth = rooted_tree(g, 0)
+        levels = nonleaf_levels(children, depth)
         rows[name] = (
             (g.n - 1).bit_length(),  # ceil(log2 n)
-            ld.depth // 4 + 2,
-            -(-ld.max_nonleaf // 3) + 1,
+            len(levels) // 4 + 2,
+            -(-max(map(len, levels)) // 3) + 1,
         )
     return rows
 

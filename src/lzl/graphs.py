@@ -391,23 +391,6 @@ def closed_nb_table(g: Graph, vertices: range) -> list[int]:
     return table
 
 
-def distances(g: Graph, v: int) -> list[int]:
-    """BFS hop counts from ``v``; -1 for unreachable vertices."""
-    if not 0 <= v < g.n:
-        raise GraphValidationError(f"vertex {v} out of range")
-    dist = [-1] * g.n
-    dist[v] = 0
-    seen = frontier = 1 << v
-    d = 0
-    while frontier:
-        frontier = closed_nb_bits(g, frontier) & ~seen
-        seen |= frontier
-        d += 1
-        for u in iter_bits(frontier):
-            dist[u] = d
-    return dist
-
-
 def neighbor_tuples(g: Graph) -> tuple[tuple[int, ...], ...]:
     """The neighbors of every vertex in ascending order.
 

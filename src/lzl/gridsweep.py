@@ -28,6 +28,12 @@ from .prox import ProbeSchedule, ScheduleTrace, run_schedule
 Coord = tuple[int, int]
 Probes = tuple[Coord, ...]
 
+#: What the grid-sweep report says of the construction it verified.
+SWEEP_NOTES = [
+    "panel activity residues follow the five-round cadence",
+    "termination by region emptiness plus a 5m-round margin",
+]
+
 
 def f_eval(i: int, j: int, c: int) -> int:
     """Staircase foot row of column c for the region indexed (i, j)."""
@@ -65,10 +71,8 @@ def m_of_n(n: int) -> int:
 class GridSweepPlan:
     """Extended-lattice schedule: every round's probes as (row, col) pairs."""
 
-    n: int
     m: int
     rounds: list[list[Coord]]
-    panel_starts: list[tuple[int, int]]  # (start round, start index)
 
 
 def _panel_sweep(
@@ -125,12 +129,7 @@ def _sweep(panels: list[tuple[int, int, int]], m: int, n: int) -> GridSweepPlan:
     for probe_rounds, _ in sweeps:
         for t, probes in probe_rounds.items():
             rounds[t - 1].extend(probes)
-    return GridSweepPlan(
-        n=n,
-        m=m,
-        rounds=rounds,
-        panel_starts=[(start_round, start_i) for start_round, start_i, _ in panels],
-    )
+    return GridSweepPlan(m, rounds)
 
 
 def five_panel_schedule(n: int) -> GridSweepPlan:
@@ -166,26 +165,8 @@ def clip_schedule(plan: GridSweepPlan, n: int) -> ProbeSchedule:
     ]
     while vertex_rounds and not vertex_rounds[-1]:
         vertex_rounds.pop()
-    # row-major vertex ids sort as their (row, col) pairs do; the rounds
-    # share this table's [r, c] lists
-    coords = [[r, c] for r in range(1, n + 1) for c in range(1, n + 1)]
-    coord_rounds = [[coords[v] for v in sorted(vs)] for vs in vertex_rounds]
     budget = max((len(r) for r in vertex_rounds), default=1) or 1
-    return ProbeSchedule.from_lists(
-        budget,
-        vertex_rounds,
-        metadata={
-            "strategy": "grid-sweep",
-            "n": n,
-            "m": plan.m,
-            "panel_starts": plan.panel_starts,
-            "rounds_rc": coord_rounds,  # 1-based (row, col) per probe
-            "notes": [
-                "panel activity residues follow the five-round cadence",
-                "termination by region emptiness plus a 5m-round margin",
-            ],
-        },
-    )
+    return ProbeSchedule.from_lists(budget, vertex_rounds)
 
 
 def grid_strategy(n: int) -> tuple[ProbeSchedule, ScheduleTrace]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Generator, Iterable
 
@@ -41,7 +41,6 @@ class ProbeSchedule:
 
     cops: int
     rounds: tuple[frozenset[int], ...]
-    metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.cops < 1:
@@ -53,8 +52,8 @@ class ProbeSchedule:
                 )
 
     @classmethod
-    def from_lists(cls, cops: int, rounds: Iterable[Iterable[int]], **kw):
-        return cls(cops, tuple(frozenset(r) for r in rounds), **kw)
+    def from_lists(cls, cops: int, rounds: Iterable[Iterable[int]]):
+        return cls(cops, tuple(frozenset(r) for r in rounds))
 
     def validate_for(self, g: Graph) -> None:
         """Reject a probe that is not a vertex of ``g``, named by its 1-based id."""
@@ -69,18 +68,20 @@ class ProbeSchedule:
                 "mode": "prox",
                 "cops": self.cops,
                 "rounds": [sorted(v + 1 for v in r) for r in self.rounds],
-                "metadata": self.metadata,
             },
             sort_keys=True,
         )
 
     @classmethod
     def from_json(cls, text: str) -> "ProbeSchedule":
-        """Read the file format: ``cops`` and the 1-based probe ids are JSON integers."""
+        """Read the file format: ``cops`` and the 1-based probe ids are JSON integers.
+
+        Other keys, such as the ``metadata`` that earlier versions wrote, are ignored.
+        """
         try:
             data = json.loads(text)
             cops, rounds = data["cops"], [list(r) for r in data["rounds"]]
-            metadata, mode = data.get("metadata", {}), data.get("mode", "prox")
+            mode = data.get("mode", "prox")
         except (ValueError, KeyError, TypeError) as exc:
             raise ScheduleError(f"malformed schedule JSON: {exc!r}") from None
         if mode != "prox":
@@ -91,7 +92,7 @@ class ProbeSchedule:
             for v in r:
                 if type(v) is not int:
                     raise ScheduleError(f"round {t} probes {json.dumps(v)}, not an integer id")
-        return cls.from_lists(cops, [[v - 1 for v in r] for r in rounds], metadata=metadata)
+        return cls.from_lists(cops, [[v - 1 for v in r] for r in rounds])
 
 
 @dataclass
@@ -308,8 +309,7 @@ def prox_winnable(g: Graph, p: int) -> tuple[bool, ProbeSchedule | None]:
         cur, combo = parent[cur]
         rounds.append(combo)
     rounds.reverse()
-    witness = ProbeSchedule.from_lists(p, rounds, metadata={"solver": "bfs"})
-    return True, witness
+    return True, ProbeSchedule.from_lists(p, rounds)
 
 
 def prox_solve(g: Graph) -> tuple[int, ProbeSchedule]:

@@ -19,7 +19,6 @@ from .graphs import (
     Graph,
     closed_nb_bits,
     components_bits,
-    distances,
     induced_subgraph,
     is_c4_free,
     iter_bits,
@@ -131,49 +130,31 @@ def strat_tree_depth(g: Graph, root: int) -> ProbeSchedule:
     """
     _require_tree(g)
     rounds: list[set[int]] = []
-    per_path = []
     for path in _leaf_paths(g, root):
         q = len(path) - 1
         round_a = {path[4 * j] for j in range(q // 4 + 1)}
         round_b = {path[4 * j + 2] for j in range((q - 2) // 4 + 1)} if q >= 2 else set()
         rounds.append(round_a)
         rounds.append(round_b)
-        per_path.append({"leaf": path[-1] + 1, "length": q})
     budget = max(1, max(len(r) for r in rounds))
-    return ProbeSchedule.from_lists(
-        budget,
-        rounds,
-        metadata={"strategy": "tree-depth", "root": root + 1, "paths": per_path},
-    )
+    return ProbeSchedule.from_lists(budget, rounds)
 
 
-# -- level decomposition and the level-line prox strategy -------------------
+# -- tree levels and the level-line prox strategy ---------------------------
 
 
-@dataclass(frozen=True)
-class LevelDecomposition:
-    root: int
-    levels: tuple[int, ...]  # masks of L_1..L_d by distance from the root
-    nonleaf_counts: tuple[int, ...]
+def nonleaf_levels(children: list[list[int]], depth: list[int]) -> list[list[int]]:
+    """The vertices with children on each level 1..d of a rooted tree, ascending.
 
-    @property
-    def depth(self) -> int:
-        return len(self.levels)
-
-    @property
-    def max_nonleaf(self) -> int:
-        return max(self.nonleaf_counts, default=0)
-
-
-def level_decomposition(g: Graph, root: int) -> LevelDecomposition:
-    _require_tree(g)
-    dist = distances(g, root)
-    levels = [0] * (max(dist) + 1)
-    counts = [0] * len(levels)
-    for v, i in enumerate(dist):
-        levels[i] |= 1 << v
-        counts[i] += g.degree(v) >= 2
-    return LevelDecomposition(root, tuple(levels[1:]), tuple(counts[1:]))
+    Reads the children and depths that ``rooted_tree`` returns.  There is
+    one list per level, so d is their number; level d holds only leaves
+    and its list is empty.
+    """
+    levels: list[list[int]] = [[] for _ in range(max(depth))]
+    for v, i in enumerate(depth):
+        if i and children[v]:
+            levels[i - 1].append(v)
+    return levels
 
 
 class _Guard:
@@ -201,16 +182,12 @@ def strat_tree_levels(g: Graph, root: int) -> ProbeSchedule:
     retires once all parents of its vertices have been probed by an active
     new group.  The spare cop both seeds new groups ahead of retirements
     and finishes the game with root probes.  Group membership is ascending
-    vertex order, last group possibly smaller; the choreography is recorded
-    in the metadata since round-level choices beyond the cop budget are
-    free.
+    vertex order, last group possibly smaller.
     """
     _require_tree(g)
     parent, children, depth = rooted_tree(g, root)
-    d = max(depth)
-    ld = level_decomposition(g, root) if d >= 1 else None
-    k = -(-ld.max_nonleaf // 3) if ld else 0
-    budget = k + 1
+    levels = nonleaf_levels(children, depth)
+    budget = -(-max(map(len, levels), default=0) // 3) + 1
     rounds: list[set[int]] = []
     guards: list[_Guard] = []
 
@@ -222,12 +199,7 @@ def strat_tree_levels(g: Graph, root: int) -> ProbeSchedule:
             raise AssertionError("level strategy exceeded its cop budget")
         rounds.append(probes)
 
-    nonleaf_by_level = {
-        j: [v for v in iter_bits(ld.levels[j - 1]) if children[v]]
-        for j in range(1, d + 1)
-    } if ld else {}
-
-    for j in range(d - 1, 0, -1):
+    for j in range(len(levels) - 1, 0, -1):
         old_guards = guards
         order: list[int] = []
         seen: set[int] = set()
@@ -237,7 +209,7 @@ def strat_tree_levels(g: Graph, root: int) -> ProbeSchedule:
                 if p not in seen:
                     seen.add(p)
                     order.append(p)
-        for v in nonleaf_by_level[j]:
+        for v in levels[j - 1]:
             if v not in seen:
                 seen.add(v)
                 order.append(v)
@@ -267,16 +239,7 @@ def strat_tree_levels(g: Graph, root: int) -> ProbeSchedule:
     # line sits on level 1; only the root and its leaf children remain
     for _ in range(2):
         emit((root,))
-    return ProbeSchedule.from_lists(
-        budget,
-        rounds,
-        metadata={
-            "strategy": "tree-levels",
-            "root": root + 1,
-            "max_nonleaf_per_level": ld.max_nonleaf if ld else 0,
-            "grouping": "ascending vertex order, last group may be smaller",
-        },
-    )
+    return ProbeSchedule.from_lists(budget, rounds)
 
 
 # -- path decompositions ----------------------------------------------------
@@ -533,11 +496,7 @@ def strat_separator(g: Graph) -> ProbeSchedule:
 
     round_masks = rec((1 << g.n) - 1, 0)
     budget = max(m.bit_count() for m in round_masks)
-    return ProbeSchedule.from_lists(
-        budget,
-        [set(iter_bits(m)) for m in round_masks],
-        metadata={"strategy": "separator", "base_size": base},
-    )
+    return ProbeSchedule.from_lists(budget, [set(iter_bits(m)) for m in round_masks])
 
 
 # -- lifting prox strategies into the localization game ---------------------

@@ -206,11 +206,6 @@ class SimulationResult:
         }
 
 
-_CAPTURED = 0
-_ESCAPE = 1
-_CAP = 2
-
-
 def simulate_policy(
     g: Graph, policy: Policy, *, round_cap: int = 400
 ) -> SimulationResult:
@@ -237,7 +232,7 @@ def simulate_policy(
     def run(t: int, state, r_bits: int):
         nonlocal branches
         if t > round_cap:
-            return _CAP, None, []
+            return "cap-exceeded", None, []
         m_bits = spread.get(r_bits)
         if m_bits is None:
             m_bits = spread[r_bits] = closed_nb_bits(g, r_bits)
@@ -250,7 +245,7 @@ def simulate_policy(
         probed = tuple(sorted(probe_set))
         if not probed and m_bits.bit_count() > 1 and not policy.probes_after(state):
             # nothing will ever split the candidates again
-            return _ESCAPE, None, [_frame(g, t, probed, None, m_bits)]
+            return "escape-witness", None, [_frame(g, t, probed, None, m_bits)]
         probe_mask = mask_of(probed)
         worst = 0
         for cls in _partition_bits(g, m_bits, probed):
@@ -262,17 +257,17 @@ def simulate_policy(
             nstate = policy.advance(state, tuple(iter_bits(adj[rep] & probe_mask)))
             node = (nstate, cls)
             if node in onpath:
-                return _ESCAPE, None, [_frame(g, t, probed, rep, cls)]
+                return "escape-witness", None, [_frame(g, t, probed, rep, cls)]
             sub_worst = memo.get((t + 1, nstate, cls))
             if sub_worst is None:
                 onpath.add(node)
                 verdict, sub_worst, path = yield t + 1, nstate, cls
                 onpath.discard(node)
-                if verdict != _CAPTURED:
+                if verdict != "captured-all-branches":
                     return verdict, None, [_frame(g, t, probed, rep, cls)] + path
             worst = max(worst, sub_worst)
         memo[t, state, r_bits] = worst
-        return _CAPTURED, worst, None
+        return "captured-all-branches", worst, None
 
     stack = [run(1, policy.initial_state(), (1 << g.n) - 1)]
     result = None
@@ -286,11 +281,7 @@ def simulate_policy(
             stack.append(run(*child))
             result = None
     verdict, worst, path = result
-    if verdict == _CAPTURED:
-        return SimulationResult("captured-all-branches", worst, branches)
-    if verdict == _ESCAPE:
-        return SimulationResult("escape-witness", None, branches, path)
-    return SimulationResult("cap-exceeded", None, branches, path)
+    return SimulationResult(verdict, worst, branches, path)
 
 
 def _frame(g: Graph, t: int, probed, rep: int | None, cls_bits: int) -> dict:

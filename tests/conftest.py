@@ -133,24 +133,24 @@ def grid_profile_oracle(n: int) -> tuple[int, int, int]:
     return k_lo, k_hi, n
 
 
-def panel_rounds(plan) -> list[dict[int, tuple]]:
-    """Each panel's probes by round, split off ``plan.rounds`` by column window.
+def panel_rounds(plan, count: int = 5) -> list[dict[int, tuple]]:
+    """Each of ``count`` panels' probes by round, split off ``plan.rounds`` by column window.
 
-    Panel p (0-based) of a plan with panel width m probes the columns
-    [p*m, p*m + m + 1] on the rounds t >= its start round s with
-    t - s = 0 or 3 mod 5, and the round lists the active panels' probes in
-    panel order.  Two panels active in one round are two or three apart,
-    so for m >= 3 their windows are disjoint; the split must give back
-    every round exactly, which also checks that no panel probes off its
-    cadence.
+    Panel p (0-based) of a plan with panel width m starts in round s = p + 1,
+    as ``five_panel_schedule`` documents, and probes the columns
+    [p*m, p*m + m + 1] on the rounds t >= s with t - s = 0 or 3 mod 5, and
+    the round lists the active panels' probes in panel order.  Two panels
+    active in one round are two or three apart, so for m >= 3 their
+    windows are disjoint; the split must give back every round exactly,
+    which also checks that no panel probes off its cadence.
     """
     m = plan.m
-    panels: list[dict[int, tuple]] = [{} for _ in plan.panel_starts]
+    panels: list[dict[int, tuple]] = [{} for _ in range(count)]
     for t, probes in enumerate(plan.rounds, 1):
         parts = []
         active = 0
-        for p, (start, _) in enumerate(plan.panel_starts):
-            if t < start or (t - start) % 5 not in (0, 3):
+        for p in range(count):
+            if t <= p or (t - p - 1) % 5 not in (0, 3):
                 continue
             active += 1
             own = tuple(rc for rc in probes if p * m <= rc[1] <= p * m + m + 1)

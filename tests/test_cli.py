@@ -254,7 +254,17 @@ class TestStratCmd:
         results = report_of(out)["report"]["results"]
         assert results["budget"] == 6 and results["cleared"]
         data = json.loads(emit.read_text())
-        assert data["cops"] == 6
+        assert sorted(data) == ["cops", "mode", "rounds"] and data["cops"] == 6
+        # a file as earlier versions wrote it, with a metadata object, still verifies
+        old = tmp_path / "grid11-metadata.json"
+        old.write_text(json.dumps({**data, "metadata": {
+            "strategy": "grid-sweep", "n": 11, "m": 3, "panel_starts": [[1, -6]],
+            "rounds_rc": [], "notes": ["panel activity residues follow the five-round cadence"],
+        }}))
+        for path in (emit, old):
+            code, out, _ = run_cli(capsys, "prox", "verify", "--graph", "grid:11",
+                                   "--schedule", str(path))
+            assert code == 0 and report_of(out)["report"]["results"]["cleared"]
 
     @pytest.mark.parametrize("n,budget,clear_round,rounds", [
         (51, 14, 4181, 4236),

@@ -9,7 +9,6 @@ from lzl.graphs import (
     closed_nb_bits,
     closed_nb_table,
     components_bits,
-    distances,
     generate,
     induced_subgraph,
     is_c4_free,
@@ -18,6 +17,7 @@ from lzl.graphs import (
     max_degree,
     neighbor_tuples,
     parse_graph,
+    rooted_tree,
     serialize_graph,
     subdivide,
 )
@@ -99,7 +99,7 @@ class TestParse:
                       for v in range(g.n)]
         else:
             g = subdivide(generate("kary", k=3, d=3), 2)
-            labels = [f"l {v + 1} depth={d}\n" for v, d in enumerate(distances(g, 0))]
+            labels = [f"l {v + 1} depth={d}\n" for v, d in enumerate(bfs_distances(g, 0))]
         legacy = parse_graph(serialize_graph(g) + "".join(labels))
         assert legacy == g and legacy.content_hash() == g.content_hash()
 
@@ -131,7 +131,7 @@ class TestGenerate:
         base = generate("kary", k=3, d=3)
         g = subdivide(base, 10)
         assert g.n == 430
-        assert max(distances(g, 0)) == 33
+        assert max(rooted_tree(g, 0)[2]) == 33
 
     def test_spider_333(self):
         g = generate("spider", arms=[3, 3, 3])
@@ -295,9 +295,10 @@ class TestTraversals:
 
     @pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
     def test_distances(self, name):
+        # rooted_tree is a BFS, so on any connected graph its depths are hop counts
         g = KERNEL_GRAPHS[name]
         for v in range(g.n):
-            assert distances(g, v) == bfs_distances(g, v), v
+            assert rooted_tree(g, v)[2] == bfs_distances(g, v), v
 
     @pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
     def test_components(self, name):
@@ -340,11 +341,11 @@ class TestTraversals:
 class TestMetrics:
     def test_distances_path(self):
         g = generate("path", n=4)
-        assert distances(g, 0) == [0, 1, 2, 3]
+        assert rooted_tree(g, 0)[2] == [0, 1, 2, 3]
 
     def test_diameter_grid(self):
         g = generate("grid", n=4)
-        assert max(max(distances(g, v)) for v in range(g.n)) == 6
+        assert max(max(bfs_distances(g, v)) for v in range(g.n)) == 6
 
     def test_c4_free(self):
         assert not is_c4_free(generate("grid", n=2))

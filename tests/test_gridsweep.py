@@ -236,9 +236,8 @@ class TestMOfN:
 
 def clip_one_round(probes, n):
     """The (row, col) pairs that clip_schedule makes of one round of probes."""
-    plan = GridSweepPlan(n, 1, [list(probes)], [])
-    rounds_rc = clip_schedule(plan, n).metadata["rounds_rc"]
-    return {tuple(rc) for rc in rounds_rc[0]} if rounds_rc else set()
+    rounds = clip_schedule(GridSweepPlan(1, [list(probes)]), n).rounds
+    return {(v // n + 1, v % n + 1) for v in rounds[0]} if rounds else set()
 
 
 class TestClip:
@@ -278,7 +277,7 @@ class TestPanel:
     def test_property1_cadence(self):
         # probes in round 1 + 5m*a land on S(-2m+a, m)
         m, n = 3, 11
-        probes_by_round = panel_rounds(single_panel(m, n))[0]
+        probes_by_round = panel_rounds(single_panel(m, n), 1)[0]
         for alpha in range(0, 4):
             t = 1 + 5 * m * alpha
             if t not in probes_by_round:
@@ -291,12 +290,15 @@ class TestPanel:
 
 class TestFivePanel:
     def test_start_stagger(self):
+        # panel j first probes in round j: S(-2m + (j-1)(m-1)/2, m) on its columns
         plan = five_panel_schedule(11)
         m = plan.m
-        assert [s for s, _ in plan.panel_starts] == [1, 2, 3, 4, 5]
-        assert [i for _, i in plan.panel_starts] == [
-            -2 * m + j * (m - 1) // 2 for j in range(5)
-        ]
+        for j, panel in enumerate(panel_rounds(plan), 1):
+            start_i = -2 * m + (j - 1) * (m - 1) // 2
+            assert min(panel) == j
+            assert panel[j] == tuple(
+                (r + start_i, c + (j - 1) * m) for r, c in probe_set(m, m)
+            )
 
     def test_two_panels_per_round(self):
         plan = five_panel_schedule(11)
@@ -340,16 +342,6 @@ class TestGridStrategy:
         sched, trace = grid_strategy(n)
         assert trace.cleared
         assert sched.cops <= m_of_n(n) + 3
-
-    def test_coordinate_export_matches_rounds(self):
-        sched, _ = grid_strategy(11)
-        for vertices, coords in zip(sched.rounds, sched.metadata["rounds_rc"]):
-            assert vertices == {(r - 1) * 11 + (c - 1) for r, c in coords}
-
-    def test_schedule_json_has_metadata(self):
-        sched, _ = grid_strategy(11)
-        assert sched.metadata["m"] == 3
-        assert "panel_starts" in sched.metadata
 
 
 class ReferencePanel:
@@ -399,12 +391,7 @@ def reference_sweep(panels, m, n):
         t = len(rounds) + 1
         rounds.append([probe for p in panels for probe in p.round(t)])
     rounds.extend([] for _ in range(5 * m))
-    return GridSweepPlan(
-        n=n,
-        m=m,
-        rounds=rounds,
-        panel_starts=[(p.start_round, p.start_i) for p in panels],
-    )
+    return GridSweepPlan(m, rounds)
 
 
 def reference_clip_round(probes, n_rows, n_cols):
@@ -420,30 +407,13 @@ def reference_clip_round(probes, n_rows, n_cols):
 def reference_clip_schedule(plan, n, n_cols):
     """Clip probe by probe through coordinate tuples, then number the vertices."""
     vertex_rounds = []
-    coord_rounds = []
     for probes in plan.rounds:
-        clipped = sorted(reference_clip_round(probes, n, n_cols))
-        coord_rounds.append([[r, c] for r, c in clipped])
+        clipped = reference_clip_round(probes, n, n_cols)
         vertex_rounds.append({(r - 1) * n_cols + (c - 1) for r, c in clipped})
     while vertex_rounds and not vertex_rounds[-1]:
         vertex_rounds.pop()
-        coord_rounds.pop()
     budget = max((len(r) for r in vertex_rounds), default=1) or 1
-    return ProbeSchedule.from_lists(
-        budget,
-        vertex_rounds,
-        metadata={
-            "strategy": "grid-sweep",
-            "n": n,
-            "m": plan.m,
-            "panel_starts": plan.panel_starts,
-            "rounds_rc": coord_rounds,
-            "notes": [
-                "panel activity residues follow the five-round cadence",
-                "termination by region emptiness plus a 5m-round margin",
-            ],
-        },
-    )
+    return ProbeSchedule.from_lists(budget, vertex_rounds)
 
 
 class TestAgainstReference:
@@ -451,8 +421,8 @@ class TestAgainstReference:
 
     @staticmethod
     def assert_same(plan, reference):
+        assert plan.m == reference.m
         assert plan.rounds == reference.rounds
-        assert plan.panel_starts == reference.panel_starts
 
     @pytest.mark.parametrize("n", [
         *range(2, 71),

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import deque
 from itertools import combinations
@@ -379,7 +380,7 @@ def territory_keyed_bfs(g, p):
                         cur, probes = parent[cur]
                         rounds.append(probes)
                     rounds.reverse()
-                    return True, ProbeSchedule.from_lists(p, rounds, metadata={"solver": "bfs"})
+                    return True, ProbeSchedule.from_lists(p, rounds)
                 frontier.append(t)
     return False, None
 
@@ -474,8 +475,15 @@ class TestSolverAgainstUnfilteredSearch:
 
 class TestScheduleJson:
     def test_roundtrip(self):
-        sched = ProbeSchedule.from_lists(2, [{0, 2}, {1}], metadata={"note": "x"})
+        sched = ProbeSchedule.from_lists(2, [{0, 2}, {1}])
         again = ProbeSchedule.from_json(sched.to_json())
         assert again.rounds == sched.rounds
         assert again.cops == sched.cops
-        assert '"rounds": [[1, 3], [2]]' in sched.to_json()
+        assert json.loads(sched.to_json()) == {"mode": "prox", "cops": 2, "rounds": [[1, 3], [2]]}
+
+    def test_metadata_from_earlier_versions_is_ignored(self):
+        text = json.dumps({
+            "mode": "prox", "cops": 2, "rounds": [[1, 3], [2]],
+            "metadata": {"strategy": "grid-sweep", "rounds_rc": [[[1, 1], [1, 3]], [[1, 2]]]},
+        })
+        assert ProbeSchedule.from_json(text) == ProbeSchedule.from_lists(2, [{0, 2}, {1}])

@@ -6,10 +6,10 @@ from lzl import strategies
 from lzl.errors import GraphValidationError, StrategyPreconditionError
 from lzl.graphs import (
     components_bits,
-    distances,
     generate,
     iter_bits,
     max_degree,
+    rooted_tree,
     subdivide,
 )
 from lzl.prox import ProbeSchedule, prox_number, prox_solve, prox_winnable, run_schedule
@@ -21,9 +21,9 @@ from lzl.strategies import (
     _split_parts,
     balanced_separator_brute,
     brute_pathwidth,
-    level_decomposition,
     lift_prox_to_zeta,
     min_dominating_set,
+    nonleaf_levels,
     normalize_path_decomposition,
     strat_domination,
     strat_pathwidth,
@@ -34,7 +34,7 @@ from lzl.strategies import (
 )
 from lzl.zeta import simulate_policy, zeta_number
 
-from conftest import mask, random_recursive_tree, random_tree
+from conftest import bfs_distances, mask, random_recursive_tree, random_tree
 
 
 def validate_path_decomposition(g, bags):
@@ -198,18 +198,32 @@ class TestTreeDepth:
                 assert run_schedule(g, sched).cleared, (k, d)
 
 
+def levels_of(g, root=0):
+    _, children, depth = rooted_tree(g, root)
+    return nonleaf_levels(children, depth)
+
+
+def level_bound(g):
+    """ceil(max nonleaf-per-level / 3) + 1, the level strategy's budget."""
+    return -(-max(map(len, levels_of(g)), default=0) // 3) + 1
+
+
 class TestTreeLevels:
-    def test_decomposition_shape(self):
+    def test_nonleaf_levels_shape(self):
         g = generate("kary", k=3, d=3)
-        ld = level_decomposition(g, 0)
-        assert ld.depth == 3
-        assert ld.nonleaf_counts == (3, 9, 0)
-        assert ld.max_nonleaf == 9
-        union = mask(0)
-        for level in ld.levels:
-            assert not union & level
-            union = union | level
-        assert union == (1 << g.n) - 1
+        assert [len(level) for level in levels_of(g)] == [3, 9, 0]
+
+    def test_nonleaf_levels_against_bfs(self):
+        rng = random.Random(45)
+        for _ in range(30):
+            t = random_tree(rng, rng.randint(1, 12))
+            root = rng.randrange(t.n)
+            dist = bfs_distances(t, root)
+            expected = [[] for _ in range(max(dist))]
+            for v, d in enumerate(dist):
+                if d and t.degree(v) >= 2:
+                    expected[d - 1].append(v)
+            assert levels_of(t, root) == expected
 
     def test_t32_at_midway(self):
         g = generate("kary", k=3, d=2)
@@ -225,8 +239,7 @@ class TestTreeLevels:
 
     def test_subdivided_t33_budget_ten(self):
         g = subdivide(generate("kary", k=3, d=3), 10)
-        ld = level_decomposition(g, 0)
-        assert ld.max_nonleaf == 27
+        assert max(map(len, levels_of(g))) == 27
         sched = strat_tree_levels(g, 0)
         assert sched.cops == 10
         assert run_schedule(g, sched).cleared
@@ -235,20 +248,16 @@ class TestTreeLevels:
         rng = random.Random(44)
         for _ in range(30):
             t = random_tree(rng, rng.randint(1, 9))
-            ld_bound = (
-                -(-level_decomposition(t, 0).max_nonleaf // 3) + 1 if t.n > 1 else 1
-            )
             sched = strat_tree_levels(t, 0)
-            assert sched.cops == ld_bound
+            assert sched.cops == level_bound(t)
             assert run_schedule(t, sched).cleared
 
     def test_kary_family_clears_within_budget(self):
         for k in (2, 3):
             for d in range(1, 9):
                 g = generate("kary", k=k, d=d)
-                bound = -(-level_decomposition(g, 0).max_nonleaf // 3) + 1
                 sched = strat_tree_levels(g, 0)
-                assert sched.cops <= bound, (k, d)
+                assert sched.cops <= level_bound(g), (k, d)
                 assert run_schedule(g, sched).cleared, (k, d)
 
 
@@ -493,9 +502,9 @@ class TestLifts:
             t = random_tree(rng, rng.randint(2, 12))
             policy = TreeLiftPolicy(t, ProbeSchedule.from_lists(1, [{0}]), rng.randrange(t.n))
             for u in range(t.n):
-                dist = distances(t, u)
+                dist = bfs_distances(t, u)
                 for v in range(t.n):
                     if v != u:
                         hop = policy._toward(u, v)
-                        assert t.has_edge(u, hop) and distances(t, hop)[v] == dist[v] - 1
+                        assert t.has_edge(u, hop) and bfs_distances(t, hop)[v] == dist[v] - 1
 

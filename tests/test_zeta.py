@@ -17,9 +17,6 @@ from lzl.graphs import (
 from lzl.prox import prox_number, prox_solve
 from lzl.strategies import lift_prox_to_zeta, strat_tree_log
 from lzl.zeta import (
-    _CAP,
-    _CAPTURED,
-    _ESCAPE,
     OUT_ADJ,
     OUT_NONE,
     OUT_ON,
@@ -328,6 +325,10 @@ def split_oracle(g, m_bits, probed):
             if part
         ]
     return classes
+
+
+# the oracle's own round verdicts, mapped to outcomes once at the end
+_CAPTURED, _ESCAPE, _CAP = 0, 1, 2
 
 
 def simulate_oracle(g, policy, *, round_cap=400):
