@@ -392,7 +392,7 @@ def cmd_table(args) -> int:
         got = rows[name]
         status = "ok" if got == expected else "MISMATCH"
         print(f"{name}: order-bound={got[0]} depth-bound={got[1]} "
-              f"level-bound={got[2]}  [{status}]")
+              f"level-bound={got[2]}  [{status}]", file=sys.stderr)
         if got != expected:
             mismatches.append({"row": name, "expected": expected, "got": got})
     body = _report(

@@ -7,8 +7,9 @@ Generators cover every family the solvers and strategies consume: paths,
 cycles, complete graphs, square grids, k-ary trees, spiders, and edge
 subdivisions.
 
-A vertex set is an int mask throughout the package: bit v stands for the
-0-based vertex v.
+Every graph is connected, and a vertex set is an int mask of it throughout
+the package: bit v stands for the 0-based vertex v.  A part of a graph, such
+as a region or a component, is such a mask; no relabelled subgraph is built.
 """
 
 from __future__ import annotations
@@ -48,24 +49,12 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-def check_mask(g: Graph, bits: int, what: str) -> None:
-    """Reject a mask with a negative sign or a bit at or above ``g.n``."""
-    if bits < 0 or bits >> g.n:
-        raise GraphValidationError(f"{what} is not a vertex set of a graph of order {g.n}")
-
-
 class Graph:
-    """Connected (unless explicitly allowed otherwise) simple graph."""
+    """Connected simple graph: edges that leave it disconnected are rejected."""
 
     __slots__ = ("n", "adj_bits", "shifts", "_hash", "_nbrs")
 
-    def __init__(
-        self,
-        n: int,
-        edges: Iterable[tuple[int, int]],
-        *,
-        allow_disconnected: bool = False,
-    ):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n <= 0:
             raise GraphValidationError("graph must have at least one vertex")
         if n > VERTEX_CAP:
@@ -83,7 +72,8 @@ class Graph:
         object.__setattr__(self, "shifts", _shift_kernel(rows))
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_nbrs", None)
-        if not allow_disconnected and not self.is_connected():
+        full = (1 << n) - 1
+        if _reach(self, 1, full) != full:
             raise GraphValidationError("graph is disconnected")
 
     def __setattr__(self, name, value):
@@ -105,12 +95,9 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return (self.adj_bits[u] >> v) & 1 == 1
 
-    def is_connected(self) -> bool:
-        full = (1 << self.n) - 1
-        return _reach(self, 1, full) == full
-
     def is_tree(self) -> bool:
-        return self.is_connected() and self.edge_count() == self.n - 1
+        """A connected graph is a tree exactly when it has n - 1 edges."""
+        return self.edge_count() == self.n - 1
 
     def content_hash(self) -> str:
         h = object.__getattribute__(self, "_hash")
@@ -458,16 +445,3 @@ def components_bits(g: Graph, within: int) -> list[int]:
         comps.append(comp)
         remaining &= ~comp
     return comps
-
-
-def induced_subgraph(g: Graph, s: int) -> tuple[Graph, list[int]]:
-    """Subgraph induced on the mask ``s`` plus the old-index list (new -> old)."""
-    check_mask(g, s, "induced vertex set")
-    old = list(iter_bits(s))
-    index = {o: i for i, o in enumerate(old)}
-    edges = [
-        (index[u], index[v])
-        for u, v in g.edges()
-        if u in index and v in index
-    ]
-    return Graph(len(old), edges, allow_disconnected=True), old

@@ -24,7 +24,6 @@ from typing import Generator, Iterable
 from .errors import ScheduleError, SizeCapError
 from .graphs import (
     Graph,
-    check_mask,
     closed_nb_bits,
     closed_nb_table,
     mask_of,
@@ -104,7 +103,6 @@ class ScheduleTrace:
     counts: list[int]
     max_contamination: int
     first_recontamination_round: int | None
-    final_bits: int
 
     def as_dict(self) -> dict:
         return {
@@ -121,39 +119,25 @@ def step_bits(g: Graph, s_bits: int, u_bits: int) -> int:
     return closed_nb_bits(g, s_bits) & ~closed_nb_bits(g, u_bits)
 
 
-def run_schedule(
-    g: Graph,
-    schedule: ProbeSchedule,
-    *,
-    initial: int | None = None,
-) -> ScheduleTrace:
-    """Run the contamination recursion from S = V(G) (or the mask ``initial``).
+def run_schedule(g: Graph, schedule: ProbeSchedule) -> ScheduleTrace:
+    """Run the contamination recursion from S = V(G).
 
     A graph with a shift kernel (a lattice) steps S as a mask, a few big-int
     shifts per round.  Any other graph is stepped on neighbor lists: only
     the vertices that change and their neighbors are touched, so a round
     costs O(changed vertices * degree) whatever the order of the graph.
-    Both steppers yield each round's territory size and whether it grew,
-    and return the final territory as a mask.
+    Both steppers start from a territory, yield each round's territory size
+    and whether it grew, and return the final territory as a mask.
     """
     schedule.validate_for(g)
-    s = (1 << g.n) - 1 if initial is None else initial
-    check_mask(g, s, "initial territory")
+    s = (1 << g.n) - 1
     stepper = _shift_steps if g.shifts is not None else _sparse_steps
-    steps = stepper(g, schedule, s)
 
     trace_counts: list[int] = []
     clear_round = None
     recontam_round = None
     max_contam = s.bit_count()
-    t = 0
-    while True:
-        try:
-            size, grew = next(steps)
-        except StopIteration as done:
-            final_bits = done.value
-            break
-        t += 1
+    for t, (size, grew) in enumerate(stepper(g, schedule, s), start=1):
         if recontam_round is None and grew:
             recontam_round = t
         trace_counts.append(size)
@@ -167,7 +151,6 @@ def run_schedule(
         counts=trace_counts,
         max_contamination=max_contam,
         first_recontamination_round=recontam_round,
-        final_bits=final_bits,
     )
 
 

@@ -19,7 +19,6 @@ from .graphs import (
     Graph,
     closed_nb_bits,
     components_bits,
-    induced_subgraph,
     is_c4_free,
     iter_bits,
     mask_of,
@@ -415,24 +414,25 @@ def strat_domination(g: Graph) -> Policy:
 # -- separators --------------------------------------------------------------
 
 
-def balanced_separator_brute(g: Graph) -> tuple[int, int, int]:
-    """Smallest C with the components of G - C splittable into parts of order <= 2n/3.
+def balanced_separator_brute(g: Graph, region: int) -> tuple[int, int, int]:
+    """Smallest C with the components of ``region`` - C splittable into parts of order <= 2|region|/3.
 
-    Returns the masks (A, B, C).
+    C runs over the region's vertices in ascending order, smallest sets
+    first.  Returns the masks (A, B, C).
     """
-    if g.n > SEPARATOR_CAP:
-        raise SizeCapError("exhaustive separator", g.n, SEPARATOR_CAP)
-    n = g.n
-    full = (1 << n) - 1
+    vertices = list(iter_bits(region))
+    n = len(vertices)
+    if n > SEPARATOR_CAP:
+        raise SizeCapError("exhaustive separator", n, SEPARATOR_CAP)
     for size in range(0, n + 1):
-        for combo in combinations(range(n), size):
+        for combo in combinations(vertices, size):
             c_bits = mask_of(combo)
-            comps = components_bits(g, full & ~c_bits)
+            comps = components_bits(g, region & ~c_bits)
             comps.sort(key=lambda m: -m.bit_count())
             split = _split_parts(comps, n)
             if split is not None:
                 return (*split, c_bits)
-    raise AssertionError("C = V always separates")
+    raise AssertionError("C = region always separates")
 
 
 def _split_parts(comps: list[int], n: int) -> tuple[int, int] | None:
@@ -481,10 +481,7 @@ def strat_separator(g: Graph) -> ProbeSchedule:
     def rec(region: int, guards: int) -> list[int]:
         if region.bit_count() <= base:
             return [region | guards]
-        sub, old = induced_subgraph(g, region)
-        a, b, c = balanced_separator_brute(sub)
-        to_old = lambda m: mask_of(old[i] for i in iter_bits(m))
-        a_bits, b_bits, c_bits = to_old(a), to_old(b), to_old(c)
+        a_bits, b_bits, c_bits = balanced_separator_brute(g, region)
         inner_guards = guards | c_bits
         rounds: list[int] = []
         for part in (a_bits, b_bits):

@@ -105,6 +105,16 @@ def bfs_distances(g: Graph, v: int, within: int | None = None) -> list[int]:
     return dist
 
 
+def induced_connected(g: Graph, s: int) -> Graph:
+    """The subgraph induced on the connected mask ``s``, relabelled in ascending order.
+
+    Every Graph is connected, so a mask that is not raises GraphValidationError.
+    """
+    index = {v: i for i, v in enumerate(iter_bits(s))}
+    edges = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
+    return Graph(len(index), edges)
+
+
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Cartesian product: (a,x) ~ (b,y) iff (a=b and x~y) or (a~b and x=y).
 

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from lzl.cli import TABLE1_EXPECTED, table1_rows
-from lzl.graphs import closed_nb_bits, generate, induced_subgraph, max_degree
+from lzl.graphs import closed_nb_bits, generate, max_degree
 from lzl.gridsweep import five_panel_schedule, grid_strategy, probe_set
 from lzl.iso import h_index, iso_profile
 from lzl.prox import prox_number, run_schedule
@@ -22,7 +22,7 @@ from lzl.strategies import (
 )
 from lzl.zeta import simulate_policy, zeta_number
 
-from conftest import grid_profile_oracle, panel_rounds, peak_to_h_lower
+from conftest import grid_profile_oracle, induced_connected, panel_rounds, peak_to_h_lower
 
 
 def _ok(num: int, name: str) -> None:
@@ -61,8 +61,7 @@ def test_criterion_2_tree_laws(tree_batch):
                     break
                 choices = [v for v in range(t.n) if (frontier >> v) & 1]
                 keep |= 1 << rng.choice(choices)
-            sub, _ = induced_subgraph(t, keep)
-            assert zeta_number(sub) <= z
+            assert zeta_number(induced_connected(t, keep)) <= z
     _ok(2, f"tree laws on {len(tree_batch)} trees, {subtree_checks} subtree samples")
 
 

@@ -353,11 +353,11 @@ class TestGraphId:
 
 class TestTableCmd:
     def test_tab1_reproduces(self, capsys):
-        code, out, _ = run_cli(capsys, "table", "tab1")
+        code, out, err = run_cli(capsys, "table", "tab1")
         assert code == 0
-        rows = report_of(out)["report"]["results"]["rows"]
+        rows = json.loads(out)["report"]["results"]["rows"]
         assert rows == {"T0": [6, 2, 4], "T10": [9, 10, 10], "T100": [12, 77, 10]}
-        assert "[ok]" in out
+        assert "[ok]" in err
 
 
 class TestDeterminismAndCache:

@@ -34,11 +34,10 @@ COMMANDS = [
 
 
 def run(capsys, command: str) -> dict:
-    """Exit code and report of one command; `table` prints its rows before the JSON."""
+    """Exit code and report of one command; stdout is one JSON document or empty."""
     code = main(shlex.split(command))
     out = capsys.readouterr().out
-    start = out.find("{")
-    return {"exit": code, "report": json.loads(out[start:])["report"] if start >= 0 else None}
+    return {"exit": code, "report": json.loads(out)["report"] if out else None}
 
 
 def test_golden_file_lists_every_command():

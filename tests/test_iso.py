@@ -95,16 +95,11 @@ class TestProfiles:
         with pytest.raises(SizeCapError):
             iso_profile(generate("grid", n=6))
 
-    @given(st.integers(0, 10**6), st.integers(1, 14), st.booleans())
+    @given(st.integers(0, 10**6), st.integers(1, 14))
     @settings(max_examples=40)
-    def test_scan_matches_gray_oracle(self, seed, n, connected):
+    def test_scan_matches_gray_oracle(self, seed, n):
         rng = random.Random(seed)
-        if connected:
-            g = random_connected_graph(rng, n, extra_edges=rng.randint(0, n))
-        else:
-            p = rng.random()
-            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-            g = Graph(n, edges, allow_disconnected=True)
+        g = random_connected_graph(rng, n, extra_edges=rng.randint(0, n))
         assert _scan_profiles(g) == gray_scan_oracle(g)
 
     def test_closed_forms_at_the_cap(self):

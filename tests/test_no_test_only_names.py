@@ -1,4 +1,5 @@
-"""Every module-level name in `src/lzl` is used by the program itself.
+"""Every module-level name and keyword-only parameter in `src/lzl` is used
+by the program itself.
 
 A function, class or assigned name defined at the top of a `src/lzl`
 module must be read somewhere in `src/lzl`, `scripts/` or `perfbench/`
@@ -7,12 +8,32 @@ only tests read is dead code with a test attached.  A name counts as read
 where it occurs as an identifier, an attribute or a string constant
 (`perfbench/spans.py` looks entry points up by name); importing it is
 not reading it.
+
+Likewise every keyword-only parameter of a `src/lzl` function must be
+passed by name somewhere in those files, as a keyword argument or a
+string key: a keyword that only tests pass selects a code path that only
+tests run.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = sorted((ROOT / "src" / "lzl").glob("*.py"))
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def tool_modules() -> list[ast.Module]:
+    """The modules of `scripts/` and `perfbench/`, test files aside."""
+    return [
+        parse(path)
+        for folder in ("scripts", "perfbench")
+        for path in sorted((ROOT / folder).glob("*.py"))
+        if not path.name.startswith("test_")
+    ]
 
 
 def used_names(node: ast.AST) -> set[str]:
@@ -39,18 +60,31 @@ def defined_names(stmt: ast.stmt) -> set[str]:
 def test_every_src_name_has_a_program_reader():
     definitions = []  # (module, name, index of the defining statement)
     uses = []  # (module or None, statement index or None, names read)
-    for path in sorted((ROOT / "src" / "lzl").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for i, stmt in enumerate(tree.body):
+    for path in SRC:
+        for i, stmt in enumerate(parse(path).body):
             definitions.extend((path.name, name, i) for name in defined_names(stmt))
             uses.append((path.name, i, used_names(stmt)))
-    for folder in ("scripts", "perfbench"):
-        for path in sorted((ROOT / folder).glob("*.py")):
-            if not path.name.startswith("test_"):
-                uses.append((None, None, used_names(ast.parse(path.read_text(encoding="utf-8")))))
+    uses.extend((None, None, used_names(tree)) for tree in tool_modules())
     unread = [
         f"{module}:{name}"
         for module, name, i in definitions
         if not any(name in names for m, j, names in uses if (m, j) != (module, i))
     ]
     assert definitions and not unread
+
+
+def test_every_keyword_only_parameter_is_passed_by_the_program():
+    keyword_only = []  # (module, function, parameter)
+    passed = set()  # keyword arguments and string constants
+    for path in SRC:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                keyword_only.extend((path.name, node.name, a.arg) for a in node.args.kwonlyargs)
+    for tree in [parse(path) for path in SRC] + tool_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.keyword) and node.arg is not None:
+                passed.add(node.arg)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                passed.add(node.value)
+    unpassed = [f"{m}:{f}(*, {arg})" for m, f, arg in keyword_only if arg not in passed]
+    assert keyword_only and not unpassed

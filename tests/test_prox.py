@@ -67,9 +67,10 @@ class TestRunSchedule:
 
     def test_p4_single_probe_fails(self):
         g = generate("path", n=4)
-        trace = run_schedule(g, ProbeSchedule.from_lists(1, [{1}]))
-        assert not trace.cleared
-        assert trace.final_bits == 1 << 3
+        sched = ProbeSchedule.from_lists(1, [{1}])
+        trace = run_schedule(g, sched)
+        assert not trace.cleared and trace.counts == [1]
+        assert drain(_shift_steps(g, sched, (1 << g.n) - 1))[1] == 1 << 3
 
     def test_budget_enforced(self):
         with pytest.raises(ScheduleError):
@@ -114,7 +115,8 @@ class TestRunSchedule:
         for t, r in enumerate(rounds, start=1):
             state = step_bits(g, state, mask_of(r))
             assert trace.counts[t - 1] == state.bit_count()
-        assert trace.final_bits == state
+        for stepper in (_shift_steps, _sparse_steps):
+            assert drain(stepper(g, sched, (1 << g.n) - 1))[1] == state
 
     @given(st.integers(0, 5000), st.integers(2, 8))
     @settings(max_examples=25)
@@ -128,22 +130,25 @@ class TestRunSchedule:
         sched = ProbeSchedule.from_lists(2, rounds)
         big = [v for v in range(n) if rng.random() < 0.7]
         small = [v for v in big if rng.random() < 0.6]
-        tr_small = run_schedule(g, sched, initial=mask_of(small))
-        tr_big = run_schedule(g, sched, initial=mask_of(big))
-        assert tr_small.final_bits & ~tr_big.final_bits == 0
-        if tr_big.cleared:
-            assert tr_small.cleared
+        for stepper in (_shift_steps, _sparse_steps):
+            steps_small, final_small = drain(stepper(g, sched, mask_of(small)))
+            steps_big, final_big = drain(stepper(g, sched, mask_of(big)))
+            assert final_small & ~final_big == 0
+            if any(size == 0 for size, _ in steps_big):
+                assert any(size == 0 for size, _ in steps_small)
 
 
 def _incremental_reference(g, schedule, initial=None):
-    """ScheduleTrace by per-vertex contaminated-neighbour counts, loop kernel."""
+    """ScheduleTrace and per-round territories by per-vertex contaminated-neighbour
+    counts, loop kernel, from the mask ``initial`` (default: every vertex)."""
     adj = g.adj_bits
     s = initial if initial is not None else (1 << g.n) - 1
     counts = [0] * g.n
     for v in iter_bits(s):
         for w in iter_bits(adj[v]):
             counts[w] += 1
-    trace = ScheduleTrace(False, None, [], s.bit_count(), None, s)
+    trace = ScheduleTrace(False, None, [], s.bit_count(), None)
+    territories = []
     for t, probes in enumerate(schedule.rounds, start=1):
         probe_nb = 0
         for v in probes:
@@ -157,12 +162,23 @@ def _incremental_reference(g, schedule, initial=None):
         if new_s & ~s and trace.first_recontamination_round is None:
             trace.first_recontamination_round = t
         s = new_s
+        territories.append(s)
         trace.counts.append(s.bit_count())
         trace.max_contamination = max(trace.max_contamination, s.bit_count())
         if s == 0 and not trace.cleared:
             trace.cleared, trace.clear_round = True, t
-    trace.final_bits = s
-    return trace
+    return trace, territories
+
+
+def check_steppers(g, schedule, s):
+    """Both steppers from the territory ``s`` give the reference's per-round
+    sizes and growth flags, and return its final territory."""
+    trace, territories = _incremental_reference(g, schedule, s)
+    grew = [t & ~prev != 0 for prev, t in zip([s] + territories, territories)]
+    for stepper in (_shift_steps, _sparse_steps):
+        steps, final = drain(stepper(g, schedule, s))
+        assert steps == list(zip(trace.counts, grew)), stepper.__name__
+        assert final == (territories or [s])[-1], stepper.__name__
 
 
 RUN_GRAPHS = {
@@ -188,7 +204,7 @@ class TestRunScheduleAgainstReference:
         g = generate("grid", n=n)
         sched = clip_schedule(five_panel_schedule(n), n)
         assert g.shifts is not None
-        assert run_schedule(g, sched) == _incremental_reference(g, sched)
+        assert run_schedule(g, sched) == _incremental_reference(g, sched)[0]
 
     @pytest.mark.parametrize("name", sorted(RUN_GRAPHS))
     @pytest.mark.parametrize("seed", range(5))
@@ -203,10 +219,8 @@ class TestRunScheduleAgainstReference:
             ]
             sched = ProbeSchedule.from_lists(cops, rounds)
             initial = mask_of(v for v in range(g.n) if rng.random() < 0.4)
-            assert run_schedule(g, sched) == _incremental_reference(g, sched)
-            assert run_schedule(g, sched, initial=initial) == _incremental_reference(
-                g, sched, initial
-            )
+            assert run_schedule(g, sched) == _incremental_reference(g, sched)[0]
+            check_steppers(g, sched, initial)
 
     @pytest.mark.parametrize("name", NO_SHIFT_KERNEL)
     def test_no_shift_kernel(self, name):
@@ -224,7 +238,7 @@ class TestRunScheduleAgainstReference:
         sched = strategy(g, 0)
         trace = run_schedule(g, sched)
         assert trace.cleared
-        assert trace == _incremental_reference(g, sched)
+        assert trace == _incremental_reference(g, sched)[0]
 
     @given(st.integers(0, 10**6), st.booleans(), st.integers(4, 200))
     @settings(max_examples=60)
@@ -248,35 +262,28 @@ class TestRunScheduleAgainstReference:
                 rounds.append(set())
         sched = ProbeSchedule.from_lists(max(map(len, rounds)), rounds)
         initial = mask_of(v for v in range(g.n) if rng.random() < 0.5)
-        for start in (None, initial):
-            ref = _incremental_reference(g, sched, start)
-            assert run_schedule(g, sched, initial=start) == ref
-            # a spider may step by shifts in run_schedule, so drive the sparse stepper too
-            s = (1 << g.n) - 1 if start is None else start
-            steps, final = drain(_sparse_steps(g, sched, s))
-            assert [size for size, _ in steps] == ref.counts and final == ref.final_bits
-            grew = [t for t, (_, g_t) in enumerate(steps, start=1) if g_t]
-            assert (grew or [None])[0] == ref.first_recontamination_round
+        assert run_schedule(g, sched) == _incremental_reference(g, sched)[0]
+        # a spider may step by shifts in run_schedule, so drive both steppers
+        for s in ((1 << g.n) - 1, initial):
+            check_steppers(g, sched, s)
 
     @pytest.mark.parametrize("name", NO_SHIFT_KERNEL)
     def test_edge_cases(self, name):
         g = RUN_GRAPHS[name]
         probes = ProbeSchedule.from_lists(2, [{0}, {1, g.n - 1}, set(), {g.n // 2}])
         no_rounds = ProbeSchedule.from_lists(1, [])
-        assert run_schedule(g, probes, initial=0) == _incremental_reference(g, probes, 0)
-        assert run_schedule(g, no_rounds) == _incremental_reference(g, no_rounds)
-        assert run_schedule(g, no_rounds, initial=0) == _incremental_reference(
-            g, no_rounds, 0
-        )
+        assert run_schedule(g, probes) == _incremental_reference(g, probes)[0]
+        assert run_schedule(g, no_rounds) == _incremental_reference(g, no_rounds)[0]
+        for sched in (probes, no_rounds):
+            check_steppers(g, sched, 0)
 
     def test_one_vertex_graph(self):
         g = Graph(1, [])  # an empty shift kernel: it steps by shifts
         for rounds in ([], [set()], [{0}], [set(), {0}]):
             sched = ProbeSchedule.from_lists(1, rounds)
-            for initial in (None, 0, 1):
-                assert run_schedule(g, sched, initial=initial) == _incremental_reference(
-                    g, sched, initial
-                )
+            assert run_schedule(g, sched) == _incremental_reference(g, sched)[0]
+            for s in (0, 1):
+                check_steppers(g, sched, s)
 
 
 def drain(steps):

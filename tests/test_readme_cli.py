@@ -2,8 +2,8 @@
 
 Each `lzl` line of the block runs as `python -m lzl ...` in one empty
 directory, in order, so a line that reads a file an earlier line writes
-must come after it.  This also checks `__main__.py` and the exit code a
-real process returns.
+must come after it.  This also checks `__main__.py`, the exit code a
+real process returns, and that its stdout is one JSON document.
 """
 
 import json
@@ -40,12 +40,12 @@ def test_readme_cli_block_runs_in_order(tmp_path):
     assert len(lines) >= 10
     for argv in lines:
         proc = lzl(argv, tmp_path)
-        if "arm-scan" in argv:
-            # the README shows the policy losing: the robber escapes the spider
-            assert proc.returncode == 1, (argv, proc.stderr)
-            assert json.loads(proc.stdout)["report"]["results"]["outcome"] == "escape-witness"
-        else:
-            assert proc.returncode == 0, (argv, proc.stderr)
+        # the README shows arm-scan losing: the robber escapes the spider
+        escapes = "arm-scan" in argv
+        assert proc.returncode == (1 if escapes else 0), (argv, proc.stderr)
+        report = json.loads(proc.stdout)["report"]  # stdout is one JSON document
+        if escapes:
+            assert report["results"]["outcome"] == "escape-witness"
 
 
 @pytest.mark.parametrize("argv,code", [

@@ -364,13 +364,17 @@ class TestDomination:
 
 class TestSeparator:
     def test_brute_contract(self, corpus):
+        rng = random.Random(5)
         for name, g in corpus[:10]:
-            a, b, c = balanced_separator_brute(g)
-            assert (a | b | c) == (1 << g.n) - 1
-            assert not (a & b or a & c or b & c)
-            assert 3 * a.bit_count() <= 2 * g.n and 3 * b.bit_count() <= 2 * g.n
-            for v in iter_bits(a):
-                assert not (g.adj_bits[v] & b), name
+            # the whole graph, then a region mask that need not be connected
+            for region in ((1 << g.n) - 1, rng.getrandbits(g.n) | 1):
+                a, b, c = balanced_separator_brute(g, region)
+                assert (a | b | c) == region
+                assert not (a & b or a & c or b & c)
+                order = region.bit_count()
+                assert 3 * a.bit_count() <= 2 * order and 3 * b.bit_count() <= 2 * order
+                for v in iter_bits(a):
+                    assert not (g.adj_bits[v] & b), (name, region)
 
     def test_p9(self):
         g = generate("path", n=9)
@@ -382,7 +386,7 @@ class TestSeparator:
     def test_star_beyond_sixteen_components(self, leaves):
         # G - {head} has one component per leaf; none may be skipped
         g = generate("spider", arms=[1] * leaves)
-        assert balanced_separator_brute(g)[2] == mask(0)
+        assert balanced_separator_brute(g, (1 << g.n) - 1)[2] == mask(0)
         assert run_schedule(g, strat_separator(g)).cleared
 
     def test_split_matches_scan(self):

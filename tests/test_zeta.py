@@ -9,7 +9,6 @@ from lzl.graphs import (
     FAMILIES,
     closed_nb_bits,
     generate,
-    induced_subgraph,
     iter_bits,
     mask_of,
     max_degree,
@@ -32,7 +31,13 @@ from lzl.zeta import (
     zeta_winnable,
 )
 
-from conftest import mask, random_connected_graph, random_recursive_tree, random_tree
+from conftest import (
+    induced_connected,
+    mask,
+    random_connected_graph,
+    random_recursive_tree,
+    random_tree,
+)
 
 
 class TestObserve:
@@ -555,5 +560,4 @@ class TestCrossSolverLaws:
                     break
                 picks = [v for v in range(t.n) if (frontier >> v) & 1]
                 sub_bits |= 1 << rng.choice(picks)
-            sub, _ = induced_subgraph(t, sub_bits)
-            assert zeta_number(sub) <= z
+            assert zeta_number(induced_connected(t, sub_bits)) <= z
