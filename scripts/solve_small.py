@@ -9,7 +9,7 @@ strict bound prox1 > H_V/(Delta+1) can be eyeballed per graph.
 from lzl.graphs import generate, max_degree
 from lzl.iso import assemble_bounds, h_index, iso_profile
 from lzl.prox import prox_number
-from lzl.zeta import zeta_number
+from lzl.zeta import ZETA_CAP, zeta_number
 
 SHELF = [
     ("P4", "path", {"n": 4}),
@@ -34,7 +34,7 @@ def main() -> int:
         g = generate(family, **params)
         delta = max_degree(g)
         p = prox_number(g)
-        z = zeta_number(g) if g.n <= 12 else None
+        z = zeta_number(g) if g.n <= ZETA_CAP else None
         hv = h_index(iso_profile(g)[0])
         bound = assemble_bounds(g, h_vertex=hv).best("prox1")[0]
         assert p >= bound

@@ -18,7 +18,9 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, combinations
+from functools import reduce
+from itertools import combinations
+from operator import and_
 from typing import Generator, Iterable
 
 from .errors import ScheduleError, SizeCapError
@@ -217,29 +219,33 @@ def _sparse_steps(
     return int("".join("1" if c else "0" for c in reversed(inside)), 2)
 
 
-def _probe_candidates(g: Graph, territory: int) -> list[int]:
-    """Vertices worth probing against the spread territory.
+def _probe_candidates(nb_closed: list[int], territory: int) -> list[int]:
+    """Vertices worth probing against the spread territory T, ascending.
 
-    A vertex is dropped when its in-territory clearing set is contained in
-    another candidate's: replacing the dominated probe by the dominating
-    one never shrinks the cleared set, so the filter is lossless.
+    A vertex is dropped when its clearing set N[v] & T lies in another's,
+    keeping the smallest id of equal sets: swapping in the other probe never
+    shrinks the cleared set, so the filter is lossless.  The others are the
+    meet of N[u] over u in N[v] & T, as u is in N[w] exactly when w is in N[u].
     """
-    n = g.n
-    keys: list[tuple[int, int]] = []
-    for v in range(n):
-        k = (g.adj_bits[v] | (1 << v)) & territory
-        if k:
-            keys.append((v, k))
+    full = (1 << len(nb_closed)) - 1
     out = []
-    for v, k in keys:
-        dominated = False
-        for w, k2 in keys:
-            if w == v:
-                continue
-            if k & ~k2 == 0 and (k != k2 or w < v):
-                dominated = True
+    for v, nb in enumerate(nb_closed):
+        key = nb & territory
+        alone = 1 << v
+        meet, bits = full, key
+        while bits and meet != alone:
+            low = bits & -bits
+            meet &= nb_closed[low.bit_length() - 1]
+            bits ^= low
+        if not key or meet & (alone - 1):
+            continue  # clears nothing, or a smaller id clears as much
+        bits = meet >> (v + 1)
+        while bits:  # a larger id whose clearing set is a strict superset
+            low = bits & -bits
+            if nb_closed[low.bit_length() + v] & territory != key:
                 break
-        if not dominated:
+            bits ^= low
+        else:
             out.append(v)
     return out
 
@@ -249,7 +255,9 @@ def prox_winnable(g: Graph, p: int) -> tuple[bool, ProbeSchedule | None]:
 
     Breadth-first reachability from V(G) to the empty set, so the witness
     is round-minimal.  A territory's future depends only on its spread
-    N[S], so states are keyed by N[S] and each is expanded once.
+    N[S], so states are keyed by N[S] and each is expanded once.  Probe
+    sets are tried by size, then lexicographically; a set leaves the AND of
+    its members' residuals T minus N[c], and two byte tables give N[S].
     """
     if g.n > PROX_CAP:
         raise SizeCapError("exact prox solver", g.n, PROX_CAP)
@@ -257,42 +265,52 @@ def prox_winnable(g: Graph, p: int) -> tuple[bool, ProbeSchedule | None]:
         return False, None
     n = g.n
     full = (1 << n) - 1
-    adj = g.adj_bits
-    nb_closed = [adj[v] | (1 << v) for v in range(n)]
-    # N[S] as the OR of one table lookup per byte of S
-    byte_tables = [(lo, closed_nb_table(g, range(lo, min(n, lo + 8)))) for lo in range(0, n, 8)]
+    nb_closed = [g.adj_bits[v] | (1 << v) for v in range(n)]
+    low_table = closed_nb_table(g, range(0, min(n, 8)))
+    high_table = closed_nb_table(g, range(8, n))
 
     # spread territory -> (parent spread territory, probes that led here)
     parent: dict[int, tuple[int, tuple[int, ...]] | None] = {full: None}
     frontier = deque([full])
 
-    while frontier and 0 not in parent:
-        territory = frontier.popleft()
-        cands = _probe_candidates(g, territory)
-        for combo in chain.from_iterable(combinations(cands, k) for k in range(1, p + 1)):
-            probe_nb = 0
-            for v in combo:
-                probe_nb |= nb_closed[v]
-            t = territory & ~probe_nb
-            spread = 0
-            for lo, table in byte_tables:
-                spread |= table[(t >> lo) & 255]
-            if spread in parent:
-                continue
-            parent[spread] = (territory, combo)
-            if spread == 0:
-                break
-            frontier.append(spread)
+    def reach(spread: int, combo: tuple[int, ...]) -> bool:
+        """Record a spread first reached from ``territory``; true if it is empty."""
+        parent[spread] = (territory, combo)
+        frontier.append(spread)
+        return not spread
 
-    if 0 not in parent:
-        return False, None
+    while frontier:
+        territory = frontier.popleft()
+        cands = _probe_candidates(nb_closed, territory)
+        res = [territory & ~nb_closed[c] for c in cands]
+        for c, t in zip(cands, res):
+            spread = low_table[t & 255] | high_table[t >> 8]
+            if spread not in parent and reach(spread, (c,)):
+                return True, _witness(parent, p)
+        for i, r in enumerate(res if p > 1 else ()):
+            for j in range(i + 1, len(res)):
+                t = r & res[j]
+                spread = low_table[t & 255] | high_table[t >> 8]
+                if spread not in parent and reach(spread, (cands[i], cands[j])):
+                    return True, _witness(parent, p)
+        for k in range(3, p + 1):
+            for idx in combinations(range(len(res)), k):
+                t = reduce(and_, map(res.__getitem__, idx))
+                spread = low_table[t & 255] | high_table[t >> 8]
+                if spread not in parent and reach(spread, tuple(map(cands.__getitem__, idx))):
+                    return True, _witness(parent, p)
+    return False, None
+
+
+def _witness(parent: dict, p: int) -> ProbeSchedule:
+    """The probe sets along the parent chain from V(G) to the empty set."""
     rounds: list[tuple[int, ...]] = []
     cur = 0
     while parent[cur] is not None:
         cur, combo = parent[cur]
         rounds.append(combo)
     rounds.reverse()
-    return True, ProbeSchedule.from_lists(p, rounds)
+    return ProbeSchedule.from_lists(p, rounds)
 
 
 def prox_solve(g: Graph) -> tuple[int, ProbeSchedule]:

@@ -361,6 +361,66 @@ class TestSolver:
             assert won, name
 
 
+def pairwise_candidates(g, territory):
+    """Reference probe filter: compare the clearing sets N[v] & T of every
+    pair of vertices; drop v when another's contains it, keeping the
+    smallest id of equal sets."""
+    keys = [(v, (g.adj_bits[v] | (1 << v)) & territory) for v in range(g.n)]
+    keys = [(v, k) for v, k in keys if k]
+    return [
+        v for v, k in keys
+        if not any(w != v and k & ~k2 == 0 and (k != k2 or w < v) for w, k2 in keys)
+    ]
+
+
+def closed_rows(g):
+    return [g.adj_bits[v] | (1 << v) for v in range(g.n)]
+
+
+def twin_graph():
+    """P4 0-1-2-3 with vertex 4 a true twin of 1 (N[4] = N[1]) and vertex 5
+    a false twin of 3 (N(5) = N(3) = {2})."""
+    return Graph(6, [(0, 1), (1, 2), (2, 3), (0, 4), (1, 4), (2, 4), (2, 5)])
+
+
+class TestProbeCandidates:
+    """The meet-based filter against the pairwise reference."""
+
+    @given(st.integers(0, 10**6), st.integers(1, 16), st.integers(0, 12))
+    @settings(max_examples=200)
+    def test_random_graphs_and_territories(self, seed, n, extra):
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, n, extra_edges=extra)
+        rows = closed_rows(g)
+        for _ in range(8):
+            territory = mask_of(v for v in range(n) if rng.random() < rng.random())
+            assert _probe_candidates(rows, territory) == pairwise_candidates(g, territory)
+
+    @pytest.mark.parametrize("name, g", [
+        ("K1", Graph(1, [])),
+        ("K2", generate("complete", n=2)),
+        ("K5", generate("complete", n=5)),
+        ("twins", twin_graph()),
+        ("star5", generate("spider", arms=[1] * 5)),
+        ("C6", generate("cycle", n=6)),
+    ])
+    def test_every_territory(self, name, g):
+        rows = closed_rows(g)
+        for territory in range(1 << g.n):
+            assert _probe_candidates(rows, territory) == pairwise_candidates(g, territory), (
+                name, territory)
+
+    def test_ties_keep_the_smallest_id(self):
+        full = (1 << 5) - 1
+        assert _probe_candidates(closed_rows(generate("complete", n=5)), full) == [0]
+        # the true twins 1 and 4 tie and 1 is kept; N[0] lies in N[1], N[3] and N[5] in N[2]
+        assert _probe_candidates(closed_rows(twin_graph()), (1 << 6) - 1) == [1, 2]
+
+    def test_empty_territory(self):
+        for g in (Graph(1, []), generate("complete", n=4), twin_graph()):
+            assert _probe_candidates(closed_rows(g), 0) == []
+
+
 def territory_keyed_bfs(g, p):
     """Reference solver: the breadth-first search keyed by the territory left
     after clearing, one state per mask, without merging equal spreads."""
@@ -370,7 +430,7 @@ def territory_keyed_bfs(g, p):
     while frontier:
         s = frontier.popleft()
         territory = closed_nb_bits(g, s)
-        cands = _probe_candidates(g, territory)
+        cands = pairwise_candidates(g, territory)
         for size in range(1, p + 1):
             for combo in combinations(cands, size):
                 probe_bits = 0
@@ -412,6 +472,13 @@ class TestSolverAgainstTerritoryKeyedSearch:
         for name, g in corpus:
             for p in (1, 2, 3):
                 assert_same_as_reference(g, p, name)
+
+    @given(st.integers(0, 10**6), st.integers(9, 12), st.integers(0, 10), st.integers(1, 3))
+    @settings(max_examples=60)
+    def test_random_graphs_past_one_byte(self, seed, n, extra, p):
+        """Orders 9..12 put probes in the high byte of the spread lookup."""
+        g = random_connected_graph(random.Random(seed), n, extra_edges=extra)
+        assert_same_as_reference(g, p, sorted(g.edges()))
 
     @pytest.mark.parametrize("name", sorted(WITNESS_GRAPHS))
     @pytest.mark.parametrize("p", [1, 2, 3])
