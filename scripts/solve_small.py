@@ -36,7 +36,7 @@ def main() -> int:
         p = prox_number(g)
         z = zeta_number(g) if g.n <= ZETA_CAP else None
         hv = h_index(iso_profile(g)[0])
-        bound = assemble_bounds(g, h_vertex=hv).best("prox1")[0]
+        bound = assemble_bounds(g, {"h_vertex": hv}).best("prox1")[0]
         assert p >= bound
         if z is not None:
             assert p <= z <= delta * p

@@ -18,21 +18,17 @@ Default survey: kary(3,3) with subdivisions 0, 10, 100.
 
 import sys
 
-from lzl.graphs import generate, rooted_tree, subdivide
+from lzl.graphs import generate, subdivide
 from lzl.iso import assemble_bounds, h_index, iso_profile
 from lzl.prox import run_schedule
-from lzl.strategies import nonleaf_levels, strat_tree_depth, strat_tree_levels
+from lzl.strategies import strat_tree_depth, strat_tree_levels, tree_upper_bounds
 
 
 def survey(k: int, d: int, sub: int) -> None:
     g = subdivide(generate("kary", k=k, d=d), sub)
-    _, children, depth = rooted_tree(g, 0)
-    levels = nonleaf_levels(children, depth)
-    order_bound = (g.n - 1).bit_length()
-    depth_bound = len(levels) // 4 + 2
-    level_bound = -(-max(map(len, levels)) // 3) + 1
+    order_bound, depth_bound, level_bound = tree_upper_bounds(g, 0)
     h_v = h_index(iso_profile(g)[0])
-    lower = assemble_bounds(g, h_vertex=h_v).best("prox1")[0]
+    lower = assemble_bounds(g, {"h_vertex": h_v}).best("prox1")[0]
 
     sched_d = strat_tree_depth(g, 0)
     ok_d = run_schedule(g, sched_d).cleared
@@ -40,7 +36,7 @@ def survey(k: int, d: int, sub: int) -> None:
     ok_l = run_schedule(g, sched_l).cleared
 
     print(
-        f"kary({k},{d})+sub{sub}: n={g.n} depth={len(levels)} | "
+        f"kary({k},{d})+sub{sub}: n={g.n} depth={d * (sub + 1)} | "
         f"order {order_bound}, depth {depth_bound}, levels {level_bound} | "
         f"h_V {h_v}, prox1 >= {lower} (h-index-vertex) | "
         f"depth-schedule {sched_d.cops} cops ({'ok' if ok_d else 'FAIL'}), "

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success or positive verification, 1 negative verification
 (the robber legitimately wins or a reproduction cell mismatches), 2 usage
-or validation errors, 3 size-cap violations.  Results are emitted as JSON
-with the deterministic payload under "report" and timing segregated under
+or validation errors, 3 size-cap violations.  Each command returns its
+report body and exit code, and ``main`` prints the one JSON document with
+the deterministic payload under "report" and timing segregated under
 "timing"; identical inputs give byte-identical report sections.  Each
 engine checks its own size cap; the "caps" block reports the ones a
 command ran under.
@@ -17,6 +18,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 
 from . import __version__
 from .errors import (
@@ -31,6 +33,7 @@ from .graphs import (
     FAMILIES,
     Graph,
     generate,
+    kary_order,
     max_degree,
     parse_graph,
     rooted_tree,
@@ -51,7 +54,7 @@ from .strategies import (
     STRATEGY_REGISTRY,
     brute_pathwidth,
     min_dominating_set,
-    nonleaf_levels,
+    tree_upper_bounds,
 )
 from .zeta import ZETA_CAP, build_policy, simulate_policy, zeta_number
 from .gridsweep import SWEEP_NOTES, grid_strategy
@@ -149,39 +152,26 @@ def _report(command: str, graph: Graph | None, graph_id: str | None,
             "hash": graph.content_hash(),
             "n": graph.n,
             "m": graph.edge_count(),
-            "max_degree": max_degree(graph) if graph.n > 1 else 0,
+            "max_degree": max_degree(graph),
         }
     return body
-
-
-def _emit(body: dict, started: float) -> None:
-    payload = json.dumps(
-        {"report": body, "timing": {"wall_time_s": round(time.time() - started, 4)}},
-        sort_keys=True,
-        indent=2,
-    )
-    print(payload)
 
 
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_gen(args) -> int:
-    started = time.time()
+def cmd_gen(args) -> tuple[dict | None, int]:
     g, gid = load_graph(args.graph)
     text = serialize_graph(g)
     if not args.out:
         sys.stdout.write(text)
-        return EXIT_OK
+        return None, EXIT_OK
     _write_text(args.out, text)
-    body = _report("gen", g, gid, {"graph": gid},
-                   {"n": g.n, "m": g.edge_count(), "out": args.out})
-    _emit(body, started)
-    return EXIT_OK
+    return _report("gen", g, gid, {"graph": gid},
+                   {"n": g.n, "m": g.edge_count(), "out": args.out}), EXIT_OK
 
 
-def cmd_iso(args) -> int:
-    started = time.time()
+def cmd_iso(args) -> tuple[dict | None, int]:
     g, gid = load_graph(args.graph)
     vertex, edge = iso_profile(g)
     profile = vertex if args.mode == "vertex" else edge
@@ -193,10 +183,8 @@ def cmd_iso(args) -> int:
     if args.csv:
         _write_text(args.csv, profile_to_csv(profile))
         results["csv"] = args.csv
-    body = _report("iso", g, gid, {"graph": gid, "mode": args.mode}, results,
-                   caps={"iso": ISO_CAP})
-    _emit(body, started)
-    return EXIT_OK
+    return _report("iso", g, gid, {"graph": gid, "mode": args.mode}, results,
+                   caps={"iso": ISO_CAP}), EXIT_OK
 
 
 def _grid_side_of(g: Graph) -> int | None:
@@ -215,15 +203,14 @@ def _kary_shape_of(g: Graph) -> tuple[int, int] | None:
         return None
     d = max(rooted_tree(g, 0)[2])
     # the order test keeps a wide shallow tree from generating a huge one
-    if d < 2 or g.n != (k ** (d + 1) - 1) // (k - 1):
+    if d < 2 or g.n != kary_order(k, d):
         return None
     if g.adj_bits != generate("kary", k=k, d=d).adj_bits:
         return None
     return k, d
 
 
-def cmd_bounds(args) -> int:
-    started = time.time()
+def cmd_bounds(args) -> tuple[dict | None, int]:
     g, gid = load_graph(args.graph)
     quantities: dict = {}
     if not args.no_iso and (g.n <= ISO_CAP or g.is_tree()):
@@ -247,22 +234,16 @@ def cmd_bounds(args) -> int:
     shape = _kary_shape_of(g)
     if shape:
         quantities["kary_shape"] = shape
-    report = assemble_bounds(g, graph_id=gid, **quantities)
-    body = _report("bounds", g, gid, {"graph": gid}, report.as_dict(),
-                   caps={"iso": ISO_CAP})
-    _emit(body, started)
-    return EXIT_OK
+    report = assemble_bounds(g, quantities, graph_id=gid)
+    return _report("bounds", g, gid, {"graph": gid}, report.as_dict(),
+                   caps={"iso": ISO_CAP}), EXIT_OK
 
 
-def cmd_prox(args) -> int:
-    started = time.time()
+def cmd_prox(args) -> tuple[dict | None, int]:
     g, gid = load_graph(args.graph)
     if args.action == "solve":
-        value = prox_number(g)
-        body = _report("prox-solve", g, gid, {"graph": gid},
-                       {"prox1": value}, caps={"prox": PROX_CAP})
-        _emit(body, started)
-        return EXIT_OK
+        return _report("prox-solve", g, gid, {"graph": gid},
+                       {"prox1": prox_number(g)}, caps={"prox": PROX_CAP}), EXIT_OK
     if not args.schedule:
         raise GraphValidationError("prox verify needs --schedule")
     schedule = ProbeSchedule.from_json(_read_text(args.schedule, ScheduleError))
@@ -274,19 +255,14 @@ def cmd_prox(args) -> int:
         {"graph": gid, "schedule": args.schedule, "cops": schedule.cops},
         trace.as_dict(),
     )
-    _emit(body, started)
-    return EXIT_OK if trace.cleared else EXIT_NEGATIVE
+    return body, (EXIT_OK if trace.cleared else EXIT_NEGATIVE)
 
 
-def cmd_zeta(args) -> int:
-    started = time.time()
+def cmd_zeta(args) -> tuple[dict | None, int]:
     g, gid = load_graph(args.graph)
     if args.action == "solve":
-        value = zeta_number(g)
-        body = _report("zeta-solve", g, gid, {"graph": gid},
-                       {"zeta1": value}, caps={"zeta": ZETA_CAP})
-        _emit(body, started)
-        return EXIT_OK
+        return _report("zeta-solve", g, gid, {"graph": gid},
+                       {"zeta1": zeta_number(g)}, caps={"zeta": ZETA_CAP}), EXIT_OK
     if not args.policy:
         raise GraphValidationError("zeta simulate needs --policy")
     round_cap = _round_cap(args)
@@ -296,14 +272,12 @@ def cmd_zeta(args) -> int:
         g,
         gid,
         {"graph": gid, "policy": args.policy, "round_cap": round_cap},
-        sim.as_dict(),
+        asdict(sim),
     )
-    _emit(body, started)
-    return EXIT_OK if sim.captured else EXIT_NEGATIVE
+    return body, (EXIT_OK if sim.captured else EXIT_NEGATIVE)
 
 
-def cmd_strat(args) -> int:
-    started = time.time()
+def cmd_strat(args) -> tuple[dict | None, int]:
     round_cap = _round_cap(args)
     if args.name == "grid-sweep":
         if args.n is None:
@@ -324,8 +298,7 @@ def cmd_strat(args) -> int:
             },
             notes=SWEEP_NOTES,
         )
-        _emit(body, started)
-        return EXIT_OK
+        return body, EXIT_OK
 
     if not args.graph:
         raise GraphValidationError(f"strategy '{args.name}' needs --graph")
@@ -350,13 +323,12 @@ def cmd_strat(args) -> int:
     else:
         sim = simulate_policy(g, artifact, round_cap=round_cap)
         verdict = sim.captured
-        results = {"kind": kind, "budget": artifact.budget, **sim.as_dict()}
+        results = {"kind": kind, "budget": artifact.budget, **asdict(sim)}
         if args.emit:
             _write_text(args.emit, json.dumps({"policy": artifact.name,
                                                "budget": artifact.budget}))
     body = _report("strat", g, gid, {"name": args.name, "graph": gid}, results)
-    _emit(body, started)
-    return EXIT_OK if verdict else EXIT_NEGATIVE
+    return body, (EXIT_OK if verdict else EXIT_NEGATIVE)
 
 
 TABLE1_EXPECTED = {
@@ -368,22 +340,12 @@ TABLE1_EXPECTED = {
 
 def table1_rows() -> dict[str, tuple[int, int, int]]:
     """Order, depth, and level upper-bound formulas for the three trees."""
-    rows = {}
     base = generate("kary", k=3, d=3)
-    for name, i in (("T0", 0), ("T10", 10), ("T100", 100)):
-        g = subdivide(base, i)
-        _, children, depth = rooted_tree(g, 0)
-        levels = nonleaf_levels(children, depth)
-        rows[name] = (
-            (g.n - 1).bit_length(),  # ceil(log2 n)
-            len(levels) // 4 + 2,
-            -(-max(map(len, levels)) // 3) + 1,
-        )
-    return rows
+    return {name: tree_upper_bounds(subdivide(base, i), 0)
+            for name, i in (("T0", 0), ("T10", 10), ("T100", 100))}
 
 
-def cmd_table(args) -> int:
-    started = time.time()
+def cmd_table(args) -> tuple[dict | None, int]:
     if args.name != "tab1":
         raise GraphValidationError(f"unknown table '{args.name}'")
     rows = table1_rows()
@@ -403,8 +365,7 @@ def cmd_table(args) -> int:
         {"rows": {k: list(v) for k, v in rows.items()},
          "mismatches": mismatches},
     )
-    _emit(body, started)
-    return EXIT_OK if not mismatches else EXIT_NEGATIVE
+    return body, (EXIT_OK if not mismatches else EXIT_NEGATIVE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -465,16 +426,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and print its report, if it has one, with its timing."""
+    args = build_parser().parse_args(argv)
+    started = time.time()
     try:
-        return args.fn(args)
+        body, code = args.fn(args)
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (LzlError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if body is not None:
+        timing = {"wall_time_s": round(time.time() - started, 4)}
+        print(json.dumps({"report": body, "timing": timing}, sort_keys=True, indent=2))
+    return code
 
 
 if __name__ == "__main__":

@@ -29,7 +29,9 @@ class SizeCapError(LzlError):
     def __init__(self, what: str, size: int, limit: int):
         self.size = size
         self.limit = limit
-        super().__init__(f"{what}: size {size} exceeds cap {limit}")
+        # str() refuses an int of more than 4300 digits, and a spec can ask for one
+        shown = size if size.bit_length() <= 64 else f"at least 2^{size.bit_length() - 1}"
+        super().__init__(f"{what}: size {shown} exceeds cap {limit}")
 
 
 class ScheduleError(LzlError):

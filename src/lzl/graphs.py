@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
+from itertools import accumulate, chain, pairwise
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphParseError, GraphValidationError, SizeCapError
@@ -244,56 +245,47 @@ def generate(family: str, **params) -> Graph:
 def _gen_path(n: int) -> Graph:
     if n < 1:
         raise GraphValidationError("path needs n >= 1")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def _gen_cycle(n: int) -> Graph:
     if n < 3:
         raise GraphValidationError("cycle needs n >= 3")
-    edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
-    return Graph(n, edges)
+    return Graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def _gen_complete(n: int) -> Graph:
     if n < 1:
         raise GraphValidationError("complete graph needs n >= 1")
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
 def _gen_grid(n: int) -> Graph:
     """n-by-n grid; the 0-based cell (r, c) is vertex r*n + c."""
     if n < 1:
         raise GraphValidationError("grid needs n >= 1")
-    edges = []
-    for r in range(n):
-        for c in range(n):
-            v = r * n + c
-            if c + 1 < n:
-                edges.append((v, v + 1))
-            if r + 1 < n:
-                edges.append((v, v + n))
-    return Graph(n * n, edges)
+    across = ((v, v + 1) for v in range(n * n) if v % n + 1 < n)
+    down = ((v, v + n) for v in range(n * n - n))
+    return Graph(n * n, chain(across, down))
+
+
+def kary_order(k: int, d: int) -> int:
+    """The order 1 + k + ... + k^d of the k-ary tree of depth d."""
+    return d + 1 if k == 1 else (k ** (d + 1) - 1) // (k - 1)
 
 
 def _gen_kary(k: int, d: int) -> Graph:
     """Rooted k-ary tree of depth d: every non-leaf has exactly k children.
 
-    Vertices are breadth-first: root 0, then each level in order.
+    Vertices are breadth-first: root 0, then each level in order, so the
+    parent of vertex v > 0 is (v - 1) // k.
     """
     if k < 1 or d < 0:
         raise GraphValidationError("kary needs k >= 1 and d >= 0")
-    edges = []
-    level = [0]
-    next_vertex = 1
-    for _ in range(d):
-        new_level = []
-        for parent in level:
-            for _ in range(k):
-                edges.append((parent, next_vertex))
-                new_level.append(next_vertex)
-                next_vertex += 1
-        level = new_level
-    return Graph(next_vertex, edges)
+    # for k >= 2 the order passes 2^64 by depth 64, so a deeper spec is
+    # refused on that order instead of raising k to a huge power
+    n = kary_order(k, d if k == 1 else min(d, 64))
+    return Graph(n, (((v - 1) // k, v) for v in range(1, n)))
 
 
 def _gen_spider(arms: Sequence[int]) -> Graph:
@@ -303,15 +295,11 @@ def _gen_spider(arms: Sequence[int]) -> Graph:
         raise GraphValidationError("spider needs at least three arms")
     if any(a < 1 for a in arms):
         raise GraphValidationError("spider arm lengths must be positive")
-    edges = []
-    next_vertex = 1
-    for length in arms:
-        prev = 0
-        for _ in range(length):
-            edges.append((prev, next_vertex))
-            prev = next_vertex
-            next_vertex += 1
-    return Graph(next_vertex, edges)
+    # the arm from the head runs through first, first + 1, ..., end - 1
+    ends = list(accumulate(arms, initial=1))
+    edges = ((0 if v == first else v - 1, v)
+             for first, end in pairwise(ends) for v in range(first, end))
+    return Graph(ends[-1], edges)
 
 
 #: family -> (builder, parameter names); ``spider`` takes its whole

@@ -12,7 +12,7 @@ per-graph bounds report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from .errors import InconsistentBoundsError, SizeCapError
@@ -262,14 +262,6 @@ class DerivedBound:
     value: int
     rule: str
 
-    def as_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "kind": self.kind,
-            "value": self.value,
-            "rule": self.rule,
-        }
-
 
 @dataclass
 class BoundsReport:
@@ -295,7 +287,7 @@ class BoundsReport:
             "m": self.m,
             "max_degree": self.max_degree,
             "quantities": {k: v for k, v in sorted(self.quantities.items())},
-            "bounds": [b.as_dict() for b in self.bounds],
+            "bounds": [asdict(b) for b in self.bounds],
             "notes": list(self.notes),
             "best": {
                 t: {"lower": lo, "upper": hi}
@@ -305,49 +297,32 @@ class BoundsReport:
         }
 
 
-def assemble_bounds(
-    g: Graph,
-    *,
-    graph_id: str = "",
-    prox1: int | None = None,
-    zeta1: int | None = None,
-    h_vertex: int | None = None,
-    h_edge: int | None = None,
-    phi_vertex_peak: int | None = None,
-    phi_edge_peak: int | None = None,
-    pathwidth: int | None = None,
-    domination_number: int | None = None,
-    grid_side: int | None = None,
-    kary_shape: tuple[int, int] | None = None,
-) -> BoundsReport:
+#: the quantities ``assemble_bounds`` reads; ``kary_shape`` is a (k, d) pair
+QUANTITIES = frozenset({
+    "prox1", "zeta1", "h_vertex", "h_edge", "phi_vertex_peak", "phi_edge_peak",
+    "pathwidth", "domination_number", "grid_side", "kary_shape",
+})
+
+
+def assemble_bounds(g: Graph, quantities: dict, *, graph_id: str = "") -> BoundsReport:
     """Chain every applicable inequality through the known quantities.
 
-    A lower bound exceeding an upper bound for the same target is a hard
-    inconsistency and raises instead of being clamped.
+    ``quantities`` maps names in :data:`QUANTITIES` to known values; a name
+    outside it raises ``ValueError``.  A lower bound exceeding an upper
+    bound for the same target is a hard inconsistency and raises instead
+    of being clamped.
     """
-    delta = max_degree(g) if g.n > 1 else 0
-    quantities = {
-        k: v
-        for k, v in {
-            "prox1": prox1,
-            "zeta1": zeta1,
-            "h_vertex": h_vertex,
-            "h_edge": h_edge,
-            "phi_vertex_peak": phi_vertex_peak,
-            "phi_edge_peak": phi_edge_peak,
-            "pathwidth": pathwidth,
-            "domination_number": domination_number,
-            "grid_side": grid_side,
-            "kary_shape": kary_shape,
-        }.items()
-        if v is not None
-    }
+    unknown = quantities.keys() - QUANTITIES
+    if unknown:
+        raise ValueError(f"unknown quantities: {', '.join(sorted(unknown))}")
+    delta = max_degree(g)
+    prox1 = quantities.get("prox1")
     report = BoundsReport(
         graph_id=graph_id or g.content_hash(),
         n=g.n,
         m=g.edge_count(),
         max_degree=delta,
-        quantities=quantities,
+        quantities=dict(quantities),
     )
     add = report.bounds.append
 
@@ -364,29 +339,28 @@ def assemble_bounds(
             add(DerivedBound("zeta1", "upper", prox1 + 1, "tree-gap-one"))
             if prox1 >= delta:
                 add(DerivedBound("zeta1", "upper", prox1, "tree-degree-equality"))
-    if zeta1 is not None:
-        add(DerivedBound("prox1", "upper", zeta1, "relaxation-order"))
-    if pathwidth is not None:
-        add(DerivedBound("zeta1", "upper", pathwidth, "pathwidth-sweep"))
-    if domination_number is not None and is_c4_free(g):
-        add(
-            DerivedBound(
-                "zeta1", "upper", domination_number + delta, "domination-c4free"
-            )
-        )
+    if "zeta1" in quantities:
+        add(DerivedBound("prox1", "upper", quantities["zeta1"], "relaxation-order"))
+    if "pathwidth" in quantities:
+        add(DerivedBound("zeta1", "upper", quantities["pathwidth"], "pathwidth-sweep"))
+    if "domination_number" in quantities and is_c4_free(g):
+        add(DerivedBound("zeta1", "upper", quantities["domination_number"] + delta,
+                         "domination-c4free"))
     if delta >= 1:
         # prox1 > H_V/(Delta+1) and prox1 > H_E/((Delta+1)*Delta) are strict
         # and prox1 is an integer, so each bound is the floor plus one
-        if h_vertex is not None:
-            add(DerivedBound("prox1", "lower", h_vertex // (delta + 1) + 1, "h-index-vertex"))
-        if h_edge is not None:
-            add(DerivedBound("prox1", "lower", h_edge // ((delta + 1) * delta) + 1,
-                             "h-index-edge"))
-    if grid_side is not None:
-        lo = -(-grid_side // 5) + 1
+        if "h_vertex" in quantities:
+            add(DerivedBound("prox1", "lower", quantities["h_vertex"] // (delta + 1) + 1,
+                             "h-index-vertex"))
+        if "h_edge" in quantities:
+            add(DerivedBound("prox1", "lower",
+                             quantities["h_edge"] // ((delta + 1) * delta) + 1, "h-index-edge"))
+    if "grid_side" in quantities:
+        side = quantities["grid_side"]
+        lo = -(-side // 5) + 1
         add(DerivedBound("prox1", "lower", lo, "grid-window"))
         add(DerivedBound("prox1", "upper", lo + 3, "grid-window"))
-        if grid_side >= 11:
+        if side >= 11:
             rule = "grid-window-localization-cited"
             add(DerivedBound("zeta1", "lower", lo, rule))
             add(DerivedBound("zeta1", "upper", lo + 3, rule))
@@ -394,8 +368,8 @@ def assemble_bounds(
                 "the grid zeta1 window is cited from the paper; no policy "
                 "in this package verifies it"
             )
-    if kary_shape is not None:
-        lower, upper = kary_bound_report(*kary_shape)
+    if "kary_shape" in quantities:
+        lower, upper = kary_bound_report(*quantities["kary_shape"])
         rule = "kary-depth-cited"
         add(DerivedBound("prox1", "lower", lower, rule))
         add(DerivedBound("prox1", "upper", upper, rule))

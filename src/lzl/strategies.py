@@ -91,7 +91,7 @@ def strat_tree_log(g: Graph) -> Policy:
     _require_tree(g)
     if g.n < 2:
         raise GraphValidationError("order strategy needs n >= 2")
-    budget = (g.n - 1).bit_length()
+    budget = order_bound(g.n)
     rounds = [set(iter_bits(r)) for r in _log_rounds(g, (1 << g.n) - 1)]
     return SchedulePolicy(rounds, budget=budget, name="tree-log")
 
@@ -156,6 +156,27 @@ def nonleaf_levels(children: list[list[int]], depth: list[int]) -> list[list[int
     return levels
 
 
+def order_bound(n: int) -> int:
+    """ceil(log2 n): the order bound on a tree of order n, and the tree-log budget."""
+    return (n - 1).bit_length()
+
+
+def level_bound(levels: list[list[int]]) -> int:
+    """ceil(max nonleaf-per-level / 3) + 1 over ``nonleaf_levels``: the level
+    bound, and the level-line budget."""
+    return -(-max(map(len, levels), default=0) // 3) + 1
+
+
+def tree_upper_bounds(g: Graph, root: int) -> tuple[int, int, int]:
+    """The order, depth and level upper bounds of the tree ``g`` rooted at ``root``.
+
+    The depth bound is floor(d/4) + 2 for the depth d of the rooted tree.
+    """
+    _, children, depth = rooted_tree(g, root)
+    levels = nonleaf_levels(children, depth)
+    return order_bound(g.n), len(levels) // 4 + 2, level_bound(levels)
+
+
 class _Guard:
     """One cop cycling a fixed group of at most three vertices."""
 
@@ -186,7 +207,7 @@ def strat_tree_levels(g: Graph, root: int) -> ProbeSchedule:
     _require_tree(g)
     parent, children, depth = rooted_tree(g, root)
     levels = nonleaf_levels(children, depth)
-    budget = -(-max(map(len, levels), default=0) // 3) + 1
+    budget = level_bound(levels)
     rounds: list[set[int]] = []
     guards: list[_Guard] = []
 

@@ -197,14 +197,6 @@ class SimulationResult:
     def captured(self) -> bool:
         return self.outcome == "captured-all-branches"
 
-    def as_dict(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "worst_capture_round": self.worst_capture_round,
-            "branches": self.branches,
-            "escape_path": self.escape_path,
-        }
-
 
 def simulate_policy(
     g: Graph, policy: Policy, *, round_cap: int = 400

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import pytest
 
@@ -17,7 +18,7 @@ def run_cli(capsys, *argv):
 
 
 def report_of(stdout: str) -> dict:
-    return json.loads(stdout[stdout.index("{"):])
+    return json.loads(stdout)
 
 
 class TestGen:
@@ -36,13 +37,15 @@ class TestGen:
         assert g.n == 40 and g.edge_count() == 39
 
     def test_spider_stdout(self, capsys):
+        # without --out, stdout is the graph text and nothing else
         code, out, _ = run_cli(capsys, "gen", "--graph", "spider:3,3,3")
         assert code == 0
         assert out.startswith("p 10 9")
+        assert out == serialize_graph(generate("spider", arms=[3, 3, 3]))
 
     def test_unknown_family_exit2(self, capsys):
-        code, _, err = run_cli(capsys, "gen", "--graph", "moebius:4")
-        assert code == 2 and "error" in err
+        code, out, err = run_cli(capsys, "gen", "--graph", "moebius:4")
+        assert code == 2 and not out and "error" in err
 
     def test_legacy_file_loses_label_lines(self, tmp_path, capsys):
         old = tmp_path / "old.graph"
@@ -82,8 +85,32 @@ class TestIsoCmd:
         assert csv.read_text() == "k,phi,exact\n1,1,true\n2,1,true\n3,1,true\n4,0,true\n"
 
     def test_cap_exit3(self, capsys):
-        code, _, err = run_cli(capsys, "iso", "--graph", "grid:6")
-        assert code == 3 and "cap" in err
+        code, out, err = run_cli(capsys, "iso", "--graph", "grid:6")
+        assert code == 3 and not out and "cap" in err
+
+
+@pytest.mark.parametrize("spec, order", [
+    ("path:50000", 50000), ("cycle:50000", 50000), ("complete:400", 400),
+    ("grid:200", 40000), ("kary:3,10", 88573), ("spider:20000,20000,20000", 60001),
+])
+def test_over_cap_family_exits3_before_building_edges(capsys, monkeypatch, spec, order):
+    # each spec's edge list takes several MiB; with the cap at 10 none of it
+    # may be built before the order is checked
+    monkeypatch.setattr("lzl.graphs.VERTEX_CAP", 10)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "gen", "--graph", spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and not out and f"size {order} exceeds cap 10" in err
+    assert peak < 1 << 20, peak
+
+
+def test_order_too_long_to_print_exits3(capsys):
+    # str() refuses an int of more than 4300 digits, so the message gives a power of two
+    code, out, err = run_cli(capsys, "gen", "--graph", "path:30:sub" + "9" * 4299)
+    assert code == 3 and not out and "size at least 2^14285 exceeds cap 16384" in err
 
 
 class TestBoundsCmd:
@@ -230,9 +257,9 @@ class TestSolveCmds:
     def test_non_prox_schedule_exit2(self, tmp_path, capsys):
         sched = tmp_path / "s.json"
         sched.write_text(json.dumps({"mode": "zeta", "cops": 1, "rounds": [[2], [3], [4], [5]]}))
-        code, _, err = run_cli(capsys, "prox", "verify", "--graph", "path:6",
+        code, out, err = run_cli(capsys, "prox", "verify", "--graph", "path:6",
                                "--schedule", str(sched))
-        assert code == 2 and "'zeta'" in err
+        assert code == 2 and not out and "'zeta'" in err
 
     def test_zeta_simulate_escape_exit1(self, capsys):
         code, out, _ = run_cli(capsys, "zeta", "simulate", "--graph", "spider:3,3,3",
@@ -241,8 +268,8 @@ class TestSolveCmds:
         assert report_of(out)["report"]["results"]["outcome"] == "escape-witness"
 
     def test_solver_cap_exit3(self, capsys):
-        code, _, _ = run_cli(capsys, "zeta", "solve", "--graph", "grid:4")
-        assert code == 3
+        code, out, _ = run_cli(capsys, "zeta", "solve", "--graph", "grid:4")
+        assert code == 3 and not out
 
 
 class TestStratCmd:
@@ -284,8 +311,8 @@ class TestStratCmd:
             raise AssertionError("planned a grid beyond the vertex cap")
 
         monkeypatch.setattr("lzl.gridsweep.five_panel_schedule", unreachable)
-        code, _, err = run_cli(capsys, "strat", "grid-sweep", "--n", "129")
-        assert code == 3 and "exceeds cap" in err
+        code, out, err = run_cli(capsys, "strat", "grid-sweep", "--n", "129")
+        assert code == 3 and not out and "exceeds cap" in err
 
     def test_tree_depth(self, capsys):
         code, out, _ = run_cli(capsys, "strat", "tree-depth", "--graph", "kary:2,8")
@@ -300,8 +327,8 @@ class TestStratCmd:
         assert results["budget"] == 3 and results["outcome"] == "captured-all-branches"
 
     def test_domination_inapplicable_exit2(self, capsys):
-        code, _, err = run_cli(capsys, "strat", "domination", "--graph", "grid:2")
-        assert code == 2
+        code, out, err = run_cli(capsys, "strat", "domination", "--graph", "grid:2")
+        assert code == 2 and not out
 
     def test_policy_cap_exceeded_reports_witness(self, capsys):
         code, out, _ = run_cli(capsys, "strat", "tree-log", "--graph", "path:9",
@@ -322,7 +349,7 @@ TINY_GRAPH_PRECONDITIONS = {("tree-log", "complete:1"): "needs n >= 2"}
 def test_every_strategy_on_tiny_graphs(capsys, name, graph):
     code, out, err = run_cli(capsys, "strat", name, "--graph", graph)
     if (name, graph) in TINY_GRAPH_PRECONDITIONS:
-        assert code == 2 and TINY_GRAPH_PRECONDITIONS[name, graph] in err
+        assert code == 2 and not out and TINY_GRAPH_PRECONDITIONS[name, graph] in err
         return
     assert code == 0, err
     results = report_of(out)["report"]["results"]
@@ -371,34 +398,35 @@ class TestDeterminismAndCache:
 
 class TestUsageErrors:
     def test_gen_missing_n(self, capsys):
-        code, _, err = run_cli(capsys, "gen", "--graph", "path")
-        assert code == 2 and "missing n" in err
+        code, out, err = run_cli(capsys, "gen", "--graph", "path")
+        assert code == 2 and not out and "missing n" in err
 
     def test_gen_missing_kary_params(self, capsys):
-        code, _, err = run_cli(capsys, "gen", "--graph", "kary:3")
-        assert code == 2 and "missing d" in err
+        code, out, err = run_cli(capsys, "gen", "--graph", "kary:3")
+        assert code == 2 and not out and "missing d" in err
 
     def test_strat_missing_graph(self, capsys):
-        code, _, err = run_cli(capsys, "strat", "tree-depth")
-        assert code == 2 and "--graph" in err
+        code, out, err = run_cli(capsys, "strat", "tree-depth")
+        assert code == 2 and not out and "--graph" in err
 
     def test_grid_sweep_missing_n(self, capsys):
-        code, _, err = run_cli(capsys, "strat", "grid-sweep")
-        assert code == 2 and "--n" in err
+        code, out, err = run_cli(capsys, "strat", "grid-sweep")
+        assert code == 2 and not out and "--n" in err
 
     def test_prox_verify_missing_schedule(self, capsys):
-        code, _, err = run_cli(capsys, "prox", "verify", "--graph", "path:4")
-        assert code == 2 and "--schedule" in err
+        code, out, err = run_cli(capsys, "prox", "verify", "--graph", "path:4")
+        assert code == 2 and not out and "--schedule" in err
 
     def test_zeta_simulate_missing_policy(self, capsys):
-        code, _, err = run_cli(capsys, "zeta", "simulate", "--graph", "path:4")
-        assert code == 2 and "--policy" in err
+        code, out, err = run_cli(capsys, "zeta", "simulate", "--graph", "path:4")
+        assert code == 2 and not out and "--policy" in err
 
     def test_iso_budget_flag_is_gone_exit2(self, capsys):
         # every profile is exact, so a caller still asking for a partial one fails
         with pytest.raises(SystemExit) as exc:
             main(["iso", "--graph", "path:5", "--budget", "3"])
-        assert exc.value.code == 2 and "--budget" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and not captured.out and "--budget" in captured.err
 
     @pytest.mark.parametrize("argv", [
         ("zeta", "solve", "--graph", "grid:x"),
@@ -412,8 +440,8 @@ class TestUsageErrors:
         ("gen", "--graph", "grid:200:junk"),  # a bad spec is no cap error
     ])
     def test_bad_values_exit2(self, capsys, argv):
-        code, _, err = run_cli(capsys, *argv)
-        assert code == 2 and "error" in err
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out and "error" in err
 
     @pytest.mark.parametrize("text", [
         "{", '{"cops": 1}', "[1]", '{"cops": 1, "rounds": [[2.5]]}',
@@ -421,9 +449,9 @@ class TestUsageErrors:
     def test_malformed_schedule_exit2(self, tmp_path, capsys, text):
         sched = tmp_path / "s.json"
         sched.write_text(text)
-        code, _, err = run_cli(capsys, "prox", "verify", "--graph", "path:4",
+        code, out, err = run_cli(capsys, "prox", "verify", "--graph", "path:4",
                                "--schedule", str(sched))
-        assert code == 2 and "error" in err
+        assert code == 2 and not out and "error" in err
 
     @pytest.mark.parametrize("text,message", [
         ('{"cops": 1, "rounds": [[true]]}', "probes true, not an integer"),
@@ -441,17 +469,17 @@ class TestUsageErrors:
     def test_non_utf8_graph_file_exit2(self, tmp_path, capsys):
         path = tmp_path / "g.graph"
         path.write_bytes(b"p 2 1\ne 1 2\n# \xff\n")
-        code, _, err = run_cli(capsys, "zeta", "solve", "--graph", str(path))
-        assert code == 2 and "UTF-8" in err
+        code, out, err = run_cli(capsys, "zeta", "solve", "--graph", str(path))
+        assert code == 2 and not out and "UTF-8" in err
 
     def test_graph_directory_exit2(self, tmp_path, capsys):
-        code, _, err = run_cli(capsys, "zeta", "solve", "--graph", str(tmp_path))
-        assert code == 2 and "error" in err and "Traceback" not in err
+        code, out, err = run_cli(capsys, "zeta", "solve", "--graph", str(tmp_path))
+        assert code == 2 and not out and "error" in err and "Traceback" not in err
 
     def test_schedule_directory_exit2(self, tmp_path, capsys):
-        code, _, err = run_cli(capsys, "prox", "verify", "--graph", "path:4",
+        code, out, err = run_cli(capsys, "prox", "verify", "--graph", "path:4",
                                "--schedule", str(tmp_path))
-        assert code == 2 and "error" in err and "Traceback" not in err
+        assert code == 2 and not out and "error" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ("gen", "--graph", "grid:3", "--out"),
@@ -461,8 +489,8 @@ class TestUsageErrors:
         ("strat", "tree-log", "--graph", "kary:2,3", "--emit"),
     ])
     def test_output_directory_exit2(self, tmp_path, capsys, argv):
-        code, _, err = run_cli(capsys, *argv, str(tmp_path))
-        assert code == 2 and "cannot write" in err and "Traceback" not in err
+        code, out, err = run_cli(capsys, *argv, str(tmp_path))
+        assert code == 2 and not out and "cannot write" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("cap", ["0", "-3"])
     @pytest.mark.parametrize("argv", [

@@ -134,6 +134,22 @@ class TestGenerate:
         assert g.n == 430
         assert max(rooted_tree(g, 0)[2]) == 33
 
+    @pytest.mark.parametrize("k, d", [(1, 0), (1, 4), (2, 0), (2, 3), (3, 3), (4, 2)])
+    def test_kary_labels_are_breadth_first(self, k, d):
+        # level by level, each parent in order takes the next k ids
+        edges, level, next_vertex = [], [0], 1
+        for _ in range(d):
+            children = list(range(next_vertex, next_vertex + k * len(level)))
+            edges += [(level[i // k], c) for i, c in enumerate(children)]
+            level, next_vertex = children, next_vertex + len(children)
+        g = generate("kary", k=k, d=d)
+        assert g.n == next_vertex and sorted(g.edges()) == sorted(edges)
+
+    def test_spider_arms_in_order(self):
+        g = generate("spider", arms=[3, 1, 4, 2])
+        assert sorted(g.edges()) == [(0, 1), (0, 4), (0, 5), (0, 9), (1, 2), (2, 3),
+                                     (5, 6), (6, 7), (7, 8), (9, 10)]
+
     def test_spider_333(self):
         g = generate("spider", arms=[3, 3, 3])
         assert g.n == 10 and g.degree(0) == 3

@@ -213,7 +213,7 @@ class TestBoundFormulas:
         g = generate("grid", n=4)
         for quantities, lower in (({"h_vertex": 25}, 6), ({"h_vertex": 4}, 1),
                                   ({"h_edge": 40}, 3), ({"h_edge": 39}, 2)):
-            assert assemble_bounds(g, **quantities).best("prox1")[0] == lower, quantities
+            assert assemble_bounds(g, quantities).best("prox1")[0] == lower, quantities
 
     def test_peak_to_h_examples(self):
         # floor of 20/9: the real-valued threshold 2.22 rounds DOWN; the
@@ -267,7 +267,7 @@ class TestProfileLaws:
 class TestBoundsReport:
     def test_k4_degree_lift_matches_exact(self):
         g = generate("complete", n=4)
-        report = assemble_bounds(g, prox1=1, pathwidth=3)
+        report = assemble_bounds(g, {"prox1": 1, "pathwidth": 3})
         lo, hi = report.best("zeta1")
         assert hi == 3  # degree lift and pathwidth both give 3 = exact value
         rules = {b.rule for b in report.bounds}
@@ -275,25 +275,30 @@ class TestBoundsReport:
 
     def test_tree_gap(self):
         g = generate("spider", arms=[2, 2, 2])
-        report = assemble_bounds(g, prox1=2)
+        report = assemble_bounds(g, {"prox1": 2})
         lo, hi = report.best("zeta1")
         assert lo == 2 and hi == 3
         assert any(b.rule == "tree-gap-one" for b in report.bounds)
 
     def test_grid11_window(self):
         g = generate("grid", n=11)
-        report = assemble_bounds(g, grid_side=11)
+        report = assemble_bounds(g, {"grid_side": 11})
         lo, hi = report.best("prox1")
         assert (lo, hi) == (4, 7)
 
     def test_inconsistency_is_hard(self):
         g = generate("complete", n=4)
         with pytest.raises(InconsistentBoundsError):
-            assemble_bounds(g, prox1=5, zeta1=1)
+            assemble_bounds(g, {"prox1": 5, "zeta1": 1})
+
+    def test_unknown_quantity_is_refused(self):
+        g = generate("grid", n=4)
+        with pytest.raises(ValueError, match="h_vertx"):
+            assemble_bounds(g, {"h_vertx": 25})
 
     def test_rule_provenance_everywhere(self):
         g = generate("grid", n=4)
-        report = assemble_bounds(g, h_vertex=4, h_edge=8, prox1=2)
+        report = assemble_bounds(g, {"h_vertex": 4, "h_edge": 8, "prox1": 2})
         assert all(b.rule for b in report.bounds)
         d = report.as_dict()
         assert d["best"]["prox1"]["lower"] >= 1

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -31,6 +32,7 @@ from lzl.strategies import (
     strat_tree_depth,
     strat_tree_levels,
     strat_tree_log,
+    tree_upper_bounds,
 )
 from lzl.zeta import simulate_policy, zeta_number
 
@@ -206,6 +208,16 @@ def levels_of(g, root=0):
 def level_bound(g):
     """ceil(max nonleaf-per-level / 3) + 1, the level strategy's budget."""
     return -(-max(map(len, levels_of(g)), default=0) // 3) + 1
+
+
+def test_tree_upper_bounds_are_the_strategy_budgets():
+    rng = random.Random(53)
+    for _ in range(30):
+        t = random_tree(rng, rng.randint(2, 14))
+        order, depth, level = tree_upper_bounds(t, 0)
+        assert order == math.ceil(math.log2(t.n)) == strat_tree_log(t).budget
+        assert depth == max(bfs_distances(t, 0)) // 4 + 2
+        assert level == level_bound(t) == strat_tree_levels(t, 0).cops
 
 
 class TestTreeLevels:

@@ -402,8 +402,8 @@ def simulate_oracle(g, policy, *, round_cap=400):
 
 
 def assert_same_as_oracle(g, policy, **kw):
-    got = simulate_policy(g, policy, **kw).as_dict()
-    assert got == simulate_oracle(g, policy, **kw).as_dict()
+    got = simulate_policy(g, policy, **kw)
+    assert got == simulate_oracle(g, policy, **kw)
     return got
 
 
@@ -426,7 +426,7 @@ class TestSimulateAgainstOracle:
         rng = random.Random(seed)
         for n in (rng.randint(2, 40), rng.randint(40, 300)):
             g = random_recursive_tree(rng, n)
-            assert assert_same_as_oracle(g, strat_tree_log(g))["outcome"] == (
+            assert assert_same_as_oracle(g, strat_tree_log(g)).outcome == (
                 "captured-all-branches")
 
     @pytest.mark.parametrize("variant", ["tree", "delta"])
@@ -460,10 +460,10 @@ class TestSimulateAgainstOracle:
         rng = random.Random(round_cap)
         g = random_recursive_tree(rng, 60)
         got = assert_same_as_oracle(g, strat_tree_log(g), round_cap=round_cap)
-        assert got["outcome"] == "cap-exceeded"
+        assert got.outcome == "cap-exceeded"
         got = assert_same_as_oracle(
             g, build_policy("front-sweep", g), round_cap=round_cap)
-        assert got["outcome"] in ("cap-exceeded", "escape-witness")
+        assert got.outcome in ("cap-exceeded", "escape-witness")
 
 
 def bounded_round_winnable(g, k, rounds_left, r_bits=None, memo=None):
