@@ -69,6 +69,8 @@ def _int(text: str, what: str) -> int:
     try:
         return int(text)
     except ValueError:
+        if text.isdecimal():  # int() refuses decimal digits only past its length limit
+            raise UsageError(f"a graph spec value of {len(text)} digits is too long to read") from None
         raise UsageError(f"{what}: '{text}' is not an integer") from None
 
 

@@ -38,10 +38,6 @@ class ScheduleError(LzlError):
     """A probe schedule violates its declared contract."""
 
 
-class PolicyError(LzlError):
-    """A policy emitted an invalid probe set."""
-
-
 class StrategyPreconditionError(LzlError):
     """A strategy generator was invoked outside its preconditions."""
 
@@ -56,6 +52,13 @@ class GridVerificationError(AssertionError):
     def __init__(self, message: str, trace=None):
         self.trace = trace
         super().__init__(message)
+
+
+class PolicyError(AssertionError):
+    """A policy probed more vertices than its budget.
+
+    An engine fault: every policy the package builds keeps its budget.
+    """
 
 
 class InconsistentBoundsError(AssertionError):

@@ -17,6 +17,7 @@ from typing import Sequence
 
 from .errors import InconsistentBoundsError, SizeCapError
 from .graphs import Graph, is_c4_free, iter_bits, max_degree, rooted_tree
+from .strategies import depth_bound
 
 #: Largest order the subset scan accepts: 2^25 subsets.  Trees take the
 #: dynamic program instead and are capped only by the graph order cap.
@@ -247,12 +248,12 @@ def kary_bound_report(k: int, d: int) -> tuple[int, int]:
     """The depth-based (lower, upper) bounds on prox1 of the k-ary tree of depth d.
 
     The strict rational lower bound (3/80)(d-2)(2/(2k+3)) becomes its
-    floor plus one, since prox1 is an integer; the upper bound is
-    floor(d/4)+2.
+    floor plus one, since prox1 is an integer; the upper bound is the
+    depth bound ``depth_bound(d)``.
     """
     if k < 2 or d < 2:
         raise ValueError("kary bounds need k >= 2 and d >= 2")
-    return 3 * (d - 2) // (40 * (2 * k + 3)) + 1, d // 4 + 2
+    return 3 * (d - 2) // (40 * (2 * k + 3)) + 1, depth_bound(d)
 
 
 @dataclass(frozen=True)

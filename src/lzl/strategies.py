@@ -161,6 +161,11 @@ def order_bound(n: int) -> int:
     return (n - 1).bit_length()
 
 
+def depth_bound(d: int) -> int:
+    """floor(d/4) + 2: the depth bound on a rooted tree of depth d."""
+    return d // 4 + 2
+
+
 def level_bound(levels: list[list[int]]) -> int:
     """ceil(max nonleaf-per-level / 3) + 1 over ``nonleaf_levels``: the level
     bound, and the level-line budget."""
@@ -168,13 +173,10 @@ def level_bound(levels: list[list[int]]) -> int:
 
 
 def tree_upper_bounds(g: Graph, root: int) -> tuple[int, int, int]:
-    """The order, depth and level upper bounds of the tree ``g`` rooted at ``root``.
-
-    The depth bound is floor(d/4) + 2 for the depth d of the rooted tree.
-    """
+    """The order, depth and level upper bounds of the tree ``g`` rooted at ``root``."""
     _, children, depth = rooted_tree(g, root)
     levels = nonleaf_levels(children, depth)
-    return order_bound(g.n), len(levels) // 4 + 2, level_bound(levels)
+    return order_bound(g.n), depth_bound(len(levels)), level_bound(levels)
 
 
 class _Guard:
@@ -274,48 +276,21 @@ class PathDecomposition:
         return max(b.bit_count() for b in self.bags) - 1
 
 
-def normalize_path_decomposition(
-    g: Graph, bags: Sequence[int]
-) -> PathDecomposition:
-    """Drop redundant bags and trailing bag vertices without bag neighbors.
-
-    After normalization every bag differs from its successor, and every
-    vertex in its last bag keeps a neighbor inside that bag (a vertex whose
-    only bag it is always does, in a connected graph).
-    """
-    work = list(bags)
-    changed = True
-    while changed:
-        changed = False
-        # drop bags contained in a neighbor
-        for i in range(len(work) - 1, -1, -1):
-            if len(work) == 1:
-                break
-            nb = []
-            if i > 0:
-                nb.append(work[i - 1])
-            if i + 1 < len(work):
-                nb.append(work[i + 1])
-            if any(work[i] & ~other == 0 for other in nb):
-                del work[i]
-                changed = True
-        # trim a vertex from its last bag when it has no neighbor there
-        for v in range(g.n):
-            idx = [i for i, b in enumerate(work) if (b >> v) & 1]
-            if len(idx) >= 2:
-                last = idx[-1]
-                if g.adj_bits[v] & work[last] == 0:
-                    work[last] &= ~(1 << v)
-                    changed = True
-    return PathDecomposition(tuple(work))
-
-
 def brute_pathwidth(g: Graph) -> PathDecomposition:
     """Minimum-width decomposition via exhaustive search over vertex orders.
 
     Dynamic program over prefix subsets (vertex separation form): the cost
     of a prefix is its count of vertices with a neighbor outside, and the
     optimal ordering is reconstructed from the subset table.
+
+    Bag i holds the i-th vertex of the order and every earlier vertex with
+    a neighbor at position i or later, so each vertex's bags are
+    consecutive and its last bag holds a neighbor of it (the graph is
+    connected).  A bag contained in its successor is dropped.  The last bag
+    of a vertex is never dropped, since its successor lacks that vertex, so
+    every kept bag before the final one has a vertex leaving there with a
+    neighbor beside it, and no vertex can be trimmed from its last bag.  No
+    bag is contained in its predecessor, which lacks the bag's own vertex.
     """
     if g.n > PATHWIDTH_CAP:
         raise SizeCapError("exhaustive pathwidth", g.n, PATHWIDTH_CAP)
@@ -355,7 +330,9 @@ def brute_pathwidth(g: Graph) -> PathDecomposition:
                 bag |= 1 << u
         bags.append(bag)
     assert max(b.bit_count() for b in bags) - 1 == best[full]
-    return normalize_path_decomposition(g, bags)
+    return PathDecomposition(
+        tuple(b for b, nxt in zip(bags, bags[1:]) if b & ~nxt) + (bags[-1],)
+    )
 
 
 def strat_pathwidth(g: Graph) -> Policy:

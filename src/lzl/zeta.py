@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
-from .errors import PolicyError, SizeCapError
+from .errors import PolicyError, SizeCapError, UsageError
 from .graphs import Graph, closed_nb_bits, closed_nb_table, iter_bits, mask_of
 
 #: Largest order the exact localization solver accepts.
@@ -134,8 +134,7 @@ class Policy:
     robber.  That tuple is the whole observation of a class with several
     candidates, since a probe on the robber leaves it a singleton.  Every
     state is finite, so a (state, candidates) pair that repeats on one play
-    is a robber escape; ``probes_after`` tells the simulator whether an
-    idle round is final.
+    is a robber escape.
     """
 
     name = "policy"
@@ -150,21 +149,14 @@ class Policy:
     def advance(self, state, flagged: tuple[int, ...]):
         return state
 
-    def probes_after(self, state) -> bool:
-        """Whether the policy may probe in some round after this one.
-
-        The simulator judges an idle round with several candidates an
-        escape exactly when this is False.  The default keeps that rule for
-        every idle round of a policy that does not override it.
-        """
-        return False
-
 
 class SchedulePolicy(Policy):
     """Oblivious policy replaying a fixed list of probe rounds.
 
     The state is the index of the next round, taken modulo the round count
-    when the list cycles.
+    when the list cycles.  A list that does not cycle ends in the state
+    ``len(rounds)``, which probes nothing and advances to itself, so a play
+    that outlasts the list repeats a pair once its candidates stop growing.
     """
 
     def __init__(self, rounds, budget: int, name: str = "schedule", cycle: bool = False):
@@ -172,6 +164,9 @@ class SchedulePolicy(Policy):
         self.budget = budget
         self.name = name
         self.cycle = cycle and bool(self.rounds)  # an empty cycle never probes
+        end = len(self.rounds)
+        # the state after each state, so ``advance`` is one index per branch
+        self.successor = [*range(1, end), 0 if self.cycle else end, end]
 
     def initial_state(self):
         return 0
@@ -180,10 +175,7 @@ class SchedulePolicy(Policy):
         return self.rounds[state] if state < len(self.rounds) else frozenset()
 
     def advance(self, state, flagged):
-        return (state + 1) % len(self.rounds) if self.cycle else state + 1
-
-    def probes_after(self, state) -> bool:
-        return any(self.rounds) if self.cycle else any(self.rounds[state + 1 :])
+        return self.successor[state]
 
 
 @dataclass
@@ -206,9 +198,10 @@ def simulate_policy(
     Depth-first over the branch tree: candidates R move to N[R], the probe
     splits them into observation classes, and each non-singleton class is a
     robber option.  An escape witness is a (policy state, candidates) pair
-    revisited on one branch, or an idle round after which the policy never
-    probes again while several candidates remain.  Each round is a generator
-    that yields its sub-rounds and is sent their verdicts, so the depth is
+    revisited on one branch, the one escape rule: once a policy stops
+    probing, its candidates spread to a fixed set while its finitely many
+    states cycle, so the pair repeats.  Each round is a generator that
+    yields its sub-rounds and is sent their verdicts, so the depth is
     bounded by ``round_cap`` and not by the interpreter's stack.  A sub-round
     already in the memo is read there and never started, and N[R] is
     computed once per candidate set R.
@@ -235,9 +228,6 @@ def simulate_policy(
                 f"vertices, budget is {policy.budget}"
             )
         probed = tuple(sorted(probe_set))
-        if not probed and m_bits.bit_count() > 1 and not policy.probes_after(state):
-            # nothing will ever split the candidates again
-            return "escape-witness", None, [_frame(g, t, probed, None, m_bits)]
         probe_mask = mask_of(probed)
         worst = 0
         for cls in _partition_bits(g, m_bits, probed):
@@ -322,5 +312,5 @@ POLICY_REGISTRY: dict[str, Callable[[Graph], Policy]] = {
 
 def build_policy(name: str, g: Graph) -> Policy:
     if name not in POLICY_REGISTRY:
-        raise PolicyError(f"unknown policy '{name}'")
+        raise UsageError(f"unknown policy '{name}'")
     return POLICY_REGISTRY[name](g)

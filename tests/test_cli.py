@@ -6,9 +6,10 @@ import pytest
 
 from lzl.graphs import generate, parse_graph, serialize_graph
 from lzl.cli import load_graph, main
-from lzl.errors import GridVerificationError, InconsistentBoundsError
+from lzl.errors import GridVerificationError, InconsistentBoundsError, PolicyError
 from lzl.prox import run_schedule
 from lzl.strategies import STRATEGY_REGISTRY
+from lzl.zeta import POLICY_REGISTRY, SchedulePolicy
 
 
 def run_cli(capsys, *argv):
@@ -523,3 +524,22 @@ class TestUsageErrors:
         monkeypatch.setattr("lzl.gridsweep.run_schedule", uncleared)
         with pytest.raises(GridVerificationError):
             main(["strat", "grid-sweep", "--n", "11"])
+
+    def test_over_budget_policy_is_not_a_usage_error(self, monkeypatch):
+        # two probes against a budget of one: the policy is at fault, not the caller
+        monkeypatch.setitem(POLICY_REGISTRY, "sweep",
+                            lambda g: SchedulePolicy([{0, 1}], budget=1, name="sweep"))
+        with pytest.raises(PolicyError):
+            main(["zeta", "simulate", "--graph", "path:4", "--policy", "sweep"])
+
+    @pytest.mark.parametrize("spec,message", [
+        ("grid:" + "9" * 5000, "a graph spec value of 5000 digits is too long to read"),
+        ("path:4:sub" + "9" * 5000, "a graph spec value of 5000 digits is too long to read"),
+        ("grid:x", "grid:x: 'x' is not an integer"),
+    ], ids=["overlong-value", "overlong-sub", "not-an-integer"])
+    def test_family_value_errors_exit2(self, capsys, spec, message):
+        # int() reads at most 4300 digits; past that the error gives the
+        # digit count and never echoes the value
+        code, out, err = run_cli(capsys, "gen", "--graph", spec)
+        assert (code, out) == (2, "")
+        assert message in err and "9" * 50 not in err

@@ -25,7 +25,6 @@ from lzl.strategies import (
     lift_prox_to_zeta,
     min_dominating_set,
     nonleaf_levels,
-    normalize_path_decomposition,
     strat_domination,
     strat_pathwidth,
     strat_separator,
@@ -36,7 +35,13 @@ from lzl.strategies import (
 )
 from lzl.zeta import simulate_policy, zeta_number
 
-from conftest import bfs_distances, mask, random_recursive_tree, random_tree
+from conftest import (
+    bfs_distances,
+    mask,
+    random_connected_graph,
+    random_recursive_tree,
+    random_tree,
+)
 
 
 def validate_path_decomposition(g, bags):
@@ -58,6 +63,29 @@ def validate_path_decomposition(g, bags):
             violations.append(f"(3) bags containing vertex {v + 1} are not contiguous")
             break
     return violations
+
+
+def normalize_path_decomposition(g, bags):
+    """Reference normalizer, a two-pass fixpoint over a decomposition's bags:
+    drop each bag contained in a neighbor bag, then trim each vertex from its
+    last bag when it has no neighbor there, until nothing changes."""
+    work = list(bags)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(work) - 1, -1, -1):
+            if len(work) == 1:
+                break
+            nb = work[max(i - 1, 0):i] + work[i + 1:i + 2]
+            if any(work[i] & ~other == 0 for other in nb):
+                del work[i]
+                changed = True
+        for v in range(g.n):
+            idx = [i for i, b in enumerate(work) if (b >> v) & 1]
+            if len(idx) >= 2 and g.adj_bits[v] & work[idx[-1]] == 0:
+                work[idx[-1]] &= ~(1 << v)
+                changed = True
+    return PathDecomposition(tuple(work))
 
 
 def split_parts_by_scan(comps, n):
@@ -298,11 +326,22 @@ class TestPathDecomposition:
         violations = validate_path_decomposition(g, bags)
         assert any("(2)" in v for v in violations)
 
-    def test_normalization_drops_nested(self):
-        g = generate("path", n=4)
-        bags = [mask(0, 1), mask(0, 1), mask(1, 2), mask(2, 3)]
-        pd = normalize_path_decomposition(g, bags)
-        assert len(pd.bags) == 3
+    def test_brute_bags_are_normalized(self):
+        # the one filter in brute_pathwidth leaves nothing for the reference
+        # fixpoint to drop or trim, and every bag keeps a leaving vertex
+        # beside one of its neighbors, which strat_pathwidth needs
+        rng = random.Random(21)
+        for trial in range(300):
+            g = random_connected_graph(rng, rng.randint(1, 10), extra_edges=rng.randint(0, 6))
+            pd = brute_pathwidth(g)
+            assert normalize_path_decomposition(g, pd.bags) == pd, trial
+            assert validate_path_decomposition(g, pd.bags) == [], trial
+            bags = pd.bags
+            for i, bag in enumerate(bags):
+                if len(bags) == 1:
+                    break
+                leaving = bag & ~(bags[i + 1] if i + 1 < len(bags) else bags[i - 1])
+                assert any(g.adj_bits[u] & bag for u in iter_bits(leaving)), (trial, i)
 
     def test_brute_widths(self):
         assert brute_pathwidth(generate("complete", n=4)).width == 3
@@ -492,6 +531,15 @@ class TestLifts:
         assert sim.outcome == "captured-all-branches"
         assert (sim.worst_capture_round, sim.branches) == (4, 59)
 
+    def test_endgame_lift_idle_replay_round_is_no_escape(self):
+        # the replay probes again after its idle first round, so that round
+        # ends nothing; the robber is caught at round 2 on every branch
+        g = generate("path", n=4)
+        schedule = ProbeSchedule.from_lists(4, [[], [1, 2]])
+        assert run_schedule(g, schedule).cleared
+        sim = simulate_policy(g, lift_prox_to_zeta(g, schedule, variant="endgame"))
+        assert (sim.outcome, sim.worst_capture_round, sim.branches) == (
+            "captured-all-branches", 2, 5)
 
     def test_tree_lift_spider555_pinned(self):
         g = generate("spider", arms=[5, 5, 5])

@@ -236,6 +236,24 @@ class TestSimulate:
         assert sim.captured
         assert sim.worst_capture_round == simulate_policy(g, front).worst_capture_round + 1
 
+    @pytest.mark.parametrize("g,name", [
+        (generate("path", n=5), "sweep"),
+        (generate("spider", arms=[3, 3, 3]), "sweep"),
+        (generate("spider", arms=[3, 3, 3]), "front-sweep"),
+        (generate("cycle", n=6), "front-sweep"),
+    ], ids=["path:5-sweep", "spider:3,3,3-sweep", "spider:3,3,3-front-sweep",
+            "cycle:6-front-sweep"])
+    def test_finished_schedule_escape_ends_on_a_repeat(self, g, name):
+        # after its last round the schedule rests in one idle state, so a
+        # losing play ends when two idle rounds see the same candidates
+        policy = build_policy(name, g)
+        sim = simulate_policy(g, policy)
+        assert sim.outcome == "escape-witness"
+        last, before = sim.escape_path[-1], sim.escape_path[-2]
+        assert last["probes"] == before["probes"] == []
+        assert last["candidates"] == before["candidates"]
+        assert last["round"] > len(policy.rounds)
+
     @pytest.mark.parametrize("cycle", [False, True])
     def test_all_idle_schedule_escapes(self, cycle):
         g = generate("path", n=5)
@@ -266,6 +284,7 @@ class TestSimulate:
         assert sim.escape_path == [
             frame(1, 2, "1", [1, 3]), frame(2, 3, "1", [2, 4]),
             frame(3, 4, "1", [3, 5]), frame(4, None, None, [2, 3, 4, 5]),
+            frame(5, None, None, [1, 2, 3, 4, 5]), frame(6, None, None, [1, 2, 3, 4, 5]),
         ]
         g = generate("spider", arms=[3, 3, 3])
         sim = simulate_policy(g, build_policy("arm-scan", g))
@@ -359,8 +378,6 @@ def simulate_oracle(g, policy, *, round_cap=400):
         if len(probe_set) > policy.budget:
             raise PolicyError("over budget")
         probed = tuple(sorted(probe_set))
-        if not probed and m_bits.bit_count() > 1 and not policy.probes_after(state):
-            return _ESCAPE, None, [_frame(g, t, probed, None, m_bits)]
         probe_mask = mask_of(probed)
         worst = 0
         for cls in split_oracle(g, m_bits, probed):
