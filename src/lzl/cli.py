@@ -1,13 +1,13 @@
 """Command-line surface: generation, solving, verification, reproduction.
 
 Exit codes: 0 success or positive verification, 1 negative verification
-(the robber legitimately wins or a reproduction cell mismatches), 2 usage
-or validation errors, 3 size-cap violations.  Each command returns its
-report body and exit code, and ``main`` prints the one JSON document with
-the deterministic payload under "report" and timing segregated under
-"timing"; identical inputs give byte-identical report sections.  Each
-engine checks its own size cap; the "caps" block reports the ones a
-command ran under.
+(the robber legitimately wins or a reproduction cell mismatches), 2 a
+``UsageError``, 3 a ``SizeCapError``; an engine fault's ``AssertionError``
+is not caught.  Each command returns its report body and exit code, and
+``main`` prints the one JSON document with the deterministic payload under
+"report" and timing segregated under "timing"; identical inputs give
+byte-identical report sections.  Each engine checks its own size cap; the
+"caps" block reports the ones a command ran under.
 """
 
 from __future__ import annotations
@@ -21,14 +21,7 @@ import time
 from dataclasses import asdict
 
 from . import __version__
-from .errors import (
-    GraphParseError,
-    GraphValidationError,
-    LzlError,
-    ScheduleError,
-    SizeCapError,
-    UsageError,
-)
+from .errors import SizeCapError, UsageError
 from .graphs import (
     FAMILIES,
     Graph,
@@ -69,8 +62,12 @@ def _int(text: str, what: str) -> int:
     try:
         return int(text)
     except ValueError:
-        if text.isdecimal():  # int() refuses decimal digits only past its length limit
-            raise UsageError(f"a graph spec value of {len(text)} digits is too long to read") from None
+        # int() refuses a value of more digits than its limit however it is
+        # signed or spaced (a limit of 0, or none before Python 3.10.7, is
+        # no limit); such a value is never echoed
+        digits = sum(map(str.isdecimal, text))
+        if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < digits:
+            raise UsageError(f"a graph spec value of {digits} digits is too long to read") from None
         raise UsageError(f"{what}: '{text}' is not an integer") from None
 
 
@@ -80,14 +77,14 @@ def _round_cap(args) -> int:
     return args.round_cap
 
 
-def _read_text(path: str, error: type[LzlError]) -> str:
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError:
-        raise error(f"{path} is not UTF-8 text") from None
+        raise UsageError(f"{path} is not UTF-8 text") from None
     except OSError as exc:
-        raise error(f"cannot read {path}: {exc.strerror or exc}") from None
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def _write_text(path: str, text: str) -> None:
@@ -106,27 +103,25 @@ def load_graph(spec: str) -> tuple[Graph, str]:
     the :sub<i> segment, is rejected rather than read in part.
     """
     if os.path.exists(spec):
-        return parse_graph(_read_text(spec, GraphParseError)), os.path.basename(spec)
+        return parse_graph(_read_text(spec)), os.path.basename(spec)
     parts = spec.split(":")
     family = parts[0]
     if family not in FAMILIES:
-        raise GraphValidationError(
-            f"'{spec}' is neither a file nor a family spec"
-        )
+        raise UsageError(f"'{spec}' is neither a file nor a family spec")
     names = FAMILIES[family][1]
     values = [_int(x, spec) for x in parts[1].split(",")] if len(parts) > 1 and parts[1] else []
     if "arms" not in names and len(values) < len(names):
         missing = " and ".join(names[len(values):])
-        raise GraphValidationError(f"family spec '{spec}' is missing {missing}")
+        raise UsageError(f"family spec '{spec}' is missing {missing}")
     if "arms" not in names and len(values) > len(names):
-        raise GraphValidationError(f"family spec '{spec}' has values beyond {' and '.join(names)}")
+        raise UsageError(f"family spec '{spec}' has values beyond {' and '.join(names)}")
     sub = None
     if len(parts) > 2:
         seg = parts[2]
         if not seg.startswith("sub"):
-            raise GraphValidationError(f"unknown graph spec segment '{seg}'")
+            raise UsageError(f"unknown graph spec segment '{seg}'")
         if len(parts) > 3:
-            raise GraphValidationError(f"graph spec '{spec}' has a segment after ':{seg}'")
+            raise UsageError(f"graph spec '{spec}' has a segment after ':{seg}'")
         sub = _int(seg[3:], spec)
     # the whole spec is checked before any graph is built
     params = {"arms": values} if "arms" in names else dict(zip(names, values))
@@ -247,8 +242,8 @@ def cmd_prox(args) -> tuple[dict | None, int]:
         return _report("prox-solve", g, gid, {"graph": gid},
                        {"prox1": prox_number(g)}, caps={"prox": PROX_CAP}), EXIT_OK
     if not args.schedule:
-        raise GraphValidationError("prox verify needs --schedule")
-    schedule = ProbeSchedule.from_json(_read_text(args.schedule, ScheduleError))
+        raise UsageError("prox verify needs --schedule")
+    schedule = ProbeSchedule.from_json(_read_text(args.schedule))
     trace = run_schedule(g, schedule)
     body = _report(
         "prox-verify",
@@ -266,7 +261,7 @@ def cmd_zeta(args) -> tuple[dict | None, int]:
         return _report("zeta-solve", g, gid, {"graph": gid},
                        {"zeta1": zeta_number(g)}, caps={"zeta": ZETA_CAP}), EXIT_OK
     if not args.policy:
-        raise GraphValidationError("zeta simulate needs --policy")
+        raise UsageError("zeta simulate needs --policy")
     round_cap = _round_cap(args)
     sim = simulate_policy(g, build_policy(args.policy, g), round_cap=round_cap)
     body = _report(
@@ -283,7 +278,7 @@ def cmd_strat(args) -> tuple[dict | None, int]:
     round_cap = _round_cap(args)
     if args.name == "grid-sweep":
         if args.n is None:
-            raise GraphValidationError("grid-sweep needs --n")
+            raise UsageError("grid-sweep needs --n")
         schedule, trace = grid_strategy(args.n)
         if args.emit:
             _write_text(args.emit, schedule.to_json())
@@ -303,13 +298,16 @@ def cmd_strat(args) -> tuple[dict | None, int]:
         return body, EXIT_OK
 
     if not args.graph:
-        raise GraphValidationError(f"strategy '{args.name}' needs --graph")
+        raise UsageError(f"strategy '{args.name}' needs --graph")
     g, gid = load_graph(args.graph)
     if args.name not in STRATEGY_REGISTRY:
-        raise GraphValidationError(f"unknown strategy '{args.name}'")
+        raise UsageError(f"unknown strategy '{args.name}'")
+    kind, build = STRATEGY_REGISTRY[args.name]
+    if kind == "policy" and args.emit:
+        raise UsageError(f"--emit writes a prox schedule, and '{args.name}' is a policy")
     if not 0 <= args.root < g.n:
-        raise GraphValidationError(f"--root {args.root} is not a vertex index")
-    kind, artifact = STRATEGY_REGISTRY[args.name](g, root=args.root)
+        raise UsageError(f"--root {args.root} is not a vertex index")
+    artifact = build(g, args.root)
     if kind == "schedule":
         trace = run_schedule(g, artifact)
         verdict = trace.cleared
@@ -326,9 +324,6 @@ def cmd_strat(args) -> tuple[dict | None, int]:
         sim = simulate_policy(g, artifact, round_cap=round_cap)
         verdict = sim.captured
         results = {"kind": kind, "budget": artifact.budget, **asdict(sim)}
-        if args.emit:
-            _write_text(args.emit, json.dumps({"policy": artifact.name,
-                                               "budget": artifact.budget}))
     body = _report("strat", g, gid, {"name": args.name, "graph": gid}, results)
     return body, (EXIT_OK if verdict else EXIT_NEGATIVE)
 
@@ -349,7 +344,7 @@ def table1_rows() -> dict[str, tuple[int, int, int]]:
 
 def cmd_table(args) -> tuple[dict | None, int]:
     if args.name != "tab1":
-        raise GraphValidationError(f"unknown table '{args.name}'")
+        raise UsageError(f"unknown table '{args.name}'")
     rows = table1_rows()
     mismatches = []
     for name, expected in TABLE1_EXPECTED.items():
@@ -436,7 +431,7 @@ def main(argv=None) -> int:
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (LzlError, FileNotFoundError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if body is not None:

@@ -19,7 +19,7 @@ from collections import deque
 from itertools import accumulate, chain, pairwise
 from typing import Iterable, Iterator, Sequence
 
-from .errors import GraphParseError, GraphValidationError, SizeCapError
+from .errors import SizeCapError, UsageError
 
 #: Hard limit on graph order.  Python ints give arbitrary-width bitsets, so
 #: this guards runaway constructions rather than a machine word size; the
@@ -57,15 +57,15 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n <= 0:
-            raise GraphValidationError("graph must have at least one vertex")
+            raise UsageError("graph must have at least one vertex")
         if n > VERTEX_CAP:
             raise SizeCapError("graph order", n, VERTEX_CAP)
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
-                raise GraphValidationError(f"edge ({u}, {v}) out of range")
+                raise UsageError(f"edge ({u}, {v}) out of range")
             if u == v:
-                raise GraphValidationError(f"self-loop at vertex {u}")
+                raise UsageError(f"self-loop at vertex {u}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         object.__setattr__(self, "n", n)
@@ -75,7 +75,7 @@ class Graph:
         object.__setattr__(self, "_nbrs", None)
         full = (1 << n) - 1
         if _reach(self, 1, full) != full:
-            raise GraphValidationError("graph is disconnected")
+            raise UsageError("graph is disconnected")
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -167,54 +167,54 @@ def parse_graph(text: str) -> Graph:
         kind = parts[0]
         if kind == "p":
             if n is not None:
-                raise GraphParseError("duplicate header", lineno)
+                raise UsageError(f"line {lineno}: duplicate header")
             if len(parts) != 3:
-                raise GraphParseError("header must be 'p <n> <m>'", lineno)
+                raise UsageError(f"line {lineno}: header must be 'p <n> <m>'")
             try:
                 n, declared_m = int(parts[1]), int(parts[2])
             except ValueError:
-                raise GraphParseError("non-integer header fields", lineno) from None
+                raise UsageError(f"line {lineno}: non-integer header fields") from None
             if n <= 0 or declared_m < 0:
-                raise GraphParseError("header values out of range", lineno)
+                raise UsageError(f"line {lineno}: header values out of range")
             if n > VERTEX_CAP:
                 raise SizeCapError("graph order", n, VERTEX_CAP)
         elif kind == "e":
             if n is None:
-                raise GraphParseError("edge before header", lineno)
+                raise UsageError(f"line {lineno}: edge before header")
             if len(parts) != 3:
-                raise GraphParseError("edge must be 'e <u> <v>'", lineno)
+                raise UsageError(f"line {lineno}: edge must be 'e <u> <v>'")
             try:
                 u, v = int(parts[1]), int(parts[2])
             except ValueError:
-                raise GraphParseError("non-integer edge endpoints", lineno) from None
+                raise UsageError(f"line {lineno}: non-integer edge endpoints") from None
             if u == v:
-                raise GraphParseError(f"self-loop at vertex {u}", lineno)
+                raise UsageError(f"line {lineno}: self-loop at vertex {u}")
             if not (1 <= u < v <= n):
-                raise GraphParseError(
-                    f"edge endpoints must satisfy 1 <= u < v <= {n}", lineno
+                raise UsageError(
+                    f"line {lineno}: edge endpoints must satisfy 1 <= u < v <= {n}"
                 )
             if (u, v) in seen_edges:
-                raise GraphParseError(f"duplicate edge ({u}, {v})", lineno)
+                raise UsageError(f"line {lineno}: duplicate edge ({u}, {v})")
             seen_edges.add((u, v))
             edges.append((u - 1, v - 1))
         elif kind == "l":
             if n is None:
-                raise GraphParseError("label before header", lineno)
+                raise UsageError(f"line {lineno}: label before header")
             if len(parts) < 3 or "=" not in parts[2]:
-                raise GraphParseError("label must be 'l <v> <key>=<value>'", lineno)
+                raise UsageError(f"line {lineno}: label must be 'l <v> <key>=<value>'")
             try:
                 v = int(parts[1])
             except ValueError:
-                raise GraphParseError("non-integer label vertex", lineno) from None
+                raise UsageError(f"line {lineno}: non-integer label vertex") from None
             if not 1 <= v <= n:
-                raise GraphParseError(f"label vertex {v} out of range", lineno)
+                raise UsageError(f"line {lineno}: label vertex {v} out of range")
         else:
-            raise GraphParseError(f"unknown record '{kind}'", lineno)
+            raise UsageError(f"line {lineno}: unknown record '{kind}'")
 
     if n is None:
-        raise GraphParseError("missing header")
+        raise UsageError("missing header")
     if len(edges) != declared_m:
-        raise GraphParseError(
+        raise UsageError(
             f"header declares {declared_m} edges but {len(edges)} present"
         )
     return Graph(n, edges)
@@ -238,32 +238,32 @@ def generate(family: str, **params) -> Graph:
     a graph.
     """
     if family not in FAMILIES:
-        raise GraphValidationError(f"unknown family '{family}'")
+        raise UsageError(f"unknown family '{family}'")
     return FAMILIES[family][0](**params)
 
 
 def _gen_path(n: int) -> Graph:
     if n < 1:
-        raise GraphValidationError("path needs n >= 1")
+        raise UsageError("path needs n >= 1")
     return Graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def _gen_cycle(n: int) -> Graph:
     if n < 3:
-        raise GraphValidationError("cycle needs n >= 3")
+        raise UsageError("cycle needs n >= 3")
     return Graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def _gen_complete(n: int) -> Graph:
     if n < 1:
-        raise GraphValidationError("complete graph needs n >= 1")
+        raise UsageError("complete graph needs n >= 1")
     return Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
 def _gen_grid(n: int) -> Graph:
     """n-by-n grid; the 0-based cell (r, c) is vertex r*n + c."""
     if n < 1:
-        raise GraphValidationError("grid needs n >= 1")
+        raise UsageError("grid needs n >= 1")
     across = ((v, v + 1) for v in range(n * n) if v % n + 1 < n)
     down = ((v, v + n) for v in range(n * n - n))
     return Graph(n * n, chain(across, down))
@@ -281,7 +281,7 @@ def _gen_kary(k: int, d: int) -> Graph:
     parent of vertex v > 0 is (v - 1) // k.
     """
     if k < 1 or d < 0:
-        raise GraphValidationError("kary needs k >= 1 and d >= 0")
+        raise UsageError("kary needs k >= 1 and d >= 0")
     # for k >= 2 the order passes 2^64 by depth 64, so a deeper spec is
     # refused on that order instead of raising k to a huge power
     n = kary_order(k, d if k == 1 else min(d, 64))
@@ -292,9 +292,9 @@ def _gen_spider(arms: Sequence[int]) -> Graph:
     """Head vertex 0 with one path per arm length; head degree = #arms."""
     arms = list(arms)
     if len(arms) < 3:
-        raise GraphValidationError("spider needs at least three arms")
+        raise UsageError("spider needs at least three arms")
     if any(a < 1 for a in arms):
-        raise GraphValidationError("spider arm lengths must be positive")
+        raise UsageError("spider arm lengths must be positive")
     # the arm from the head runs through first, first + 1, ..., end - 1
     ends = list(accumulate(arms, initial=1))
     edges = ((0 if v == first else v - 1, v)
@@ -321,7 +321,7 @@ def subdivide(base: Graph, i: int) -> Graph:
     sorted order take the k-th block of ``i`` indices after them.
     """
     if i < 0:
-        raise GraphValidationError("subdivision count must be >= 0")
+        raise UsageError("subdivision count must be >= 0")
     base_edges = sorted(base.edges())
     n = base.n + i * len(base_edges)
     if n > VERTEX_CAP:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GridVerificationError, ScheduleError
+from .errors import UsageError
 from .graphs import generate
 from .prox import ProbeSchedule, ScheduleTrace, run_schedule
 
@@ -91,7 +91,7 @@ def _panel_sweep(
     i, j, t = start_i + 1, m, start_round
     while True:
         if t > hard_cap:
-            raise GridVerificationError("grid sweep failed to terminate")
+            raise AssertionError("grid sweep failed to terminate")
         i -= 1
         if i > top[j]:
             return probe_rounds, t
@@ -172,23 +172,19 @@ def clip_schedule(plan: GridSweepPlan, n: int) -> ProbeSchedule:
 def grid_strategy(n: int) -> tuple[ProbeSchedule, ScheduleTrace]:
     """Verified m+3 budget schedule for the n-by-n grid.
 
-    Verification failure is a hard error carrying the trace: the clipped
+    Verification failure is an engine fault (``AssertionError``): the clipped
     schedule passing the contamination engine is the acceptance instrument,
     not a best-effort fallback.
     """
     if n < 2:
-        raise ScheduleError("grid strategy needs n >= 2")
+        raise UsageError("grid strategy needs n >= 2")
     # the graph's order cap is checked before any planning
     g = generate("grid", n=n)
     plan = five_panel_schedule(n)
     schedule = clip_schedule(plan, n)
     if schedule.cops > plan.m + 3:
-        raise GridVerificationError(
-            f"clipped budget {schedule.cops} exceeds m+3 = {plan.m + 3}"
-        )
+        raise AssertionError(f"clipped budget {schedule.cops} exceeds m+3 = {plan.m + 3}")
     trace = run_schedule(g, schedule)
     if not trace.cleared:
-        raise GridVerificationError(
-            f"grid sweep for n={n} failed contamination verification", trace
-        )
+        raise AssertionError(f"grid sweep for n={n} failed contamination verification")
     return schedule, trace

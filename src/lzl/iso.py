@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
-from .errors import InconsistentBoundsError, SizeCapError
+from .errors import SizeCapError
 from .graphs import Graph, is_c4_free, iter_bits, max_degree, rooted_tree
 from .strategies import depth_bound
 
@@ -386,7 +386,7 @@ def assemble_bounds(g: Graph, quantities: dict, *, graph_id: str = "") -> Bounds
     for target in ("prox1", "zeta1"):
         lo, hi = report.best(target)
         if lo is not None and hi is not None and lo > hi:
-            raise InconsistentBoundsError(
+            raise AssertionError(
                 f"{target}: derived lower bound {lo} exceeds upper bound {hi}"
             )
     return report

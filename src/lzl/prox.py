@@ -23,7 +23,7 @@ from itertools import combinations
 from operator import and_
 from typing import Generator, Iterable
 
-from .errors import ScheduleError, SizeCapError
+from .errors import SizeCapError, UsageError
 from .graphs import (
     Graph,
     closed_nb_bits,
@@ -45,12 +45,10 @@ class ProbeSchedule:
 
     def __post_init__(self):
         if self.cops < 1:
-            raise ScheduleError("cop budget must be positive")
+            raise UsageError("cop budget must be positive")
         for t, r in enumerate(self.rounds, start=1):
             if len(r) > self.cops:
-                raise ScheduleError(
-                    f"round {t} probes {len(r)} vertices, budget is {self.cops}"
-                )
+                raise UsageError(f"round {t} probes {len(r)} vertices, budget is {self.cops}")
 
     @classmethod
     def from_lists(cls, cops: int, rounds: Iterable[Iterable[int]]):
@@ -61,7 +59,7 @@ class ProbeSchedule:
         for t, r in enumerate(self.rounds, start=1):
             for v in r:
                 if not (isinstance(v, int) and 0 <= v < g.n):
-                    raise ScheduleError(f"round {t} probes vertex {v + 1}, outside 1..{g.n}")
+                    raise UsageError(f"round {t} probes vertex {v + 1}, outside 1..{g.n}")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -84,15 +82,15 @@ class ProbeSchedule:
             cops, rounds = data["cops"], [list(r) for r in data["rounds"]]
             mode = data.get("mode", "prox")
         except (ValueError, KeyError, TypeError) as exc:
-            raise ScheduleError(f"malformed schedule JSON: {exc!r}") from None
+            raise UsageError(f"malformed schedule JSON: {exc!r}") from None
         if mode != "prox":
-            raise ScheduleError(f"schedule mode {mode!r} is not 'prox'")
+            raise UsageError(f"schedule mode {mode!r} is not 'prox'")
         if type(cops) is not int:  # bool is an int subclass, but true is no count
-            raise ScheduleError(f"cops {json.dumps(cops)} is not an integer")
+            raise UsageError(f"cops {json.dumps(cops)} is not an integer")
         for t, r in enumerate(rounds, start=1):
             for v in r:
                 if type(v) is not int:
-                    raise ScheduleError(f"round {t} probes {json.dumps(v)}, not an integer id")
+                    raise UsageError(f"round {t} probes {json.dumps(v)}, not an integer id")
         return cls.from_lists(cops, [[v - 1 for v in r] for r in rounds])
 
 
@@ -103,7 +101,6 @@ class ScheduleTrace:
     cleared: bool
     clear_round: int | None
     counts: list[int]
-    max_contamination: int
     first_recontamination_round: int | None
 
     def as_dict(self) -> dict:
@@ -111,7 +108,6 @@ class ScheduleTrace:
             "cleared": self.cleared,
             "clear_round": self.clear_round,
             "per_round_contaminated": self.counts,
-            "max_contamination": self.max_contamination,
             "first_recontamination_round": self.first_recontamination_round,
         }
 
@@ -138,12 +134,10 @@ def run_schedule(g: Graph, schedule: ProbeSchedule) -> ScheduleTrace:
     trace_counts: list[int] = []
     clear_round = None
     recontam_round = None
-    max_contam = s.bit_count()
     for t, (size, grew) in enumerate(stepper(g, schedule, s), start=1):
         if recontam_round is None and grew:
             recontam_round = t
         trace_counts.append(size)
-        max_contam = max(max_contam, size)
         if size == 0 and clear_round is None:
             clear_round = t
 
@@ -151,7 +145,6 @@ def run_schedule(g: Graph, schedule: ProbeSchedule) -> ScheduleTrace:
         cleared=clear_round is not None,
         clear_round=clear_round,
         counts=trace_counts,
-        max_contamination=max_contam,
         first_recontamination_round=recontam_round,
     )
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Sequence
 
-from .errors import GraphValidationError, SizeCapError, StrategyPreconditionError
+from .errors import SizeCapError, UsageError
 from .graphs import (
     Graph,
     closed_nb_bits,
@@ -37,7 +37,7 @@ SEPARATOR_CAP = 20
 
 def _require_tree(g: Graph) -> None:
     if not g.is_tree():
-        raise GraphValidationError("operation requires a tree")
+        raise UsageError("operation requires a tree")
 
 
 # -- midway vertex and the order-based strategy ---------------------------
@@ -90,7 +90,7 @@ def strat_tree_log(g: Graph) -> Policy:
     """
     _require_tree(g)
     if g.n < 2:
-        raise GraphValidationError("order strategy needs n >= 2")
+        raise UsageError("order strategy needs n >= 2")
     budget = order_bound(g.n)
     rounds = [set(iter_bits(r)) for r in _log_rounds(g, (1 << g.n) - 1)]
     return SchedulePolicy(rounds, budget=budget, name="tree-log")
@@ -405,7 +405,7 @@ class DominationPolicy(Policy):
 
 def strat_domination(g: Graph) -> Policy:
     if not is_c4_free(g):
-        raise StrategyPreconditionError("domination strategy needs a C4-free graph")
+        raise UsageError("domination strategy needs a C4-free graph")
     return DominationPolicy(g, min_dominating_set(g))
 
 
@@ -605,9 +605,7 @@ def lift_prox_to_zeta(
     """
     trace = run_schedule(g, prox_strategy)
     if not trace.cleared:
-        raise StrategyPreconditionError(
-            "prox strategy does not win the one-proximity game"
-        )
+        raise UsageError("prox strategy does not win the one-proximity game")
     if variant == "delta":
         delta = max_degree(g)
         rounds = []
@@ -625,9 +623,7 @@ def lift_prox_to_zeta(
     if variant == "endgame":
         delta = max_degree(g)
         if prox_strategy.cops < delta * delta:
-            raise StrategyPreconditionError(
-                "endgame lift needs cop budget at least max degree squared"
-            )
+            raise UsageError("endgame lift needs cop budget at least max degree squared")
         return EndgameLiftPolicy(g, prox_strategy)
     raise ValueError(f"unknown lift variant '{variant}'")
 
@@ -635,19 +631,17 @@ def lift_prox_to_zeta(
 # -- registry ---------------------------------------------------------------
 
 
-STRATEGY_REGISTRY: dict[str, Callable] = {
-    "tree-log": lambda g, **kw: ("policy", strat_tree_log(g)),
-    "tree-depth": lambda g, root=0, **kw: ("schedule", strat_tree_depth(g, root)),
-    "tree-levels": lambda g, root=0, **kw: ("schedule", strat_tree_levels(g, root)),
-    "pathwidth": lambda g, **kw: ("policy", strat_pathwidth(g)),
-    "domination": lambda g, **kw: ("policy", strat_domination(g)),
-    "separator": lambda g, **kw: ("schedule", strat_separator(g)),
-    "lift-delta": lambda g, **kw: (
-        "policy",
-        lift_prox_to_zeta(g, prox_solve(g)[1], variant="delta"),
-    ),
-    "lift-tree": lambda g, root=0, **kw: (
-        "policy",
-        lift_prox_to_zeta(g, prox_solve(g)[1], variant="tree", root=root),
-    ),
+#: name -> (kind, builder of the strategy from the graph and a root vertex):
+#: run_schedule verifies a "schedule", simulate_policy a "policy"
+STRATEGY_REGISTRY: dict[str, tuple[str, Callable[[Graph, int], ProbeSchedule | Policy]]] = {
+    "tree-log": ("policy", lambda g, root: strat_tree_log(g)),
+    "tree-depth": ("schedule", lambda g, root: strat_tree_depth(g, root)),
+    "tree-levels": ("schedule", lambda g, root: strat_tree_levels(g, root)),
+    "pathwidth": ("policy", lambda g, root: strat_pathwidth(g)),
+    "domination": ("policy", lambda g, root: strat_domination(g)),
+    "separator": ("schedule", lambda g, root: strat_separator(g)),
+    "lift-delta": ("policy", lambda g, root: lift_prox_to_zeta(
+        g, prox_solve(g)[1], variant="delta")),
+    "lift-tree": ("policy", lambda g, root: lift_prox_to_zeta(
+        g, prox_solve(g)[1], variant="tree", root=root)),
 }

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
-from .errors import PolicyError, SizeCapError, UsageError
+from .errors import SizeCapError, UsageError
 from .graphs import Graph, closed_nb_bits, closed_nb_table, iter_bits, mask_of
 
 #: Largest order the exact localization solver accepts.
@@ -223,7 +223,7 @@ def simulate_policy(
             m_bits = spread[r_bits] = closed_nb_bits(g, r_bits)
         probe_set = policy.probes(state)
         if len(probe_set) > policy.budget:
-            raise PolicyError(
+            raise AssertionError(
                 f"round {t}: policy '{policy.name}' probes {len(probe_set)} "
                 f"vertices, budget is {policy.budget}"
             )

@@ -108,7 +108,7 @@ def bfs_distances(g: Graph, v: int, within: int | None = None) -> list[int]:
 def induced_connected(g: Graph, s: int) -> Graph:
     """The subgraph induced on the connected mask ``s``, relabelled in ascending order.
 
-    Every Graph is connected, so a mask that is not raises GraphValidationError.
+    Every Graph is connected, so a mask that is not raises UsageError.
     """
     index = {v: i for i, v in enumerate(iter_bits(s))}
     edges = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]

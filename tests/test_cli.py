@@ -6,7 +6,6 @@ import pytest
 
 from lzl.graphs import generate, parse_graph, serialize_graph
 from lzl.cli import load_graph, main
-from lzl.errors import GridVerificationError, InconsistentBoundsError, PolicyError
 from lzl.prox import run_schedule
 from lzl.strategies import STRATEGY_REGISTRY
 from lzl.zeta import POLICY_REGISTRY, SchedulePolicy
@@ -491,7 +490,22 @@ class TestUsageErrors:
     ])
     def test_output_directory_exit2(self, tmp_path, capsys, argv):
         code, out, err = run_cli(capsys, *argv, str(tmp_path))
-        assert code == 2 and not out and "cannot write" in err and "Traceback" not in err
+        # tree-log is a policy, which --emit refuses before it writes anything
+        message = "'tree-log' is a policy" if argv[1] == "tree-log" else "cannot write"
+        assert code == 2 and not out and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", sorted(
+        name for name, (kind, _) in STRATEGY_REGISTRY.items() if kind == "policy"))
+    def test_emit_on_a_policy_exit2(self, tmp_path, capsys, monkeypatch, name):
+        # only a schedule has a file format; a policy is refused before it is built
+        def unbuilt(g, root):
+            raise AssertionError("built a policy for --emit")
+
+        monkeypatch.setitem(STRATEGY_REGISTRY, name, ("policy", unbuilt))
+        emit = tmp_path / "s.json"
+        code, out, err = run_cli(capsys, "strat", name, "--graph", "path:4", "--emit", str(emit))
+        assert (code, out) == (2, "") and not emit.exists()
+        assert err == f"error: --emit writes a prox schedule, and '{name}' is a policy\n"
 
     @pytest.mark.parametrize("cap", ["0", "-3"])
     @pytest.mark.parametrize("argv", [
@@ -513,7 +527,7 @@ class TestUsageErrors:
     def test_inconsistent_bounds_is_not_a_usage_error(self, monkeypatch):
         # a zeta1 of 1 caps prox1 at 1, below the grid-window lower bound 2
         monkeypatch.setattr("lzl.cli.zeta_number", lambda g: 1)
-        with pytest.raises(InconsistentBoundsError):
+        with pytest.raises(AssertionError, match="prox1: derived lower bound 2 exceeds upper bound 1"):
             main(["bounds", "--graph", "grid:3", "--no-iso", "--solve"])
 
     def test_failed_grid_verification_is_not_a_usage_error(self, monkeypatch):
@@ -522,24 +536,28 @@ class TestUsageErrors:
                                        clear_round=None)
 
         monkeypatch.setattr("lzl.gridsweep.run_schedule", uncleared)
-        with pytest.raises(GridVerificationError):
+        with pytest.raises(AssertionError, match="grid sweep for n=11 failed contamination verification"):
             main(["strat", "grid-sweep", "--n", "11"])
 
     def test_over_budget_policy_is_not_a_usage_error(self, monkeypatch):
         # two probes against a budget of one: the policy is at fault, not the caller
         monkeypatch.setitem(POLICY_REGISTRY, "sweep",
                             lambda g: SchedulePolicy([{0, 1}], budget=1, name="sweep"))
-        with pytest.raises(PolicyError):
+        with pytest.raises(AssertionError, match="policy 'sweep' probes 2 vertices, budget is 1"):
             main(["zeta", "simulate", "--graph", "path:4", "--policy", "sweep"])
 
     @pytest.mark.parametrize("spec,message", [
         ("grid:" + "9" * 5000, "a graph spec value of 5000 digits is too long to read"),
         ("path:4:sub" + "9" * 5000, "a graph spec value of 5000 digits is too long to read"),
+        ("grid:-" + "9" * 5000, "a graph spec value of 5000 digits is too long to read"),
+        ("grid:+" + "9" * 5000, "a graph spec value of 5000 digits is too long to read"),
+        ("grid:9_" + "9" * 5000, "a graph spec value of 5001 digits is too long to read"),
         ("grid:x", "grid:x: 'x' is not an integer"),
-    ], ids=["overlong-value", "overlong-sub", "not-an-integer"])
+    ], ids=["overlong-value", "overlong-sub", "overlong-signed", "overlong-plus",
+            "overlong-underscored", "not-an-integer"])
     def test_family_value_errors_exit2(self, capsys, spec, message):
-        # int() reads at most 4300 digits; past that the error gives the
-        # digit count and never echoes the value
+        # int() reads at most 4300 digits, signed or underscored; past that the
+        # error gives the digit count and never echoes the value
         code, out, err = run_cli(capsys, "gen", "--graph", spec)
         assert (code, out) == (2, "")
         assert message in err and "9" * 50 not in err

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lzl.errors import InconsistentBoundsError, SizeCapError
+from lzl.errors import SizeCapError
 from lzl.graphs import Graph, closed_nb_bits, generate, mask_of, max_degree, subdivide
 from lzl.iso import (
     ISO_CAP,
@@ -288,7 +288,7 @@ class TestBoundsReport:
 
     def test_inconsistency_is_hard(self):
         g = generate("complete", n=4)
-        with pytest.raises(InconsistentBoundsError):
+        with pytest.raises(AssertionError, match="zeta1: derived lower bound 5 exceeds upper bound 3"):
             assemble_bounds(g, {"prox1": 5, "zeta1": 1})
 
     def test_unknown_quantity_is_refused(self):

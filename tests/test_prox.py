@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lzl.errors import ScheduleError, SizeCapError
+from lzl.errors import SizeCapError, UsageError
 from lzl.graphs import Graph, closed_nb_bits, generate, iter_bits, mask_of, subdivide
 from lzl.gridsweep import clip_schedule, five_panel_schedule
 from lzl.prox import (
@@ -73,7 +73,7 @@ class TestRunSchedule:
         assert drain(_shift_steps(g, sched, (1 << g.n) - 1))[1] == 1 << 3
 
     def test_budget_enforced(self):
-        with pytest.raises(ScheduleError):
+        with pytest.raises(UsageError):
             ProbeSchedule.from_lists(1, [{0, 1}])
 
     def test_path_sweep_family(self):
@@ -94,10 +94,13 @@ class TestRunSchedule:
 
     def test_trace_diagnostics(self):
         g = generate("cycle", n=6)
-        sched = ProbeSchedule.from_lists(2, [{0, 3}, {1, 4}, {2, 5}])
-        trace = run_schedule(g, sched)
-        assert trace.max_contamination == 6
-        assert len(trace.counts) == 3
+        trace = run_schedule(g, ProbeSchedule.from_lists(1, [{0}, {1}, {2}]))
+        assert trace.as_dict() == {
+            "cleared": False,
+            "clear_round": None,
+            "per_round_contaminated": [3, 3, 3],
+            "first_recontamination_round": 2,
+        }
 
     @given(st.integers(0, 5000), st.integers(2, 8), st.integers(1, 3))
     @settings(max_examples=40)
@@ -147,7 +150,7 @@ def _incremental_reference(g, schedule, initial=None):
     for v in iter_bits(s):
         for w in iter_bits(adj[v]):
             counts[w] += 1
-    trace = ScheduleTrace(False, None, [], s.bit_count(), None)
+    trace = ScheduleTrace(False, None, [], None)
     territories = []
     for t, probes in enumerate(schedule.rounds, start=1):
         probe_nb = 0
@@ -164,7 +167,6 @@ def _incremental_reference(g, schedule, initial=None):
         s = new_s
         territories.append(s)
         trace.counts.append(s.bit_count())
-        trace.max_contamination = max(trace.max_contamination, s.bit_count())
         if s == 0 and not trace.cleared:
             trace.cleared, trace.clear_round = True, t
     return trace, territories
@@ -488,7 +490,8 @@ class TestSolverAgainstTerritoryKeyedSearch:
     def test_spider555_tree_lift(self):
         g = generate("spider", arms=[5, 5, 5])
         assert prox_solve(g)[0] == 1
-        kind, policy = STRATEGY_REGISTRY["lift-tree"](g, root=0)
+        kind, build = STRATEGY_REGISTRY["lift-tree"]
+        policy = build(g, 0)
         sim = simulate_policy(g, policy)
         assert kind == "policy" and policy.budget == 2
         assert sim.captured and sim.worst_capture_round == 28

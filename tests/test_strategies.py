@@ -4,7 +4,7 @@ import random
 import pytest
 
 from lzl import strategies
-from lzl.errors import GraphValidationError, StrategyPreconditionError
+from lzl.errors import UsageError
 from lzl.graphs import (
     components_bits,
     generate,
@@ -137,7 +137,7 @@ class TestMidway:
 
     def test_rejects_non_tree(self):
         # the midway recursion runs only behind strat_tree_log's tree check
-        with pytest.raises(GraphValidationError):
+        with pytest.raises(UsageError):
             strat_tree_log(generate("cycle", n=5))
 
     def test_component_bound(self):
@@ -404,7 +404,7 @@ class TestDomination:
         assert simulate_policy(g, policy).captured
 
     def test_rejects_c4(self):
-        with pytest.raises(StrategyPreconditionError):
+        with pytest.raises(UsageError):
             strat_domination(generate("grid", n=2))
 
     def test_min_dominating_sets(self):
@@ -509,13 +509,13 @@ class TestLifts:
     def test_unverified_schedule_rejected(self):
         g = generate("path", n=6)
         bad = ProbeSchedule.from_lists(1, [{0}])
-        with pytest.raises(StrategyPreconditionError):
+        with pytest.raises(UsageError):
             lift_prox_to_zeta(g, bad, variant="delta")
 
     def test_endgame_requires_budget(self):
         g = generate("path", n=6)
         sweep = ProbeSchedule.from_lists(1, [{1}, {2}, {3}, {4}])
-        with pytest.raises(StrategyPreconditionError):
+        with pytest.raises(UsageError):
             lift_prox_to_zeta(g, sweep, variant="endgame")
 
     def test_endgame_lift_captures(self):
