@@ -10,6 +10,8 @@ subdivisions.
 Every graph is connected, and a vertex set is an int mask of it throughout
 the package: bit v stands for the 0-based vertex v.  A part of a graph, such
 as a region or a component, is such a mask; no relabelled subgraph is built.
+The automorphism group, given by generators, lets the exact solvers keep one
+state per orbit of masks.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from itertools import accumulate, chain, pairwise
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import SizeCapError, UsageError
 
@@ -53,7 +55,7 @@ def mask_of(vertices: Iterable[int]) -> int:
 class Graph:
     """Connected simple graph: edges that leave it disconnected are rejected."""
 
-    __slots__ = ("n", "adj_bits", "shifts", "_hash", "_nbrs")
+    __slots__ = ("n", "adj_bits", "shifts", "_hash", "_nbrs", "_auts", "_orbit_tables")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n <= 0:
@@ -73,6 +75,8 @@ class Graph:
         object.__setattr__(self, "shifts", _shift_kernel(rows))
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_nbrs", None)
+        object.__setattr__(self, "_auts", None)
+        object.__setattr__(self, "_orbit_tables", None)
         full = (1 << n) - 1
         if _reach(self, 1, full) != full:
             raise UsageError("graph is disconnected")
@@ -358,11 +362,15 @@ def closed_nb_table(g: Graph, vertices: range) -> list[int]:
     For solvers that need N[S] of very many masks: one table over all n
     vertices, or one table per byte whose lookups are ORed together.
     """
-    nb = [g.adj_bits[v] | (1 << v) for v in vertices]
-    table = [0] * (1 << len(nb))
+    return _union_table([g.adj_bits[v] | (1 << v) for v in vertices])
+
+
+def _union_table(rows: Sequence[int]) -> list[int]:
+    """The OR of ``rows[i]`` over the set bits i of s, for every s below 2^len(rows)."""
+    table = [0] * (1 << len(rows))
     for s in range(1, len(table)):
         low = s & -s
-        table[s] = table[s ^ low] | nb[low.bit_length() - 1]
+        table[s] = table[s ^ low] | rows[low.bit_length() - 1]
     return table
 
 
@@ -433,3 +441,195 @@ def components_bits(g: Graph, within: int) -> list[int]:
         comps.append(comp)
         remaining &= ~comp
     return comps
+
+
+# -- automorphisms -------------------------------------------------------
+
+
+def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Generators of the automorphism group of ``g``, each as the tuple of vertex images.
+
+    Twin transpositions come first: two vertices with equal N[v] or equal
+    N(v) swap, which gives complete graphs, stars and K_{a,b} with a != b
+    their whole group with no search.  Then a search in the manner
+    of McKay's: colour refinement and individualization of the lowest
+    vertex of the first non-singleton cell give a base b_1, b_2, ... and a
+    discrete leaf.  Walking that pointwise-stabilizer chain from its end,
+    each vertex w of b_i's cell that the generators fixing b_1 .. b_(i-1)
+    do not already map b_i to is individualized in its place, and every
+    path below it is tried until a leaf of equal cell sizes maps the first
+    leaf onto it by an automorphism.  By Schreier's lemma the generators
+    found this way generate the whole group.
+
+    Every generator is checked against ``adj_bits`` before it is returned,
+    so a search fault raises AssertionError and never yields a map that is
+    not an automorphism; a generator the search missed would cost speed,
+    never a verdict.  Built on the first call and kept on the graph.
+    """
+    gens = g._auts
+    if gens is None:
+        adj = g.adj_bits
+        twins = _twin_transpositions(adj)
+        gens = tuple(twins + _search_generators(adj, twins))
+        for perm in gens:
+            if not _is_automorphism(adj, perm):
+                raise AssertionError(f"{perm} is not an automorphism")
+        object.__setattr__(g, "_auts", gens)
+    return gens
+
+
+def _is_automorphism(adj: Sequence[int], perm: Sequence[int]) -> bool:
+    """True iff ``perm`` is a permutation of the vertices that maps every edge to an edge."""
+    if sorted(perm) != list(range(len(adj))):
+        return False
+    return all(
+        mask_of(perm[u] for u in iter_bits(row)) == adj[perm[v]]
+        for v, row in enumerate(adj)
+    )
+
+
+def _twin_transpositions(adj: Sequence[int]) -> list[tuple[int, ...]]:
+    """Swaps of consecutive members of each class of vertices with equal N[v] or equal N(v)."""
+    classes: dict[tuple[bool, int], list[int]] = {}
+    for v, row in enumerate(adj):
+        classes.setdefault((True, row | (1 << v)), []).append(v)
+        classes.setdefault((False, row), []).append(v)
+    out = []
+    for members in classes.values():
+        for u, v in pairwise(members):
+            perm = list(range(len(adj)))
+            perm[u], perm[v] = v, u
+            out.append(tuple(perm))
+    return out
+
+
+def _refine(adj: Sequence[int], cells: list[int]) -> list[int]:
+    """Colour refinement of an ordered partition (a list of cell masks) until it is equitable.
+
+    Each cell is split in place by the vertices' neighbour counts in every
+    cell, in ascending order of those counts, so the result depends on the
+    graph and the ordered partition alone and commutes with automorphisms.
+    A singleton cell keeps its position.
+    """
+    while True:
+        out = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                out.append(cell)
+                continue
+            groups: dict[tuple[int, ...], int] = {}
+            for v in iter_bits(cell):
+                row = adj[v]
+                key = tuple([(row & c).bit_count() for c in cells])
+                groups[key] = groups.get(key, 0) | (1 << v)
+            out.extend(groups[key] for key in sorted(groups))
+        if len(out) == len(cells):
+            return out
+        cells = out
+
+
+def _individualize(adj: Sequence[int], cells: list[int], i: int, v: int) -> list[int]:
+    """Split vertex ``v`` off the front of cell ``i`` and refine."""
+    bit = 1 << v
+    return _refine(adj, cells[:i] + [bit, cells[i] ^ bit] + cells[i + 1:])
+
+
+def _search_generators(
+    adj: Sequence[int], twins: list[tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    """Automorphisms that, with the twin transpositions ``twins``, generate the group."""
+    cells = _refine(adj, [(1 << len(adj)) - 1])
+    path = [cells]  # the partition at each level of the first path
+    base: list[tuple[int, int]] = []  # (cell index, vertex) individualized at each level
+    while len(cells) < len(adj):
+        i = next(i for i, cell in enumerate(cells) if cell & (cell - 1))
+        v = (cells[i] & -cells[i]).bit_length() - 1
+        base.append((i, v))
+        cells = _individualize(adj, cells, i, v)
+        path.append(cells)
+    leaf = [cell.bit_length() - 1 for cell in cells]
+    sizes = [[cell.bit_count() for cell in p] for p in path]
+
+    def match(level: int, cells: list[int], x: int) -> tuple[int, ...] | None:
+        """An automorphism taking the first leaf to a leaf below ``x`` in the base cell of ``cells``.
+
+        A child whose cell sizes differ from the first path's at the same
+        level is no image of it, so nothing below it is tried.
+        """
+        child = _individualize(adj, cells, base[level][0], x)
+        if [cell.bit_count() for cell in child] != sizes[level + 1]:
+            return None
+        if level + 1 == len(base):
+            perm = [0] * len(adj)
+            for u, cell in zip(leaf, child):
+                perm[u] = cell.bit_length() - 1
+            return tuple(perm) if _is_automorphism(adj, perm) else None
+        for y in iter_bits(child[base[level + 1][0]]):
+            found = match(level + 1, child, y)
+            if found:
+                return found
+        return None
+
+    found: list[tuple[int, ...]] = []
+    for level in reversed(range(len(base))):
+        i, b = base[level]
+        fixed = [v for _, v in base[:level]]
+        level_gens = [s for s in twins + found if all(s[v] == v for v in fixed)]
+        orbit = _point_orbit(b, level_gens)
+        for w in iter_bits(path[level][i]):
+            if orbit >> w & 1:
+                continue
+            perm = match(level, path[level], w)
+            if perm:
+                found.append(perm)
+                level_gens.append(perm)
+                orbit = _point_orbit(b, level_gens)
+    return found
+
+
+def _point_orbit(v: int, gens: Sequence[Sequence[int]]) -> int:
+    """The orbit of vertex ``v`` under the group ``gens`` generate, as a mask."""
+    orbit = 1 << v
+    todo = [v]
+    for x in todo:
+        for perm in gens:
+            y = perm[x]
+            if not orbit >> y & 1:
+                orbit |= 1 << y
+                todo.append(y)
+    return orbit
+
+
+def orbit_closer(g: Graph) -> Callable[[int, bytearray], list[int]]:
+    """A function that closes a mask's orbit under Aut(g) into a bytearray of 2^n flags.
+
+    ``close(mask, seen)`` sets ``seen`` at every image of ``mask`` and
+    returns the images it set, ``mask`` first; the caller passes a mask not
+    yet set.  Each generator maps a mask by two lookups, in a table for
+    vertices 0-7 and one for the rest, built the way ``closed_nb_table`` is.
+    The tables are built on the first call and kept on the graph, so a
+    solver called once per cop count builds them once.
+    """
+    tables = g._orbit_tables
+    if tables is None:
+        n = g.n
+        tables = tuple(
+            (_union_table([1 << perm[v] for v in range(min(n, 8))]),
+             _union_table([1 << perm[v] for v in range(8, n)]))
+            for perm in automorphism_generators(g)
+        )
+        object.__setattr__(g, "_orbit_tables", tables)
+
+    def close(mask: int, seen: bytearray) -> list[int]:
+        seen[mask] = 1
+        orbit = [mask]
+        for x in orbit:
+            low, high = x & 255, x >> 8
+            for low_table, high_table in tables:
+                y = low_table[low] | high_table[high]
+                if not seen[y]:
+                    seen[y] = 1
+                    orbit.append(y)
+        return orbit
+
+    return close

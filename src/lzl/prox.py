@@ -30,6 +30,7 @@ from .graphs import (
     closed_nb_table,
     mask_of,
     neighbor_tuples,
+    orbit_closer,
 )
 
 #: Largest order the exact prox solver accepts.
@@ -251,6 +252,24 @@ def prox_winnable(g: Graph, p: int) -> tuple[bool, ProbeSchedule | None]:
     N[S], so states are keyed by N[S] and each is expanded once.  Probe
     sets are tried by size, then lexicographically; a set leaves the AND of
     its members' residuals T minus N[c], and two byte tables give N[S].
+
+    States are also quotiented by the automorphisms of the graph: a spread
+    is recorded only if no image of a recorded one equals it, and the
+    witness is still the one the search without the quotient finds.  For
+    an automorphism s, the spreads reached from sT are the images under s
+    of those reached from T, since the probe filter keeps one probe per
+    maximal clearing set and s maps clearing sets onto clearing sets.  Call
+    a state of the unquotiented search new if no orbit-mate of it was
+    recorded before it.  A state that is not new has an orbit-mate that
+    was expanded before it and reached an image of every spread it
+    reaches, so nothing it records is new.  New states are thus recorded
+    from new states alone; the recorded orbits of both searches agree at
+    every step, and the quotient records exactly the new states, in the
+    same order, each from the same parent by the same probes.  The state P
+    that first reaches the empty set is new, since an earlier orbit-mate sP
+    would reach s(empty) = empty first; P's parent is new, since an
+    earlier orbit-mate of it would reach an orbit-mate of P before P; and
+    so on along the parent chain.
     """
     if g.n > PROX_CAP:
         raise SizeCapError("exact prox solver", g.n, PROX_CAP)
@@ -261,6 +280,9 @@ def prox_winnable(g: Graph, p: int) -> tuple[bool, ProbeSchedule | None]:
     nb_closed = [g.adj_bits[v] | (1 << v) for v in range(n)]
     low_table = closed_nb_table(g, range(0, min(n, 8)))
     high_table = closed_nb_table(g, range(8, n))
+    close_orbit = orbit_closer(g)
+    seen = bytearray(full + 1)  # every image of a recorded spread territory
+    close_orbit(full, seen)
 
     # spread territory -> (parent spread territory, probes that led here)
     parent: dict[int, tuple[int, tuple[int, ...]] | None] = {full: None}
@@ -269,6 +291,7 @@ def prox_winnable(g: Graph, p: int) -> tuple[bool, ProbeSchedule | None]:
     def reach(spread: int, combo: tuple[int, ...]) -> bool:
         """Record a spread first reached from ``territory``; true if it is empty."""
         parent[spread] = (territory, combo)
+        close_orbit(spread, seen)
         frontier.append(spread)
         return not spread
 
@@ -278,19 +301,19 @@ def prox_winnable(g: Graph, p: int) -> tuple[bool, ProbeSchedule | None]:
         res = [territory & ~nb_closed[c] for c in cands]
         for c, t in zip(cands, res):
             spread = low_table[t & 255] | high_table[t >> 8]
-            if spread not in parent and reach(spread, (c,)):
+            if not seen[spread] and reach(spread, (c,)):
                 return True, _witness(parent, p)
         for i, r in enumerate(res if p > 1 else ()):
             for j in range(i + 1, len(res)):
                 t = r & res[j]
                 spread = low_table[t & 255] | high_table[t >> 8]
-                if spread not in parent and reach(spread, (cands[i], cands[j])):
+                if not seen[spread] and reach(spread, (cands[i], cands[j])):
                     return True, _witness(parent, p)
         for k in range(3, p + 1):
             for idx in combinations(range(len(res)), k):
                 t = reduce(and_, map(res.__getitem__, idx))
                 spread = low_table[t & 255] | high_table[t >> 8]
-                if spread not in parent and reach(spread, tuple(map(cands.__getitem__, idx))):
+                if not seen[spread] and reach(spread, tuple(map(cands.__getitem__, idx))):
                     return True, _witness(parent, p)
     return False, None
 

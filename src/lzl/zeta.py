@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Callable
 
 from .errors import SizeCapError, UsageError
-from .graphs import Graph, closed_nb_bits, closed_nb_table, iter_bits, mask_of
+from .graphs import Graph, closed_nb_bits, closed_nb_table, iter_bits, mask_of, orbit_closer
 
 #: Largest order the exact localization solver accepts.
 ZETA_CAP = 12
@@ -78,6 +78,12 @@ def zeta_winnable(g: Graph, k: int) -> bool:
     The verdict of a non-singleton R depends only on N[R], so the table is
     indexed by closed neighbourhood and each distinct N[R] is checked once
     per pass until it is won.
+
+    An automorphism maps N[R] to N[sR], a probe set to a probe set and its
+    classes to classes, so the least fixed point is a union of orbits.  Only
+    the first member of each orbit is evaluated, and a win marks its whole
+    orbit won.  A pass that wins no member then leaves no member of any
+    orbit winnable, which is the fixed point the unquotiented passes reach.
     """
     if g.n > ZETA_CAP:
         raise SizeCapError("exact localization solver", g.n, ZETA_CAP)
@@ -93,20 +99,29 @@ def zeta_winnable(g: Graph, k: int) -> bool:
     ]
     # won[m]: every non-singleton R with N[R] = m is won
     won = bytearray(full + 1)
-    # smaller neighbourhoods first, so a pass can use what it has just won
-    pending = sorted({nr[r] for r in range(1, full + 1) if r & (r - 1)}, key=int.bit_count)
+    # smaller neighbourhoods first, so a pass can use what it has just won;
+    # each orbit is listed once, its first member the one evaluated
+    close_orbit = orbit_closer(g)
+    seen = bytearray(full + 1)
+    pending = [
+        close_orbit(m, seen)
+        for m in sorted({nr[r] for r in range(1, full + 1) if r & (r - 1)}, key=int.bit_count)
+        if not seen[m]
+    ]
 
     while not won[full]:
         still = []
-        for m in pending:
+        for orbit in pending:
+            m = orbit[0]
             for probed in probe_sets:
                 if all(
                     not c & (c - 1) or won[nr[c]] for c in _partition_bits(g, m, probed)
                 ):
-                    won[m] = 1
+                    for x in orbit:
+                        won[x] = 1
                     break
             else:
-                still.append(m)
+                still.append(orbit)
         if len(still) == len(pending):
             break
         pending = still

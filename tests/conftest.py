@@ -131,6 +131,64 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     return Graph(g.n * h.n, edges)
 
 
+def complete_bipartite(a: int, b: int) -> Graph:
+    """K_{a,b}: vertices 0..a-1 on one side, a..a+b-1 on the other."""
+    return Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+def circulant(n: int, jumps) -> Graph:
+    """The circulant graph on Z_n joining i to i + j for every j in ``jumps``."""
+    return Graph(n, {tuple(sorted((i, (i + j) % n))) for i in range(n) for j in jumps})
+
+
+def petersen() -> Graph:
+    """Outer 5-cycle 0..4, inner pentagram 5..9, spoke i to i + 5."""
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, outer + inner + [(i, i + 5) for i in range(5)])
+
+
+def shrikhande() -> Graph:
+    """Cayley graph of Z4 x Z4 on +-(1,0), +-(0,1), +-(1,1); (a, b) is vertex 4a + b.
+
+    Strongly regular like the 4-by-4 rook's graph, so colour refinement
+    alone leaves leaves of equal cell sizes that are no automorphism."""
+    edges = set()
+    for a in range(4):
+        for b in range(4):
+            for x, y in ((1, 0), (0, 1), (1, 1)):
+                u, v = 4 * a + b, 4 * ((a + x) % 4) + (b + y) % 4
+                edges.add((min(u, v), max(u, v)))
+    return Graph(16, sorted(edges))
+
+
+def symmetric_graphs() -> dict[str, tuple[Graph, int]]:
+    """Named vertex- or arm-symmetric graphs of order <= 16, each with the
+    order of its automorphism group."""
+    k2, c4 = generate("complete", n=2), generate("cycle", n=4)
+    return {
+        "petersen": (petersen(), 120),
+        "Q3": (cartesian_product(c4, k2), 48),
+        "K3,3": (complete_bipartite(3, 3), 72),
+        "K2,5": (complete_bipartite(2, 5), 240),
+        "prism:C6xK2": (cartesian_product(generate("cycle", n=6), k2), 24),
+        "cycle:12": (generate("cycle", n=12), 24),
+        "grid:3": (generate("grid", n=3), 8),
+        "grid:4": (generate("grid", n=4), 8),
+        "kary:2,2": (generate("kary", k=2, d=2), 8),
+        "kary:2,3": (generate("kary", k=2, d=3), 128),
+        "spider:3,3,3": (generate("spider", arms=[3, 3, 3]), 6),
+        "spider:5,5,5": (generate("spider", arms=[5, 5, 5]), 6),
+        "K6": (generate("complete", n=6), 720),
+        "star:7": (generate("spider", arms=[1] * 7), 5040),
+        "torus:4x4": (cartesian_product(c4, c4), 384),
+        "K4xK4": (cartesian_product(*[generate("complete", n=4)] * 2), 1152),
+        "cycle:16": (generate("cycle", n=16), 32),
+        "circulant:16,1,4": (circulant(16, (1, 4)), 32),
+        "shrikhande": (shrikhande(), 192),
+    }
+
+
 def grid_profile_oracle(n: int) -> tuple[int, int, int]:
     """Closed-form middle window of the n-by-n grid vertex profile.
 

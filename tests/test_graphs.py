@@ -1,12 +1,16 @@
 import random
+from itertools import permutations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lzl.errors import SizeCapError, UsageError
+import lzl.graphs
 from lzl.graphs import (
     FAMILIES,
     Graph,
+    _is_automorphism,
+    automorphism_generators,
     closed_nb_bits,
     closed_nb_table,
     components_bits,
@@ -16,6 +20,7 @@ from lzl.graphs import (
     mask_of,
     max_degree,
     neighbor_tuples,
+    orbit_closer,
     parse_graph,
     rooted_tree,
     serialize_graph,
@@ -31,6 +36,7 @@ from conftest import (
     induced_connected,
     mask,
     random_connected_graph,
+    symmetric_graphs,
 )
 
 
@@ -468,3 +474,81 @@ def test_iter_bits_and_mask_of():
     assert list(iter_bits(s)) == [1, 3, 5]
     assert list(iter_bits(0)) == []
     assert mask_of(iter_bits(s)) == s
+
+
+# -- automorphisms ------------------------------------------------------
+
+
+def brute_automorphisms(g):
+    """Every vertex permutation that maps the edge set onto itself: n! candidates."""
+    edges = set(g.edges())
+    return [
+        p for p in permutations(range(g.n))
+        if {(min(p[u], p[v]), max(p[u], p[v])) for u, v in edges} == edges
+    ]
+
+
+def generated_group(gens, n):
+    """Every product of the generators, closed from the identity."""
+    group = {tuple(range(n))}
+    todo = list(group)
+    for p in todo:
+        for s in gens:
+            q = tuple(s[x] for x in p)
+            if q not in group:
+                group.add(q)
+                todo.append(q)
+    return group
+
+
+class TestAutomorphisms:
+    @given(st.integers(0, 10**6), st.integers(1, 7), st.integers(0, 12))
+    @settings(max_examples=120)
+    def test_group_order_matches_brute_force(self, seed, n, extra):
+        g = random_connected_graph(random.Random(seed), n, extra_edges=extra)
+        group = generated_group(automorphism_generators(g), n)
+        assert group == set(brute_automorphisms(g)), sorted(g.edges())
+
+    @pytest.mark.parametrize("name", sorted(symmetric_graphs()))
+    def test_named_group_orders(self, name):
+        g, order = symmetric_graphs()[name]
+        assert len(generated_group(automorphism_generators(g), g.n)) == order
+
+    def test_twins_need_no_search(self):
+        # K_n, stars and K_{a,b} with a != b: twin transpositions alone give n!, (n-1)! and a!b!
+        k25 = symmetric_graphs()["K2,5"][0]
+        for g in (generate("complete", n=9), generate("spider", arms=[1] * 6), k25):
+            twins = lzl.graphs._twin_transpositions(g.adj_bits)
+            assert lzl.graphs._search_generators(g.adj_bits, twins) == []
+
+    def test_asymmetric_graph_has_no_generator(self):
+        # the smallest asymmetric tree: a spider with arms 1, 2, 3
+        assert automorphism_generators(generate("spider", arms=[1, 2, 3])) == ()
+
+    def test_built_once_per_graph(self):
+        g = generate("grid", n=3)
+        assert automorphism_generators(g) is automorphism_generators(g)
+
+    def test_non_automorphisms_are_refused(self):
+        adj = generate("path", n=4).adj_bits
+        assert _is_automorphism(adj, (3, 2, 1, 0))
+        assert not _is_automorphism(adj, (1, 0, 2, 3))  # maps edge 1-2 to 0-2
+        assert not _is_automorphism(adj, (0, 0, 2, 3))  # not a permutation
+
+    def test_a_faulty_generator_raises(self, monkeypatch):
+        bad = (1, 0, 2, 3)
+        monkeypatch.setattr(lzl.graphs, "_twin_transpositions", lambda adj: [bad])
+        with pytest.raises(AssertionError):
+            automorphism_generators(generate("path", n=4))
+
+    @pytest.mark.parametrize("name", ["grid:3", "K3,3", "kary:2,2", "petersen"])
+    def test_orbits_are_the_group_images(self, name):
+        g = symmetric_graphs()[name][0]
+        group = generated_group(automorphism_generators(g), g.n)
+        close = orbit_closer(g)
+        for m in random.Random(7).sample(range(1 << g.n), 40):
+            seen = bytearray(1 << g.n)
+            orbit = close(m, seen)
+            images = {mask_of(p[v] for v in iter_bits(m)) for p in group}
+            assert orbit[0] == m and sorted(orbit) == sorted(images)
+            assert {x for x in range(1 << g.n) if seen[x]} == images

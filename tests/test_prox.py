@@ -24,7 +24,13 @@ from lzl.prox import (
 from lzl.strategies import STRATEGY_REGISTRY, strat_tree_depth, strat_tree_levels
 from lzl.zeta import simulate_policy, zeta_number
 
-from conftest import cartesian_product, mask, random_connected_graph, random_tree
+from conftest import (
+    cartesian_product,
+    mask,
+    random_connected_graph,
+    random_tree,
+    symmetric_graphs,
+)
 
 
 class TestContaminationStep:
@@ -462,11 +468,14 @@ def assert_same_as_reference(g, p, name):
         assert witness.to_json() == ref_witness.to_json(), (name, p)
 
 
-WITNESS_GRAPHS = {
-    "grid:4": generate("grid", n=4),
-    "torus:4x4": cartesian_product(generate("cycle", n=4), generate("cycle", n=4)),
-    "spider:5,5,5": generate("spider", arms=[5, 5, 5]),
-}
+# symmetric graphs, whose searches the automorphism quotient shortens most;
+# the reference search takes about a second on the 16-vertex circulant
+WITNESS_NAMES = (
+    "petersen", "Q3", "K3,3", "prism:C6xK2", "cycle:12", "kary:2,3", "spider:3,3,3",
+    "K6", "star:7", "grid:4", "torus:4x4", "spider:5,5,5", "cycle:16", "K4xK4", "shrikhande",
+)
+WITNESS_GRAPHS = {name: symmetric_graphs()[name][0] for name in WITNESS_NAMES}
+SLOW_WITNESS_GRAPHS = {"circulant:16,1,4": symmetric_graphs()["circulant:16,1,4"][0]}
 
 
 class TestSolverAgainstTerritoryKeyedSearch:
@@ -486,6 +495,12 @@ class TestSolverAgainstTerritoryKeyedSearch:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_witnesses(self, name, p):
         assert_same_as_reference(WITNESS_GRAPHS[name], p, name)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", sorted(SLOW_WITNESS_GRAPHS))
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_slow_witnesses(self, name, p):
+        assert_same_as_reference(SLOW_WITNESS_GRAPHS[name], p, name)
 
     def test_spider555_tree_lift(self):
         g = generate("spider", arms=[5, 5, 5])

@@ -1,5 +1,6 @@
 import random
 import sys
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from lzl.errors import SizeCapError
 from lzl.graphs import (
     FAMILIES,
     closed_nb_bits,
+    closed_nb_table,
     generate,
     iter_bits,
     mask_of,
@@ -37,6 +39,7 @@ from conftest import (
     random_connected_graph,
     random_recursive_tree,
     random_tree,
+    symmetric_graphs,
 )
 
 
@@ -536,6 +539,55 @@ class TestFixpointAgainstBackwardInduction:
                 assert zeta_winnable(g, k) == bounded_round_winnable(
                     g, k, horizon
                 ), (sorted(g.edges()), k)
+
+
+def unquotiented_zeta_winnable(g, k):
+    """Reference fixpoint without the automorphism quotient: every distinct
+    N[R] of a non-singleton R is evaluated on its own, in popcount order."""
+    if g.n == 1:
+        return True
+    full = (1 << g.n) - 1
+    nr = closed_nb_table(g, range(g.n))
+    probe_sets = [combo for size in range(1, k + 1) for combo in combinations(range(g.n), size)]
+    won = bytearray(full + 1)
+    pending = sorted({nr[r] for r in range(1, full + 1) if r & (r - 1)}, key=int.bit_count)
+    while not won[full]:
+        still = []
+        for m in pending:
+            for probed in probe_sets:
+                if all(not c & (c - 1) or won[nr[c]] for c in _partition_bits(g, m, probed)):
+                    won[m] = 1
+                    break
+            else:
+                still.append(m)
+        if len(still) == len(pending):
+            break
+        pending = still
+    return bool(won[full])
+
+
+ZETA_SYMMETRIC = (
+    "cycle:12", "petersen", "Q3", "K3,3", "grid:3", "spider:3,3,3", "kary:2,2", "K2,5",
+)
+
+
+class TestFixpointAgainstUnquotiented:
+    @pytest.mark.parametrize("name", ZETA_SYMMETRIC)
+    def test_symmetric_graphs_at_every_k(self, name):
+        g = symmetric_graphs()[name][0]
+        for k in range(1, g.n):
+            assert zeta_winnable(g, k) == unquotiented_zeta_winnable(g, k), (name, k)
+
+    def test_complete_graph_at_every_k(self):
+        g = generate("complete", n=9)
+        for k in range(1, g.n):
+            assert zeta_winnable(g, k) == unquotiented_zeta_winnable(g, k) == (k == 8), k
+
+    @given(st.integers(0, 10**6), st.integers(2, 10), st.integers(0, 8), st.integers(1, 3))
+    @settings(max_examples=60)
+    def test_random_graphs(self, seed, n, extra, k):
+        g = random_connected_graph(random.Random(seed), n, extra_edges=extra)
+        assert zeta_winnable(g, k) == unquotiented_zeta_winnable(g, k), sorted(g.edges())
 
 
 class TestCrossSolverLaws:
