@@ -488,14 +488,23 @@ def _is_automorphism(adj: Sequence[int], perm: Sequence[int]) -> bool:
     )
 
 
-def _twin_transpositions(adj: Sequence[int]) -> list[tuple[int, ...]]:
-    """Swaps of consecutive members of each class of vertices with equal N[v] or equal N(v)."""
+def twin_classes(adj: Sequence[int]) -> list[list[int]]:
+    """The classes of two or more vertices with equal N[v] or equal N(v), each ascending.
+
+    Swapping two members of a class is an automorphism.  No vertex has
+    twins of both kinds, so the classes are disjoint.
+    """
     classes: dict[tuple[bool, int], list[int]] = {}
     for v, row in enumerate(adj):
         classes.setdefault((True, row | (1 << v)), []).append(v)
         classes.setdefault((False, row), []).append(v)
+    return [members for members in classes.values() if len(members) > 1]
+
+
+def _twin_transpositions(adj: Sequence[int]) -> list[tuple[int, ...]]:
+    """Swaps of consecutive members of each twin class."""
     out = []
-    for members in classes.values():
+    for members in twin_classes(adj):
         for u, v in pairwise(members):
             perm = list(range(len(adj)))
             perm[u], perm[v] = v, u

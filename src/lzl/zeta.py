@@ -3,8 +3,9 @@
 Probe outcomes are 0 (cop on the robber), 1 (cop adjacent), or * (nothing).
 The cops win by forcing the set of history-consistent robber positions down
 to a single candidate.  ``zeta_winnable`` computes the winning region as a
-least fixed point over candidate sets, deduplicated by closed neighbourhood:
-a set's verdict depends only on N[R], so each distinct N[R] is one state.
+least fixed point over candidate sets, deduplicated by closed neighbourhood
+(a set's verdict depends only on N[R], so each distinct N[R] is one state)
+and searched locally from the full vertex set.
 ``simulate_policy`` plays a concrete cop policy against an omniscient robber
 by exploring every branch of the observation tree.
 """
@@ -12,11 +13,18 @@ by exploring every branch of the observation tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable
 
 from .errors import SizeCapError, UsageError
-from .graphs import Graph, closed_nb_bits, closed_nb_table, iter_bits, mask_of, orbit_closer
+from .graphs import (
+    Graph,
+    closed_nb_bits,
+    closed_nb_table,
+    iter_bits,
+    mask_of,
+    orbit_closer,
+    twin_classes,
+)
 
 #: Largest order the exact localization solver accepts.
 ZETA_CAP = 12
@@ -72,18 +80,47 @@ def _partition_bits(g: Graph, m_bits: int, probed: tuple[int, ...]) -> list[int]
 def zeta_winnable(g: Graph, k: int) -> bool:
     """True iff k cops capture on every robber trajectory in finite rounds.
 
-    Least fixed point over candidate sets: singletons are won; a set R is
-    won when some probe set of size <= k splits N[R] into classes that are
-    all already won.  The overall game is won iff the full vertex set is.
-    The verdict of a non-singleton R depends only on N[R], so the table is
-    indexed by closed neighbourhood and each distinct N[R] is checked once
-    per pass until it is won.
+    After the robber moves, the candidates of a set R are N[R].  A state m
+    (an N[R] with R not a singleton) is won when some probe set of size
+    <= k splits m into classes c that are each a singleton or have N[c]
+    won; the game is won iff the state V is.  The won states are a least
+    fixed point, found by a local search from V in the manner of Liu and
+    Smolka ("Simple linear-time algorithms for minimal fixed points",
+    ICALP 1998).  Discovered states wait in lists by size, and a smallest
+    one is evaluated next.  Each probe set stops at its first non-singleton
+    class c with N[c] not yet won; N[c] is discovered if new, and the pair
+    (state, probe set) is filed under it.  Winning a state checks again
+    only the pairs filed under it, and a pair that now passes wins its
+    state in turn.
 
-    An automorphism maps N[R] to N[sR], a probe set to a probe set and its
-    classes to classes, so the least fixed point is a union of orbits.  Only
-    the first member of each orbit is evaluated, and a win marks its whole
-    orbit won.  A pass that wins no member then leaves no member of any
-    orbit winnable, which is the fixed point the unquotiented passes reach.
+    Why the search is exact:
+
+    - Reachable states.  A state is won only by a probe set whose classes
+      are all singletons or won, so every win is in the least fixed point.
+      When no state waits, each probe set tried at a discovered state
+      that is not won stands filed under a discovered state that is not
+      won, the N[c] of one of its classes.  Those states form a trap: by
+      induction on the rounds of the fixed point, none of them ever enters
+      it (the probe sets skipped and the orbit members not evaluated are
+      covered below).  So the least fixed point restricted to the states
+      reachable from V is the one the search computes.
+    - Twin swaps.  Two twins (equal N[v] or equal N(v)) that are both in
+      m or both out of it swap by an automorphism that fixes m.  It maps
+      a probe set's classes onto those of the swapped set, and the fixed
+      point is closed under automorphisms, so the two sets win or lose
+      together.  A set that probes a twin without its next lower twin on
+      the same side of m is skipped: some product of swaps maps it onto a
+      set that is tried.  This takes K_n from 2^n - 1 probe sets to at
+      most n.  A vertex whose N[v] misses m leaves every class whole, so
+      only vertices meeting m are probed.  A set of such vertices alone
+      leaves the one class m and needs N[m] won; each round of the fixed
+      point is closed under subsets and m lies in N[m], so m would be won
+      a round earlier, and no such set is missed.
+    - Orbits.  An automorphism s maps the state m to sm, a probe set P to
+      sP and its classes c to sc, with N[sc] = sN[c].  So the fixed point
+      is a union of orbits: a discovered state's whole orbit is marked
+      seen, only its first member is evaluated, and its win marks the
+      orbit won.
     """
     if g.n > ZETA_CAP:
         raise SizeCapError("exact localization solver", g.n, ZETA_CAP)
@@ -93,39 +130,87 @@ def zeta_winnable(g: Graph, k: int) -> bool:
         return False
     n = g.n
     full = (1 << n) - 1
-    nr = closed_nb_table(g, range(n))
-    probe_sets = [
-        combo for size in range(1, min(k, n) + 1) for combo in combinations(range(n), size)
-    ]
-    # won[m]: every non-singleton R with N[R] = m is won
-    won = bytearray(full + 1)
-    # smaller neighbourhoods first, so a pass can use what it has just won;
-    # each orbit is listed once, its first member the one evaluated
+    nb_closed = [g.adj_bits[v] | (1 << v) for v in range(n)]
+    low_table = closed_nb_table(g, range(0, min(n, 8)))
+    high_table = closed_nb_table(g, range(8, n))
+    twins = twin_classes(g.adj_bits)
     close_orbit = orbit_closer(g)
-    seen = bytearray(full + 1)
-    pending = [
-        close_orbit(m, seen)
-        for m in sorted({nr[r] for r in range(1, full + 1) if r & (r - 1)}, key=int.bit_count)
-        if not seen[m]
-    ]
+    seen = bytearray(full + 1)  # every member of a discovered orbit
+    won = bytearray(full + 1)
+    orbit_of: dict[int, list[int]] = {}  # each discovered state -> its orbit
+    waiting: dict[int, list] = {}  # first member of an orbit -> pairs filed under it
+    unevaluated: list[list[int]] = [[] for _ in range(n + 1)]  # discovered states by size
 
+    def file(m: int, probed: tuple[int, ...]) -> bool:
+        """File the pair under its first class not won; true if every class is won."""
+        for c in _partition_bits(g, m, probed):
+            if c & (c - 1):
+                nc = low_table[c & 255] | high_table[c >> 8]
+                if not won[nc]:
+                    if not seen[nc]:
+                        orbit = close_orbit(nc, seen)
+                        for x in orbit:
+                            orbit_of[x] = orbit
+                        unevaluated[nc.bit_count()].append(nc)
+                    waiting.setdefault(orbit_of[nc][0], []).append((m, probed))
+                    return False
+        return True
+
+    def win(m: int) -> None:
+        """Mark the orbit of m won, and every state that this lets win."""
+        todo = [m]
+        while todo:
+            orbit = orbit_of[todo.pop()]
+            if won[orbit[0]]:
+                continue
+            for x in orbit:
+                won[x] = 1
+            for parent, probed in waiting.pop(orbit[0], ()):
+                if not won[parent] and file(parent, probed):
+                    todo.append(parent)
+
+    orbit_of[full] = close_orbit(full, seen)
+    unevaluated[n].append(full)
     while not won[full]:
-        still = []
-        for orbit in pending:
-            m = orbit[0]
-            for probed in probe_sets:
-                if all(
-                    not c & (c - 1) or won[nr[c]] for c in _partition_bits(g, m, probed)
-                ):
-                    for x in orbit:
-                        won[x] = 1
-                    break
-            else:
-                still.append(orbit)
-        if len(still) == len(pending):
+        smallest = next((states for states in unevaluated if states), None)
+        if smallest is None:
             break
-        pending = still
+        m = smallest.pop()
+        for probed in _probe_sets(nb_closed, twins, m, k):
+            if file(m, probed):
+                win(m)
+                break
     return bool(won[full])
+
+
+def _probe_sets(
+    nb_closed: list[int], twins: list[list[int]], m: int, k: int
+) -> list[tuple[int, ...]]:
+    """Probe sets of size <= k tried at m, by size, then lexicographically.
+
+    Only vertices whose N[v] meets m are probed, and a set holds a twin
+    only with its next lower twin on the same side of m.
+    """
+    cands = [v for v, row in enumerate(nb_closed) if row & m]
+    lower = {}  # each twin -> its next lower twin on the same side of m
+    for members in twins:
+        last = {}
+        for v in members:
+            side = m >> v & 1
+            if side in last:
+                lower[v] = last[side]
+            last[side] = v
+    out = []
+    level = [((), 0)]  # the sets of one size, each with the index its next vertex starts at
+    for _ in range(k):
+        level = [
+            (probed + (v,), i + 1)
+            for probed, start in level
+            for i, v in enumerate(cands[start:], start)
+            if v not in lower or lower[v] in probed
+        ]
+        out += [probed for probed, _ in level]
+    return out
 
 
 def zeta_number(g: Graph) -> int:

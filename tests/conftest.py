@@ -131,9 +131,11 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     return Graph(g.n * h.n, edges)
 
 
-def complete_bipartite(a: int, b: int) -> Graph:
-    """K_{a,b}: vertices 0..a-1 on one side, a..a+b-1 on the other."""
-    return Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+def complete_multipartite(*sizes: int) -> Graph:
+    """K_{a,b,...}: consecutive blocks of the given sizes, each vertex joined to every other block."""
+    block = [i for i, size in enumerate(sizes) for _ in range(size)]
+    n = len(block)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if block[u] != block[v]])
 
 
 def circulant(n: int, jumps) -> Graph:
@@ -169,8 +171,9 @@ def symmetric_graphs() -> dict[str, tuple[Graph, int]]:
     return {
         "petersen": (petersen(), 120),
         "Q3": (cartesian_product(c4, k2), 48),
-        "K3,3": (complete_bipartite(3, 3), 72),
-        "K2,5": (complete_bipartite(2, 5), 240),
+        "K3,3": (complete_multipartite(3, 3), 72),
+        "K2,5": (complete_multipartite(2, 5), 240),
+        "K2,2,2": (complete_multipartite(2, 2, 2), 48),
         "prism:C6xK2": (cartesian_product(generate("cycle", n=6), k2), 24),
         "cycle:12": (generate("cycle", n=12), 24),
         "grid:3": (generate("grid", n=3), 8),

@@ -5,15 +5,18 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lzl.zeta
 from lzl.errors import SizeCapError
 from lzl.graphs import (
     FAMILIES,
+    Graph,
     closed_nb_bits,
     closed_nb_table,
     generate,
     iter_bits,
     mask_of,
     max_degree,
+    twin_classes,
 )
 from lzl.prox import prox_number, prox_solve
 from lzl.strategies import lift_prox_to_zeta, strat_tree_log
@@ -26,6 +29,7 @@ from lzl.zeta import (
     SimulationResult,
     _frame,
     _partition_bits,
+    _probe_sets,
     build_policy,
     observe,
     simulate_policy,
@@ -39,6 +43,7 @@ from conftest import (
     random_connected_graph,
     random_recursive_tree,
     random_tree,
+    small_corpus,
     symmetric_graphs,
 )
 
@@ -172,6 +177,30 @@ class TestFixpoint:
     def test_cap(self):
         with pytest.raises(SizeCapError):
             zeta_winnable(generate("grid", n=4), 2)
+
+    def test_twins_cut_probe_sets_to_prefixes(self):
+        # K_n at V: one set per size, not 2^n - 1; on a smaller state the
+        # twins split by side, each side probed from its lowest member up
+        g = generate("complete", n=12)
+        rows = [row | (1 << v) for v, row in enumerate(g.adj_bits)]
+        twins = twin_classes(g.adj_bits)
+        assert _probe_sets(rows, twins, (1 << 12) - 1, 11) == [tuple(range(s)) for s in range(1, 12)]
+        g = generate("complete", n=4)
+        rows = [row | (1 << v) for v, row in enumerate(g.adj_bits)]
+        assert _probe_sets(rows, twin_classes(g.adj_bits), mask(0, 1), 2) == [
+            (0,), (2,), (0, 1), (0, 2), (2, 3)]
+
+    def test_values_past_the_cap(self, monkeypatch):
+        # the global passes gave these values with the cap lifted
+        monkeypatch.setattr(lzl.zeta, "ZETA_CAP", 16)
+        cases = [
+            (generate("grid", n=4), 3),
+            (generate("spider", arms=[5, 5, 5]), 2),
+            (generate("kary", k=2, d=3), 2),
+            (generate("complete", n=16), 15),
+        ]
+        for g, z in cases:
+            assert zeta_number(g) == z, (g.n, z)
 
     def test_monotone_in_k(self, corpus):
         for name, g in corpus[:12]:
@@ -542,8 +571,9 @@ class TestFixpointAgainstBackwardInduction:
 
 
 def unquotiented_zeta_winnable(g, k):
-    """Reference fixpoint without the automorphism quotient: every distinct
-    N[R] of a non-singleton R is evaluated on its own, in popcount order."""
+    """Reference fixpoint by global passes: every distinct N[R] of a
+    non-singleton R is evaluated on its own with every probe set of size
+    <= k, in popcount order, until a pass wins nothing."""
     if g.n == 1:
         return True
     full = (1 << g.n) - 1
@@ -568,7 +598,26 @@ def unquotiented_zeta_winnable(g, k):
 
 ZETA_SYMMETRIC = (
     "cycle:12", "petersen", "Q3", "K3,3", "grid:3", "spider:3,3,3", "kary:2,2", "K2,5",
+    "K6", "K2,2,2", "star:7",
 )
+
+
+def clone_twins(rng, g, count):
+    """``g`` with ``count`` new vertices, each an open twin (equal N(v)) or a
+    closed twin (equal N[v]) of a random earlier vertex."""
+    rows = list(g.adj_bits)
+    for _ in range(count):
+        v, w = rng.randrange(len(rows)), len(rows)
+        row = rows[v] | (1 << v if rng.random() < 0.5 else 0)
+        rows.append(row)
+        for u in iter_bits(row):
+            rows[u] |= 1 << w
+    return Graph(len(rows), [(u, w) for w, row in enumerate(rows) for u in iter_bits(row) if u < w])
+
+
+def relabel(g, perm):
+    """``g`` with vertex v renamed ``perm[v]``."""
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 class TestFixpointAgainstUnquotiented:
@@ -588,6 +637,40 @@ class TestFixpointAgainstUnquotiented:
     def test_random_graphs(self, seed, n, extra, k):
         g = random_connected_graph(random.Random(seed), n, extra_edges=extra)
         assert zeta_winnable(g, k) == unquotiented_zeta_winnable(g, k), sorted(g.edges())
+
+    def test_a_win_that_needs_a_probe_outside_the_state(self):
+        # two cops win, but not if each state may probe only its own
+        # vertices: some win probes a vertex outside the state whose N[v]
+        # meets it (found by a random search)
+        edges = [(0, 2), (0, 5), (0, 7), (1, 3), (1, 4), (1, 5), (1, 6), (2, 4), (2, 5),
+                 (2, 6), (3, 5), (3, 6), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7)]
+        g = Graph(8, edges)
+        assert zeta_winnable(g, 2) and unquotiented_zeta_winnable(g, 2)
+        assert not zeta_winnable(g, 1)
+
+    @given(st.integers(0, 10**6), st.integers(2, 8), st.integers(0, 8), st.integers(1, 3),
+           st.integers(1, 3))
+    @settings(max_examples=60)
+    def test_random_graphs_with_cloned_twins(self, seed, n, extra, clones, k):
+        # the probe-set skip acts on twins, which random graphs seldom hold
+        rng = random.Random(seed)
+        g = clone_twins(rng, random_connected_graph(rng, n, extra_edges=extra), clones)
+        assert g.n <= 11
+        assert zeta_winnable(g, k) == unquotiented_zeta_winnable(g, k), sorted(g.edges())
+
+
+class TestZetaNumberInvariance:
+    def test_relabelling(self):
+        # twin order, orbit representatives and the search order follow the
+        # labels, and the value must not
+        rng = random.Random(24)
+        named = [(name, g) for name, (g, _) in symmetric_graphs().items() if g.n <= 12]
+        for name, g in small_corpus() + named:
+            z = zeta_number(g)
+            for _ in range(3):
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                assert zeta_number(relabel(g, perm)) == z, (name, perm)
 
 
 class TestCrossSolverLaws:
