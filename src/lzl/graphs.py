@@ -11,13 +11,15 @@ Every graph is connected, and a vertex set is an int mask of it throughout
 the package: bit v stands for the 0-based vertex v.  A part of a graph, such
 as a region or a component, is such a mask; no relabelled subgraph is built.
 The automorphism group, given by generators, lets the exact solvers keep one
-state per orbit of masks.
+state per orbit of masks.  It and every other table derived from the edges
+is built on first use and kept in the graph's one store.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import deque
+from functools import wraps
 from itertools import accumulate, chain, pairwise
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -52,10 +54,23 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def _per_graph(build):
+    """Keep ``build(g)`` in the store of ``g``: built on the first call, shared by later ones."""
+
+    @wraps(build)
+    def kept(g: Graph):
+        value = g._store.get(build)
+        if value is None:
+            value = g._store[build] = build(g)
+        return value
+
+    return kept
+
+
 class Graph:
     """Connected simple graph: edges that leave it disconnected are rejected."""
 
-    __slots__ = ("n", "adj_bits", "shifts", "_hash", "_nbrs", "_auts", "_orbit_tables")
+    __slots__ = ("n", "adj_bits", "shifts", "_store")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n <= 0:
@@ -73,10 +88,7 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj_bits", tuple(rows))
         object.__setattr__(self, "shifts", _shift_kernel(rows))
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_nbrs", None)
-        object.__setattr__(self, "_auts", None)
-        object.__setattr__(self, "_orbit_tables", None)
+        object.__setattr__(self, "_store", {})
         full = (1 << n) - 1
         if _reach(self, 1, full) != full:
             raise UsageError("graph is disconnected")
@@ -104,12 +116,9 @@ class Graph:
         """A connected graph is a tree exactly when it has n - 1 edges."""
         return self.edge_count() == self.n - 1
 
+    @_per_graph
     def content_hash(self) -> str:
-        h = object.__getattribute__(self, "_hash")
-        if h is None:
-            h = hashlib.sha256(serialize_graph(self).encode()).hexdigest()[:16]
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hashlib.sha256(serialize_graph(self).encode()).hexdigest()[:16]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Graph):
@@ -356,39 +365,39 @@ def closed_nb_bits(g: Graph, bits: int) -> int:
     return out
 
 
-def closed_nb_table(g: Graph, vertices: range) -> list[int]:
-    """N[S] for every S within ``vertices``, indexed by S >> vertices.start.
+@_per_graph
+def spread_tables(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """N[v] for every vertex v, then byte tables with N[S] = ``low[S & 255] | high[S >> 8]``.
 
-    For solvers that need N[S] of very many masks: one table over all n
-    vertices, or one table per byte whose lookups are ORed together.
+    For the exact solvers, which need N[S] of very many masks S on graphs
+    of at most 16 vertices.
     """
-    return _union_table([g.adj_bits[v] | (1 << v) for v in vertices])
+    rows = tuple(row | (1 << v) for v, row in enumerate(g.adj_bits))
+    return (rows, *_byte_tables(rows))
 
 
-def _union_table(rows: Sequence[int]) -> list[int]:
+def _byte_tables(rows: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The OR of ``rows[v]`` over a mask's set bits v: a table for bits 0-7, one for the rest."""
+    return _union_table(rows[:8]), _union_table(rows[8:])
+
+
+def _union_table(rows: Sequence[int]) -> tuple[int, ...]:
     """The OR of ``rows[i]`` over the set bits i of s, for every s below 2^len(rows)."""
     table = [0] * (1 << len(rows))
     for s in range(1, len(table)):
         low = s & -s
         table[s] = table[s ^ low] | rows[low.bit_length() - 1]
-    return table
+    return tuple(table)
 
 
+@_per_graph
 def neighbor_tuples(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """The neighbors of every vertex in ascending order.
-
-    Built from one pass over the edges on the first call and kept on the
-    graph, so every later caller shares the same immutable value.
-    """
-    nbrs = g._nbrs
-    if nbrs is None:
-        rows: list[list[int]] = [[] for _ in range(g.n)]
-        for u, v in g.edges():
-            rows[u].append(v)
-            rows[v].append(u)
-        nbrs = tuple(tuple(row) for row in rows)
-        object.__setattr__(g, "_nbrs", nbrs)
-    return nbrs
+    """The neighbors of every vertex in ascending order, from one pass over the edges."""
+    rows: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges():
+        rows[u].append(v)
+        rows[v].append(u)
+    return tuple(tuple(row) for row in rows)
 
 
 def rooted_tree(g: Graph, root: int) -> tuple[list[int], list[list[int]], list[int]]:
@@ -446,6 +455,7 @@ def components_bits(g: Graph, within: int) -> list[int]:
 # -- automorphisms -------------------------------------------------------
 
 
+@_per_graph
 def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Generators of the automorphism group of ``g``, each as the tuple of vertex images.
 
@@ -464,17 +474,14 @@ def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
     Every generator is checked against ``adj_bits`` before it is returned,
     so a search fault raises AssertionError and never yields a map that is
     not an automorphism; a generator the search missed would cost speed,
-    never a verdict.  Built on the first call and kept on the graph.
+    never a verdict.
     """
-    gens = g._auts
-    if gens is None:
-        adj = g.adj_bits
-        twins = _twin_transpositions(adj)
-        gens = tuple(twins + _search_generators(adj, twins))
-        for perm in gens:
-            if not _is_automorphism(adj, perm):
-                raise AssertionError(f"{perm} is not an automorphism")
-        object.__setattr__(g, "_auts", gens)
+    adj = g.adj_bits
+    twins = _twin_transpositions(g)
+    gens = tuple(twins + _search_generators(adj, twins))
+    for perm in gens:
+        if not _is_automorphism(adj, perm):
+            raise AssertionError(f"{perm} is not an automorphism")
     return gens
 
 
@@ -488,25 +495,26 @@ def _is_automorphism(adj: Sequence[int], perm: Sequence[int]) -> bool:
     )
 
 
-def twin_classes(adj: Sequence[int]) -> list[list[int]]:
+@_per_graph
+def twin_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
     """The classes of two or more vertices with equal N[v] or equal N(v), each ascending.
 
     Swapping two members of a class is an automorphism.  No vertex has
     twins of both kinds, so the classes are disjoint.
     """
     classes: dict[tuple[bool, int], list[int]] = {}
-    for v, row in enumerate(adj):
+    for v, row in enumerate(g.adj_bits):
         classes.setdefault((True, row | (1 << v)), []).append(v)
         classes.setdefault((False, row), []).append(v)
-    return [members for members in classes.values() if len(members) > 1]
+    return tuple(tuple(members) for members in classes.values() if len(members) > 1)
 
 
-def _twin_transpositions(adj: Sequence[int]) -> list[tuple[int, ...]]:
+def _twin_transpositions(g: Graph) -> list[tuple[int, ...]]:
     """Swaps of consecutive members of each twin class."""
     out = []
-    for members in twin_classes(adj):
+    for members in twin_classes(g):
         for u, v in pairwise(members):
-            perm = list(range(len(adj)))
+            perm = list(range(g.n))
             perm[u], perm[v] = v, u
             out.append(tuple(perm))
     return out
@@ -609,25 +617,15 @@ def _point_orbit(v: int, gens: Sequence[Sequence[int]]) -> int:
     return orbit
 
 
+@_per_graph
 def orbit_closer(g: Graph) -> Callable[[int, bytearray], list[int]]:
     """A function that closes a mask's orbit under Aut(g) into a bytearray of 2^n flags.
 
     ``close(mask, seen)`` sets ``seen`` at every image of ``mask`` and
     returns the images it set, ``mask`` first; the caller passes a mask not
-    yet set.  Each generator maps a mask by two lookups, in a table for
-    vertices 0-7 and one for the rest, built the way ``closed_nb_table`` is.
-    The tables are built on the first call and kept on the graph, so a
-    solver called once per cop count builds them once.
+    yet set.  Each generator maps a mask by two lookups in its byte tables.
     """
-    tables = g._orbit_tables
-    if tables is None:
-        n = g.n
-        tables = tuple(
-            (_union_table([1 << perm[v] for v in range(min(n, 8))]),
-             _union_table([1 << perm[v] for v in range(8, n)]))
-            for perm in automorphism_generators(g)
-        )
-        object.__setattr__(g, "_orbit_tables", tables)
+    tables = tuple(_byte_tables([1 << v for v in perm]) for perm in automorphism_generators(g))
 
     def close(mask: int, seen: bytearray) -> list[int]:
         seen[mask] = 1

@@ -21,16 +21,16 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import and_
-from typing import Generator, Iterable
+from typing import Generator, Iterable, Sequence
 
 from .errors import SizeCapError, UsageError
 from .graphs import (
     Graph,
     closed_nb_bits,
-    closed_nb_table,
     mask_of,
     neighbor_tuples,
     orbit_closer,
+    spread_tables,
 )
 
 #: Largest order the exact prox solver accepts.
@@ -213,7 +213,7 @@ def _sparse_steps(
     return int("".join("1" if c else "0" for c in reversed(inside)), 2)
 
 
-def _probe_candidates(nb_closed: list[int], territory: int) -> list[int]:
+def _probe_candidates(nb_closed: Sequence[int], territory: int) -> list[int]:
     """Vertices worth probing against the spread territory T, ascending.
 
     A vertex is dropped when its clearing set N[v] & T lies in another's,
@@ -275,11 +275,8 @@ def prox_winnable(g: Graph, p: int) -> tuple[bool, ProbeSchedule | None]:
         raise SizeCapError("exact prox solver", g.n, PROX_CAP)
     if p < 1:
         return False, None
-    n = g.n
-    full = (1 << n) - 1
-    nb_closed = [g.adj_bits[v] | (1 << v) for v in range(n)]
-    low_table = closed_nb_table(g, range(0, min(n, 8)))
-    high_table = closed_nb_table(g, range(8, n))
+    full = (1 << g.n) - 1
+    nb_closed, low_table, high_table = spread_tables(g)
     close_orbit = orbit_closer(g)
     seen = bytearray(full + 1)  # every image of a recorded spread territory
     close_orbit(full, seen)

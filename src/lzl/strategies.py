@@ -35,9 +35,10 @@ DOMINATION_CAP = 20
 SEPARATOR_CAP = 20
 
 
-def _require_tree(g: Graph) -> None:
+def _require_tree(g: Graph) -> Graph:
     if not g.is_tree():
         raise UsageError("operation requires a tree")
+    return g
 
 
 # -- midway vertex and the order-based strategy ---------------------------
@@ -642,6 +643,7 @@ STRATEGY_REGISTRY: dict[str, tuple[str, Callable[[Graph, int], ProbeSchedule | P
     "separator": ("schedule", lambda g, root: strat_separator(g)),
     "lift-delta": ("policy", lambda g, root: lift_prox_to_zeta(
         g, prox_solve(g)[1], variant="delta")),
+    # a non-tree is refused before the exact solve, which may pass its size cap
     "lift-tree": ("policy", lambda g, root: lift_prox_to_zeta(
-        g, prox_solve(g)[1], variant="tree", root=root)),
+        g, prox_solve(_require_tree(g))[1], variant="tree", root=root)),
 }

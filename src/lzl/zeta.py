@@ -13,16 +13,16 @@ by exploring every branch of the observation tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import SizeCapError, UsageError
 from .graphs import (
     Graph,
     closed_nb_bits,
-    closed_nb_table,
     iter_bits,
     mask_of,
     orbit_closer,
+    spread_tables,
     twin_classes,
 )
 
@@ -130,10 +130,8 @@ def zeta_winnable(g: Graph, k: int) -> bool:
         return False
     n = g.n
     full = (1 << n) - 1
-    nb_closed = [g.adj_bits[v] | (1 << v) for v in range(n)]
-    low_table = closed_nb_table(g, range(0, min(n, 8)))
-    high_table = closed_nb_table(g, range(8, n))
-    twins = twin_classes(g.adj_bits)
+    nb_closed, low_table, high_table = spread_tables(g)
+    twins = twin_classes(g)
     close_orbit = orbit_closer(g)
     seen = bytearray(full + 1)  # every member of a discovered orbit
     won = bytearray(full + 1)
@@ -184,7 +182,7 @@ def zeta_winnable(g: Graph, k: int) -> bool:
 
 
 def _probe_sets(
-    nb_closed: list[int], twins: list[list[int]], m: int, k: int
+    nb_closed: Sequence[int], twins: Sequence[Sequence[int]], m: int, k: int
 ) -> list[tuple[int, ...]]:
     """Probe sets of size <= k tried at m, by size, then lexicographically.
 
@@ -220,7 +218,7 @@ def zeta_number(g: Graph) -> int:
     for k in range(1, g.n):
         if zeta_winnable(g, k):
             return k
-    return g.n - 1  # always sufficient: probe all but one vertex forever
+    raise AssertionError("unreachable: probing all but one vertex always wins")
 
 
 # -- policies -------------------------------------------------------------

@@ -330,6 +330,17 @@ class TestStratCmd:
         code, out, err = run_cli(capsys, "strat", "domination", "--graph", "grid:2")
         assert code == 2 and not out
 
+    def test_lift_tree_refuses_a_non_tree_before_the_prox_solve(self, capsys, monkeypatch):
+        # as tree-log, tree-depth and tree-levels do: exit 2, not the
+        # solver's exit 3 on cycle:20, and no solve on a smaller non-tree
+        def no_solve(g):
+            raise AssertionError("prox_solve ran on a non-tree")
+
+        monkeypatch.setattr("lzl.strategies.prox_solve", no_solve)
+        for spec in ("cycle:20", "cycle:6"):
+            code, out, err = run_cli(capsys, "strat", "lift-tree", "--graph", spec)
+            assert code == 2 and not out and "operation requires a tree" in err
+
     def test_policy_cap_exceeded_reports_witness(self, capsys):
         code, out, _ = run_cli(capsys, "strat", "tree-log", "--graph", "path:9",
                                "--round-cap", "2")

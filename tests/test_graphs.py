@@ -9,10 +9,10 @@ import lzl.graphs
 from lzl.graphs import (
     FAMILIES,
     Graph,
+    _byte_tables,
     _is_automorphism,
     automorphism_generators,
     closed_nb_bits,
-    closed_nb_table,
     components_bits,
     generate,
     is_c4_free,
@@ -24,7 +24,9 @@ from lzl.graphs import (
     parse_graph,
     rooted_tree,
     serialize_graph,
+    spread_tables,
     subdivide,
+    twin_classes,
 )
 from lzl.prox import ProbeSchedule
 from lzl.strategies import EndgameLiftPolicy
@@ -293,8 +295,15 @@ class TestNeighbourhoodKernel:
     @pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
     def test_byte_tables_match_loop_reference(self, name):
         g = KERNEL_GRAPHS[name]
-        for lo in range(0, g.n, 8):
-            table = closed_nb_table(g, range(lo, min(g.n, lo + 8)))
+        rows = tuple(_loop_closed_nb(g, 1 << v) for v in range(g.n))
+        if g.n <= 16:  # the kept spread tables, at every mask
+            kept_rows, low, high = spread_tables(g)
+            assert kept_rows == rows
+            for s in range(1 << g.n):
+                assert low[s & 255] | high[s >> 8] == _loop_closed_nb(g, s), s
+            return
+        for lo in range(0, g.n, 8):  # too many masks: each byte of vertices alone
+            table, _ = _byte_tables(rows[lo:lo + 8])
             for s, nb in enumerate(table):
                 assert nb == _loop_closed_nb(g, s << lo), (lo, s)
 
@@ -518,7 +527,7 @@ class TestAutomorphisms:
         # K_n, stars and K_{a,b} with a != b: twin transpositions alone give n!, (n-1)! and a!b!
         k25 = symmetric_graphs()["K2,5"][0]
         for g in (generate("complete", n=9), generate("spider", arms=[1] * 6), k25):
-            twins = lzl.graphs._twin_transpositions(g.adj_bits)
+            twins = lzl.graphs._twin_transpositions(g)
             assert lzl.graphs._search_generators(g.adj_bits, twins) == []
 
     def test_asymmetric_graph_has_no_generator(self):
@@ -527,7 +536,9 @@ class TestAutomorphisms:
 
     def test_built_once_per_graph(self):
         g = generate("grid", n=3)
-        assert automorphism_generators(g) is automorphism_generators(g)
+        for kept in (Graph.content_hash, neighbor_tuples, spread_tables,
+                     automorphism_generators, twin_classes, orbit_closer):
+            assert kept(g) is kept(g), kept.__name__
 
     def test_non_automorphisms_are_refused(self):
         adj = generate("path", n=4).adj_bits
@@ -537,7 +548,7 @@ class TestAutomorphisms:
 
     def test_a_faulty_generator_raises(self, monkeypatch):
         bad = (1, 0, 2, 3)
-        monkeypatch.setattr(lzl.graphs, "_twin_transpositions", lambda adj: [bad])
+        monkeypatch.setattr(lzl.graphs, "_twin_transpositions", lambda g: [bad])
         with pytest.raises(AssertionError):
             automorphism_generators(generate("path", n=4))
 

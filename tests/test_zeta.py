@@ -5,17 +5,19 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lzl.graphs
 import lzl.zeta
 from lzl.errors import SizeCapError
 from lzl.graphs import (
     FAMILIES,
     Graph,
+    automorphism_generators,
     closed_nb_bits,
-    closed_nb_table,
     generate,
     iter_bits,
     mask_of,
     max_degree,
+    spread_tables,
     twin_classes,
 )
 from lzl.prox import prox_number, prox_solve
@@ -183,12 +185,42 @@ class TestFixpoint:
         # twins split by side, each side probed from its lowest member up
         g = generate("complete", n=12)
         rows = [row | (1 << v) for v, row in enumerate(g.adj_bits)]
-        twins = twin_classes(g.adj_bits)
+        twins = twin_classes(g)
         assert _probe_sets(rows, twins, (1 << 12) - 1, 11) == [tuple(range(s)) for s in range(1, 12)]
         g = generate("complete", n=4)
         rows = [row | (1 << v) for v, row in enumerate(g.adj_bits)]
-        assert _probe_sets(rows, twin_classes(g.adj_bits), mask(0, 1), 2) == [
+        assert _probe_sets(rows, twin_classes(g), mask(0, 1), 2) == [
             (0,), (2,), (0, 1), (0, 2), (2, 3)]
+
+    def test_tables_built_once_across_both_solvers(self, monkeypatch):
+        # the spread tables (two byte tables), the image tables (two per
+        # generator) and the twin classes outlive every solver call
+        built, twins_read = [], []
+        union_table, probe_sets = lzl.graphs._union_table, lzl.zeta._probe_sets
+
+        def counted_union_table(rows):
+            built.append(rows)
+            return union_table(rows)
+
+        def spied_probe_sets(rows, twins, m, k):
+            twins_read.append((rows, twins))
+            return probe_sets(rows, twins, m, k)
+
+        monkeypatch.setattr(lzl.graphs, "_union_table", counted_union_table)
+        monkeypatch.setattr(lzl.zeta, "_probe_sets", spied_probe_sets)
+        g = generate("cycle", n=12)
+        for _ in range(2):
+            assert (zeta_number(g), prox_number(g)) == (2, 1)
+            assert len(built) == 2 + 2 * len(automorphism_generators(g))
+        rows, twins = spread_tables(g)[0], twin_classes(g)
+        assert twins_read and all(r is rows and t is twins for r, t in twins_read)
+
+    def test_zeta_number_refuses_a_loss_at_n_minus_1(self, monkeypatch):
+        # n - 1 cops probing all but one vertex always win, so a solver
+        # that says otherwise is at fault and no zeta1 is reported
+        monkeypatch.setattr(lzl.zeta, "zeta_winnable", lambda g, k: False)
+        with pytest.raises(AssertionError, match="unreachable"):
+            zeta_number(generate("path", n=4))
 
     def test_values_past_the_cap(self, monkeypatch):
         # the global passes gave these values with the cap lifted
@@ -577,7 +609,7 @@ def unquotiented_zeta_winnable(g, k):
     if g.n == 1:
         return True
     full = (1 << g.n) - 1
-    nr = closed_nb_table(g, range(g.n))
+    nr = [closed_nb_bits(g, r) for r in range(full + 1)]
     probe_sets = [combo for size in range(1, k + 1) for combo in combinations(range(g.n), size)]
     won = bytearray(full + 1)
     pending = sorted({nr[r] for r in range(1, full + 1) if r & (r - 1)}, key=int.bit_count)
