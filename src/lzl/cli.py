@@ -279,6 +279,9 @@ def cmd_strat(args) -> tuple[dict | None, int]:
     if args.name == "grid-sweep":
         if args.n is None:
             raise UsageError("grid-sweep needs --n")
+        for flag, value in (("--graph", args.graph), ("--root", args.root)):
+            if value is not None:
+                raise UsageError(f"grid-sweep takes no {flag}: it sweeps the --n grid")
         schedule, trace = grid_strategy(args.n)
         if args.emit:
             _write_text(args.emit, schedule.to_json())
@@ -299,15 +302,18 @@ def cmd_strat(args) -> tuple[dict | None, int]:
 
     if not args.graph:
         raise UsageError(f"strategy '{args.name}' needs --graph")
+    if args.n is not None:
+        raise UsageError(f"strategy '{args.name}' takes no --n: it runs on --graph")
     g, gid = load_graph(args.graph)
     if args.name not in STRATEGY_REGISTRY:
         raise UsageError(f"unknown strategy '{args.name}'")
     kind, build = STRATEGY_REGISTRY[args.name]
     if kind == "policy" and args.emit:
         raise UsageError(f"--emit writes a prox schedule, and '{args.name}' is a policy")
-    if not 0 <= args.root < g.n:
-        raise UsageError(f"--root {args.root} is not a vertex index")
-    artifact = build(g, args.root)
+    root = 0 if args.root is None else args.root
+    if not 0 <= root < g.n:
+        raise UsageError(f"--root {root} is not a vertex index")
+    artifact = build(g, root)
     if kind == "schedule":
         trace = run_schedule(g, artifact)
         verdict = trace.cleared
@@ -411,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("name")
     s.add_argument("--graph")
     s.add_argument("--n", type=int)
-    s.add_argument("--root", type=int, default=0)
+    # None, not 0, so that grid-sweep can refuse an explicit --root 0
+    s.add_argument("--root", type=int)
     s.add_argument("--round-cap", type=int, default=400)
     s.add_argument("--emit")
     s.set_defaults(fn=cmd_strat)

@@ -7,11 +7,15 @@ the region to F(i+2, j-1); a silent round lets it relax to F(i-1, j); and
 a region whose focus wraps past column zero is reindexed as F(i+(m+1)/2, m)
 over the same vertices.  One panel of width m is swept by (m+3)/2 cops
 active two rounds in five; five panels staggered one round and (m-1)/2 rows
-apart tile the full grid with two cop teams, m+3 cops in total.  Schedules
-are generated on the unbounded lattice in coordinates, then clipped to the
-finite grid by deleting far-out probes and folding border probes inward,
-and finally verified by the contamination engine, which is the acceptance
-instrument for the whole construction.
+apart tile the full grid with two cop teams, m+3 cops in total.
+
+A plan is made on the unbounded lattice and holds no coordinates: each
+active panel round is one placement (column offset, focus j, row shift i),
+which stands for the focus-j pattern S(0, j) moved i rows up and the offset
+right.  Clipping expands the placements onto the finite grid, deleting
+far-out probes and folding border probes inward, and the contamination
+engine verifies the result; it is the acceptance instrument for the whole
+construction.
 
 Coordinates are (row, column), 1-based inside the grid, row 1 at the
 bottom; forced regions extend upward.
@@ -27,6 +31,10 @@ from .prox import ProbeSchedule, ScheduleTrace, run_schedule
 
 Coord = tuple[int, int]
 Probes = tuple[Coord, ...]
+#: (column offset, focus j, row shift i): the focus-j probe pattern moved into place
+Placement = tuple[int, int, int]
+#: a clipped pattern: its interior row shifts lo, hi, its ids at shift zero, its probes
+Template = tuple[int, int, tuple[int, ...], Probes]
 
 #: What the grid-sweep report says of the construction it verified.
 SWEEP_NOTES = [
@@ -69,24 +77,28 @@ def m_of_n(n: int) -> int:
 
 @dataclass
 class GridSweepPlan:
-    """Extended-lattice schedule: every round's probes as (row, col) pairs."""
+    """Extended-lattice schedule: every round's panel placements, in panel order.
+
+    A placement (column offset, focus j, row shift i) stands for the probes
+    (r + i, c + offset) over (r, c) in ``probe_set(j, m)``; clipping expands it.
+    """
 
     m: int
-    rounds: list[list[Coord]]
+    rounds: list[list[Placement]]
 
 
 def _panel_sweep(
-    patterns: list[Probes], top: list[int], start_round: int, start_i: int, hard_cap: int
-) -> tuple[dict[int, Probes], int]:
-    """One panel's probes by round on the unbounded lattice, and the round it empties.
+    top: list[int], col_offset: int, start_round: int, start_i: int, hard_cap: int
+) -> tuple[dict[int, Placement], int]:
+    """One panel's placements by round on the unbounded lattice, and the round it empties.
 
     The panel's state is its region index (i, j).  Every round from the
     start round relaxes it; two rounds in five the panel then probes S(i, j),
-    the focus-j pattern shifted up i rows, and applies the natural move.
-    The region is empty exactly when i > top[j].
+    placed at its column offset, and applies the natural move.  The region
+    is empty exactly when i > top[j].
     """
-    m = len(patterns) - 1
-    probe_rounds: dict[int, Probes] = {}
+    m = len(top) - 1
+    placements: dict[int, Placement] = {}
     # the start round's relaxation lands exactly on the start index
     i, j, t = start_i + 1, m, start_round
     while True:
@@ -94,9 +106,9 @@ def _panel_sweep(
             raise AssertionError("grid sweep failed to terminate")
         i -= 1
         if i > top[j]:
-            return probe_rounds, t
+            return placements, t
         if (t - start_round) % 5 in (0, 3):
-            probe_rounds[t] = tuple([(i + dr, c) for dr, c in patterns[j]])
+            placements[t] = (col_offset, j, i)
             i, j = i + 2, j - 1
             if j == 0:
                 i, j = i + (m + 1) // 2, m
@@ -107,28 +119,25 @@ def _sweep(panels: list[tuple[int, int, int]], m: int, n: int) -> GridSweepPlan:
     """Run the panels until every region is empty, then a 5m-round margin.
 
     Each panel is (start round, start index, column offset); a round's
-    probes are the panels' probes in panel order.  The m focus patterns are
-    built once and moved into each panel's columns by its offset; the row
-    stagger between panels is carried by the start index.
+    placements are the panels' in panel order.  The row stagger between
+    panels is carried by the start index.
     """
     hard_cap = 10 * m * (n + 4 * m) + 100
-    local = [probe_set(j, m) for j in range(1, m + 1)]
-    if max(map(len, local)) > (m + 3) // 2:
+    if max(len(probe_set(j, m)) for j in range(1, m + 1)) > (m + 3) // 2:
         raise AssertionError("panel probe budget exceeded")
     # feet fall leftward from the focus j >= 1, so column 1's is the lowest
     # and the region is empty exactly when i > n - f_eval(0, j, 1)
     top = [n - f_eval(0, j, 1) for j in range(m + 1)]
-    sweeps = []
-    for start_round, start_i, col_offset in panels:
-        # focus zero is always reindexed, so it has no pattern
-        patterns = [()] + [tuple([(r, c + col_offset) for r, c in p]) for p in local]
-        sweeps.append(_panel_sweep(patterns, top, start_round, start_i, hard_cap))
-    rounds: list[list[Coord]] = [
+    sweeps = [
+        _panel_sweep(top, col_offset, start_round, start_i, hard_cap)
+        for start_round, start_i, col_offset in panels
+    ]
+    rounds: list[list[Placement]] = [
         [] for _ in range(max(end for _, end in sweeps) + 5 * m)
     ]
-    for probe_rounds, _ in sweeps:
-        for t, probes in probe_rounds.items():
-            rounds[t - 1].extend(probes)
+    for placements, _ in sweeps:
+        for t, placement in placements.items():
+            rounds[t - 1].append(placement)
     return GridSweepPlan(m, rounds)
 
 
@@ -145,24 +154,55 @@ def five_panel_schedule(n: int) -> GridSweepPlan:
     return _sweep(panels, m, n)
 
 
+def _template(pattern: Probes, col_offset: int, n: int) -> Template:
+    """A focus pattern moved ``col_offset`` columns right, numbered on the n-by-n grid.
+
+    Probes whose column leaves [0, n+1] are deleted and the rest fold their
+    column into [1, n].  Returns the row shifts [lo, hi] that keep every row
+    in [1, n], the probes' vertex ids at row shift zero, and the probes as
+    (row, 0-based column) for shifts outside [lo, hi].
+    """
+    kept = tuple(
+        (r, min(max(c + col_offset, 1), n) - 1)
+        for r, c in pattern
+        if 0 <= c + col_offset <= n + 1
+    )
+    if not kept:
+        return 1, 0, (), ()
+    rows = [r for r, _ in kept]
+    return 1 - min(rows), n - max(rows), tuple((r - 1) * n + c for r, c in kept), kept
+
+
 def clip_schedule(plan: GridSweepPlan, n: int) -> ProbeSchedule:
-    """Clip an extended-lattice plan onto the finite n-by-n lattice.
+    """Expand an extended-lattice plan onto the finite n-by-n lattice.
 
     Probes outside [0, n+1]^2 are deleted and border probes fold inward.
-    A row maps to the offset of its clipped row and a column to its clipped
-    column index; a row or column outside that band has no entry, which
-    deletes the probe.
+    Each focus pattern is clipped and numbered once per column offset, as a
+    template.  A placement whose rows all lie in [1, n] adds i*n to the
+    template's ids; any other goes probe by probe through the row table,
+    which maps a row to the offset of its clipped row and has no entry for
+    a row outside [0, n+1], deleting the probe.
     """
+    m = plan.m
     row_offset = {r: (min(max(r, 1), n) - 1) * n for r in range(n + 2)}
-    col_offset = {c: min(max(c, 1), n) - 1 for c in range(n + 2)}
-    vertex_rounds = [
-        frozenset([
-            row_offset[r] + col_offset[c]
-            for r, c in probes
-            if r in row_offset and c in col_offset
-        ])
-        for probes in plan.rounds
-    ]
+    # column offset -> the templates of foci 1..m
+    templates: dict[int, list[Template]] = {}
+    vertex_rounds = []
+    for placements in plan.rounds:
+        ids: list[int] = []
+        for col_offset, j, i in placements:
+            by_focus = templates.get(col_offset)
+            if by_focus is None:
+                by_focus = templates[col_offset] = [
+                    _template(probe_set(f, m), col_offset, n) for f in range(1, m + 1)
+                ]
+            lo, hi, bases, probes = by_focus[j - 1]
+            if lo <= i <= hi:
+                shift = i * n
+                ids += [b + shift for b in bases]
+            else:
+                ids += [row_offset[i + r] + c for r, c in probes if i + r in row_offset]
+        vertex_rounds.append(frozenset(ids))
     while vertex_rounds and not vertex_rounds[-1]:
         vertex_rounds.pop()
     budget = max((len(r) for r in vertex_rounds), default=1) or 1

@@ -1,11 +1,13 @@
 import heapq
 import random
 from collections import deque
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 from lzl.graphs import Graph, generate, iter_bits, mask_of
+from lzl.gridsweep import probe_set
 
 settings.register_profile(
     "default",
@@ -204,8 +206,29 @@ def grid_profile_oracle(n: int) -> tuple[int, int, int]:
     return k_lo, k_hi, n
 
 
+@dataclass
+class CoordinatePlan:
+    """A grid-sweep plan as (row, col) probes: every round's probes in panel order."""
+
+    m: int
+    rounds: list[list[tuple[int, int]]]
+
+
+def plan_coordinates(plan) -> CoordinatePlan:
+    """Expand each placement (offset, j, i) of a plan to its probes on the unbounded lattice.
+
+    The placement stands for (i + dr, c + offset) over (dr, c) in
+    ``probe_set(j, m)``; a round lists its placements' probes in order.
+    """
+    m = plan.m
+    return CoordinatePlan(m, [
+        [(i + dr, c + offset) for offset, j, i in placements for dr, c in probe_set(j, m)]
+        for placements in plan.rounds
+    ])
+
+
 def panel_rounds(plan, count: int = 5) -> list[dict[int, tuple]]:
-    """Each of ``count`` panels' probes by round, split off ``plan.rounds`` by column window.
+    """Each of ``count`` panels' probes by round, split off the plan's expansion by column window.
 
     Panel p (0-based) of a plan with panel width m starts in round s = p + 1,
     as ``five_panel_schedule`` documents, and probes the columns
@@ -217,7 +240,7 @@ def panel_rounds(plan, count: int = 5) -> list[dict[int, tuple]]:
     """
     m = plan.m
     panels: list[dict[int, tuple]] = [{} for _ in range(count)]
-    for t, probes in enumerate(plan.rounds, 1):
+    for t, probes in enumerate(plan_coordinates(plan).rounds, 1):
         parts = []
         active = 0
         for p in range(count):

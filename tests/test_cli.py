@@ -314,6 +314,31 @@ class TestStratCmd:
         code, out, err = run_cli(capsys, "strat", "grid-sweep", "--n", "129")
         assert code == 3 and not out and "exceeds cap" in err
 
+    @pytest.mark.parametrize("option", [("--graph", "path:3"), ("--root", "5"), ("--root", "0")])
+    def test_grid_sweep_refuses_graph_options(self, capsys, monkeypatch, option):
+        # grid-sweep reads only --n, so an option meant for a graph strategy is an error
+        def unreachable(n):
+            raise AssertionError("planned a sweep despite an option it ignores")
+
+        monkeypatch.setattr("lzl.gridsweep.five_panel_schedule", unreachable)
+        code, out, err = run_cli(capsys, "strat", "grid-sweep", "--n", "11", *option)
+        assert (code, out) == (2, "")
+        assert err == f"error: grid-sweep takes no {option[0]}: it sweeps the --n grid\n"
+
+    @pytest.mark.parametrize("name", sorted(STRATEGY_REGISTRY))
+    def test_graph_strategy_refuses_n(self, capsys, name):
+        code, out, err = run_cli(capsys, "strat", name, "--graph", "path:5", "--n", "9")
+        assert (code, out) == (2, "")
+        assert err == f"error: strategy '{name}' takes no --n: it runs on --graph\n"
+
+    def test_explicit_root_zero_is_the_default(self, capsys):
+        reports = []
+        for root in ((), ("--root", "0")):
+            code, out, _ = run_cli(capsys, "strat", "tree-depth", "--graph", "kary:2,4", *root)
+            assert code == 0
+            reports.append(report_of(out)["report"])
+        assert reports[0] == reports[1]
+
     def test_tree_depth(self, capsys):
         code, out, _ = run_cli(capsys, "strat", "tree-depth", "--graph", "kary:2,8")
         assert code == 0

@@ -15,7 +15,7 @@ from lzl.gridsweep import (
 )
 from lzl.prox import ProbeSchedule, run_schedule
 
-from conftest import cartesian_product, panel_rounds
+from conftest import CoordinatePlan, cartesian_product, panel_rounds, plan_coordinates
 
 
 def lattice(n_rows, n_cols):
@@ -233,44 +233,74 @@ class TestMOfN:
             assert m % 2 == 1 and 0 <= 5 * m - n <= 9
 
 
-def clip_one_round(probes, n):
-    """The (row, col) pairs that clip_schedule makes of one round of probes."""
-    rounds = clip_schedule(GridSweepPlan(1, [list(probes)]), n).rounds
+def clip_one_round(placements, m, n):
+    """The (row, col) pairs that clip_schedule makes of one round of placements."""
+    rounds = clip_schedule(GridSweepPlan(m, [list(placements)]), n).rounds
     return {(v // n + 1, v % n + 1) for v in rounds[0]} if rounds else set()
 
 
 class TestClip:
     def test_fold_bottom(self):
-        assert clip_one_round([(0, 4)], 11) == {(1, 4)}
+        # S(0, 3) of width 3 moved three columns right: (0, 4), (1, 6), (2, 7)
+        assert clip_one_round([(3, 3, 0)], 3, 11) == {(1, 4), (1, 6), (2, 7)}
 
     def test_delete_far(self):
-        assert clip_one_round([(-3, 2)], 11) == set()
+        # S(-4, 1) of width 1 moved one column right: (-3, 2), (-2, 3)
+        assert clip_one_round([(1, 1, -4)], 1, 11) == set()
 
     def test_fold_all_sides(self):
-        assert clip_one_round([(12, 5), (5, 0), (5, 12), (0, 0)], 11) == {
+        placements = [
+            (0, 2, 0),   # (0, 0), (1, 2), (2, 3)
+            (0, 2, 5),   # (5, 0), (6, 2), (7, 3)
+            (4, 3, 12),  # (12, 5), (13, 7), (14, 8)
+            (8, 3, 3),   # (3, 9), (4, 11), (5, 12)
+        ]
+        assert clip_one_round(placements, 3, 11) == {
+            (1, 1), (1, 2), (2, 3),
+            (5, 1), (6, 2), (7, 3),
             (11, 5),
-            (5, 1),
-            (5, 11),
-            (1, 1),
+            (3, 9), (4, 11), (5, 11),
         }
 
     def test_never_increases_round_size(self):
         plan = five_panel_schedule(11)
         sched = clip_schedule(plan, 11)
-        for raw, clipped in zip(plan.rounds, sched.rounds):
+        for raw, clipped in zip(plan_coordinates(plan).rounds, sched.rounds):
             assert len(clipped) <= max(len(raw), 1)
+
+    @pytest.mark.parametrize("m", range(1, 16, 2))
+    def test_interior_shortcut_boundaries(self, m):
+        # every focus and column offset 0..4m, at each row shift within 2 of
+        # the first and last shift that keeps every surviving probe row in
+        # [1, n]; one placement per round, so each round is a one-placement plan
+        for n in sorted({max(2, 5 * m - 9), 5 * m}):
+            placements = []
+            for j in range(1, m + 1):
+                for offset in range(4 * m + 1):
+                    rows = [r for r, c in probe_set(j, m) if 0 <= c + offset <= n + 1]
+                    if not rows:
+                        continue
+                    first, last = 1 - min(rows), n - max(rows)
+                    shifts = {first + d for d in range(-2, 3)} | {last + d for d in range(-2, 3)}
+                    placements += [(offset, j, i) for i in sorted(shifts)]
+            sched = clip_schedule(GridSweepPlan(m, [[p] for p in placements]), n)
+            for t, placement in enumerate(placements):
+                clipped = sched.rounds[t] if t < len(sched.rounds) else frozenset()
+                coords = plan_coordinates(GridSweepPlan(m, [[placement]])).rounds[0]
+                expected = {(r - 1) * n + (c - 1) for r, c in reference_clip_round(coords, n, n)}
+                assert clipped == expected, (n, placement)
 
 
 class TestPanel:
     def test_single_panel_clears_lattice(self):
-        sched = reference_clip_schedule(single_panel(3, 11), 11, 3)
+        sched = reference_clip_schedule(plan_coordinates(single_panel(3, 11)), 11, 3)
         trace = run_schedule(lattice(11, 3), sched)
         assert trace.cleared
         assert sched.cops <= 3  # (m+3)/2
 
     def test_active_round_budget(self):
         plan = single_panel(5, 16)
-        for probes in plan.rounds:
+        for probes in plan_coordinates(plan).rounds:
             assert len(probes) <= 4  # (5+3)/2
 
     def test_property1_cadence(self):
@@ -303,7 +333,7 @@ class TestFivePanel:
         plan = five_panel_schedule(11)
         m = plan.m
         panels = panel_rounds(plan)
-        active = [t for t, probes in enumerate(plan.rounds, 1) if probes]
+        active = [t for t, probes in enumerate(plan_coordinates(plan).rounds, 1) if probes]
         for t in active[: 5 * m]:
             assert sum(1 for p in panels if t in p) <= 2
 
@@ -320,7 +350,7 @@ class TestFivePanel:
     def test_budget_m_plus_3(self):
         for n in (11, 16):
             plan = five_panel_schedule(n)
-            for probes in plan.rounds:
+            for probes in plan_coordinates(plan).rounds:
                 assert len(set(probes)) <= plan.m + 3
 
 
@@ -330,6 +360,7 @@ class TestGridStrategy:
         (16, 8),
         pytest.param(101, 24, marks=pytest.mark.slow),
         pytest.param(126, 30, marks=pytest.mark.slow),
+        pytest.param(128, 30, marks=pytest.mark.slow),
     ])
     def test_verified_budgets(self, n, budget):
         sched, trace = grid_strategy(n)
@@ -390,7 +421,7 @@ def reference_sweep(panels, m, n):
         t = len(rounds) + 1
         rounds.append([probe for p in panels for probe in p.round(t)])
     rounds.extend([] for _ in range(5 * m))
-    return GridSweepPlan(m, rounds)
+    return CoordinatePlan(m, rounds)
 
 
 def reference_clip_round(probes, n_rows, n_cols):
@@ -416,7 +447,7 @@ def reference_clip_schedule(plan, n, n_cols):
 
 
 class TestAgainstReference:
-    """Plans and clipped schedules equal the per-round automaton's, byte for byte."""
+    """Expanded plans and clipped schedules equal the per-round automaton's, byte for byte."""
 
     @staticmethod
     def assert_same(plan, reference):
@@ -436,11 +467,11 @@ class TestAgainstReference:
             m, n,
         )
         plan = five_panel_schedule(n)
-        self.assert_same(plan, reference)
+        self.assert_same(plan_coordinates(plan), reference)
         clipped = clip_schedule(plan, n).to_json()
         assert clipped == reference_clip_schedule(reference, n, n).to_json()
 
     @pytest.mark.parametrize("m", range(1, 16, 2))
     def test_single_panel(self, m):
         reference = reference_sweep([ReferencePanel(m, 11, 1, -2 * m, 0)], m, 11)
-        self.assert_same(single_panel(m, 11), reference)
+        self.assert_same(plan_coordinates(single_panel(m, 11)), reference)
