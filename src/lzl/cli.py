@@ -49,7 +49,7 @@ from .strategies import (
     min_dominating_set,
     tree_upper_bounds,
 )
-from .zeta import ZETA_CAP, build_policy, simulate_policy, zeta_number
+from .zeta import ROUND_CAP, ZETA_CAP, build_policy, simulate_policy, zeta_number
 from .gridsweep import SWEEP_NOTES, grid_strategy
 
 EXIT_OK = 0
@@ -72,9 +72,10 @@ def _int(text: str, what: str) -> int:
 
 
 def _round_cap(args) -> int:
-    if args.round_cap < 1:
-        raise UsageError(f"--round-cap must be at least 1, got {args.round_cap}")
-    return args.round_cap
+    cap = ROUND_CAP if args.round_cap is None else args.round_cap
+    if cap < 1:
+        raise UsageError(f"--round-cap must be at least 1, got {cap}")
+    return cap
 
 
 def _read_text(path: str) -> str:
@@ -243,7 +244,7 @@ def cmd_prox(args) -> tuple[dict | None, int]:
                        {"prox1": prox_number(g)}, caps={"prox": PROX_CAP}), EXIT_OK
     if not args.schedule:
         raise UsageError("prox verify needs --schedule")
-    schedule = ProbeSchedule.from_json(_read_text(args.schedule))
+    schedule = ProbeSchedule.from_json(_read_text(args.schedule), g.n)
     trace = run_schedule(g, schedule)
     body = _report(
         "prox-verify",
@@ -275,11 +276,11 @@ def cmd_zeta(args) -> tuple[dict | None, int]:
 
 
 def cmd_strat(args) -> tuple[dict | None, int]:
-    round_cap = _round_cap(args)
     if args.name == "grid-sweep":
         if args.n is None:
             raise UsageError("grid-sweep needs --n")
-        for flag, value in (("--graph", args.graph), ("--root", args.root)):
+        for flag, value in (("--graph", args.graph), ("--root", args.root),
+                            ("--round-cap", args.round_cap)):
             if value is not None:
                 raise UsageError(f"grid-sweep takes no {flag}: it sweeps the --n grid")
         schedule, trace = grid_strategy(args.n)
@@ -307,13 +308,18 @@ def cmd_strat(args) -> tuple[dict | None, int]:
     g, gid = load_graph(args.graph)
     if args.name not in STRATEGY_REGISTRY:
         raise UsageError(f"unknown strategy '{args.name}'")
-    kind, build = STRATEGY_REGISTRY[args.name]
+    kind, reads_root, build = STRATEGY_REGISTRY[args.name]
     if kind == "policy" and args.emit:
         raise UsageError(f"--emit writes a prox schedule, and '{args.name}' is a policy")
+    if kind == "schedule" and args.round_cap is not None:
+        raise UsageError(f"--round-cap caps a policy's simulation, and '{args.name}' is a schedule")
+    round_cap = _round_cap(args)
+    if args.root is not None and not reads_root:
+        raise UsageError(f"strategy '{args.name}' takes no --root: it reads no root vertex")
     root = 0 if args.root is None else args.root
     if not 0 <= root < g.n:
         raise UsageError(f"--root {root} is not a vertex index")
-    artifact = build(g, root)
+    artifact = build(g, root) if reads_root else build(g)
     if kind == "schedule":
         trace = run_schedule(g, artifact)
         verdict = trace.cleared
@@ -410,16 +416,16 @@ def build_parser() -> argparse.ArgumentParser:
     z.add_argument("action", choices=("solve", "simulate"))
     z.add_argument("--graph", required=True)
     z.add_argument("--policy")
-    z.add_argument("--round-cap", type=int, default=400)
+    z.add_argument("--round-cap", type=int)
     z.set_defaults(fn=cmd_zeta)
 
     s = sub.add_parser("strat", help="generate and verify a named strategy")
     s.add_argument("name")
     s.add_argument("--graph")
     s.add_argument("--n", type=int)
-    # None, not 0, so that grid-sweep can refuse an explicit --root 0
+    # None, not a default value, so that an option the strategy would not read is seen
     s.add_argument("--root", type=int)
-    s.add_argument("--round-cap", type=int, default=400)
+    s.add_argument("--round-cap", type=int)
     s.add_argument("--emit")
     s.set_defaults(fn=cmd_strat)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import and_
-from typing import Generator, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import SizeCapError, UsageError
 from .graphs import (
@@ -55,13 +55,6 @@ class ProbeSchedule:
     def from_lists(cls, cops: int, rounds: Iterable[Iterable[int]]):
         return cls(cops, tuple(frozenset(r) for r in rounds))
 
-    def validate_for(self, g: Graph) -> None:
-        """Reject a probe that is not a vertex of ``g``, named by its 1-based id."""
-        for t, r in enumerate(self.rounds, start=1):
-            for v in r:
-                if not (isinstance(v, int) and 0 <= v < g.n):
-                    raise UsageError(f"round {t} probes vertex {v + 1}, outside 1..{g.n}")
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -73,8 +66,9 @@ class ProbeSchedule:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "ProbeSchedule":
-        """Read the file format: ``cops`` and the 1-based probe ids are JSON integers.
+    def from_json(cls, text: str, n: int) -> "ProbeSchedule":
+        """Read the file format for a graph of order ``n``: ``cops`` and the
+        1-based probe ids are JSON integers, each id in 1..n.
 
         Other keys, such as the ``metadata`` that earlier versions wrote, are ignored.
         """
@@ -92,7 +86,12 @@ class ProbeSchedule:
             for v in r:
                 if type(v) is not int:
                     raise UsageError(f"round {t} probes {json.dumps(v)}, not an integer id")
-        return cls.from_lists(cops, [[v - 1 for v in r] for r in rounds])
+        schedule = cls.from_lists(cops, [[v - 1 for v in r] for r in rounds])
+        for t, r in enumerate(schedule.rounds, start=1):
+            for v in r:
+                if not 0 <= v < n:
+                    raise UsageError(f"round {t} probes vertex {v + 1}, outside 1..{n}")
+        return schedule
 
 
 @dataclass
@@ -121,21 +120,21 @@ def step_bits(g: Graph, s_bits: int, u_bits: int) -> int:
 def run_schedule(g: Graph, schedule: ProbeSchedule) -> ScheduleTrace:
     """Run the contamination recursion from S = V(G).
 
+    The probe ids must be vertices of ``g``: ``ProbeSchedule.from_json``
+    checks the ids of a file, and the builders make theirs in range.
     A graph with a shift kernel (a lattice) steps S as a mask, a few big-int
     shifts per round.  Any other graph is stepped on neighbor lists: only
     the vertices that change and their neighbors are touched, so a round
     costs O(changed vertices * degree) whatever the order of the graph.
-    Both steppers start from a territory, yield each round's territory size
-    and whether it grew, and return the final territory as a mask.
+    Both steppers start from V and yield each round's territory size and
+    whether it grew.
     """
-    schedule.validate_for(g)
-    s = (1 << g.n) - 1
     stepper = _shift_steps if g.shifts is not None else _sparse_steps
 
     trace_counts: list[int] = []
     clear_round = None
     recontam_round = None
-    for t, (size, grew) in enumerate(stepper(g, schedule, s), start=1):
+    for t, (size, grew) in enumerate(stepper(g, schedule), start=1):
         if recontam_round is None and grew:
             recontam_round = t
         trace_counts.append(size)
@@ -150,40 +149,34 @@ def run_schedule(g: Graph, schedule: ProbeSchedule) -> ScheduleTrace:
     )
 
 
-def _shift_steps(
-    g: Graph, schedule: ProbeSchedule, s: int
-) -> Generator[tuple[int, bool], None, int]:
-    """Step S as a mask: N[S] minus N[probes]."""
+def _shift_steps(g: Graph, schedule: ProbeSchedule) -> Iterator[tuple[int, bool]]:
+    """Step S as a mask from V: N[S] minus N[probes]."""
+    s = (1 << g.n) - 1
     for probes in schedule.rounds:
         new_s = step_bits(g, s, mask_of(probes))
         grew = new_s & ~s != 0
         s = new_s
         yield s.bit_count(), grew
-    return s
 
 
-def _sparse_steps(
-    g: Graph, schedule: ProbeSchedule, s: int
-) -> Generator[tuple[int, bool], None, int]:
-    """Step S on neighbor lists, touching only the vertices that change.
+def _sparse_steps(g: Graph, schedule: ProbeSchedule) -> Iterator[tuple[int, bool]]:
+    """Step S on neighbor lists from V, touching only the vertices that change.
 
     S is kept as per-vertex flags, with the number of contaminated neighbors
     of every vertex and the fringe: the clean vertices with a contaminated
-    neighbor.  A round adds the fringe outside N[probes] and removes S
-    inside N[probes], then mends counts and fringe in place: a neighbor of
-    an added vertex joins the fringe unless it is inside, a vertex whose
-    count drops to 0 leaves it, and a removed vertex with a count rejoins it.
+    neighbor.  At S = V every flag is set, every count is the degree and
+    the fringe is empty.  A round adds the fringe outside N[probes] and
+    removes S inside N[probes], then mends counts and fringe in place: a
+    neighbor of an added vertex joins the fringe unless it is inside, a
+    vertex whose count drops to 0 leaves it, and a removed vertex with a
+    count rejoins it.
     """
     nbrs = neighbor_tuples(g)
     closed = [(v, *row) for v, row in enumerate(nbrs)]
-    inside = [bit == "1" for bit in reversed(format(s, f"0{g.n}b"))]
-    size = s.bit_count()
-    counts = [0] * g.n
-    for v, contaminated in enumerate(inside):
-        if contaminated:
-            for w in nbrs[v]:
-                counts[w] += 1
-    fringe = {v for v, c in enumerate(counts) if c and not inside[v]}
+    inside = [True] * g.n
+    size = g.n
+    counts = [len(row) for row in nbrs]
+    fringe: set[int] = set()
 
     for probes in schedule.rounds:
         probe_nb = set()
@@ -210,7 +203,6 @@ def _sparse_steps(
                 fringe.add(v)
         size += len(added) - len(removed)
         yield size, bool(added)
-    return int("".join("1" if c else "0" for c in reversed(inside)), 2)
 
 
 def _probe_candidates(nb_closed: Sequence[int], territory: int) -> list[int]:

@@ -632,18 +632,18 @@ def lift_prox_to_zeta(
 # -- registry ---------------------------------------------------------------
 
 
-#: name -> (kind, builder of the strategy from the graph and a root vertex):
+#: name -> (kind, whether the builder takes a root vertex after the graph, builder):
 #: run_schedule verifies a "schedule", simulate_policy a "policy"
-STRATEGY_REGISTRY: dict[str, tuple[str, Callable[[Graph, int], ProbeSchedule | Policy]]] = {
-    "tree-log": ("policy", lambda g, root: strat_tree_log(g)),
-    "tree-depth": ("schedule", lambda g, root: strat_tree_depth(g, root)),
-    "tree-levels": ("schedule", lambda g, root: strat_tree_levels(g, root)),
-    "pathwidth": ("policy", lambda g, root: strat_pathwidth(g)),
-    "domination": ("policy", lambda g, root: strat_domination(g)),
-    "separator": ("schedule", lambda g, root: strat_separator(g)),
-    "lift-delta": ("policy", lambda g, root: lift_prox_to_zeta(
+STRATEGY_REGISTRY: dict[str, tuple[str, bool, Callable[..., ProbeSchedule | Policy]]] = {
+    "tree-log": ("policy", False, strat_tree_log),
+    "tree-depth": ("schedule", True, strat_tree_depth),
+    "tree-levels": ("schedule", True, strat_tree_levels),
+    "pathwidth": ("policy", False, strat_pathwidth),
+    "domination": ("policy", False, strat_domination),
+    "separator": ("schedule", False, strat_separator),
+    "lift-delta": ("policy", False, lambda g: lift_prox_to_zeta(
         g, prox_solve(g)[1], variant="delta")),
     # a non-tree is refused before the exact solve, which may pass its size cap
-    "lift-tree": ("policy", lambda g, root: lift_prox_to_zeta(
+    "lift-tree": ("policy", True, lambda g, root: lift_prox_to_zeta(
         g, prox_solve(_require_tree(g))[1], variant="tree", root=root)),
 }

@@ -29,6 +29,9 @@ from .graphs import (
 #: Largest order the exact localization solver accepts.
 ZETA_CAP = 12
 
+#: Rounds the policy simulator plays, unless told otherwise, before it reads cap-exceeded.
+ROUND_CAP = 400
+
 OUT_ON = "0"
 OUT_ADJ = "1"
 OUT_NONE = "*"
@@ -289,7 +292,7 @@ class SimulationResult:
 
 
 def simulate_policy(
-    g: Graph, policy: Policy, *, round_cap: int = 400
+    g: Graph, policy: Policy, *, round_cap: int = ROUND_CAP
 ) -> SimulationResult:
     """Play the policy against every robber behavior.
 

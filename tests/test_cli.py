@@ -21,6 +21,16 @@ def report_of(stdout: str) -> dict:
     return json.loads(stdout)
 
 
+def refuse_to_build(monkeypatch, name):
+    """Replace the builder of the strategy ``name`` by one that fails if it is reached."""
+    kind, reads_root, _ = STRATEGY_REGISTRY[name]
+
+    def unbuilt(g, *root):
+        raise AssertionError(f"built '{name}' despite an option it would not read")
+
+    monkeypatch.setitem(STRATEGY_REGISTRY, name, (kind, reads_root, unbuilt))
+
+
 class TestGen:
     def test_grid_file(self, tmp_path, capsys):
         out = tmp_path / "g.graph"
@@ -314,7 +324,10 @@ class TestStratCmd:
         code, out, err = run_cli(capsys, "strat", "grid-sweep", "--n", "129")
         assert code == 3 and not out and "exceeds cap" in err
 
-    @pytest.mark.parametrize("option", [("--graph", "path:3"), ("--root", "5"), ("--root", "0")])
+    @pytest.mark.parametrize("option", [
+        ("--graph", "path:3"), ("--root", "5"), ("--root", "0"),
+        ("--round-cap", "5"), ("--round-cap", "400"),
+    ])
     def test_grid_sweep_refuses_graph_options(self, capsys, monkeypatch, option):
         # grid-sweep reads only --n, so an option meant for a graph strategy is an error
         def unreachable(n):
@@ -330,6 +343,38 @@ class TestStratCmd:
         code, out, err = run_cli(capsys, "strat", name, "--graph", "path:5", "--n", "9")
         assert (code, out) == (2, "")
         assert err == f"error: strategy '{name}' takes no --n: it runs on --graph\n"
+
+    @pytest.mark.parametrize("cap", ["1", "400"])
+    @pytest.mark.parametrize("name", sorted(
+        name for name, (kind, _, _) in STRATEGY_REGISTRY.items() if kind == "schedule"))
+    def test_schedule_strategy_refuses_round_cap(self, capsys, monkeypatch, name, cap):
+        # a schedule is verified by run_schedule, which plays no rounds against a cap
+        refuse_to_build(monkeypatch, name)
+        code, out, err = run_cli(capsys, "strat", name, "--graph", "path:9", "--round-cap", cap)
+        assert (code, out) == (2, "")
+        assert err == f"error: --round-cap caps a policy's simulation, and '{name}' is a schedule\n"
+
+    @pytest.mark.parametrize("root", ["0", "3"])
+    @pytest.mark.parametrize("name", sorted(
+        name for name, (_, reads_root, _) in STRATEGY_REGISTRY.items() if not reads_root))
+    def test_rootless_strategy_refuses_root(self, capsys, monkeypatch, name, root):
+        refuse_to_build(monkeypatch, name)
+        code, out, err = run_cli(capsys, "strat", name, "--graph", "path:5", "--root", root)
+        assert (code, out) == (2, "")
+        assert err == f"error: strategy '{name}' takes no --root: it reads no root vertex\n"
+
+    @pytest.mark.parametrize("name", ["lift-tree", "tree-depth", "tree-levels"])
+    def test_rooted_strategy_reads_root(self, capsys, monkeypatch, name):
+        kind, reads_root, build = STRATEGY_REGISTRY[name]
+        roots = []
+
+        def recording(g, root):
+            roots.append(root)
+            return build(g, root)
+
+        monkeypatch.setitem(STRATEGY_REGISTRY, name, (kind, reads_root, recording))
+        code, _, err = run_cli(capsys, "strat", name, "--graph", "path:5", "--root", "3")
+        assert code == 0 and roots == [3], err
 
     def test_explicit_root_zero_is_the_default(self, capsys):
         reports = []
@@ -490,17 +535,27 @@ class TestUsageErrors:
         assert code == 2 and not out and "error" in err
 
     @pytest.mark.parametrize("text,message", [
-        ('{"cops": 1, "rounds": [[true]]}', "probes true, not an integer"),
-        ('{"cops": 1, "rounds": [[1.0]]}', "probes 1.0, not an integer"),
-        ('{"cops": 1, "rounds": [[0]]}', "vertex 0, outside 1..4"),
+        ('{"cops": 1, "rounds": [[true]]}', "round 1 probes true, not an integer id"),
+        ('{"cops": 1, "rounds": [[1.0]]}', "round 1 probes 1.0, not an integer id"),
+        ('{"cops": 1, "rounds": [[0]]}', "round 1 probes vertex 0, outside 1..4"),
+        ('{"cops": 1, "rounds": [[1], [5]]}', "round 2 probes vertex 5, outside 1..4"),
+        ('{"cops": 1, "rounds": [[-2]]}', "round 1 probes vertex -2, outside 1..4"),
+        # two bad ids in one round: the one named is the first the round's set yields
+        ('{"cops": 2, "rounds": [[1], [7, 6]]}', "round 2 probes vertex 6, outside 1..4"),
+        ('{"cops": 2, "rounds": [[9, 8]]}', "round 1 probes vertex 9, outside 1..4"),
+        # over budget and out of range: the budget is checked first
+        ('{"cops": 1, "rounds": [[5], [1, 2]]}', "round 2 probes 2 vertices, budget is 1"),
         ('{"cops": true, "rounds": [[1]]}', "cops true is not an integer"),
-    ], ids=["bool-id", "float-id", "zero-id", "bool-cops"])
+    ], ids=["bool-id", "float-id", "zero-id", "id-n-plus-1", "negative-id",
+            "two-bad-ids", "two-bad-ids-high-first", "over-budget-and-out-of-range",
+            "bool-cops"])
     def test_schedule_ids_are_json_integers(self, tmp_path, capsys, text, message):
+        # ids from a file are checked where the file is read, against the graph's order
         sched = tmp_path / "s.json"
         sched.write_text(text)
         code, out, err = run_cli(capsys, "prox", "verify", "--graph", "path:4",
                                  "--schedule", str(sched))
-        assert code == 2 and message in err and not out
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_non_utf8_graph_file_exit2(self, tmp_path, capsys):
         path = tmp_path / "g.graph"
@@ -531,13 +586,10 @@ class TestUsageErrors:
         assert code == 2 and not out and message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("name", sorted(
-        name for name, (kind, _) in STRATEGY_REGISTRY.items() if kind == "policy"))
+        name for name, (kind, _, _) in STRATEGY_REGISTRY.items() if kind == "policy"))
     def test_emit_on_a_policy_exit2(self, tmp_path, capsys, monkeypatch, name):
         # only a schedule has a file format; a policy is refused before it is built
-        def unbuilt(g, root):
-            raise AssertionError("built a policy for --emit")
-
-        monkeypatch.setitem(STRATEGY_REGISTRY, name, ("policy", unbuilt))
+        refuse_to_build(monkeypatch, name)
         emit = tmp_path / "s.json"
         code, out, err = run_cli(capsys, "strat", name, "--graph", "path:4", "--emit", str(emit))
         assert (code, out) == (2, "") and not emit.exists()

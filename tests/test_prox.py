@@ -76,7 +76,10 @@ class TestRunSchedule:
         sched = ProbeSchedule.from_lists(1, [{1}])
         trace = run_schedule(g, sched)
         assert not trace.cleared and trace.counts == [1]
-        assert drain(_shift_steps(g, sched, (1 << g.n) - 1))[1] == 1 << 3
+        assert trace.first_recontamination_round is None
+        assert list(_shift_steps(g, sched)) == [(1, False)]
+        # the one survivor is the far end, vertex 3
+        assert step_bits(g, (1 << g.n) - 1, mask_of(sched.rounds[0])) == 1 << 3
 
     def test_budget_enforced(self):
         with pytest.raises(UsageError):
@@ -121,11 +124,14 @@ class TestRunSchedule:
         sched = ProbeSchedule.from_lists(cops, rounds)
         trace = run_schedule(g, sched)
         state = (1 << g.n) - 1
-        for t, r in enumerate(rounds, start=1):
-            state = step_bits(g, state, mask_of(r))
-            assert trace.counts[t - 1] == state.bit_count()
+        steps = []
+        for r in rounds:
+            new_state = step_bits(g, state, mask_of(r))
+            steps.append((new_state.bit_count(), new_state & ~state != 0))
+            state = new_state
+        assert trace.counts == [size for size, _ in steps]
         for stepper in (_shift_steps, _sparse_steps):
-            assert drain(stepper(g, sched, (1 << g.n) - 1))[1] == state
+            assert list(stepper(g, sched)) == steps, stepper.__name__
 
     @given(st.integers(0, 5000), st.integers(2, 8))
     @settings(max_examples=25)
@@ -136,22 +142,22 @@ class TestRunSchedule:
             set(rng.sample(range(n), rng.randint(1, 2)))
             for _ in range(rng.randint(1, 6))
         ]
-        sched = ProbeSchedule.from_lists(2, rounds)
-        big = [v for v in range(n) if rng.random() < 0.7]
-        small = [v for v in big if rng.random() < 0.6]
-        for stepper in (_shift_steps, _sparse_steps):
-            steps_small, final_small = drain(stepper(g, sched, mask_of(small)))
-            steps_big, final_big = drain(stepper(g, sched, mask_of(big)))
-            assert final_small & ~final_big == 0
-            if any(size == 0 for size, _ in steps_big):
-                assert any(size == 0 for size, _ in steps_small)
+        big = mask_of(v for v in range(n) if rng.random() < 0.7)
+        small = mask_of(v for v in iter_bits(big) if rng.random() < 0.6)
+        # the round _shift_steps runs, composed from two nested start states
+        for r in rounds:
+            small = step_bits(g, small, mask_of(r))
+            big = step_bits(g, big, mask_of(r))
+            assert small & ~big == 0
+            if big == 0:
+                assert small == 0
 
 
-def _incremental_reference(g, schedule, initial=None):
+def _incremental_reference(g, schedule):
     """ScheduleTrace and per-round territories by per-vertex contaminated-neighbour
-    counts, loop kernel, from the mask ``initial`` (default: every vertex)."""
+    counts, loop kernel, from every vertex."""
     adj = g.adj_bits
-    s = initial if initial is not None else (1 << g.n) - 1
+    s = (1 << g.n) - 1
     counts = [0] * g.n
     for v in iter_bits(s):
         for w in iter_bits(adj[v]):
@@ -178,15 +184,13 @@ def _incremental_reference(g, schedule, initial=None):
     return trace, territories
 
 
-def check_steppers(g, schedule, s):
-    """Both steppers from the territory ``s`` give the reference's per-round
-    sizes and growth flags, and return its final territory."""
-    trace, territories = _incremental_reference(g, schedule, s)
-    grew = [t & ~prev != 0 for prev, t in zip([s] + territories, territories)]
+def check_steppers(g, schedule):
+    """Both steppers give the reference's per-round sizes and growth flags."""
+    trace, territories = _incremental_reference(g, schedule)
+    full = (1 << g.n) - 1
+    grew = [t & ~prev != 0 for prev, t in zip([full] + territories, territories)]
     for stepper in (_shift_steps, _sparse_steps):
-        steps, final = drain(stepper(g, schedule, s))
-        assert steps == list(zip(trace.counts, grew)), stepper.__name__
-        assert final == (territories or [s])[-1], stepper.__name__
+        assert list(stepper(g, schedule)) == list(zip(trace.counts, grew)), stepper.__name__
 
 
 RUN_GRAPHS = {
@@ -226,9 +230,8 @@ class TestRunScheduleAgainstReference:
                 for _ in range(rng.randint(1, 12))
             ]
             sched = ProbeSchedule.from_lists(cops, rounds)
-            initial = mask_of(v for v in range(g.n) if rng.random() < 0.4)
             assert run_schedule(g, sched) == _incremental_reference(g, sched)[0]
-            check_steppers(g, sched, initial)
+            check_steppers(g, sched)
 
     @pytest.mark.parametrize("name", NO_SHIFT_KERNEL)
     def test_no_shift_kernel(self, name):
@@ -269,11 +272,9 @@ class TestRunScheduleAgainstReference:
             if rng.random() < 0.3:
                 rounds.append(set())
         sched = ProbeSchedule.from_lists(max(map(len, rounds)), rounds)
-        initial = mask_of(v for v in range(g.n) if rng.random() < 0.5)
         assert run_schedule(g, sched) == _incremental_reference(g, sched)[0]
         # a spider may step by shifts in run_schedule, so drive both steppers
-        for s in ((1 << g.n) - 1, initial):
-            check_steppers(g, sched, s)
+        check_steppers(g, sched)
 
     @pytest.mark.parametrize("name", NO_SHIFT_KERNEL)
     def test_edge_cases(self, name):
@@ -283,25 +284,14 @@ class TestRunScheduleAgainstReference:
         assert run_schedule(g, probes) == _incremental_reference(g, probes)[0]
         assert run_schedule(g, no_rounds) == _incremental_reference(g, no_rounds)[0]
         for sched in (probes, no_rounds):
-            check_steppers(g, sched, 0)
+            check_steppers(g, sched)
 
     def test_one_vertex_graph(self):
         g = Graph(1, [])  # an empty shift kernel: it steps by shifts
         for rounds in ([], [set()], [{0}], [set(), {0}]):
             sched = ProbeSchedule.from_lists(1, rounds)
             assert run_schedule(g, sched) == _incremental_reference(g, sched)[0]
-            for s in (0, 1):
-                check_steppers(g, sched, s)
-
-
-def drain(steps):
-    """The (size, grew) pairs a stepper yields, and the final mask it returns."""
-    out = []
-    while True:
-        try:
-            out.append(next(steps))
-        except StopIteration as done:
-            return out, done.value
+            check_steppers(g, sched)
 
 
 class TestSteppersAgree:
@@ -319,8 +309,7 @@ class TestSteppersAgree:
                 for _ in range(rng.randint(0, 12))
             ]
             sched = ProbeSchedule.from_lists(2, rounds)
-            s = mask_of(v for v in range(g.n) if rng.random() < 0.5)
-            assert drain(_sparse_steps(g, sched, s)) == drain(_shift_steps(g, sched, s))
+            assert list(_sparse_steps(g, sched)) == list(_shift_steps(g, sched))
 
 
 class TestSolver:
@@ -505,10 +494,10 @@ class TestSolverAgainstTerritoryKeyedSearch:
     def test_spider555_tree_lift(self):
         g = generate("spider", arms=[5, 5, 5])
         assert prox_solve(g)[0] == 1
-        kind, build = STRATEGY_REGISTRY["lift-tree"]
+        kind, reads_root, build = STRATEGY_REGISTRY["lift-tree"]
         policy = build(g, 0)
         sim = simulate_policy(g, policy)
-        assert kind == "policy" and policy.budget == 2
+        assert kind == "policy" and reads_root and policy.budget == 2
         assert sim.captured and sim.worst_capture_round == 28
 
 
@@ -568,7 +557,7 @@ class TestSolverAgainstUnfilteredSearch:
 class TestScheduleJson:
     def test_roundtrip(self):
         sched = ProbeSchedule.from_lists(2, [{0, 2}, {1}])
-        again = ProbeSchedule.from_json(sched.to_json())
+        again = ProbeSchedule.from_json(sched.to_json(), 3)
         assert again.rounds == sched.rounds
         assert again.cops == sched.cops
         assert json.loads(sched.to_json()) == {"mode": "prox", "cops": 2, "rounds": [[1, 3], [2]]}
@@ -578,4 +567,4 @@ class TestScheduleJson:
             "mode": "prox", "cops": 2, "rounds": [[1, 3], [2]],
             "metadata": {"strategy": "grid-sweep", "rounds_rc": [[[1, 1], [1, 3]], [[1, 2]]]},
         })
-        assert ProbeSchedule.from_json(text) == ProbeSchedule.from_lists(2, [{0, 2}, {1}])
+        assert ProbeSchedule.from_json(text, 3) == ProbeSchedule.from_lists(2, [{0, 2}, {1}])
