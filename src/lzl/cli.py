@@ -49,7 +49,7 @@ from .strategies import (
     min_dominating_set,
     tree_upper_bounds,
 )
-from .zeta import ROUND_CAP, ZETA_CAP, build_policy, simulate_policy, zeta_number
+from .zeta import POLICY_REGISTRY, ROUND_CAP, ZETA_CAP, simulate_policy, zeta_number
 from .gridsweep import SWEEP_NOTES, grid_strategy
 
 EXIT_OK = 0
@@ -238,13 +238,15 @@ def cmd_bounds(args) -> tuple[dict | None, int]:
 
 
 def cmd_prox(args) -> tuple[dict | None, int]:
-    g, gid = load_graph(args.graph)
     if args.action == "solve":
+        g, gid = load_graph(args.graph)
         return _report("prox-solve", g, gid, {"graph": gid},
                        {"prox1": prox_number(g)}, caps={"prox": PROX_CAP}), EXIT_OK
     if not args.schedule:
         raise UsageError("prox verify needs --schedule")
-    schedule = ProbeSchedule.from_json(_read_text(args.schedule), g.n)
+    text = _read_text(args.schedule)
+    g, gid = load_graph(args.graph)
+    schedule = ProbeSchedule.from_json(text, g.n)
     trace = run_schedule(g, schedule)
     body = _report(
         "prox-verify",
@@ -257,14 +259,17 @@ def cmd_prox(args) -> tuple[dict | None, int]:
 
 
 def cmd_zeta(args) -> tuple[dict | None, int]:
-    g, gid = load_graph(args.graph)
     if args.action == "solve":
+        g, gid = load_graph(args.graph)
         return _report("zeta-solve", g, gid, {"graph": gid},
                        {"zeta1": zeta_number(g)}, caps={"zeta": ZETA_CAP}), EXIT_OK
     if not args.policy:
         raise UsageError("zeta simulate needs --policy")
     round_cap = _round_cap(args)
-    sim = simulate_policy(g, build_policy(args.policy, g), round_cap=round_cap)
+    if args.policy not in POLICY_REGISTRY:
+        raise UsageError(f"unknown policy '{args.policy}'")
+    g, gid = load_graph(args.graph)
+    sim = simulate_policy(g, POLICY_REGISTRY[args.policy](g), round_cap=round_cap)
     body = _report(
         "zeta-simulate",
         g,
@@ -301,13 +306,13 @@ def cmd_strat(args) -> tuple[dict | None, int]:
         )
         return body, EXIT_OK
 
+    # every option is checked before the graph is built: only --root's range needs it
+    if args.name not in STRATEGY_REGISTRY:
+        raise UsageError(f"unknown strategy '{args.name}'")
     if not args.graph:
         raise UsageError(f"strategy '{args.name}' needs --graph")
     if args.n is not None:
         raise UsageError(f"strategy '{args.name}' takes no --n: it runs on --graph")
-    g, gid = load_graph(args.graph)
-    if args.name not in STRATEGY_REGISTRY:
-        raise UsageError(f"unknown strategy '{args.name}'")
     kind, reads_root, build = STRATEGY_REGISTRY[args.name]
     if kind == "policy" and args.emit:
         raise UsageError(f"--emit writes a prox schedule, and '{args.name}' is a policy")
@@ -317,6 +322,7 @@ def cmd_strat(args) -> tuple[dict | None, int]:
     if args.root is not None and not reads_root:
         raise UsageError(f"strategy '{args.name}' takes no --root: it reads no root vertex")
     root = 0 if args.root is None else args.root
+    g, gid = load_graph(args.graph)
     if not 0 <= root < g.n:
         raise UsageError(f"--root {root} is not a vertex index")
     artifact = build(g, root) if reads_root else build(g)

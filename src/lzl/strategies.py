@@ -514,7 +514,6 @@ class TreeLiftPolicy(Policy):
     """
 
     def __init__(self, g: Graph, schedule: ProbeSchedule, root: int):
-        self.g = g
         self.schedule = schedule
         self.name = "lift-tree"
         self.budget = schedule.cops + 1
@@ -553,43 +552,6 @@ class TreeLiftPolicy(Policy):
         return (guard, "replay", (idx + 1) % len(self.schedule.rounds), rr)
 
 
-class EndgameLiftPolicy(Policy):
-    """Large-budget lift: replay the prox schedule, then probe the two-ball.
-
-    Needs budget >= max degree squared: once a probe flags adjacency at v,
-    every vertex at distance one or two from v is probed next round, which
-    determines the robber exactly.  The replay index wraps.
-    """
-
-    def __init__(self, g: Graph, schedule: ProbeSchedule):
-        self.g = g
-        self.schedule = schedule
-        self.name = "lift-endgame"
-        self.budget = schedule.cops
-        # N[N[v]] minus v: every vertex at distance one or two from v
-        self.ball2 = [
-            frozenset(iter_bits(closed_nb_bits(g, closed_nb_bits(g, 1 << v)) & ~(1 << v)))
-            for v in range(g.n)
-        ]
-
-    def initial_state(self):
-        return ("replay", 0)
-
-    def probes(self, state) -> frozenset[int]:
-        kind, x = state
-        if kind == "replay":
-            return self.schedule.rounds[x]
-        return self.ball2[x]
-
-    def advance(self, state, flagged):
-        kind, x = state
-        if kind == "replay":
-            if flagged:
-                return ("endgame", flagged[0])
-            return ("replay", (x + 1) % len(self.schedule.rounds))
-        return ("replay", 0)
-
-
 def lift_prox_to_zeta(
     g: Graph,
     prox_strategy: ProbeSchedule,
@@ -601,8 +563,7 @@ def lift_prox_to_zeta(
 
     ``delta``: every probed vertex brings max-degree-minus-one neighbors
     along, budget Delta * cops.  ``tree``: root-guard-and-restart with
-    budget cops + 1 (trees only).  ``endgame``: replay with the distance-2
-    finish, budget cops, valid when cops >= Delta^2.
+    budget cops + 1 (trees only).
     """
     trace = run_schedule(g, prox_strategy)
     if not trace.cleared:
@@ -621,11 +582,6 @@ def lift_prox_to_zeta(
     if variant == "tree":
         _require_tree(g)
         return TreeLiftPolicy(g, prox_strategy, root)
-    if variant == "endgame":
-        delta = max_degree(g)
-        if prox_strategy.cops < delta * delta:
-            raise UsageError("endgame lift needs cop budget at least max degree squared")
-        return EndgameLiftPolicy(g, prox_strategy)
     raise ValueError(f"unknown lift variant '{variant}'")
 
 

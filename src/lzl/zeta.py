@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import SizeCapError, UsageError
+from .errors import SizeCapError
 from .graphs import (
     Graph,
     closed_nb_bits,
@@ -409,9 +409,3 @@ POLICY_REGISTRY: dict[str, Callable[[Graph], Policy]] = {
     "front-sweep": _front_sweep,
     "arm-scan": _arm_scan,
 }
-
-
-def build_policy(name: str, g: Graph) -> Policy:
-    if name not in POLICY_REGISTRY:
-        raise UsageError(f"unknown policy '{name}'")
-    return POLICY_REGISTRY[name](g)

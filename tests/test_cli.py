@@ -502,6 +502,41 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, "zeta", "simulate", "--graph", "path:4")
         assert code == 2 and not out and "--policy" in err
 
+    def test_unknown_strategy_without_graph_is_named(self, capsys):
+        code, out, err = run_cli(capsys, "strat", "nonesuch")
+        assert (code, out, err) == (2, "", "error: unknown strategy 'nonesuch'\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        (("strat", "nonesuch"), "unknown strategy 'nonesuch'"),
+        (("strat", "tree-depth", "--n", "9"), "strategy 'tree-depth' takes no --n: it runs on --graph"),
+        (("strat", "tree-log", "--emit", "s.json"),
+         "--emit writes a prox schedule, and 'tree-log' is a policy"),
+        (("strat", "tree-depth", "--round-cap", "5"),
+         "--round-cap caps a policy's simulation, and 'tree-depth' is a schedule"),
+        (("strat", "tree-log", "--round-cap", "0"), "--round-cap must be at least 1, got 0"),
+        (("strat", "pathwidth", "--root", "3"),
+         "strategy 'pathwidth' takes no --root: it reads no root vertex"),
+        (("zeta", "simulate"), "zeta simulate needs --policy"),
+        (("zeta", "simulate", "--policy", "nonesuch"), "unknown policy 'nonesuch'"),
+        (("zeta", "simulate", "--policy", "sweep", "--round-cap", "0"),
+         "--round-cap must be at least 1, got 0"),
+        (("prox", "verify"), "prox verify needs --schedule"),
+        (("prox", "verify", "--schedule", "."), "cannot read .: Is a directory"),
+    ], ids=["strat-unknown", "strat-n", "strat-emit-policy", "strat-round-cap-schedule",
+            "strat-round-cap-below-one", "strat-root-rootless", "zeta-no-policy",
+            "zeta-unknown-policy", "zeta-round-cap-below-one", "prox-no-schedule",
+            "prox-unreadable-schedule"])
+    def test_usage_refused_before_the_graph_is_built(self, tmp_path, capsys, monkeypatch,
+                                                     argv, message):
+        # path:16385 is one vertex over the cap, so a graph built first would exit 3
+        def unreachable(spec):
+            raise AssertionError(f"loaded {spec} despite a usage error")
+
+        monkeypatch.setattr("lzl.cli.load_graph", unreachable)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv, "--graph", "path:16385")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_iso_budget_flag_is_gone_exit2(self, capsys):
         # every profile is exact, so a caller still asking for a partial one fails
         with pytest.raises(SystemExit) as exc:

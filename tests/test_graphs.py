@@ -28,8 +28,6 @@ from lzl.graphs import (
     subdivide,
     twin_classes,
 )
-from lzl.prox import ProbeSchedule
-from lzl.strategies import EndgameLiftPolicy
 
 from conftest import (
     bfs_distances,
@@ -359,11 +357,12 @@ class TestTraversals:
 
     @pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
     def test_endgame_ball2(self, name):
+        # N[N[v]], the two-ball an endgame lift would probe (ROADMAP item 12),
+        # is the BFS ball of radius two: an oracle apart from the loop reference
         g = KERNEL_GRAPHS[name]
-        policy = EndgameLiftPolicy(g, ProbeSchedule.from_lists(1, [[0]]))
         for v in range(g.n):
-            ball = {w for w, d in enumerate(bfs_distances(g, v)) if 1 <= d <= 2}
-            assert policy.ball2[v] == ball, v
+            ball = mask_of(w for w, d in enumerate(bfs_distances(g, v)) if 0 <= d <= 2)
+            assert closed_nb_bits(g, closed_nb_bits(g, 1 << v)) == ball, v
 
 
 class TestMetrics:

@@ -12,7 +12,9 @@ not reading it.
 Likewise every keyword-only parameter of a `src/lzl` function must be
 passed by name somewhere in those files, as a keyword argument or a
 string key: a keyword that only tests pass selects a code path that only
-tests run.
+tests run.  The same holds for a keyword's value: where a function compares
+a keyword-only parameter with a string, some call in those files passes
+that keyword with that string.
 """
 
 import ast
@@ -88,3 +90,32 @@ def test_every_keyword_only_parameter_is_passed_by_the_program():
                 passed.add(node.value)
     unpassed = [f"{m}:{f}(*, {arg})" for m, f, arg in keyword_only if arg not in passed]
     assert keyword_only and not unpassed
+
+
+def test_every_compared_keyword_value_is_passed_by_the_program():
+    # a keyword-only parameter compared with a string selects a code path by
+    # that string, so some call in the program must pass the keyword with it
+    compared = []  # (module, function, parameter, string)
+    for path in SRC:
+        for func in ast.walk(parse(path)):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            keyword_only = {a.arg for a in func.args.kwonlyargs}
+            for node in ast.walk(func):
+                if not (isinstance(node, ast.Compare) and len(node.ops) == 1
+                        and isinstance(node.ops[0], ast.Eq)):
+                    continue
+                left, right = node.left, node.comparators[0]
+                for name, value in ((left, right), (right, left)):
+                    if (isinstance(name, ast.Name) and name.id in keyword_only
+                            and isinstance(value, ast.Constant) and isinstance(value.value, str)):
+                        compared.append((path.name, func.name, name.id, value.value))
+    passed = {
+        (node.arg, node.value.value)
+        for tree in [parse(path) for path in SRC] + tool_modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.keyword) and isinstance(node.value, ast.Constant)
+    }
+    unpassed = [f"{m}:{f}({arg}={value!r})" for m, f, arg, value in compared
+                if (arg, value) not in passed]
+    assert compared and not unpassed

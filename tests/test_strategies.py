@@ -15,7 +15,6 @@ from lzl.graphs import (
 )
 from lzl.prox import ProbeSchedule, prox_number, prox_solve, prox_winnable, run_schedule
 from lzl.strategies import (
-    EndgameLiftPolicy,
     PathDecomposition,
     TreeLiftPolicy,
     _midway_bits,
@@ -512,35 +511,6 @@ class TestLifts:
         with pytest.raises(UsageError):
             lift_prox_to_zeta(g, bad, variant="delta")
 
-    def test_endgame_requires_budget(self):
-        g = generate("path", n=6)
-        sweep = ProbeSchedule.from_lists(1, [{1}, {2}, {3}, {4}])
-        with pytest.raises(UsageError):
-            lift_prox_to_zeta(g, sweep, variant="endgame")
-
-    def test_endgame_lift_captures(self):
-        # four cops reach max degree squared on a path; a flag at v brings
-        # the distance-two ball around v, which pins the robber next round
-        n = 24
-        rounds = [{min(x + d, n - 1) for d in (0, 3, 6, 9)} for x in (1, 9, 17, 25)]
-        g = generate("path", n=n)
-        policy = lift_prox_to_zeta(
-            g, ProbeSchedule.from_lists(4, rounds), variant="endgame"
-        )
-        sim = simulate_policy(g, policy)
-        assert sim.outcome == "captured-all-branches"
-        assert (sim.worst_capture_round, sim.branches) == (4, 59)
-
-    def test_endgame_lift_idle_replay_round_is_no_escape(self):
-        # the replay probes again after its idle first round, so that round
-        # ends nothing; the robber is caught at round 2 on every branch
-        g = generate("path", n=4)
-        schedule = ProbeSchedule.from_lists(4, [[], [1, 2]])
-        assert run_schedule(g, schedule).cleared
-        sim = simulate_policy(g, lift_prox_to_zeta(g, schedule, variant="endgame"))
-        assert (sim.outcome, sim.worst_capture_round, sim.branches) == (
-            "captured-all-branches", 2, 5)
-
     def test_tree_lift_spider555_pinned(self):
         g = generate("spider", arms=[5, 5, 5])
         policy = lift_prox_to_zeta(g, prox_solve(g)[1], variant="tree")
@@ -549,14 +519,10 @@ class TestLifts:
             "captured-all-branches", 28, 408)
 
     def test_losing_lifts_escape(self):
-        # both loop forever: the robber revisits a (policy state, candidates)
+        # the lift loops forever: the robber revisits a (policy state, candidates)
         # pair, which is a finite escape witness, not a run to the round cap
         g = generate("path", n=9)
         policy = TreeLiftPolicy(g, ProbeSchedule.from_lists(1, [{4}]), 0)
-        sim = simulate_policy(g, policy)
-        assert sim.outcome == "escape-witness" and len(sim.escape_path) <= 8
-        g = generate("path", n=6)
-        policy = EndgameLiftPolicy(g, ProbeSchedule.from_lists(4, [{0}, {5}]))
         sim = simulate_policy(g, policy)
         assert sim.outcome == "escape-witness" and len(sim.escape_path) <= 8
 

@@ -32,7 +32,6 @@ from lzl.zeta import (
     _frame,
     _partition_bits,
     _probe_sets,
-    build_policy,
     observe,
     simulate_policy,
     zeta_number,
@@ -269,12 +268,12 @@ def branch_enumerate(g, rounds):
 class TestSimulate:
     def test_k4_probe_all_but_one(self):
         g = generate("complete", n=4)
-        sim = simulate_policy(g, build_policy("probe-all-but-one", g))
+        sim = simulate_policy(g, POLICY_REGISTRY["probe-all-but-one"](g))
         assert sim.captured and sim.worst_capture_round == 1
 
     def test_spider_arm_scan_escapes(self):
         g = generate("spider", arms=[3, 3, 3])
-        sim = simulate_policy(g, build_policy("arm-scan", g))
+        sim = simulate_policy(g, POLICY_REGISTRY["arm-scan"](g))
         assert sim.outcome == "escape-witness"
         assert sim.escape_path  # first escape branch is exported
 
@@ -282,19 +281,19 @@ class TestSimulate:
         # frozen from explicit enumeration: probing v2,v3,v4 leaves the
         # candidate pairs {1,2} and {3,5} alive after round 3
         g = generate("path", n=5)
-        sim = simulate_policy(g, build_policy("sweep", g))
+        sim = simulate_policy(g, POLICY_REGISTRY["sweep"](g))
         assert sim.outcome == "escape-witness"
         assert not branch_enumerate(g, [[1], [2], [3]])
 
     def test_p5_front_sweep_captures(self):
         g = generate("path", n=5)
-        sim = simulate_policy(g, build_policy("front-sweep", g))
+        sim = simulate_policy(g, POLICY_REGISTRY["front-sweep"](g))
         assert sim.captured and sim.worst_capture_round == 3
         assert branch_enumerate(g, [[0], [1], [2], [3]])
 
     def test_idle_round_with_rounds_left_is_not_an_escape(self):
         g = generate("path", n=5)
-        front = build_policy("front-sweep", g)
+        front = POLICY_REGISTRY["front-sweep"](g)
         idle_first = SchedulePolicy([set()] + front.rounds, budget=1)
         sim = simulate_policy(g, idle_first)
         assert sim.captured
@@ -310,7 +309,7 @@ class TestSimulate:
     def test_finished_schedule_escape_ends_on_a_repeat(self, g, name):
         # after its last round the schedule rests in one idle state, so a
         # losing play ends when two idle rounds see the same candidates
-        policy = build_policy(name, g)
+        policy = POLICY_REGISTRY[name](g)
         sim = simulate_policy(g, policy)
         assert sim.outcome == "escape-witness"
         last, before = sim.escape_path[-1], sim.escape_path[-2]
@@ -335,7 +334,7 @@ class TestSimulate:
 
         monkeypatch.setattr(sys, "setrecursionlimit", refuse)
         g = generate("path", n=1500)
-        sim = simulate_policy(g, build_policy("front-sweep", g), round_cap=3000)
+        sim = simulate_policy(g, POLICY_REGISTRY["front-sweep"](g), round_cap=3000)
         assert sim.captured and sim.worst_capture_round == 1498
 
     def test_escape_paths_pinned(self):
@@ -344,14 +343,14 @@ class TestSimulate:
                     "observation": [obs] if obs else None, "candidates": cands}
 
         g = generate("path", n=5)
-        sim = simulate_policy(g, build_policy("sweep", g))
+        sim = simulate_policy(g, POLICY_REGISTRY["sweep"](g))
         assert sim.escape_path == [
             frame(1, 2, "1", [1, 3]), frame(2, 3, "1", [2, 4]),
             frame(3, 4, "1", [3, 5]), frame(4, None, None, [2, 3, 4, 5]),
             frame(5, None, None, [1, 2, 3, 4, 5]), frame(6, None, None, [1, 2, 3, 4, 5]),
         ]
         g = generate("spider", arms=[3, 3, 3])
-        sim = simulate_policy(g, build_policy("arm-scan", g))
+        sim = simulate_policy(g, POLICY_REGISTRY["arm-scan"](g))
         steps = [
             (2, "1", [1, 3]), (3, "1", [2, 4]), (4, "*", [1, 2]), (5, "*", [2, 3, 8]),
             (6, "*", [1, 2, 3, 4, 8, 9]), (7, "*", [1, 2, 3, 4, 5, 8, 9, 10]),
@@ -525,14 +524,14 @@ class TestSimulateAgainstOracle:
     @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
     def test_registry_policies(self, policy, name):
         g = ORACLE_GRAPHS[name]
-        assert_same_as_oracle(g, build_policy(policy, g))
+        assert_same_as_oracle(g, POLICY_REGISTRY[policy](g))
 
     def test_registry_gives_escape_witnesses(self):
         escapes = [
             (name, policy)
             for name, g in ORACLE_GRAPHS.items()
             for policy in POLICY_REGISTRY
-            if simulate_policy(g, build_policy(policy, g)).escape_path
+            if simulate_policy(g, POLICY_REGISTRY[policy](g)).escape_path
         ]
         assert len(escapes) >= 10
 
@@ -543,7 +542,7 @@ class TestSimulateAgainstOracle:
         got = assert_same_as_oracle(g, strat_tree_log(g), round_cap=round_cap)
         assert got.outcome == "cap-exceeded"
         got = assert_same_as_oracle(
-            g, build_policy("front-sweep", g), round_cap=round_cap)
+            g, POLICY_REGISTRY["front-sweep"](g), round_cap=round_cap)
         assert got.outcome in ("cap-exceeded", "escape-witness")
 
 
