@@ -13,6 +13,7 @@ byte-identical report sections.  Each engine checks its own size cap; the
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -188,7 +189,7 @@ def cmd_iso(args) -> tuple[dict | None, int]:
 def _grid_side_of(g: Graph) -> int | None:
     """n when ``g`` is the n-by-n grid with the generator's vertex order."""
     side = math.isqrt(g.n)
-    if side * side != g.n or side < 2 or g.adj_bits != generate("grid", n=side).adj_bits:
+    if side * side != g.n or side < 2 or g != generate("grid", n=side):
         return None
     return side
 
@@ -203,7 +204,7 @@ def _kary_shape_of(g: Graph) -> tuple[int, int] | None:
     # the order test keeps a wide shallow tree from generating a huge one
     if d < 2 or g.n != kary_order(k, d):
         return None
-    if g.adj_bits != generate("kary", k=k, d=d).adj_bits:
+    if g != generate("kary", k=k, d=d):
         return None
     return k, d
 
@@ -383,7 +384,9 @@ def cmd_table(args) -> tuple[dict | None, int]:
     return body, (EXIT_OK if not mismatches else EXIT_NEGATIVE)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused by every later ``main``."""
     p = argparse.ArgumentParser(
         prog="lzl",
         description="exact engines and verified strategies for the "

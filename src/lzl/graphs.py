@@ -1,7 +1,7 @@
-"""Immutable simple undirected graphs with bitmask adjacency rows.
+"""Immutable simple undirected graphs stored as sorted neighbour tuples.
 
 Vertices are 0-based internally and 1-based in the line-oriented file
-format.  Adjacency rows never contain the vertex itself: reflexivity is a
+format.  A vertex is never its own neighbour: reflexivity is a
 game-semantics matter (the robber may stay put), not an adjacency fact.
 Generators cover every family the solvers and strategies consume: paths,
 cycles, complete graphs, square grids, k-ary trees, spiders, and edge
@@ -11,8 +11,9 @@ Every graph is connected, and a vertex set is an int mask of it throughout
 the package: bit v stands for the 0-based vertex v.  A part of a graph, such
 as a region or a component, is such a mask; no relabelled subgraph is built.
 The automorphism group, given by generators, lets the exact solvers keep one
-state per orbit of masks.  It and every other table derived from the edges
-is built on first use and kept in the graph's one store.
+state per orbit of masks.  It, the bitmask adjacency rows and every other
+table derived from the edges is built on first use and kept in the graph's
+one store.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import hashlib
 from collections import deque
 from functools import wraps
 from itertools import accumulate, chain, pairwise
+from operator import contains
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import SizeCapError, UsageError
@@ -29,13 +31,18 @@ from .errors import SizeCapError, UsageError
 #: this guards runaway constructions rather than a machine word size; the
 #: exponential solvers enforce their own much smaller caps.  Large enough
 #: for every verification target (ternary depth-8 trees have 9841 vertices).
+#: A graph stores O(n + m) neighbour tuples.  Only a reader of ``adj_bits``
+#: builds the rows, up to n^2 bits (about 4 MiB on a breadth-first tree of
+#: 9841 vertices); the tree schedules, their stepper and the grid sweep
+#: read none, so the rows bound no memory there.
 VERTEX_CAP = 16384
 
 #: Most distinct index offsets ``v - u`` over all edges (both signs) for which
 #: a graph gets the shift kernel.  Lattices have few: paths 2, grids and
-#: cycles 4, the 4-by-4 torus 8.  Above this the loop over set bits is the
-#: faster kernel (K9 has 16 offsets), and trees in breadth-first order have
-#: thousands.
+#: cycles 4, the 4-by-4 torus 8.  Above this the loop over bitmask rows is
+#: the faster kernel (K9 has 16 offsets), and trees in breadth-first order
+#: have thousands.  Counting stops past the limit, so finding that a tree has
+#: no shift kernel reads a few neighbour tuples and builds no row.
 MAX_SHIFT_OFFSETS = 8
 
 
@@ -68,29 +75,44 @@ def _per_graph(build):
 
 
 class Graph:
-    """Connected simple graph: edges that leave it disconnected are rejected."""
+    """Connected simple graph: edges that leave it disconnected are rejected.
 
-    __slots__ = ("n", "adj_bits", "shifts", "_store")
+    The stored adjacency is ``nbrs``, every vertex's neighbours in ascending
+    order, built in O(m).  The bitmask rows ``adj_bits`` are derived from it
+    on first read, for the readers that work on masks.
+    """
+
+    __slots__ = ("n", "m", "nbrs", "shifts", "_store")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n <= 0:
             raise UsageError("graph must have at least one vertex")
         if n > VERTEX_CAP:
             raise SizeCapError("graph order", n, VERTEX_CAP)
-        rows = [0] * n
+        lists: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise UsageError(f"edge ({u}, {v}) out of range")
             if u == v:
                 raise UsageError(f"self-loop at vertex {u}")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
+            lists[u].append(v)
+            lists[v].append(u)
+        # a repeated edge, in either direction, is kept once
+        nbrs = tuple([tuple(sorted(set(vs))) if len(vs) > 1 else tuple(vs) for vs in lists])
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adj_bits", tuple(rows))
-        object.__setattr__(self, "shifts", _shift_kernel(rows))
+        object.__setattr__(self, "m", sum(map(len, nbrs)) // 2)
+        object.__setattr__(self, "nbrs", nbrs)
+        object.__setattr__(self, "shifts", _shift_kernel(nbrs))
         object.__setattr__(self, "_store", {})
-        full = (1 << n) - 1
-        if _reach(self, 1, full) != full:
+        seen = bytearray(n)
+        seen[0] = 1
+        reached = [0]
+        for v in reached:  # the list grows while it is read
+            for w in nbrs[v]:
+                if not seen[w]:
+                    seen[w] = 1
+                    reached.append(w)
+        if len(reached) != n:
             raise UsageError("graph is disconnected")
 
     def __setattr__(self, name, value):
@@ -99,22 +121,29 @@ class Graph:
     # -- basic queries -------------------------------------------------
 
     def degree(self, v: int) -> int:
-        return self.adj_bits[v].bit_count()
+        return len(self.nbrs[v])
 
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj_bits) // 2
+        return self.m
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            for v in iter_bits(self.adj_bits[u] >> (u + 1)):
-                yield (u, v + u + 1)
+        for u, row in enumerate(self.nbrs):
+            for v in row:
+                if v > u:
+                    yield (u, v)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (self.adj_bits[u] >> v) & 1 == 1
+        return v in self.nbrs[u]
 
     def is_tree(self) -> bool:
         """A connected graph is a tree exactly when it has n - 1 edges."""
-        return self.edge_count() == self.n - 1
+        return self.m == self.n - 1
+
+    @property
+    @_per_graph
+    def adj_bits(self) -> tuple[int, ...]:
+        """Row v is the mask of the neighbours of v, without v itself."""
+        return tuple(mask_of(row) for row in self.nbrs)
 
     @_per_graph
     def content_hash(self) -> str:
@@ -122,38 +151,41 @@ class Graph:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Graph):
-            return self.n == other.n and self.adj_bits == other.adj_bits
+            return self.n == other.n and self.nbrs == other.nbrs
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.n, self.adj_bits))
+        return hash((self.n, self.nbrs))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={self.edge_count()})"
+        return f"Graph(n={self.n}, m={self.m})"
 
 
-def _shift_kernel(rows: Sequence[int]) -> tuple[tuple[int, int], ...] | None:
+#: byte 0 to the digit "0" and byte 1 to "1", for ``int(..., 2)``
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _shift_kernel(nbrs: Sequence[Sequence[int]]) -> tuple[tuple[int, int], ...] | None:
     """``(d, src)`` pairs for the shift kernel, or None when it does not apply.
 
     For each edge offset ``d > 0``, ``src`` holds every u adjacent to u + d,
     so the neighbours of S across those edges are ``(S & src) << d`` and
     ``(S >> d) & src``.  Bit d-1 of ``seen`` marks offset d; counting stops
-    as soon as the limit is passed, so such a graph builds no mask.
+    as soon as the limit is passed, so such a graph builds no mask.  A mask
+    is read from one "0"/"1" digit per vertex, the highest vertex first.
     """
     seen = 0
-    for u, row in enumerate(rows):
-        seen |= row >> (u + 1)
+    for u, row in enumerate(nbrs):
+        for v in row:
+            if v > u:
+                seen |= 1 << (v - u - 1)
         if 2 * seen.bit_count() > MAX_SHIFT_OFFSETS:
             return None
-    kernel = []
-    for d in iter_bits(seen):
-        d += 1
-        src = 0
-        for u, row in enumerate(rows):
-            if (row >> (u + d)) & 1:
-                src |= 1 << u
-        kernel.append((d, src))
-    return tuple(kernel)
+    n = len(nbrs)
+    return tuple(
+        (d, int(bytes(map(contains, nbrs, range(d, n + d)))[::-1].translate(_DIGITS), 2))
+        for d in (bit + 1 for bit in iter_bits(seen))
+    )
 
 
 # -- file format --------------------------------------------------------
@@ -235,9 +267,8 @@ def parse_graph(text: str) -> Graph:
 
 def serialize_graph(g: Graph) -> str:
     """Byte-stable serialization: the header, then the edges in sorted order."""
-    lines = [f"p {g.n} {g.edge_count()}"]
-    for u, v in g.edges():
-        lines.append(f"e {u + 1} {v + 1}")
+    lines = [f"p {g.n} {g.m}"]
+    lines += [f"e {u + 1} {v + 1}" for u, v in g.edges()]
     return "\n".join(lines) + "\n"
 
 
@@ -390,22 +421,12 @@ def _union_table(rows: Sequence[int]) -> tuple[int, ...]:
     return tuple(table)
 
 
-@_per_graph
-def neighbor_tuples(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """The neighbors of every vertex in ascending order, from one pass over the edges."""
-    rows: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges():
-        rows[u].append(v)
-        rows[v].append(u)
-    return tuple(tuple(row) for row in rows)
-
-
 def rooted_tree(g: Graph, root: int) -> tuple[list[int], list[list[int]], list[int]]:
     """BFS parents, children and depths of the tree ``g`` rooted at ``root``."""
     parent = [-1] * g.n
     depth = [-1] * g.n
     children: list[list[int]] = [[] for _ in range(g.n)]
-    nbrs = neighbor_tuples(g)
+    nbrs = g.nbrs
     depth[root] = 0
     queue = deque([root])
     while queue:
@@ -420,7 +441,7 @@ def rooted_tree(g: Graph, root: int) -> tuple[list[int], list[list[int]], list[i
 
 
 def max_degree(g: Graph) -> int:
-    return max(row.bit_count() for row in g.adj_bits)
+    return max(map(len, g.nbrs))
 
 
 def is_c4_free(g: Graph) -> bool:

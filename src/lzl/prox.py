@@ -28,7 +28,6 @@ from .graphs import (
     Graph,
     closed_nb_bits,
     mask_of,
-    neighbor_tuples,
     orbit_closer,
     spread_tables,
 )
@@ -171,7 +170,7 @@ def _sparse_steps(g: Graph, schedule: ProbeSchedule) -> Iterator[tuple[int, bool
     vertex whose count drops to 0 leaves it, and a removed vertex with a
     count rejoins it.
     """
-    nbrs = neighbor_tuples(g)
+    nbrs = g.nbrs
     closed = [(v, *row) for v, row in enumerate(nbrs)]
     inside = [True] * g.n
     size = g.n

@@ -23,7 +23,6 @@ from .graphs import (
     iter_bits,
     mask_of,
     max_degree,
-    neighbor_tuples,
     rooted_tree,
 )
 from .prox import ProbeSchedule, prox_solve, run_schedule
@@ -398,7 +397,7 @@ class DominationPolicy(Policy):
     def probes(self, state) -> frozenset[int]:
         if state is None:
             return self.dom
-        return self.dom | frozenset(iter_bits(self.g.adj_bits[state]))
+        return self.dom | frozenset(self.g.nbrs[state])
 
     def advance(self, state, flagged):
         return flagged[0] if flagged else None
@@ -518,7 +517,7 @@ class TreeLiftPolicy(Policy):
         self.name = "lift-tree"
         self.budget = schedule.cops + 1
         self.root = root
-        self.nbrs = neighbor_tuples(g)
+        self.nbrs = g.nbrs
         self.parent, _, self.depth = rooted_tree(g, root)
 
     def _toward(self, u: int, v: int) -> int:
@@ -574,7 +573,7 @@ def lift_prox_to_zeta(
         for r in prox_strategy.rounds:
             probes = set(r)
             for u in sorted(r):
-                probes.update(sorted(iter_bits(g.adj_bits[u]))[: delta - 1])
+                probes.update(g.nbrs[u][: delta - 1])
             rounds.append(probes)
         return SchedulePolicy(
             rounds, budget=delta * prox_strategy.cops, name="lift-delta"

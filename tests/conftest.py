@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 import random
 from collections import deque
@@ -6,6 +7,8 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import HealthCheck, settings
 
+import lzl.graphs
+from lzl.errors import SizeCapError, UsageError
 from lzl.graphs import Graph, generate, iter_bits, mask_of
 from lzl.gridsweep import probe_set
 
@@ -25,6 +28,66 @@ def mask(*vertices: int) -> int:
 def edge_boundary(g: Graph, s: int) -> int:
     """Reference count of the edges with exactly one endpoint in the mask ``s``."""
     return sum(((s >> u) ^ (s >> v)) & 1 for u, v in g.edges())
+
+
+@dataclass(frozen=True)
+class RowConstruction:
+    """What ``Graph(n, edges)`` yields when built by OR-ing each edge into adjacency rows."""
+
+    adj_bits: tuple[int, ...]
+    shifts: tuple[tuple[int, int], ...] | None
+    edges: list[tuple[int, int]]
+    text: str  # the file format: the header, then the edges in sorted order
+
+    @property
+    def content_hash(self) -> str:
+        return hashlib.sha256(self.text.encode()).hexdigest()[:16]
+
+
+def row_construction(n: int, edges) -> RowConstruction:
+    """Reference construction on one bitmask row per vertex, with the same checks in the same order.
+
+    The order cap is checked before any edge is read, then each edge's
+    range and self-loop in turn; a repeated edge ORs into the rows again.
+    Connectivity is a reach from vertex 0 over the rows, and the shift
+    kernel's offsets are read off the rows with the same early stop.
+    """
+    if n <= 0:
+        raise UsageError("graph must have at least one vertex")
+    if n > lzl.graphs.VERTEX_CAP:
+        raise SizeCapError("graph order", n, lzl.graphs.VERTEX_CAP)
+    rows = [0] * n
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise UsageError(f"edge ({u}, {v}) out of range")
+        if u == v:
+            raise UsageError(f"self-loop at vertex {u}")
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    seen = frontier = 1
+    while frontier:
+        spread = frontier
+        for v in iter_bits(frontier):
+            spread |= rows[v]
+        frontier = spread & ~seen
+        seen |= frontier
+    if seen != (1 << n) - 1:
+        raise UsageError("graph is disconnected")
+
+    offsets = 0
+    shifts: tuple[tuple[int, int], ...] | None = None
+    for u, row in enumerate(rows):
+        offsets |= row >> (u + 1)
+        if 2 * offsets.bit_count() > lzl.graphs.MAX_SHIFT_OFFSETS:
+            break
+    else:
+        shifts = tuple(
+            (d + 1, mask_of(u for u, row in enumerate(rows) if (row >> (u + d + 1)) & 1))
+            for d in iter_bits(offsets)
+        )
+    pairs = [(u, v) for u in range(n) for v in iter_bits(rows[u]) if v > u]
+    text = "\n".join([f"p {n} {len(pairs)}"] + [f"e {u + 1} {v + 1}" for u, v in pairs]) + "\n"
+    return RowConstruction(tuple(rows), shifts, pairs, text)
 
 
 def gray_scan_oracle(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:

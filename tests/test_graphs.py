@@ -19,7 +19,6 @@ from lzl.graphs import (
     iter_bits,
     mask_of,
     max_degree,
-    neighbor_tuples,
     orbit_closer,
     parse_graph,
     rooted_tree,
@@ -28,6 +27,8 @@ from lzl.graphs import (
     subdivide,
     twin_classes,
 )
+from lzl.prox import run_schedule
+from lzl.strategies import strat_tree_depth, strat_tree_levels
 
 from conftest import (
     bfs_distances,
@@ -36,6 +37,7 @@ from conftest import (
     induced_connected,
     mask,
     random_connected_graph,
+    row_construction,
     symmetric_graphs,
 )
 
@@ -350,10 +352,11 @@ class TestTraversals:
     @pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
     def test_neighbor_tuples(self, name):
         g = KERNEL_GRAPHS[name]
-        assert neighbor_tuples(g) == tuple(
-            tuple(w for w in range(g.n) if g.has_edge(v, w)) for v in range(g.n)
+        assert g.nbrs == tuple(
+            tuple(w for w in range(g.n) if (g.adj_bits[v] >> w) & 1) for v in range(g.n)
         )
-        assert neighbor_tuples(g) is neighbor_tuples(g)  # built once per graph
+        # stored as tuples all the way down, so the graph hashes by them
+        assert type(g.nbrs) is tuple and all(type(row) is tuple for row in g.nbrs)
 
     @pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
     def test_endgame_ball2(self, name):
@@ -469,6 +472,85 @@ def test_graph_is_connected_and_a_tree_by_edge_count(case):
     assert g.is_tree() == (len(distinct) == n - 1) == acyclic
 
 
+def assert_built_like_rows(n, edges):
+    """Graph(n, edges) raises what the row construction raises, or agrees with it on every reading."""
+    try:
+        ref = row_construction(n, edges)
+    except (UsageError, SizeCapError) as exc:
+        with pytest.raises((UsageError, SizeCapError)) as raised:
+            Graph(n, edges)
+        assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+        return
+    g = Graph(n, edges)
+    assert g.nbrs == tuple(tuple(iter_bits(row)) for row in ref.adj_bits)
+    assert g.adj_bits == ref.adj_bits
+    assert g.m == g.edge_count() == len(ref.edges)
+    assert list(g.edges()) == ref.edges
+    assert g.shifts == ref.shifts
+    assert serialize_graph(g) == ref.text
+    assert g.content_hash() == ref.content_hash
+
+
+class TestConstruction:
+    @given(EDGE_LISTS, st.booleans(), st.integers(0, 20),
+           st.sampled_from([None, None, None, (0, 0), (2, 2), (0, -1), (9, 9), (1, 99)]))
+    @settings(max_examples=300)
+    def test_matches_row_construction(self, case, spanning, at, bad):
+        # repeated and reversed pairs come up often among up to 12 edges on
+        # at most 8 vertices; a reversed spanning path makes most cases
+        # connected, and one bad edge goes anywhere in the list
+        n, drawn = case
+        edges = ([(v + 1, v) for v in range(n - 1)] if spanning else []) + drawn
+        if bad:
+            edges.insert(at % (len(edges) + 1), bad)
+        assert_built_like_rows(n, edges)
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
+    def test_kernel_graphs_match_row_construction(self, name):
+        g = KERNEL_GRAPHS[name]
+        edges = list(g.edges())
+        assert_built_like_rows(g.n, edges)
+        assert_built_like_rows(g.n, [(v, u) for u, v in reversed(edges)] + edges)
+
+    @pytest.mark.parametrize("n, edges", [
+        (0, []),
+        (-3, [(0, 1)]),
+        (3, [(0, 1), (1, 3)]),
+        (3, [(0, 1), (-1, 2)]),
+        (3, [(0, 1), (2, 2)]),
+        (3, [(1, 1), (0, 5)]),  # the first bad edge is the one named
+        (3, [(0, 5), (1, 1)]),
+        (4, [(0, 1), (2, 3), (1, 0)]),
+        (2, []),
+    ])
+    def test_refusals_match_row_construction(self, n, edges):
+        with pytest.raises((UsageError, SizeCapError)):
+            row_construction(n, edges)
+        assert_built_like_rows(n, edges)
+
+    def test_order_cap_before_any_edge_is_read(self):
+        def unread():
+            raise AssertionError("an edge was read")
+            yield
+
+        n = lzl.graphs.VERTEX_CAP + 1
+        for build in (row_construction, Graph):
+            with pytest.raises(SizeCapError, match=rf"^graph order: size {n} exceeds cap"):
+                build(n, unread())
+
+
+@pytest.mark.parametrize("g, build", [
+    (generate("kary", k=3, d=8), strat_tree_depth),
+    (subdivide(generate("kary", k=3, d=3), 100), strat_tree_levels),
+], ids=["kary:3,8-tree-depth", "T100-tree-levels"])
+def test_tree_path_builds_no_rows(g, build):
+    # a tree schedule, its verification and the report's graph fields read
+    # the neighbour tuples; only the content hash is kept in the store
+    assert run_schedule(g, build(g, 0)).cleared
+    assert g.content_hash() and max_degree(g) == 4 and g.is_tree()
+    assert list(g._store) == [Graph.content_hash.__wrapped__]
+
+
 @given(st.integers(0, 10_000), st.integers(2, 9))
 def test_parse_serialize_roundtrip(seed, n):
     rng = random.Random(seed)
@@ -535,7 +617,7 @@ class TestAutomorphisms:
 
     def test_built_once_per_graph(self):
         g = generate("grid", n=3)
-        for kept in (Graph.content_hash, neighbor_tuples, spread_tables,
+        for kept in (Graph.content_hash, Graph.adj_bits.fget, spread_tables,
                      automorphism_generators, twin_classes, orbit_closer):
             assert kept(g) is kept(g), kept.__name__
 
