@@ -383,16 +383,35 @@ def subdivide(base: Graph, i: int) -> Graph:
 # -- neighborhood and component kernels ----------------------------------
 
 
+#: the set bit positions of each byte value, ascending
+_BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
+
+
 def closed_nb_bits(g: Graph, bits: int) -> int:
-    """N[S] for the mask ``bits``: shifts on lattices, a loop over set bits otherwise."""
+    """N[S] for the mask ``bits``: shifts on lattices, a loop over set bits otherwise.
+
+    The loop ORs in the row of each set bit.  A mask with more than one set
+    bit per 16 positions is read byte by byte, each nonzero byte's bits
+    from a table; a sparser one is walked by its lowest set bit, so a
+    small frontier of a large graph costs no pass over its empty bytes.
+    """
     out = bits
-    if g.shifts is None:
-        adj = g.adj_bits
-        for v in iter_bits(bits):
-            out |= adj[v]
-    else:
+    if g.shifts is not None:
         for d, src in g.shifts:
             out |= ((bits & src) << d) | ((bits >> d) & src)
+        return out
+    adj = g.adj_bits
+    if bits.bit_count() * 16 > bits.bit_length():
+        for i, byte in enumerate(bits.to_bytes((bits.bit_length() + 7) // 8, "little")):
+            if byte:
+                base = 8 * i
+                for j in _BYTE_BITS[byte]:
+                    out |= adj[base + j]
+    else:
+        while bits:
+            low = bits & -bits
+            out |= adj[low.bit_length() - 1]
+            bits ^= low
     return out
 
 

@@ -168,29 +168,30 @@ def _sparse_steps(g: Graph, schedule: ProbeSchedule) -> Iterator[tuple[int, bool
     removes S inside N[probes], then mends counts and fringe in place: a
     neighbor of an added vertex joins the fringe unless it is inside, a
     vertex whose count drops to 0 leaves it, and a removed vertex with a
-    count rejoins it.
+    count rejoins it.  N[probes] is read off the graph's own neighbor
+    tuples, and the added vertices are one set difference.
     """
     nbrs = g.nbrs
-    closed = [(v, *row) for v, row in enumerate(nbrs)]
     inside = [True] * g.n
     size = g.n
     counts = [len(row) for row in nbrs]
     fringe: set[int] = set()
 
     for probes in schedule.rounds:
-        probe_nb = set()
+        probe_nb = set(probes)
         for v in probes:
-            probe_nb.update(closed[v])
-        added = [v for v in fringe if v not in probe_nb]
+            probe_nb.update(nbrs[v])
+        added = fringe - probe_nb
         removed = [v for v in probe_nb if inside[v]]
-        for v in added:
-            inside[v] = True
-        fringe.difference_update(added)
-        for v in added:
-            for w in nbrs[v]:
-                counts[w] += 1
-                if not inside[w]:
-                    fringe.add(w)
+        if added:
+            fringe -= added
+            for v in added:
+                inside[v] = True
+            for v in added:
+                for w in nbrs[v]:
+                    counts[w] += 1
+                    if not inside[w]:
+                        fringe.add(w)
         for v in removed:
             inside[v] = False
             for w in nbrs[v]:

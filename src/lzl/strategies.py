@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Sequence
+from itertools import combinations, cycle
+from typing import Callable, Iterable, Sequence
 
 from .errors import SizeCapError, UsageError
 from .graphs import (
@@ -99,44 +99,30 @@ def strat_tree_log(g: Graph) -> Policy:
 # -- depth-based prox strategy ---------------------------------------------
 
 
-def _leaf_paths(g: Graph, root: int) -> list[list[int]]:
-    """Root-to-leaf paths in DFS order, children visited ascending."""
-    parent, children, depth = rooted_tree(g, root)
-    paths = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        if not children[v] and v != root:
-            path = []
-            w = v
-            while w != -1:
-                path.append(w)
-                w = parent[w]
-            paths.append(path[::-1])
-        for c in reversed(children[v]):
-            stack.append(c)
-    if not paths:  # single-vertex tree
-        paths = [[root]]
-    return paths
-
-
 def strat_tree_depth(g: Graph, root: int) -> ProbeSchedule:
     """Two probe rounds per leaf path: indices 0 mod 4, then 2 mod 4.
 
-    Clears leaf paths in DFS order; a path of length q spends one round on
-    {u_{4j}} and one on {u_{4j+2}}, so paths shorter than 4 degenerate to
-    probing u_0 and, when q >= 2, u_2.  Budget floor(d/4)+1.
+    Clears the root-to-leaf paths in DFS order, children visited ascending;
+    a path u_0..u_q spends one round on {u_{4j}} and one on {u_{4j+2}}, so
+    paths shorter than 4 degenerate to probing u_0 and, when q >= 2, u_2.
+    The DFS keeps the path to the current vertex, so each leaf's rounds are
+    two slices of it.  A one-vertex tree is one path of one vertex.
+    Budget floor(d/4)+1.
     """
     _require_tree(g)
-    rounds: list[set[int]] = []
-    for path in _leaf_paths(g, root):
-        q = len(path) - 1
-        round_a = {path[4 * j] for j in range(q // 4 + 1)}
-        round_b = {path[4 * j + 2] for j in range((q - 2) // 4 + 1)} if q >= 2 else set()
-        rounds.append(round_a)
-        rounds.append(round_b)
-    budget = max(1, max(len(r) for r in rounds))
-    return ProbeSchedule.from_lists(budget, rounds)
+    _, children, depth = rooted_tree(g, root)
+    rounds: list[frozenset[int]] = []
+    path: list[int] = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        del path[depth[v]:]
+        path.append(v)
+        if children[v]:
+            stack += reversed(children[v])
+        else:
+            rounds += frozenset(path[::4]), frozenset(path[2::4])
+    return ProbeSchedule(max(1, max(map(len, rounds))), tuple(rounds))
 
 
 # -- tree levels and the level-line prox strategy ---------------------------
@@ -180,18 +166,14 @@ def tree_upper_bounds(g: Graph, root: int) -> tuple[int, int, int]:
 
 
 class _Guard:
-    """One cop cycling a fixed group of at most three vertices."""
+    """One cop cycling a fixed group of at most three vertices, with their parents."""
 
-    __slots__ = ("cycle", "pos")
+    __slots__ = ("group", "ticks", "parents")
 
-    def __init__(self, cycle: Sequence[int]):
-        self.cycle = list(cycle)
-        self.pos = 0
-
-    def tick(self) -> int:
-        v = self.cycle[self.pos % len(self.cycle)]
-        self.pos += 1
-        return v
+    def __init__(self, group: Sequence[int], parent: Sequence[int]):
+        self.group = group
+        self.ticks = cycle(group)  # the vertex it probes in each round
+        self.parents = {parent[v] for v in group}
 
 
 def strat_tree_levels(g: Graph, root: int) -> ProbeSchedule:
@@ -211,22 +193,21 @@ def strat_tree_levels(g: Graph, root: int) -> ProbeSchedule:
     levels = nonleaf_levels(children, depth)
     budget = level_bound(levels)
     rounds: list[set[int]] = []
-    guards: list[_Guard] = []
 
-    def emit(extra: Sequence[int] = ()) -> None:
-        probes = set(extra)
-        for gd in guards:
-            probes.add(gd.tick())
+    def emit(guards: list[_Guard], extra: Iterable[int] = ()) -> None:
+        probes = {next(gd.ticks) for gd in guards}
+        probes.update(extra)
         if len(probes) > budget:
             raise AssertionError("level strategy exceeded its cop budget")
         rounds.append(probes)
 
+    guards: list[_Guard] = []
     for j in range(len(levels) - 1, 0, -1):
         old_guards = guards
         order: list[int] = []
         seen: set[int] = set()
-        for og in sorted(old_guards, key=lambda og: min(parent[v] for v in og.cycle)):
-            for v in og.cycle:
+        for og in sorted(old_guards, key=lambda og: min(og.parents)):
+            for v in og.group:
                 p = parent[v]
                 if p not in seen:
                     seen.add(p)
@@ -237,30 +218,23 @@ def strat_tree_levels(g: Graph, root: int) -> ProbeSchedule:
                 order.append(v)
         pending = deque(order[i : i + 3] for i in range(0, len(order), 3))
         guards = []
-        new_guards: list[_Guard] = []
         probed_new: set[int] = set()
 
         while pending or old_guards:
-            old_guards = [
-                og
-                for og in old_guards
-                if not {parent[v] for v in og.cycle} <= probed_new
-            ]
-            while pending and len(old_guards) + len(new_guards) < budget:
-                new_guards.append(_Guard(pending.popleft()))
+            old_guards = [og for og in old_guards if not og.parents <= probed_new]
+            while pending and len(old_guards) + len(guards) < budget:
+                guards.append(_Guard(pending.popleft(), parent))
             if not pending and not old_guards:
                 break
-            guards = old_guards + new_guards
-            emit()
-            for gd in new_guards:
-                probed_new.add(gd.cycle[(gd.pos - 1) % len(gd.cycle)])
-        guards = new_guards
+            fresh = [next(gd.ticks) for gd in guards]  # the new line's probes this round
+            probed_new.update(fresh)
+            emit(old_guards, fresh)
         for _ in range(3 if guards else 0):
-            emit()
+            emit(guards)
 
     # line sits on level 1; only the root and its leaf children remain
     for _ in range(2):
-        emit((root,))
+        emit(guards, (root,))
     return ProbeSchedule.from_lists(budget, rounds)
 
 

@@ -13,7 +13,7 @@ by exploring every branch of the observation tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import SizeCapError
 from .graphs import (
@@ -50,21 +50,27 @@ def observe(g: Graph, x: int, u: int) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _partition_bits(g: Graph, m_bits: int, probed: tuple[int, ...]) -> list[int]:
-    """Equivalence classes of candidate mask ``m_bits`` under equal outcomes.
-
-    Each probe v refines every class into its parts on v, adjacent to v and
-    beyond N[v], in that order, so the classes come out ordered by their
-    outcome vectors read as base-3 codes (0 < 1 < *), first probe first.
-    A class that misses N[v] is all beyond it and stays whole.
-    """
-    adj = g.adj_bits
-    classes = [m_bits]
+def _probe_rows(adj: Sequence[int], probed: Iterable[int]) -> tuple[tuple[int, int, int, int], ...]:
+    """Per probe v, in the given order: the masks of v, N(v), N[v] and V minus N[v]."""
+    rows = []
     for v in probed:
         on = 1 << v
-        nb = adj[v]
-        hit = nb | on
-        far = ~hit
+        hit = adj[v] | on
+        rows.append((on, adj[v], hit, ~hit))
+    return tuple(rows)
+
+
+def _partition_bits(m_bits: int, rows: Iterable[tuple[int, int, int, int]]) -> list[int]:
+    """Equivalence classes of candidate mask ``m_bits`` under equal outcomes.
+
+    ``rows`` holds each probe's masks from ``_probe_rows``.  Each probe v
+    refines every class into its parts on v, adjacent to v and beyond
+    N[v], in that order, so the classes come out ordered by their outcome
+    vectors read as base-3 codes (0 < 1 < *), first probe first.  A class
+    that misses N[v] is all beyond it and stays whole.
+    """
+    classes = [m_bits]
+    for on, nb, hit, far in rows:
         refined = []
         for c in classes:
             if not c & hit:
@@ -135,6 +141,7 @@ def zeta_winnable(g: Graph, k: int) -> bool:
     full = (1 << n) - 1
     nb_closed, low_table, high_table = spread_tables(g)
     twins = twin_classes(g)
+    rows = _probe_rows(g.adj_bits, range(n))
     close_orbit = orbit_closer(g)
     seen = bytearray(full + 1)  # every member of a discovered orbit
     won = bytearray(full + 1)
@@ -144,7 +151,7 @@ def zeta_winnable(g: Graph, k: int) -> bool:
 
     def file(m: int, probed: tuple[int, ...]) -> bool:
         """File the pair under its first class not won; true if every class is won."""
-        for c in _partition_bits(g, m, probed):
+        for c in _partition_bits(m, map(rows.__getitem__, probed)):
             if c & (c - 1):
                 nc = low_table[c & 255] | high_table[c >> 8]
                 if not won[nc]:
@@ -230,9 +237,10 @@ def zeta_number(g: Graph) -> int:
 class Policy:
     """Deterministic cop plan: a finite-state controller over what the cops saw.
 
-    ``probes`` reads only the state, and ``advance`` folds in one round's
-    observation: the ascending tuple of probed vertices adjacent to the
-    robber.  That tuple is the whole observation of a class with several
+    ``probes`` must be a function of the state alone: the simulator asks
+    it once per state and keeps the answer.  ``advance`` folds in one
+    round's observation: the ascending tuple of probed vertices adjacent to
+    the robber.  That tuple is the whole observation of a class with several
     candidates, since a probe on the robber leaves it a singleton.  Every
     state is finite, so a (state, candidates) pair that repeats on one play
     is a robber escape.
@@ -305,13 +313,17 @@ def simulate_policy(
     yields its sub-rounds and is sent their verdicts, so the depth is
     bounded by ``round_cap`` and not by the interpreter's stack.  A sub-round
     already in the memo is read there and never started, and N[R] is
-    computed once per candidate set R.
+    computed once per candidate set R.  Each policy state is planned once,
+    on its first visit: its probes are asked for and checked against the
+    budget there, and their ascending tuple, mask and ``_probe_rows`` are
+    kept for every later visit.
     """
     if g.n == 1:
         return SimulationResult("captured-all-branches", 0, 1)
     adj = g.adj_bits
     memo: dict[tuple, int] = {}  # (t, state, R) -> worst round, captured only
     spread: dict[int, int] = {}  # R -> N[R]
+    plans: dict = {}  # policy state -> (probes ascending, their mask, their rows)
     onpath: set = set()
     branches = 0
 
@@ -322,22 +334,26 @@ def simulate_policy(
         m_bits = spread.get(r_bits)
         if m_bits is None:
             m_bits = spread[r_bits] = closed_nb_bits(g, r_bits)
-        probe_set = policy.probes(state)
-        if len(probe_set) > policy.budget:
-            raise AssertionError(
-                f"round {t}: policy '{policy.name}' probes {len(probe_set)} "
-                f"vertices, budget is {policy.budget}"
-            )
-        probed = tuple(sorted(probe_set))
-        probe_mask = mask_of(probed)
+        plan = plans.get(state)
+        if plan is None:
+            probe_set = policy.probes(state)
+            if len(probe_set) > policy.budget:
+                raise AssertionError(
+                    f"round {t}: policy '{policy.name}' probes {len(probe_set)} "
+                    f"vertices, budget is {policy.budget}"
+                )
+            probed = tuple(sorted(probe_set))
+            plan = plans[state] = probed, mask_of(probed), _probe_rows(adj, probed)
+        probed, probe_mask, rows = plan
         worst = 0
-        for cls in _partition_bits(g, m_bits, probed):
+        for cls in _partition_bits(m_bits, rows):
             branches += 1
             if not cls & (cls - 1):
                 worst = max(worst, t)
                 continue
             rep = (cls & -cls).bit_length() - 1
-            nstate = policy.advance(state, tuple(iter_bits(adj[rep] & probe_mask)))
+            flags = adj[rep] & probe_mask
+            nstate = policy.advance(state, tuple(iter_bits(flags)) if flags else ())
             node = (nstate, cls)
             if node in onpath:
                 return "escape-witness", None, [_frame(g, t, probed, rep, cls)]

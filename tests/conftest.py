@@ -9,8 +9,10 @@ from hypothesis import HealthCheck, settings
 
 import lzl.graphs
 from lzl.errors import SizeCapError, UsageError
-from lzl.graphs import Graph, generate, iter_bits, mask_of
+from lzl.graphs import Graph, generate, iter_bits, mask_of, rooted_tree
 from lzl.gridsweep import probe_set
+from lzl.prox import ProbeSchedule
+from lzl.strategies import level_bound, nonleaf_levels
 
 settings.register_profile(
     "default",
@@ -349,6 +351,99 @@ def random_tree(rng: random.Random, n: int) -> Graph:
 def random_recursive_tree(rng: random.Random, n: int) -> Graph:
     """Vertex i > 0 joins a uniform earlier vertex."""
     return Graph(n, [(rng.randrange(i), i) for i in range(1, n)])
+
+
+def leaf_path_tree_depth(g: Graph, root: int) -> ProbeSchedule:
+    """Reference tree-depth schedule: each leaf's path is walked back up its parents.
+
+    The leaves are met in a DFS from ``root``, children visited ascending.
+    For a path u_0..u_q the rounds probe {u_{4j}}, then {u_{4j+2}} (empty
+    when q < 2); a one-vertex tree is the single path [root].
+    """
+    parent, children, _ = rooted_tree(g, root)
+    paths = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        if not children[v] and v != root:
+            path = []
+            w = v
+            while w != -1:
+                path.append(w)
+                w = parent[w]
+            paths.append(path[::-1])
+        for c in reversed(children[v]):
+            stack.append(c)
+    if not paths:
+        paths = [[root]]
+    rounds: list[set[int]] = []
+    for path in paths:
+        q = len(path) - 1
+        rounds.append({path[4 * j] for j in range(q // 4 + 1)})
+        rounds.append({path[4 * j + 2] for j in range((q - 2) // 4 + 1)} if q >= 2 else set())
+    return ProbeSchedule.from_lists(max(1, max(len(r) for r in rounds)), rounds)
+
+
+def regrouping_tree_levels(g: Graph, root: int) -> ProbeSchedule:
+    """Reference level-line schedule: every old group's parent set is rebuilt each round.
+
+    Groups of at most three vertices are cycled by one cop each, from the
+    deepest nonleaf level up; an old group retires once a new group has
+    probed all its parents, and two root rounds end the schedule.
+    """
+    parent, children, depth = rooted_tree(g, root)
+    levels = nonleaf_levels(children, depth)
+    budget = level_bound(levels)
+    rounds: list[set[int]] = []
+    guards: list[list] = []  # [cycle, rounds probed so far]
+
+    def tick(gd: list) -> int:
+        v = gd[0][gd[1] % len(gd[0])]
+        gd[1] += 1
+        return v
+
+    def emit(extra=()) -> None:
+        probes = set(extra)
+        for gd in guards:
+            probes.add(tick(gd))
+        assert len(probes) <= budget
+        rounds.append(probes)
+
+    for j in range(len(levels) - 1, 0, -1):
+        old_guards = guards
+        order: list[int] = []
+        seen: set[int] = set()
+        for og in sorted(old_guards, key=lambda og: min(parent[v] for v in og[0])):
+            for v in og[0]:
+                if parent[v] not in seen:
+                    seen.add(parent[v])
+                    order.append(parent[v])
+        for v in levels[j - 1]:
+            if v not in seen:
+                seen.add(v)
+                order.append(v)
+        pending = deque(order[i : i + 3] for i in range(0, len(order), 3))
+        guards = []
+        new_guards: list[list] = []
+        probed_new: set[int] = set()
+        while pending or old_guards:
+            old_guards = [
+                og for og in old_guards if not {parent[v] for v in og[0]} <= probed_new
+            ]
+            while pending and len(old_guards) + len(new_guards) < budget:
+                new_guards.append([pending.popleft(), 0])
+            if not pending and not old_guards:
+                break
+            guards = old_guards + new_guards
+            emit()
+            for gd in new_guards:
+                probed_new.add(gd[0][(gd[1] - 1) % len(gd[0])])
+        guards = new_guards
+        for _ in range(3 if guards else 0):
+            emit()
+    for _ in range(2):
+        emit((root,))
+    return ProbeSchedule.from_lists(budget, rounds)
 
 
 def random_connected_graph(rng: random.Random, n: int, extra_edges: int = 2) -> Graph:

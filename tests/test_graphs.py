@@ -286,9 +286,11 @@ class TestNeighbourhoodKernel:
         masks = [0, (1 << g.n) - 1] + [1 << v for v in range(g.n)]
         for _ in range(200):
             bits = (1 << g.n) - 1
-            for _ in range(rng.randint(1, 3)):  # about 1/2, 1/4 or 1/8 of V
+            for _ in range(rng.randint(1, 5)):  # about 1/2, 1/4, ... or 1/32 of V
                 bits &= rng.getrandbits(g.n)
             masks.append(bits)
+        # a few vertices of a large graph: the set bits are walked one by one
+        masks += [mask_of(rng.sample(range(g.n), min(g.n, 3))) for _ in range(50)]
         for bits in masks:
             assert closed_nb_bits(g, bits) == _loop_closed_nb(g, bits), bits
 

@@ -2,8 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lzl import strategies
+from lzl.cli import load_graph
 from lzl.errors import UsageError
 from lzl.graphs import (
     components_bits,
@@ -36,10 +38,12 @@ from lzl.zeta import simulate_policy, zeta_number
 
 from conftest import (
     bfs_distances,
+    leaf_path_tree_depth,
     mask,
     random_connected_graph,
     random_recursive_tree,
     random_tree,
+    regrouping_tree_levels,
 )
 
 
@@ -298,6 +302,34 @@ class TestTreeLevels:
                 sched = strat_tree_levels(g, 0)
                 assert sched.cops <= level_bound(g), (k, d)
                 assert run_schedule(g, sched).cleared, (k, d)
+
+
+TREE_BUILDERS = {
+    "tree-depth": (strat_tree_depth, leaf_path_tree_depth),
+    "tree-levels": (strat_tree_levels, regrouping_tree_levels),
+}
+
+
+class TestTreeSchedulesAgainstOracles:
+    """Both tree schedule builders give the reference builders' file bytes, round by round."""
+
+    @pytest.mark.parametrize("builder", sorted(TREE_BUILDERS))
+    @given(st.integers(0, 10**6), st.integers(1, 80), st.booleans())
+    @settings(max_examples=60)
+    def test_random_trees_at_random_roots(self, builder, seed, n, recursive):
+        rng = random.Random(seed)
+        t = random_recursive_tree(rng, n) if recursive else random_tree(rng, n)
+        root = rng.randrange(n)
+        build, oracle = TREE_BUILDERS[builder]
+        assert build(t, root).to_json() == oracle(t, root).to_json()
+
+    @pytest.mark.parametrize("builder", sorted(TREE_BUILDERS))
+    @pytest.mark.parametrize("spec", ["kary:3,5", "kary:3,3:sub10", "spider:1,2,7,3"])
+    def test_named_trees_at_four_roots(self, builder, spec):
+        g = load_graph(spec)[0]
+        build, oracle = TREE_BUILDERS[builder]
+        for root in (0, 1, g.n // 2, g.n - 1):
+            assert build(g, root).to_json() == oracle(g, root).to_json(), root
 
 
 class TestPathDecomposition:

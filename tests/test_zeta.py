@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -27,10 +28,12 @@ from lzl.zeta import (
     OUT_NONE,
     OUT_ON,
     POLICY_REGISTRY,
+    Policy,
     SchedulePolicy,
     SimulationResult,
     _frame,
     _partition_bits,
+    _probe_rows,
     _probe_sets,
     observe,
     simulate_policy,
@@ -67,9 +70,14 @@ class TestObserve:
         assert observe(g, 1, mask(0, 2, 3)) == ("1", "1", "*")
 
 
+def partition_bits(g, m_bits, probed):
+    """``_partition_bits`` of the candidate mask under the probes ``probed`` of ``g``."""
+    return _partition_bits(m_bits, _probe_rows(g.adj_bits, probed))
+
+
 def partition(g, m_bits, probed):
     """The classes of ``_partition_bits`` as sorted tuples of vertices."""
-    return sorted(tuple(iter_bits(c)) for c in _partition_bits(g, m_bits, probed))
+    return sorted(tuple(iter_bits(c)) for c in partition_bits(g, m_bits, probed))
 
 
 class TestPartition:
@@ -93,7 +101,7 @@ class TestPartition:
         m = mask_of([v for v in range(n) if rng.random() < 0.7] or [0])
         probed = tuple(sorted(rng.sample(range(n), rng.randint(1, min(3, n)))))
         union = 0
-        for c in _partition_bits(g, m, probed):
+        for c in partition_bits(g, m, probed):
             assert c
             assert not (union & c)
             union = union | c
@@ -137,7 +145,7 @@ class TestPartitionAgainstObserve:
                 size = rng.randint(0, min(4, g.n))
                 cases.append((m, tuple(sorted(rng.sample(range(g.n), size)))))
             for m, probed in cases:
-                assert _partition_bits(g, m, probed) == observe_partition(g, m, probed), (
+                assert partition_bits(g, m, probed) == observe_partition(g, m, probed), (
                     family, params, m, probed)
 
     @given(st.integers(0, 10**6), st.integers(1, 12))
@@ -147,7 +155,7 @@ class TestPartitionAgainstObserve:
         g = random_connected_graph(rng, n, extra_edges=rng.randint(0, 2 * n))
         m = rng.randint(1, (1 << n) - 1)
         probed = tuple(sorted(rng.sample(range(n), rng.randint(0, min(5, n)))))
-        assert _partition_bits(g, m, probed) == observe_partition(g, m, probed)
+        assert partition_bits(g, m, probed) == observe_partition(g, m, probed)
 
 
 class TestFixpoint:
@@ -368,6 +376,36 @@ class TestSimulate:
         policy = SchedulePolicy([{0, 1, 2}], budget=2)
         with pytest.raises(AssertionError, match="round 1: policy .* probes 3 vertices, budget is 2"):
             simulate_policy(g, policy)
+
+    def test_budget_violation_first_reached_in_round_two(self):
+        # probing v1 leaves the class {v3, v4}, whose next state is over budget
+        g = generate("path", n=4)
+        policy = SchedulePolicy([{0}, {0, 1, 2}], budget=2)
+        with pytest.raises(AssertionError, match="round 2: policy .* probes 3 vertices, budget is 2"):
+            simulate_policy(g, policy)
+
+    def test_probes_asked_once_per_state(self):
+        g = random_recursive_tree(random.Random(5), 200)
+        policy = strat_tree_log(g)
+        asked = Counter()
+
+        class Counting(Policy):
+            name, budget = policy.name, policy.budget
+
+            def initial_state(self):
+                return policy.initial_state()
+
+            def probes(self, state):
+                asked[state] += 1
+                return policy.probes(state)
+
+            def advance(self, state, flagged):
+                return policy.advance(state, flagged)
+
+        sim = simulate_policy(g, Counting())
+        assert sim == simulate_policy(g, policy) and sim.captured
+        # many states are visited more than once, yet each is asked once
+        assert set(asked.values()) == {1}
 
     def test_simulation_agrees_with_oracle_on_paths(self):
         for n in range(2, 7):
@@ -616,7 +654,7 @@ def unquotiented_zeta_winnable(g, k):
         still = []
         for m in pending:
             for probed in probe_sets:
-                if all(not c & (c - 1) or won[nr[c]] for c in _partition_bits(g, m, probed)):
+                if all(not c & (c - 1) or won[nr[c]] for c in partition_bits(g, m, probed)):
                     won[m] = 1
                     break
             else:
