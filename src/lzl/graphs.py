@@ -390,10 +390,8 @@ _BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
 def closed_nb_bits(g: Graph, bits: int) -> int:
     """N[S] for the mask ``bits``: shifts on lattices, a loop over set bits otherwise.
 
-    The loop ORs in the row of each set bit.  A mask with more than one set
-    bit per 16 positions is read byte by byte, each nonzero byte's bits
-    from a table; a sparser one is walked by its lowest set bit, so a
-    small frontier of a large graph costs no pass over its empty bytes.
+    The loop reads the mask byte by byte and ORs in the row of each set bit
+    of a nonzero byte, taking the byte's bits from a table.
     """
     out = bits
     if g.shifts is not None:
@@ -401,17 +399,11 @@ def closed_nb_bits(g: Graph, bits: int) -> int:
             out |= ((bits & src) << d) | ((bits >> d) & src)
         return out
     adj = g.adj_bits
-    if bits.bit_count() * 16 > bits.bit_length():
-        for i, byte in enumerate(bits.to_bytes((bits.bit_length() + 7) // 8, "little")):
-            if byte:
-                base = 8 * i
-                for j in _BYTE_BITS[byte]:
-                    out |= adj[base + j]
-    else:
-        while bits:
-            low = bits & -bits
-            out |= adj[low.bit_length() - 1]
-            bits ^= low
+    for i, byte in enumerate(bits.to_bytes((bits.bit_length() + 7) // 8, "little")):
+        if byte:
+            base = 8 * i
+            for j in _BYTE_BITS[byte]:
+                out |= adj[base + j]
     return out
 
 

@@ -289,7 +289,7 @@ class TestNeighbourhoodKernel:
             for _ in range(rng.randint(1, 5)):  # about 1/2, 1/4, ... or 1/32 of V
                 bits &= rng.getrandbits(g.n)
             masks.append(bits)
-        # a few vertices of a large graph: the set bits are walked one by one
+        # three vertices anywhere: most of the mask's bytes are empty
         masks += [mask_of(rng.sample(range(g.n), min(g.n, 3))) for _ in range(50)]
         for bits in masks:
             assert closed_nb_bits(g, bits) == _loop_closed_nb(g, bits), bits
