@@ -181,7 +181,9 @@ def clip_schedule(plan: GridSweepPlan, n: int) -> ProbeSchedule:
     template.  A placement whose rows all lie in [1, n] adds i*n to the
     template's ids; any other goes probe by probe through the row table,
     which maps a row to the offset of its clipped row and has no entry for
-    a row outside [0, n+1], deleting the probe.
+    a row outside [0, n+1], deleting the probe.  Probes that fold onto one
+    vertex are kept once, and each round's ids are sorted once, into the
+    form ``ProbeSchedule`` holds.
     """
     m = plan.m
     row_offset = {r: (min(max(r, 1), n) - 1) * n for r in range(n + 2)}
@@ -202,11 +204,11 @@ def clip_schedule(plan: GridSweepPlan, n: int) -> ProbeSchedule:
                 ids += [b + shift for b in bases]
             else:
                 ids += [row_offset[i + r] + c for r, c in probes if i + r in row_offset]
-        vertex_rounds.append(frozenset(ids))
+        vertex_rounds.append(tuple(sorted(set(ids))))
     while vertex_rounds and not vertex_rounds[-1]:
         vertex_rounds.pop()
     budget = max((len(r) for r in vertex_rounds), default=1) or 1
-    return ProbeSchedule.from_lists(budget, vertex_rounds)
+    return ProbeSchedule(budget, tuple(vertex_rounds))
 
 
 def grid_strategy(n: int) -> tuple[ProbeSchedule, ScheduleTrace]:

@@ -38,10 +38,15 @@ PROX_CAP = 16
 
 @dataclass(frozen=True)
 class ProbeSchedule:
-    """Non-adaptive cop plan: a declared budget and per-round probe sets."""
+    """Non-adaptive cop plan: a declared budget and the probes of each round.
+
+    Each round is an ascending tuple of distinct 0-based vertex ids, so equal
+    schedules compare equal and a round costs the memory of its ids alone.
+    The builders make that form; ``from_lists`` makes it from any iterables.
+    """
 
     cops: int
-    rounds: tuple[frozenset[int], ...]
+    rounds: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         if self.cops < 1:
@@ -52,14 +57,15 @@ class ProbeSchedule:
 
     @classmethod
     def from_lists(cls, cops: int, rounds: Iterable[Iterable[int]]):
-        return cls(cops, tuple(frozenset(r) for r in rounds))
+        """A schedule from rounds in any order and with repeats, each sorted and deduplicated."""
+        return cls(cops, tuple(tuple(sorted(set(r))) for r in rounds))
 
     def to_json(self) -> str:
         return json.dumps(
             {
                 "mode": "prox",
                 "cops": self.cops,
-                "rounds": [sorted(v + 1 for v in r) for r in self.rounds],
+                "rounds": [[v + 1 for v in r] for r in self.rounds],
             },
             sort_keys=True,
         )
@@ -69,7 +75,10 @@ class ProbeSchedule:
         """Read the file format for a graph of order ``n``: ``cops`` and the
         1-based probe ids are JSON integers, each id in 1..n.
 
-        Other keys, such as the ``metadata`` that earlier versions wrote, are ignored.
+        A round may list its ids in any order and repeat them; it is read
+        through ``from_lists``, so an id out of range is reported as the
+        lowest bad id of the first round that has one.  Other keys, such as
+        the ``metadata`` that earlier versions wrote, are ignored.
         """
         try:
             data = json.loads(text)

@@ -43,23 +43,25 @@ def _require_tree(g: Graph) -> Graph:
 # -- midway vertex and the order-based strategy ---------------------------
 
 
-def _midway_bits(g: Graph, comp: int) -> int:
-    """Smallest vertex of the subtree ``comp`` whose removal leaves parts of order <= |comp|/2.
+def _midway(g: Graph, comp: Sequence[int]) -> int:
+    """Smallest vertex of the subtree on the vertices ``comp`` whose removal leaves parts of order <= |comp|/2.
 
     That is the smaller-index centroid (Jordan 1869), read off subtree sizes
     with ``comp`` rooted at its lowest vertex: removing v leaves the
     subtrees of its children and the |comp| - size(v) vertices above it.
+    The walk reads the graph's neighbour tuples.
     """
-    adj = g.adj_bits
-    size = comp.bit_count()
-    root = (comp & -comp).bit_length() - 1
+    nbrs = g.nbrs
+    inside = set(comp)
+    root = min(comp)
     bfs = [root]
     parent = {root: -1}
     for v in bfs:  # the list grows while it is read
-        for w in iter_bits(adj[v] & comp):
-            if w != parent[v]:
+        for w in nbrs[v]:
+            if w in inside and w != parent[v]:
                 parent[w] = v
                 bfs.append(w)
+    size = len(bfs)
     below = dict.fromkeys(bfs, 1)
     largest = dict.fromkeys(bfs, 0)  # order of the largest child subtree
     for v in reversed(bfs[1:]):
@@ -69,17 +71,31 @@ def _midway_bits(g: Graph, comp: int) -> int:
     return min(v for v in bfs if 2 * max(largest[v], size - below[v]) <= size)
 
 
-def _log_rounds(g: Graph, comp: int) -> list[int]:
-    size = comp.bit_count()
-    if size == 1:
-        return [comp]
-    if size == 2:
-        return [comp & -comp]  # probing one endpoint separates both
-    x = _midway_bits(g, comp)
-    rounds: list[int] = []
-    for part in components_bits(g, comp & ~(1 << x)):
-        rounds.extend(_log_rounds(g, part))
-    return [(1 << x) | r for r in rounds]
+def _log_rounds(g: Graph, comp: Sequence[int]) -> list[tuple[int, ...]]:
+    """The tree-log rounds that clear the subtree on the vertices ``comp``.
+
+    Each round is the midway vertex followed by a round of one part of
+    ``comp`` minus it, the parts taken in the order of their lowest vertex.
+    """
+    if len(comp) <= 2:
+        return [(min(comp),)]  # probing one endpoint separates both
+    nbrs = g.nbrs
+    x = _midway(g, comp)
+    rest = set(comp)
+    rest.discard(x)
+    parts = []
+    for w in nbrs[x]:  # in a tree each neighbour of x starts its own part
+        if w in rest:
+            rest.discard(w)
+            part = [w]
+            for v in part:  # the list grows while it is read
+                for u in nbrs[v]:
+                    if u in rest:
+                        rest.discard(u)
+                        part.append(u)
+            parts.append(part)
+    parts.sort(key=min)
+    return [(x, *r) for part in parts for r in _log_rounds(g, part)]
 
 
 def strat_tree_log(g: Graph) -> Policy:
@@ -92,8 +108,7 @@ def strat_tree_log(g: Graph) -> Policy:
     if g.n < 2:
         raise UsageError("order strategy needs n >= 2")
     budget = order_bound(g.n)
-    rounds = [set(iter_bits(r)) for r in _log_rounds(g, (1 << g.n) - 1)]
-    return SchedulePolicy(rounds, budget=budget, name="tree-log")
+    return SchedulePolicy(_log_rounds(g, range(g.n)), budget=budget, name="tree-log")
 
 
 # -- depth-based prox strategy ---------------------------------------------
@@ -106,12 +121,12 @@ def strat_tree_depth(g: Graph, root: int) -> ProbeSchedule:
     a path u_0..u_q spends one round on {u_{4j}} and one on {u_{4j+2}}, so
     paths shorter than 4 degenerate to probing u_0 and, when q >= 2, u_2.
     The DFS keeps the path to the current vertex, so each leaf's rounds are
-    two slices of it.  A one-vertex tree is one path of one vertex.
-    Budget floor(d/4)+1.
+    two slices of it, sorted (ids need not ascend from the root).  A
+    one-vertex tree is one path of one vertex.  Budget floor(d/4)+1.
     """
     _require_tree(g)
     _, children, depth = rooted_tree(g, root)
-    rounds: list[frozenset[int]] = []
+    rounds: list[tuple[int, ...]] = []
     path: list[int] = []
     stack = [root]
     while stack:
@@ -121,7 +136,7 @@ def strat_tree_depth(g: Graph, root: int) -> ProbeSchedule:
         if children[v]:
             stack += reversed(children[v])
         else:
-            rounds += frozenset(path[::4]), frozenset(path[2::4])
+            rounds += tuple(sorted(path[::4])), tuple(sorted(path[2::4]))
     return ProbeSchedule(max(1, max(map(len, rounds))), tuple(rounds))
 
 
@@ -192,14 +207,14 @@ def strat_tree_levels(g: Graph, root: int) -> ProbeSchedule:
     parent, children, depth = rooted_tree(g, root)
     levels = nonleaf_levels(children, depth)
     budget = level_bound(levels)
-    rounds: list[set[int]] = []
+    rounds: list[tuple[int, ...]] = []
 
     def emit(guards: list[_Guard], extra: Iterable[int] = ()) -> None:
         probes = {next(gd.ticks) for gd in guards}
         probes.update(extra)
         if len(probes) > budget:
             raise AssertionError("level strategy exceeded its cop budget")
-        rounds.append(probes)
+        rounds.append(tuple(sorted(probes)))
 
     guards: list[_Guard] = []
     for j in range(len(levels) - 1, 0, -1):
@@ -235,7 +250,7 @@ def strat_tree_levels(g: Graph, root: int) -> ProbeSchedule:
     # line sits on level 1; only the root and its leaf children remain
     for _ in range(2):
         emit(guards, (root,))
-    return ProbeSchedule.from_lists(budget, rounds)
+    return ProbeSchedule(budget, tuple(rounds))
 
 
 # -- path decompositions ----------------------------------------------------
@@ -465,7 +480,7 @@ def strat_separator(g: Graph) -> ProbeSchedule:
 
     round_masks = rec((1 << g.n) - 1, 0)
     budget = max(m.bit_count() for m in round_masks)
-    return ProbeSchedule.from_lists(budget, [set(iter_bits(m)) for m in round_masks])
+    return ProbeSchedule.from_lists(budget, map(iter_bits, round_masks))
 
 
 # -- lifting prox strategies into the localization game ---------------------
@@ -504,11 +519,11 @@ class TreeLiftPolicy(Policy):
     def initial_state(self):
         return (self.root, "replay", 0, 0)
 
-    def probes(self, state) -> frozenset[int]:
+    def probes(self, state) -> set[int]:
         guard, mode, idx, rr = state
         if mode == "standoff":
-            return frozenset({guard, self.nbrs[guard][rr]})
-        return self.schedule.rounds[idx] | {guard}
+            return {guard, self.nbrs[guard][rr]}
+        return {guard, *self.schedule.rounds[idx]}
 
     def advance(self, state, flagged):
         guard, mode, idx, rr = state
@@ -546,7 +561,7 @@ def lift_prox_to_zeta(
         rounds = []
         for r in prox_strategy.rounds:
             probes = set(r)
-            for u in sorted(r):
+            for u in r:
                 probes.update(g.nbrs[u][: delta - 1])
             rounds.append(probes)
         return SchedulePolicy(

@@ -13,7 +13,7 @@ by exploring every branch of the observation tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import SizeCapError
 from .graphs import (
@@ -67,10 +67,13 @@ def _partition_bits(m_bits: int, rows: Iterable[tuple[int, int, int, int]]) -> l
     refines every class into its parts on v, adjacent to v and beyond
     N[v], in that order, so the classes come out ordered by their outcome
     vectors read as base-3 codes (0 < 1 < *), first probe first.  A class
-    that misses N[v] is all beyond it and stays whole.
+    that misses N[v] is all beyond it and stays whole; every class lies in
+    ``m_bits``, so a probe whose N[v] misses ``m_bits`` is skipped outright.
     """
     classes = [m_bits]
     for on, nb, hit, far in rows:
+        if not m_bits & hit:
+            continue
         refined = []
         for c in classes:
             if not c & hit:
@@ -237,10 +240,11 @@ def zeta_number(g: Graph) -> int:
 class Policy:
     """Deterministic cop plan: a finite-state controller over what the cops saw.
 
-    ``probes`` must be a function of the state alone: the simulator asks
-    it once per state and keeps the answer.  ``advance`` folds in one
-    round's observation: the ascending tuple of probed vertices adjacent to
-    the robber.  That tuple is the whole observation of a class with several
+    ``probes`` must be a function of the state alone, returning distinct
+    vertex ids in any collection: the simulator asks it once per state and
+    keeps the answer, sorted.  ``advance`` folds in one round's
+    observation: the ascending tuple of probed vertices adjacent to the
+    robber.  That tuple is the whole observation of a class with several
     candidates, since a probe on the robber leaves it a singleton.  Every
     state is finite, so a (state, candidates) pair that repeats on one play
     is a robber escape.
@@ -252,7 +256,7 @@ class Policy:
     def initial_state(self):
         return None
 
-    def probes(self, state) -> frozenset[int]:
+    def probes(self, state) -> Collection[int]:
         raise NotImplementedError
 
     def advance(self, state, flagged: tuple[int, ...]):
@@ -262,14 +266,17 @@ class Policy:
 class SchedulePolicy(Policy):
     """Oblivious policy replaying a fixed list of probe rounds.
 
+    The rounds may come as any iterables of ids; each is kept as an
+    ascending tuple of distinct ids, the form of ``ProbeSchedule.rounds``.
     The state is the index of the next round, taken modulo the round count
     when the list cycles.  A list that does not cycle ends in the state
-    ``len(rounds)``, which probes nothing and advances to itself, so a play
-    that outlasts the list repeats a pair once its candidates stop growing.
+    ``len(rounds)``, which probes nothing (``()``) and advances to itself,
+    so a play that outlasts the list repeats a pair once its candidates
+    stop growing.
     """
 
     def __init__(self, rounds, budget: int, name: str = "schedule", cycle: bool = False):
-        self.rounds = [frozenset(r) for r in rounds]
+        self.rounds = [tuple(sorted(set(r))) for r in rounds]
         self.budget = budget
         self.name = name
         self.cycle = cycle and bool(self.rounds)  # an empty cycle never probes
@@ -280,8 +287,8 @@ class SchedulePolicy(Policy):
     def initial_state(self):
         return 0
 
-    def probes(self, state) -> frozenset[int]:
-        return self.rounds[state] if state < len(self.rounds) else frozenset()
+    def probes(self, state) -> tuple[int, ...]:
+        return self.rounds[state] if state < len(self.rounds) else ()
 
     def advance(self, state, flagged):
         return self.successor[state]
@@ -397,25 +404,25 @@ def _frame(g: Graph, t: int, probed, rep: int | None, cls_bits: int) -> dict:
 
 
 def _probe_all_but_one(g: Graph) -> Policy:
-    rounds = [frozenset(range(g.n - 1))]
+    rounds = [range(g.n - 1)]
     return SchedulePolicy(rounds, budget=g.n - 1, name="probe-all-but-one")
 
 
 def _interior_sweep(g: Graph) -> Policy:
     """One cop probing the interior path vertices v2..v(n-1) in order."""
-    rounds = [frozenset([v]) for v in range(1, g.n - 1)]
+    rounds = [(v,) for v in range(1, g.n - 1)]
     return SchedulePolicy(rounds, budget=1, name="sweep")
 
 
 def _front_sweep(g: Graph) -> Policy:
     """One cop probing v1, v2, ... v(n-1) in order."""
-    rounds = [frozenset([v]) for v in range(0, g.n - 1)]
+    rounds = [(v,) for v in range(0, g.n - 1)]
     return SchedulePolicy(rounds, budget=1, name="front-sweep")
 
 
 def _arm_scan(g: Graph) -> Policy:
     """Single cop cycling over the non-head vertices of a spider."""
-    rounds = [frozenset([v]) for v in range(1, g.n)]
+    rounds = [(v,) for v in range(1, g.n)]
     return SchedulePolicy(rounds, budget=1, name="arm-scan", cycle=True)
 
 

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, settings
 
 import lzl.graphs
 from lzl.errors import SizeCapError, UsageError
-from lzl.graphs import Graph, generate, iter_bits, mask_of, rooted_tree
+from lzl.graphs import Graph, components_bits, generate, iter_bits, mask_of, rooted_tree
 from lzl.gridsweep import probe_set
 from lzl.prox import ProbeSchedule
 from lzl.strategies import level_bound, nonleaf_levels
@@ -351,6 +351,35 @@ def random_tree(rng: random.Random, n: int) -> Graph:
 def random_recursive_tree(rng: random.Random, n: int) -> Graph:
     """Vertex i > 0 joins a uniform earlier vertex."""
     return Graph(n, [(rng.randrange(i), i) for i in range(1, n)])
+
+
+def midway_by_scan(g: Graph, comp: int) -> int:
+    """The old midway search: the first vertex of ``comp``, ascending, whose
+    removal leaves components of order at most |comp|/2."""
+    size = comp.bit_count()
+    for v in iter_bits(comp):
+        parts = components_bits(g, comp & ~(1 << v))
+        if all(2 * p.bit_count() <= size for p in parts):
+            return v
+    raise AssertionError("every tree has a midway vertex")
+
+
+def mask_log_rounds(g: Graph, comp: int) -> list[int]:
+    """Reference tree-log rounds of the subtree on the mask ``comp``, each as a mask.
+
+    The midway vertex joins every round of each part of ``comp`` minus it,
+    the parts as ``components_bits`` gives them (by lowest vertex).
+    """
+    size = comp.bit_count()
+    if size == 1:
+        return [comp]
+    if size == 2:
+        return [comp & -comp]
+    x = midway_by_scan(g, comp)
+    rounds: list[int] = []
+    for part in components_bits(g, comp & ~(1 << x)):
+        rounds.extend(mask_log_rounds(g, part))
+    return [(1 << x) | r for r in rounds]
 
 
 def leaf_path_tree_depth(g: Graph, root: int) -> ProbeSchedule:

@@ -14,7 +14,7 @@ from lzl.gridsweep import five_panel_schedule, grid_strategy, probe_set
 from lzl.iso import h_index, iso_profile
 from lzl.prox import prox_number, run_schedule
 from lzl.strategies import (
-    _midway_bits,
+    _midway,
     brute_pathwidth,
     strat_tree_depth,
     strat_tree_levels,
@@ -161,7 +161,7 @@ def test_criterion_6_tree_strategies(tree_batch):
             assert sched.cops <= d // 4 + 1, (k, d)
             assert run_schedule(g, sched).cleared, (k, d)
     t32 = generate("kary", k=3, d=2)
-    sched = strat_tree_levels(t32, _midway_bits(t32, (1 << t32.n) - 1))
+    sched = strat_tree_levels(t32, _midway(t32, range(t32.n)))
     assert sched.cops == 2 and run_schedule(t32, sched).cleared
     t33 = generate("kary", k=3, d=3)
     sched = strat_tree_levels(t33, 0)

@@ -575,9 +575,9 @@ class TestUsageErrors:
         ('{"cops": 1, "rounds": [[0]]}', "round 1 probes vertex 0, outside 1..4"),
         ('{"cops": 1, "rounds": [[1], [5]]}', "round 2 probes vertex 5, outside 1..4"),
         ('{"cops": 1, "rounds": [[-2]]}', "round 1 probes vertex -2, outside 1..4"),
-        # two bad ids in one round: the one named is the first the round's set yields
+        # two bad ids in one round: the one named is the lowest, whatever the file's order
         ('{"cops": 2, "rounds": [[1], [7, 6]]}', "round 2 probes vertex 6, outside 1..4"),
-        ('{"cops": 2, "rounds": [[9, 8]]}', "round 1 probes vertex 9, outside 1..4"),
+        ('{"cops": 2, "rounds": [[9, 8]]}', "round 1 probes vertex 8, outside 1..4"),
         # over budget and out of range: the budget is checked first
         ('{"cops": 1, "rounds": [[5], [1, 2]]}', "round 2 probes 2 vertices, budget is 1"),
         ('{"cops": true, "rounds": [[1]]}', "cops true is not an integer"),

@@ -21,13 +21,20 @@ from lzl.prox import (
     run_schedule,
     step_bits,
 )
-from lzl.strategies import STRATEGY_REGISTRY, strat_tree_depth, strat_tree_levels
+from lzl.strategies import (
+    STRATEGY_REGISTRY,
+    strat_separator,
+    strat_tree_depth,
+    strat_tree_levels,
+    strat_tree_log,
+)
 from lzl.zeta import simulate_policy, zeta_number
 
 from conftest import (
     cartesian_product,
     mask,
     random_connected_graph,
+    random_recursive_tree,
     random_tree,
     symmetric_graphs,
 )
@@ -568,3 +575,59 @@ class TestScheduleJson:
             "metadata": {"strategy": "grid-sweep", "rounds_rc": [[[1, 1], [1, 3]], [[1, 2]]]},
         })
         assert ProbeSchedule.from_json(text, 3) == ProbeSchedule.from_lists(2, [{0, 2}, {1}])
+
+
+def assert_ascending_tuples(rounds) -> None:
+    for r in rounds:
+        assert type(r) is tuple and list(r) == sorted(set(r)), r
+
+
+def assert_canonical(sched: ProbeSchedule, n: int) -> None:
+    """Every round is an ascending tuple of distinct ids, and the file form reads back equal."""
+    assert_ascending_tuples(sched.rounds)
+    assert ProbeSchedule.from_json(sched.to_json(), n) == sched
+
+
+class TestCanonicalRounds:
+    """Schedule rounds are ascending tuples of distinct ids, however they were made."""
+
+    def test_from_lists_sorts_and_drops_repeats(self):
+        sched = ProbeSchedule.from_lists(3, [[4, 1, 4], (2, 2), set(), iter([7, 5])])
+        assert sched.rounds == ((1, 4), (2,), (), (5, 7))
+
+    @given(st.integers(0, 10**6), st.integers(1, 80), st.booleans())
+    @settings(max_examples=40)
+    def test_tree_builders_at_random_roots(self, seed, n, recursive):
+        rng = random.Random(seed)
+        t = random_recursive_tree(rng, n) if recursive else random_tree(rng, n)
+        root = rng.randrange(n)
+        for build in (strat_tree_depth, strat_tree_levels):
+            assert_canonical(build(t, root), n)
+        if n > 1:
+            assert_ascending_tuples(strat_tree_log(t).rounds)
+
+    @given(st.integers(0, 10**6), st.integers(1, 8))
+    @settings(max_examples=30)
+    def test_separator_and_prox_witness(self, seed, n):
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, n, extra_edges=rng.randint(0, n))
+        assert_canonical(strat_separator(g), n)
+        assert_canonical(prox_solve(g)[1], n)
+
+    @given(st.integers(2, 40))
+    @settings(max_examples=20)
+    def test_clip_schedule(self, n):
+        # folded border probes can land on one vertex; each is kept once
+        assert_canonical(clip_schedule(five_panel_schedule(n), n), n * n)
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=60)
+    def test_from_json_any_order_and_repeats(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 12)
+        rounds = [[rng.randint(1, n) for _ in range(rng.randint(0, 6))]
+                  for _ in range(rng.randint(0, 8))]
+        cops = max((len(set(r)) for r in rounds), default=1) or 1
+        sched = ProbeSchedule.from_json(json.dumps({"cops": cops, "rounds": rounds}), n)
+        assert sched.rounds == tuple(tuple(sorted({v - 1 for v in r})) for r in rounds)
+        assert_canonical(sched, n)

@@ -8,9 +8,11 @@ from lzl import strategies
 from lzl.cli import load_graph
 from lzl.errors import UsageError
 from lzl.graphs import (
+    Graph,
     components_bits,
     generate,
     iter_bits,
+    mask_of,
     max_degree,
     rooted_tree,
     subdivide,
@@ -19,7 +21,7 @@ from lzl.prox import ProbeSchedule, prox_number, prox_solve, prox_winnable, run_
 from lzl.strategies import (
     PathDecomposition,
     TreeLiftPolicy,
-    _midway_bits,
+    _midway,
     _split_parts,
     balanced_separator_brute,
     brute_pathwidth,
@@ -40,6 +42,8 @@ from conftest import (
     bfs_distances,
     leaf_path_tree_depth,
     mask,
+    mask_log_rounds,
+    midway_by_scan,
     random_connected_graph,
     random_recursive_tree,
     random_tree,
@@ -112,18 +116,7 @@ def split_parts_by_scan(comps, n):
 
 def midway(g):
     """The midway vertex of the whole tree ``g``."""
-    return _midway_bits(g, (1 << g.n) - 1)
-
-
-def midway_by_scan(g, comp):
-    """The old midway search: the first vertex of ``comp``, ascending, whose
-    removal leaves components of order at most |comp|/2."""
-    size = comp.bit_count()
-    for v in iter_bits(comp):
-        parts = components_bits(g, comp & ~(1 << v))
-        if all(2 * p.bit_count() <= size for p in parts):
-            return v
-    raise AssertionError("every tree has a midway vertex")
+    return _midway(g, range(g.n))
 
 
 class TestMidway:
@@ -159,7 +152,7 @@ class TestMidway:
             cut = rng.randrange(t.n)
             comps = components_bits(t, ((1 << t.n) - 1) & ~(1 << cut)) or [1 << cut]
             for comp in [(1 << t.n) - 1, rng.choice(comps)]:
-                assert _midway_bits(t, comp) == midway_by_scan(t, comp)
+                assert _midway(t, list(iter_bits(comp))) == midway_by_scan(t, comp)
 
     @pytest.mark.parametrize("g", [
         generate("path", n=64),
@@ -172,12 +165,12 @@ class TestMidway:
         seen = []
 
         def checked(g, comp):
-            seen.append(comp)
-            v = _midway_bits(g, comp)
-            assert v == midway_by_scan(g, comp), comp
+            seen.append(mask_of(comp))
+            v = _midway(g, comp)
+            assert v == midway_by_scan(g, seen[-1]), comp
             return v
 
-        monkeypatch.setattr(strategies, "_midway_bits", checked)
+        monkeypatch.setattr(strategies, "_midway", checked)
         strat_tree_log(g)
         assert seen[0] == (1 << g.n) - 1 and len(seen) > 1
 
@@ -201,6 +194,21 @@ class TestTreeLog:
             assert policy.budget <= (t.n - 1).bit_length()
             sim = simulate_policy(t, policy)
             assert sim.captured
+
+    @given(st.integers(0, 10**6), st.integers(2, 120), st.booleans())
+    @settings(max_examples=60)
+    def test_rounds_match_mask_oracle(self, seed, n, recursive):
+        # the neighbour-tuple recursion gives the bitmask recursion's rounds, in order
+        rng = random.Random(seed)
+        t = random_recursive_tree(rng, n) if recursive else random_tree(rng, n)
+        expected = [tuple(iter_bits(r)) for r in mask_log_rounds(t, (1 << n) - 1)]
+        assert strat_tree_log(t).rounds == expected
+
+    @pytest.mark.parametrize("spec", ["kary:3,5", "spider:5,5,5", "path:64"])
+    def test_builds_no_bitmask_rows(self, spec):
+        g = load_graph(spec)[0]
+        strat_tree_log(g)
+        assert Graph.adj_bits.fget.__wrapped__ not in g._store
 
 
 class TestTreeDepth:

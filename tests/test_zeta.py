@@ -157,6 +157,19 @@ class TestPartitionAgainstObserve:
         probed = tuple(sorted(rng.sample(range(n), rng.randint(0, min(5, n)))))
         assert partition_bits(g, m, probed) == observe_partition(g, m, probed)
 
+    @given(st.integers(0, 10**6), st.integers(1, 40))
+    @settings(max_examples=60)
+    def test_far_probes_change_nothing(self, seed, n):
+        # a sparse candidate set on a sparse graph, so most probes miss N[v] & m
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, n, extra_edges=rng.randint(0, 3))
+        m = mask_of(rng.sample(range(n), rng.randint(1, min(4, n))))
+        probed = tuple(sorted(rng.sample(range(n), rng.randint(0, min(8, n)))))
+        rows = _probe_rows(g.adj_bits, probed)
+        near = [row for row in rows if row[2] & m]
+        assert _partition_bits(m, rows) == _partition_bits(m, near)
+        assert _partition_bits(m, rows) == observe_partition(g, m, probed)
+
 
 class TestFixpoint:
     def test_complete_graphs(self):
