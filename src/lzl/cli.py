@@ -150,7 +150,7 @@ def _report(command: str, graph: Graph | None, graph_id: str | None,
             "id": graph_id,
             "hash": graph.content_hash(),
             "n": graph.n,
-            "m": graph.edge_count(),
+            "m": graph.m,
             "max_degree": max_degree(graph),
         }
     return body
@@ -167,7 +167,7 @@ def cmd_gen(args) -> tuple[dict | None, int]:
         return None, EXIT_OK
     _write_text(args.out, text)
     return _report("gen", g, gid, {"graph": gid},
-                   {"n": g.n, "m": g.edge_count(), "out": args.out}), EXIT_OK
+                   {"n": g.n, "m": g.m, "out": args.out}), EXIT_OK
 
 
 def cmd_iso(args) -> tuple[dict | None, int]:
@@ -197,7 +197,7 @@ def _grid_side_of(g: Graph) -> int | None:
 def _kary_shape_of(g: Graph) -> tuple[int, int] | None:
     """(k, d) when ``g`` is the k-ary tree of depth d >= 2 with the generator's
     vertex order."""
-    k = g.degree(0)
+    k = len(g.nbrs[0])
     if k < 2 or not g.is_tree():
         return None
     d = max(rooted_tree(g, 0)[2])
@@ -240,6 +240,8 @@ def cmd_bounds(args) -> tuple[dict | None, int]:
 
 def cmd_prox(args) -> tuple[dict | None, int]:
     if args.action == "solve":
+        if args.schedule is not None:
+            raise UsageError("prox solve takes no --schedule: only prox verify reads one")
         g, gid = load_graph(args.graph)
         return _report("prox-solve", g, gid, {"graph": gid},
                        {"prox1": prox_number(g)}, caps={"prox": PROX_CAP}), EXIT_OK
@@ -261,6 +263,9 @@ def cmd_prox(args) -> tuple[dict | None, int]:
 
 def cmd_zeta(args) -> tuple[dict | None, int]:
     if args.action == "solve":
+        for flag, value in (("--policy", args.policy), ("--round-cap", args.round_cap)):
+            if value is not None:
+                raise UsageError(f"zeta solve takes no {flag}: only zeta simulate reads it")
         g, gid = load_graph(args.graph)
         return _report("zeta-solve", g, gid, {"graph": gid},
                        {"zeta1": zeta_number(g)}, caps={"zeta": ZETA_CAP}), EXIT_OK

@@ -78,8 +78,9 @@ class Graph:
     """Connected simple graph: edges that leave it disconnected are rejected.
 
     The stored adjacency is ``nbrs``, every vertex's neighbours in ascending
-    order, built in O(m).  The bitmask rows ``adj_bits`` are derived from it
-    on first read, for the readers that work on masks.
+    order, built in O(m), and ``m`` is the edge count.  The bitmask rows
+    ``adj_bits`` are derived from ``nbrs`` on first read, for the readers
+    that work on masks.
     """
 
     __slots__ = ("n", "m", "nbrs", "shifts", "_store")
@@ -120,20 +121,11 @@ class Graph:
 
     # -- basic queries -------------------------------------------------
 
-    def degree(self, v: int) -> int:
-        return len(self.nbrs[v])
-
-    def edge_count(self) -> int:
-        return self.m
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for u, row in enumerate(self.nbrs):
             for v in row:
                 if v > u:
                     yield (u, v)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.nbrs[u]
 
     def is_tree(self) -> bool:
         """A connected graph is a tree exactly when it has n - 1 edges."""

@@ -62,7 +62,7 @@ def _scan_profiles(g: Graph) -> tuple[Profile, Profile]:
     low = (n + 1) // 2
     size = 1 << low
     # an edge lane sums two boundaries, up to 2m, below the top bit of a lane sized for m
-    lanes = _Lanes(max(n, g.edge_count()), size)
+    lanes = _Lanes(max(n, g.m), size)
     w, inf, ones = lanes.w, lanes.inf, lanes.fill(1, size)
 
     miss = []  # lane S of miss[x] is 1 iff x lies outside N[S]
@@ -321,7 +321,7 @@ def assemble_bounds(g: Graph, quantities: dict, *, graph_id: str = "") -> Bounds
     report = BoundsReport(
         graph_id=graph_id or g.content_hash(),
         n=g.n,
-        m=g.edge_count(),
+        m=g.m,
         max_degree=delta,
         quantities=dict(quantities),
     )

@@ -389,7 +389,7 @@ class DominationPolicy(Policy):
         return self.dom | frozenset(self.g.nbrs[state])
 
     def advance(self, state, flagged):
-        return flagged[0] if flagged else None
+        return (flagged & -flagged).bit_length() - 1 if flagged else None
 
 
 def strat_domination(g: Graph) -> Policy:
@@ -530,7 +530,7 @@ class TreeLiftPolicy(Policy):
         # a standoff round consumed ring[rr] whatever was observed
         if mode == "standoff":
             rr = (rr + 1) % len(self.nbrs[guard])
-        for v in flagged:
+        for v in iter_bits(flagged):
             if v != guard:
                 return (self._toward(guard, v), "replay", 0, 0)
         if flagged:
@@ -551,11 +551,12 @@ def lift_prox_to_zeta(
 
     ``delta``: every probed vertex brings max-degree-minus-one neighbors
     along, budget Delta * cops.  ``tree``: root-guard-and-restart with
-    budget cops + 1 (trees only).
+    budget cops + 1 (trees only).  The schedule is the exact solver's
+    witness, so one that does not clear is an engine fault.
     """
     trace = run_schedule(g, prox_strategy)
     if not trace.cleared:
-        raise UsageError("prox strategy does not win the one-proximity game")
+        raise AssertionError("prox strategy does not win the one-proximity game")
     if variant == "delta":
         delta = max_degree(g)
         rounds = []

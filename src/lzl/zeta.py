@@ -32,24 +32,6 @@ ZETA_CAP = 12
 #: Rounds the policy simulator plays, unless told otherwise, before it reads cap-exceeded.
 ROUND_CAP = 400
 
-OUT_ON = "0"
-OUT_ADJ = "1"
-OUT_NONE = "*"
-
-
-def observe(g: Graph, x: int, u: int) -> tuple[str, ...]:
-    """Per-probe outcomes for a robber on x, one per probe in the mask ``u``, ascending."""
-    out = []
-    for v in iter_bits(u):
-        if v == x:
-            out.append(OUT_ON)
-        elif g.has_edge(v, x):
-            out.append(OUT_ADJ)
-        else:
-            out.append(OUT_NONE)
-    return tuple(out)
-
-
 def _probe_rows(adj: Sequence[int], probed: Iterable[int]) -> tuple[tuple[int, int, int, int], ...]:
     """Per probe v, in the given order: the masks of v, N(v), N[v] and V minus N[v]."""
     rows = []
@@ -131,8 +113,10 @@ def zeta_winnable(g: Graph, k: int) -> bool:
     - Orbits.  An automorphism s maps the state m to sm, a probe set P to
       sP and its classes c to sc, with N[sc] = sN[c].  So the fixed point
       is a union of orbits: a discovered state's whole orbit is marked
-      seen, only its first member is evaluated, and its win marks the
-      orbit won.
+      seen, only its first member is evaluated and keeps the orbit's one
+      record, and its win marks the orbit won.  A pair waits on the very
+      state N[c] it needs, which may be any member, so a win rechecks the
+      pairs waiting on every member of the orbit.
     """
     if g.n > ZETA_CAP:
         raise SizeCapError("exact localization solver", g.n, ZETA_CAP)
@@ -148,8 +132,8 @@ def zeta_winnable(g: Graph, k: int) -> bool:
     close_orbit = orbit_closer(g)
     seen = bytearray(full + 1)  # every member of a discovered orbit
     won = bytearray(full + 1)
-    orbit_of: dict[int, list[int]] = {}  # each discovered state -> its orbit
-    waiting: dict[int, list] = {}  # first member of an orbit -> pairs filed under it
+    orbit_of: dict[int, list[int]] = {}  # first member of a discovered orbit -> the orbit
+    waiting: dict[int, list] = {}  # state -> pairs filed under it
     unevaluated: list[list[int]] = [[] for _ in range(n + 1)]  # discovered states by size
 
     def file(m: int, probed: tuple[int, ...]) -> bool:
@@ -159,16 +143,14 @@ def zeta_winnable(g: Graph, k: int) -> bool:
                 nc = low_table[c & 255] | high_table[c >> 8]
                 if not won[nc]:
                     if not seen[nc]:
-                        orbit = close_orbit(nc, seen)
-                        for x in orbit:
-                            orbit_of[x] = orbit
+                        orbit_of[nc] = close_orbit(nc, seen)
                         unevaluated[nc.bit_count()].append(nc)
-                    waiting.setdefault(orbit_of[nc][0], []).append((m, probed))
+                    waiting.setdefault(nc, []).append((m, probed))
                     return False
         return True
 
     def win(m: int) -> None:
-        """Mark the orbit of m won, and every state that this lets win."""
+        """Mark won the orbit whose first member is m, and every state that this lets win."""
         todo = [m]
         while todo:
             orbit = orbit_of[todo.pop()]
@@ -176,9 +158,10 @@ def zeta_winnable(g: Graph, k: int) -> bool:
                 continue
             for x in orbit:
                 won[x] = 1
-            for parent, probed in waiting.pop(orbit[0], ()):
-                if not won[parent] and file(parent, probed):
-                    todo.append(parent)
+            for x in orbit:
+                for parent, probed in waiting.pop(x, ()):
+                    if not won[parent] and file(parent, probed):
+                        todo.append(parent)
 
     orbit_of[full] = close_orbit(full, seen)
     unevaluated[n].append(full)
@@ -243,11 +226,11 @@ class Policy:
     ``probes`` must be a function of the state alone, returning distinct
     vertex ids in any collection: the simulator asks it once per state and
     keeps the answer, sorted.  ``advance`` folds in one round's
-    observation: the ascending tuple of probed vertices adjacent to the
-    robber.  That tuple is the whole observation of a class with several
-    candidates, since a probe on the robber leaves it a singleton.  Every
-    state is finite, so a (state, candidates) pair that repeats on one play
-    is a robber escape.
+    observation: the mask of probed vertices adjacent to the robber.  That
+    mask is the whole observation of a class with several candidates,
+    since a probe on the robber leaves it a singleton.  Every state is
+    finite, so a (state, candidates) pair that repeats on one play is a
+    robber escape.
     """
 
     name = "policy"
@@ -259,7 +242,7 @@ class Policy:
     def probes(self, state) -> Collection[int]:
         raise NotImplementedError
 
-    def advance(self, state, flagged: tuple[int, ...]):
+    def advance(self, state, flagged: int):
         return state
 
 
@@ -360,17 +343,17 @@ def simulate_policy(
                 continue
             rep = (cls & -cls).bit_length() - 1
             flags = adj[rep] & probe_mask
-            nstate = policy.advance(state, tuple(iter_bits(flags)) if flags else ())
+            nstate = policy.advance(state, flags)
             node = (nstate, cls)
             if node in onpath:
-                return "escape-witness", None, [_frame(g, t, probed, rep, cls)]
+                return "escape-witness", None, [_frame(t, probed, flags, cls)]
             sub_worst = memo.get((t + 1, nstate, cls))
             if sub_worst is None:
                 onpath.add(node)
                 verdict, sub_worst, path = yield t + 1, nstate, cls
                 onpath.discard(node)
                 if verdict != "captured-all-branches":
-                    return verdict, None, [_frame(g, t, probed, rep, cls)] + path
+                    return verdict, None, [_frame(t, probed, flags, cls)] + path
             worst = max(worst, sub_worst)
         memo[t, state, r_bits] = worst
         return "captured-all-branches", worst, None
@@ -390,12 +373,17 @@ def simulate_policy(
     return SimulationResult(verdict, worst, branches, path)
 
 
-def _frame(g: Graph, t: int, probed, rep: int | None, cls_bits: int) -> dict:
-    """One escape-path round; ``rep`` is a candidate whose outcomes it shows."""
+def _frame(t: int, probed, flags: int, cls_bits: int) -> dict:
+    """One escape-path round: the probes, what they saw, and the robber's class.
+
+    The class holds no probed vertex, since a probe on the robber splits
+    it off as a singleton, a capture.  So a probe reads 1 where it is in
+    the flag mask ``flags`` and * elsewhere.
+    """
     return {
         "round": t,
         "probes": [v + 1 for v in probed],
-        "observation": list(observe(g, rep, mask_of(probed))) if probed else None,
+        "observation": ["1" if flags >> v & 1 else "*" for v in probed] if probed else None,
         "candidates": [v + 1 for v in iter_bits(cls_bits)],
     }
 

@@ -6,7 +6,7 @@ import pytest
 
 from lzl.graphs import generate, parse_graph, serialize_graph
 from lzl.cli import load_graph, main
-from lzl.prox import run_schedule
+from lzl.prox import ProbeSchedule, run_schedule
 from lzl.strategies import STRATEGY_REGISTRY
 from lzl.zeta import POLICY_REGISTRY, SchedulePolicy
 
@@ -37,14 +37,14 @@ class TestGen:
         code, _, _ = run_cli(capsys, "gen", "--graph", "grid:4", "--out", str(out))
         assert code == 0
         g = parse_graph(out.read_text())
-        assert g.n == 16 and g.edge_count() == 24
+        assert g.n == 16 and g.m == 24
 
     def test_kary_counts(self, tmp_path, capsys):
         out = tmp_path / "t.graph"
         code, _, _ = run_cli(capsys, "gen", "--graph", "kary:3,3", "--out", str(out))
         assert code == 0
         g = parse_graph(out.read_text())
-        assert g.n == 40 and g.edge_count() == 39
+        assert g.n == 40 and g.m == 39
 
     def test_spider_stdout(self, capsys):
         # without --out, stdout is the graph text and nothing else
@@ -520,12 +520,19 @@ class TestUsageErrors:
         (("zeta", "simulate", "--policy", "nonesuch"), "unknown policy 'nonesuch'"),
         (("zeta", "simulate", "--policy", "sweep", "--round-cap", "0"),
          "--round-cap must be at least 1, got 0"),
+        (("zeta", "solve", "--policy", "sweep"),
+         "zeta solve takes no --policy: only zeta simulate reads it"),
+        (("zeta", "solve", "--round-cap", "3"),
+         "zeta solve takes no --round-cap: only zeta simulate reads it"),
         (("prox", "verify"), "prox verify needs --schedule"),
         (("prox", "verify", "--schedule", "."), "cannot read .: Is a directory"),
+        (("prox", "solve", "--schedule", "nonexistent.json"),
+         "prox solve takes no --schedule: only prox verify reads one"),
     ], ids=["strat-unknown", "strat-n", "strat-emit-policy", "strat-round-cap-schedule",
             "strat-round-cap-below-one", "strat-root-rootless", "zeta-no-policy",
-            "zeta-unknown-policy", "zeta-round-cap-below-one", "prox-no-schedule",
-            "prox-unreadable-schedule"])
+            "zeta-unknown-policy", "zeta-round-cap-below-one", "zeta-solve-policy",
+            "zeta-solve-round-cap", "prox-no-schedule", "prox-unreadable-schedule",
+            "prox-solve-schedule"])
     def test_usage_refused_before_the_graph_is_built(self, tmp_path, capsys, monkeypatch,
                                                      argv, message):
         # path:16385 is one vertex over the cap, so a graph built first would exit 3
@@ -668,6 +675,13 @@ class TestUsageErrors:
                             lambda g: SchedulePolicy([{0, 1}], budget=1, name="sweep"))
         with pytest.raises(AssertionError, match="policy 'sweep' probes 2 vertices, budget is 1"):
             main(["zeta", "simulate", "--graph", "path:4", "--policy", "sweep"])
+
+    def test_lift_of_a_non_clearing_witness_is_not_a_usage_error(self, monkeypatch):
+        # the lift takes the exact solver's witness, so one that does not clear is its fault
+        monkeypatch.setattr("lzl.strategies.prox_solve",
+                            lambda g: (1, ProbeSchedule.from_lists(1, [[0]])))
+        with pytest.raises(AssertionError, match="does not win the one-proximity game"):
+            main(["strat", "lift-delta", "--graph", "path:5"])
 
     @pytest.mark.parametrize("spec,message", [
         ("grid:" + "9" * 5000, "a graph spec value of 5000 digits is too long to read"),

@@ -49,12 +49,12 @@ def full(g):
 class TestParse:
     def test_single_edge(self):
         g = parse_graph("p 2 1\ne 1 2\n")
-        assert g.n == 2 and g.edge_count() == 1
+        assert g.n == 2 and g.m == 1
 
     def test_triangle(self):
         g = parse_graph("p 3 3\ne 1 2\ne 2 3\ne 1 3\n")
-        assert g.n == 3 and g.edge_count() == 3
-        assert all(g.degree(v) == 2 for v in range(3))
+        assert g.n == 3 and g.m == 3
+        assert all(len(g.nbrs[v]) == 2 for v in range(3))
 
     def test_self_loop_rejected(self):
         # a parse error names its line, and the command line prints it as is
@@ -129,12 +129,12 @@ class TestParse:
 class TestGenerate:
     def test_grid2_is_c4(self):
         g = generate("grid", n=2)
-        assert g.n == 4 and g.edge_count() == 4
-        assert all(g.degree(v) == 2 for v in range(4))
+        assert g.n == 4 and g.m == 4
+        assert all(len(g.nbrs[v]) == 2 for v in range(4))
 
     def test_kary_3_3_order(self):
         g = generate("kary", k=3, d=3)
-        assert g.n == 40 and g.edge_count() == 39
+        assert g.n == 40 and g.m == 39
 
     def test_subdivided_kary_order_and_depth(self):
         base = generate("kary", k=3, d=3)
@@ -160,7 +160,7 @@ class TestGenerate:
 
     def test_spider_333(self):
         g = generate("spider", arms=[3, 3, 3])
-        assert g.n == 10 and g.degree(0) == 3
+        assert g.n == 10 and len(g.nbrs[0]) == 3
 
     def test_unknown_family(self):
         with pytest.raises(UsageError):
@@ -185,7 +185,7 @@ class TestGenerate:
 class TestProduct:
     def test_p2_p2_cycle(self):
         g = cartesian_product(generate("path", n=2), generate("path", n=2))
-        assert g.n == 4 and g.edge_count() == 4
+        assert g.n == 4 and g.m == 4
 
     def test_p4_p4_is_grid4(self):
         prod = cartesian_product(generate("path", n=4), generate("path", n=4))
@@ -193,7 +193,7 @@ class TestProduct:
 
     def test_identity_factor(self):
         g = cartesian_product(generate("path", n=2), generate("complete", n=1))
-        assert g.n == 2 and g.edge_count() == 1
+        assert g.n == 2 and g.m == 1
 
 
 def boundary_bits(g, s):
@@ -470,7 +470,7 @@ def test_graph_is_connected_and_a_tree_by_edge_count(case):
         ru, rv = find(u), find(v)
         acyclic &= ru != rv
         root[ru] = rv
-    assert g.edge_count() == len(distinct)
+    assert g.m == len(distinct)
     assert g.is_tree() == (len(distinct) == n - 1) == acyclic
 
 
@@ -486,7 +486,7 @@ def assert_built_like_rows(n, edges):
     g = Graph(n, edges)
     assert g.nbrs == tuple(tuple(iter_bits(row)) for row in ref.adj_bits)
     assert g.adj_bits == ref.adj_bits
-    assert g.m == g.edge_count() == len(ref.edges)
+    assert g.m == len(ref.edges)
     assert list(g.edges()) == ref.edges
     assert g.shifts == ref.shifts
     assert serialize_graph(g) == ref.text

@@ -24,24 +24,21 @@ from lzl.graphs import (
 from lzl.prox import prox_number, prox_solve
 from lzl.strategies import lift_prox_to_zeta, strat_tree_log
 from lzl.zeta import (
-    OUT_ADJ,
-    OUT_NONE,
-    OUT_ON,
     POLICY_REGISTRY,
+    ROUND_CAP,
     Policy,
     SchedulePolicy,
     SimulationResult,
-    _frame,
     _partition_bits,
     _probe_rows,
     _probe_sets,
-    observe,
     simulate_policy,
     zeta_number,
     zeta_winnable,
 )
 
 from conftest import (
+    circulant,
     induced_connected,
     mask,
     random_connected_graph,
@@ -52,22 +49,24 @@ from conftest import (
 )
 
 
-class TestObserve:
+def outcomes(g, x, probed):
+    """Reference observation of a robber on x: per probe v, in the given
+    order, 0 if v is x, 1 if v is a neighbour of x, * otherwise."""
+    return tuple("0" if v == x else "1" if x in g.nbrs[v] else "*" for v in probed)
+
+
+class TestOutcomes:
     def test_adjacent(self):
-        g = generate("path", n=3)
-        assert observe(g, 1, mask(0)) == ("1",)
+        assert outcomes(generate("path", n=3), 1, (0,)) == ("1",)
 
     def test_far(self):
-        g = generate("path", n=3)
-        assert observe(g, 2, mask(0)) == ("*",)
+        assert outcomes(generate("path", n=3), 2, (0,)) == ("*",)
 
     def test_on_top(self):
-        g = generate("cycle", n=5)
-        assert observe(g, 3, mask(3)) == ("0",)
+        assert outcomes(generate("cycle", n=5), 3, (3,)) == ("0",)
 
     def test_vector_order(self):
-        g = generate("path", n=4)
-        assert observe(g, 1, mask(0, 2, 3)) == ("1", "1", "*")
+        assert outcomes(generate("path", n=4), 1, (0, 2, 3)) == ("1", "1", "*")
 
 
 def partition_bits(g, m_bits, probed):
@@ -109,12 +108,12 @@ class TestPartition:
 
 
 def observe_partition(g, m_bits, probed):
-    """Reference partition: group the candidates by ``observe`` and order the
+    """Reference partition: group the candidates by ``outcomes`` and order the
     classes by outcome vector, 0 < 1 < *, first probe first."""
-    rank = {OUT_ON: 0, OUT_ADJ: 1, OUT_NONE: 2}
+    rank = {"0": 0, "1": 1, "*": 2}
     groups = {}
     for x in iter_bits(m_bits):
-        key = tuple(rank[o] for o in observe(g, x, mask_of(probed)))
+        key = tuple(rank[o] for o in outcomes(g, x, probed))
         groups[key] = groups.get(key, 0) | (1 << x)
     return [groups[key] for key in sorted(groups)]
 
@@ -279,7 +278,7 @@ def branch_enumerate(g, rounds):
         moved = closed_nb_bits(g, candidates)
         groups = {}
         for x in iter_bits(moved):
-            key = observe(g, x, mask_of(rounds[t - 1]))
+            key = outcomes(g, x, rounds[t - 1])
             groups[key] = groups.get(key, 0) | (1 << x)
         return all(walk(t + 1, grp) for grp in groups.values())
 
@@ -471,11 +470,11 @@ _CAPTURED, _ESCAPE, _CAP = 0, 1, 2
 
 def simulate_oracle(g, policy, *, round_cap=400):
     """The branch simulator without its shortcuts: N[R] is computed on every
-    visit, and a sub-round already in the memo is still started and returns
-    the stored worst round."""
+    visit, a sub-round already in the memo is still started and returns the
+    stored worst round, and each class's flags and escape frame are read
+    off the reference ``outcomes`` of its lowest candidate."""
     if g.n == 1:
         return SimulationResult("captured-all-branches", 0, 1)
-    adj = g.adj_bits
     memo = {}
     onpath = set()
     branches = 0
@@ -492,7 +491,6 @@ def simulate_oracle(g, policy, *, round_cap=400):
         if len(probe_set) > policy.budget:
             raise AssertionError("over budget")
         probed = tuple(sorted(probe_set))
-        probe_mask = mask_of(probed)
         worst = 0
         for cls in split_oracle(g, m_bits, probed):
             branches += 1
@@ -500,15 +498,20 @@ def simulate_oracle(g, policy, *, round_cap=400):
                 worst = max(worst, t)
                 continue
             rep = (cls & -cls).bit_length() - 1
-            nstate = policy.advance(state, tuple(iter_bits(adj[rep] & probe_mask)))
+            seen = outcomes(g, rep, probed)
+            flags = mask_of(v for v, o in zip(probed, seen) if o == "1")
+            nstate = policy.advance(state, flags)
+            frame = {"round": t, "probes": [v + 1 for v in probed],
+                     "observation": list(seen) if probed else None,
+                     "candidates": [v + 1 for v in iter_bits(cls)]}
             node = (nstate, cls)
             if node in onpath:
-                return _ESCAPE, None, [_frame(g, t, probed, rep, cls)]
+                return _ESCAPE, None, [frame]
             onpath.add(node)
             verdict, sub_worst, path = yield t + 1, nstate, cls
             onpath.discard(node)
             if verdict != _CAPTURED:
-                return verdict, None, [_frame(g, t, probed, rep, cls)] + path
+                return verdict, None, [frame] + path
             worst = max(worst, sub_worst)
         memo[key] = worst
         return _CAPTURED, worst, None
@@ -597,6 +600,32 @@ class TestSimulateAgainstOracle:
         assert got.outcome in ("cap-exceeded", "escape-witness")
 
 
+class TestEscapeFrames:
+    def test_observation_is_the_outcome_of_every_candidate(self, corpus):
+        # a frame's class holds no probed vertex (a probe on the robber
+        # splits it off as a capture), so its observation never reads 0 and
+        # is what each of its candidates shows the probes
+        shown = Counter()
+        for name, g in corpus:
+            witness = prox_solve(g)[1]
+            runs = [(POLICY_REGISTRY[p](g), ROUND_CAP) for p in sorted(POLICY_REGISTRY)]
+            runs.append((lift_prox_to_zeta(g, witness, variant="delta"), ROUND_CAP))
+            if g.is_tree():
+                runs.append((lift_prox_to_zeta(g, witness, variant="tree"), ROUND_CAP))
+                runs += [(strat_tree_log(g), cap) for cap in range(1, 9)]
+            for policy, cap in runs:
+                for frame in simulate_policy(g, policy, round_cap=cap).escape_path or ():
+                    probed = [v - 1 for v in frame["probes"]]
+                    observation = frame["observation"]
+                    assert (observation is None) == (not probed), (name, policy.name, frame)
+                    observation = tuple(observation or ())
+                    assert "0" not in observation, (name, policy.name, frame)
+                    for x in frame["candidates"]:
+                        assert outcomes(g, x - 1, probed) == observation, (name, policy.name, frame)
+                    shown.update(observation)
+        assert shown["1"] and shown["*"]
+
+
 def bounded_round_winnable(g, k, rounds_left, r_bits=None, memo=None):
     """Independent oracle: explicit alternating-game backward induction.
 
@@ -678,10 +707,16 @@ def unquotiented_zeta_winnable(g, k):
     return bool(won[full])
 
 
-ZETA_SYMMETRIC = (
-    "cycle:12", "petersen", "Q3", "K3,3", "grid:3", "spider:3,3,3", "kary:2,2", "K2,5",
-    "K6", "K2,2,2", "star:7",
-)
+ZETA_SYMMETRIC = {
+    **{name: symmetric_graphs()[name][0] for name in (
+        "cycle:12", "petersen", "Q3", "K3,3", "grid:3", "spider:3,3,3", "kary:2,2", "K2,5",
+        "K6", "K2,2,2", "star:7")},
+    # many pairs here wait on an orbit member other than the first, so a win
+    # must recheck the pairs of every member (on (2, 3) a win that rechecked
+    # the first member's alone would lose k = 3)
+    "circulant:10,1,3": circulant(10, (1, 3)),
+    "circulant:10,2,3": circulant(10, (2, 3)),
+}
 
 
 def clone_twins(rng, g, count):
@@ -705,7 +740,7 @@ def relabel(g, perm):
 class TestFixpointAgainstUnquotiented:
     @pytest.mark.parametrize("name", ZETA_SYMMETRIC)
     def test_symmetric_graphs_at_every_k(self, name):
-        g = symmetric_graphs()[name][0]
+        g = ZETA_SYMMETRIC[name]
         for k in range(1, g.n):
             assert zeta_winnable(g, k) == unquotiented_zeta_winnable(g, k), (name, k)
 
