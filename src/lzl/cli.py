@@ -189,7 +189,10 @@ def cmd_iso(args) -> tuple[dict | None, int]:
 def _grid_side_of(g: Graph) -> int | None:
     """n when ``g`` is the n-by-n grid with the generator's vertex order."""
     side = math.isqrt(g.n)
-    if side * side != g.n or side < 2 or g != generate("grid", n=side):
+    # the size tests keep a graph of another shape from generating a grid to compare
+    if side * side != g.n or side < 2 or g.m != 2 * side * (side - 1):
+        return None
+    if g != generate("grid", n=side):
         return None
     return side
 

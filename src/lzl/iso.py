@@ -2,12 +2,14 @@
 
 Every profile is exact.  A tree's profiles come from a min-plus dynamic
 program over its rooted subtrees, O(n^2) in the order.  Any other graph is
-scanned subset by subset: every subset of the low half of the vertices is
-one lane of a packed int, and the subsets of the high half are walked in
-Gray-code order, so one int operation updates all 2^(n/2) lanes and the
-scan takes about 2^(n/2) packed steps.  On top of the profiles sit
-the h-index, the arithmetic lower-bound formulas, and the assembled
-per-graph bounds report.
+scanned subset by subset: every subset of the low L vertices is one lane
+of a packed int, which holds the neighbourhood size of each lane's set in
+one half and its edge boundary in the other, and the subsets of the other
+n - L vertices are walked in Gray-code order.  A step adds or subtracts a
+few tables built once by lane doubling and takes one lane-wise minimum,
+so each int operation updates all 2^(L+1) lanes; L is fixed by the order,
+min(n, n // 2 + 2, 13).  On top of the profiles sit the h-index, the
+arithmetic lower-bound formulas, and the assembled per-graph bounds report.
 """
 
 from __future__ import annotations
@@ -42,28 +44,72 @@ def iso_profile(g: Graph) -> tuple[Profile, Profile]:
 def _scan_profiles(g: Graph) -> tuple[Profile, Profile]:
     """(vertex, edge) profiles Phi(G, k) for all k from one subset scan.
 
-    The low L = ceil(n/2) vertices index the lanes: lane S_L of a packed
-    int holds a value for the low subset S_L.  Tables built once give, per
-    lane, |N[S_L]|, the edge boundary of S_L, a 0/1 lane "x not in N[S_L]"
-    for each vertex x, and |N(y) & S_L| for each high vertex y.  The high
-    subsets S_H are walked in Gray order, keeping how many members of S_H
-    cover each vertex in their closed neighbourhoods, so that
-    T = |N[S_L | S_H]| changes only where a count crosses 0 and 1, and
-    U = sum over y in S_H of |N(y) & S_L|.  The edge boundary of S_L | S_H is
-    then E = cut(S_L) + cut(S_H) - 2U.  T and E go into one lane-wise
-    minimum per |S_H|; folding the lanes into the sizes |S_H| + |S_L| = k
-    then leaves the least T and E of each k, and the vertex boundary T - k.
+    The low L vertices index the lanes: lane S_L of a packed int holds a
+    value for the low subset S_L.  One int carries two such arrays, the
+    closed neighbourhood size T = |N[S_L | S_H]| in entries [0, 2^L) and the
+    edge boundary E of S_L | S_H in entries [2^L, 2^(L+1)).  The subsets
+    S_H of the other, high, vertices are walked in Gray order, one vertex y
+    in or out per step, and each step adds or subtracts tables built once:
+
+    * ``miss[x]``, lane S_L set iff x lies outside N[S_L], in the T half:
+      T changes by it where the count of S_H members covering x crosses
+      between 0 and 1;
+    * ``hits2[y]``, lane S_L holding 2|N(y) & S_L|, in the E half;
+    * ``e_step[d]``, d in every lane of the E half, for each value
+      d = deg y - 2|N(y) & S_H| that a step can meet,
+
+    so that E moves by e_step[d] - hits2[y] as y enters and by the negation
+    as it leaves.  The tables of the low vertices grow by lane doubling: the
+    lanes of the sets holding vertex i are those of the sets without it,
+    shifted up 2^i lanes and changed by what i adds, so the cut table
+    follows cut(S | {i}) = cut(S) + deg i - 2|N(i) & S| with no per-subset
+    loop.
+    One lane-wise minimum per step keeps the least T and E of each |S_H|;
+    the halves are split apart and folded into the sizes |S_H| + |S_L| = k,
+    which leaves the least T and E of each k, and the vertex boundary T - k.
+
+    The split is fixed: L = min(n, n // 2 + 2, 13).  A step costs the same
+    interpreter time at any width, so below the cap the lanes take about
+    two more vertices than an even split does; 13 low vertices, 2^14
+    entries of at most 11 bits, keep every packed int under 25 KB, and
+    wider ints run into memory bandwidth.  Best of 7 to 41 interleaved
+    calls, in ms, on one random connected graph per order with m = 2.4n,
+    at each L tried, the rule's in brackets (CPython 3.11, 2 vCPUs):
+
+    ==  ==  ======================================================
+    n   m   ms at L
+    ==  ==  ======================================================
+    8   19  4: 0.085   5: 0.087    [6: 0.088]   7: 0.091
+    12  29  6: 0.21    7: 0.19     [8: 0.20]    9: 0.21
+    16  38  8: 0.80    9: 0.79     [10: 0.78]   11: 0.85
+    20  48  10: 7.4    11: 6.7     [12: 6.8]    13: 7.0
+    21  50  11: 12.7   [12: 12.1]  13: 12.7
+    22  53  11: 23.2   12: 22.6    [13: 22.3]   14: 24.8
+    24  58  12: 83     [13: 88]    14: 83
+    25  60  12: 152    [13: 144]   14: 143
+    ==  ==  ======================================================
+
+    The rule's time is within 6% of the best L tried at every order, and
+    from n = 20 to 22 it beats the even split L = ceil(n/2) by 4-9%.
     """
     n = g.n
     if n > ISO_CAP:
         raise SizeCapError("isoperimetric enumeration", n, ISO_CAP)
     adj = g.adj_bits
     degs = [row.bit_count() for row in adj]
-    low = (n + 1) // 2
-    size = 1 << low
-    # an edge lane sums two boundaries, up to 2m, below the top bit of a lane sized for m
-    lanes = _Lanes(max(n, g.m), size)
-    w, inf, ones = lanes.w, lanes.inf, lanes.fill(1, size)
+    low = min(n, n // 2 + 2, 13)
+    size, count = 1 << low, 2 << low
+    # a T lane holds at most n and an E lane at most m, both below inf
+    lanes = _Lanes(max(n, g.m), count)
+    w, half = lanes.w, lanes.w << low
+    units = [lanes.fill(1, 1 << i) for i in range(low)]  # 2^i entries of 1
+
+    def hits(row: int, upto: int) -> int:
+        """Lane S is |row & S|, for S within the low vertices below ``upto``."""
+        lane = 0
+        for i in range(upto):
+            lane |= (lane + units[i] if row >> i & 1 else lane) << (w << i)
+        return lane
 
     miss = []  # lane S of miss[x] is 1 iff x lies outside N[S]
     for x in range(n):
@@ -72,51 +118,57 @@ def _scan_profiles(g: Graph) -> tuple[Profile, Profile]:
             if not (adj[x] | 1 << x) >> i & 1:
                 lane |= lane << (w << i)
         miss.append(lane)
-    hits = {}  # lane S of hits[y] is |N(y) & S|, for a high vertex y
-    for y in range(low, n):
-        lane = 0
-        for i in range(low):
-            lane |= (lane + (adj[y] >> i & 1) * lanes.fill(1, 1 << i)) << (w << i)
-        hits[y] = lane
-    cuts = [0] * size  # edge boundary of each low subset
-    for s in range(1, size):
-        v = s.bit_length() - 1
-        cuts[s] = cuts[s ^ 1 << v] + degs[v] - 2 * (adj[v] & s).bit_count()
-    cut_l = lanes.pack(cuts)
+    cut = 0  # lane S is the edge boundary of S
+    for i in range(low):
+        cut |= (cut + degs[i] * units[i] - (hits(adj[i], i) << 1)) << (w << i)
+    hits2 = {y: hits(adj[y], low) << (half + 1) for y in range(low, n)}
+    closed = {y: tuple(iter_bits(adj[y] | 1 << y)) for y in range(low, n)}
+    ones_e = lanes.fill(1, size) << half
+    # d = deg y - 2|N(y) & S_H| for each count of high neighbours of y in S_H
+    e_step = {d: d * ones_e for d in {degs[y] - 2 * c for y in range(low, n)
+                                      for c in range((adj[y] >> low).bit_count() + 1)}}
 
+    x = (lanes.fill(n, size) - sum(miss)) | cut << half
+    best = [lanes.fill(lanes.inf, count)] * (n - low + 1)
+    best[0] = x
     cover = [0] * n
-    t, u, cut_h, in_h, size_h = lanes.fill(n, size) - sum(miss), 0, 0, 0, 0
-    best_t = [lanes.fill(inf, size)] * (n - low + 1)
-    best_e = list(best_t)
-    for q in range(1 << (n - low)):
-        if q:
-            y = low + (q & -q).bit_length() - 1
-            in_h ^= 1 << y
-            step = 1 if in_h >> y & 1 else -1
-            size_h += step
-            cut_h += step * (degs[y] - 2 * (adj[y] & in_h).bit_count())
-            u += step * hits[y]
-            for x in iter_bits(adj[y] | 1 << y):
-                was = cover[x]
-                cover[x] += step
-                if not was or not cover[x]:
-                    t += step * miss[x]
-        e = cut_l + cut_h * ones - (u << 1)
-        best_t[size_h] = lanes.min(best_t[size_h], t, size)
-        best_e[size_h] = lanes.min(best_e[size_h], e, size)
+    in_h = size_h = 0
+    for q in range(1, 1 << (n - low)):
+        y = low + (q & -q).bit_length() - 1
+        in_h ^= 1 << y
+        d = degs[y] - 2 * (adj[y] & in_h).bit_count()
+        if in_h >> y & 1:
+            size_h += 1
+            x += e_step[d] - hits2[y]
+            for v in closed[y]:
+                was = cover[v]
+                cover[v] = was + 1
+                if not was:
+                    x += miss[v]
+        else:
+            size_h -= 1
+            x += hits2[y] - e_step[d]
+            for v in closed[y]:
+                now = cover[v] - 1
+                cover[v] = now
+                if not now:
+                    x -= miss[v]
+        best[size_h] = lanes.min(best[size_h], x, count)
 
     # Fold low vertex i into the size: lane S | {i} of entry k moves to lane S
     # of entry k + 1.  Once every low vertex is folded, entry k is one lane
     # holding the minimum over all k-subsets.
+    best_t = [b & ((1 << half) - 1) for b in best]
+    best_e = [b >> half for b in best]
     for i in reversed(range(low)):
         span, at = 1 << i, w << i
-        none = lanes.fill(inf, 2 * span)
-        for best in (best_t, best_e):
-            best[:] = [
+        none = lanes.fill(lanes.inf, 2 * span)
+        for folded in (best_t, best_e):
+            folded[:] = [
                 lanes.min(kept & ((1 << at) - 1), moved >> at, span)
-                for kept, moved in zip(best + [none], [none] + best)
+                for kept, moved in zip(folded + [none], [none] + folded)
             ]
-    return tuple(x - k for k, x in enumerate(best_t))[1:], tuple(best_e[1:])
+    return tuple(t - k for k, t in enumerate(best_t))[1:], tuple(best_e[1:])
 
 
 class _Lanes:
@@ -127,7 +179,9 @@ class _Lanes:
     reaches and exceeds ``largest``, every value the caller stores.  Entries
     stay at most inf + 1, and ``convolve`` adds only entries below inf to
     them, so every sum stays below 2^(w-1), the top bit of its field, which
-    ``min`` borrows from; ``convolve`` returns entries of at most inf.
+    ``min`` borrows from; ``convolve`` returns entries of at most inf.  The
+    subset scan takes its minimum over all ``count`` entries once per step,
+    where ``min`` uses the top bits as they are instead of shifting them.
     """
 
     def __init__(self, largest: int, count: int):
@@ -143,9 +197,10 @@ class _Lanes:
 
     def min(self, x: int, y: int, count: int) -> int:
         """Entrywise minimum of two arrays of ``count`` entries."""
-        top = self.tops >> ((self.longest - count) * self.w)
-        ge = ((x | top) - y) & top  # top bit set where x >= y
-        return x ^ ((x ^ y) & ((ge << 1) - (ge >> (self.w - 1))))
+        top = self.tops if count == self.longest else self.tops >> ((self.longest - count) * self.w)
+        diff = (x | top) - y  # top bit set where x >= y, and x - y below it there
+        ge = diff & top
+        return x - (diff & (ge - (ge >> (self.w - 1))))
 
     def convolve(self, a: int, p: int, b: int, q: int) -> int:
         """Min-plus product of ``a`` (p entries) and ``b`` (q entries).
@@ -173,10 +228,6 @@ class _Lanes:
         """The ``count`` entries of ``x``, entry 0 first."""
         bits = format(x, f"0{count * self.w}b")
         return [int(bits[j : j + self.w], 2) for j in range(0, len(bits), self.w)][::-1]
-
-    def pack(self, values: Sequence[int]) -> int:
-        """The array whose entries are ``values``, entry 0 first."""
-        return int("".join(format(v, f"0{self.w}b") for v in reversed(values)), 2)
 
 
 def _tree_profiles(g: Graph) -> tuple[Profile, Profile]:

@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+import lzl.cli
 from lzl.graphs import generate, parse_graph, serialize_graph
 from lzl.cli import load_graph, main
 from lzl.prox import ProbeSchedule, run_schedule
@@ -155,6 +156,28 @@ class TestBoundsCmd:
         assert results["quantities"]["grid_side"] == 4
         assert {"target": "prox1", "kind": "lower", "value": 2,
                 "rule": "grid-window"} in results["bounds"]
+
+    def test_grid_side_builds_a_grid_only_at_the_grid_edge_count(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        built = []
+
+        def counted(family, **params):
+            built.append(family)
+            return generate(family, **params)
+
+        monkeypatch.setattr(lzl.cli, "generate", counted)
+        # the 4x4 grid with every label moved up by one (mod 16): 16 vertices, 24 edges
+        shifted = tmp_path / "grid4-shifted.graph"
+        edges = sorted(tuple(sorted(((u + 1) % 16, (v + 1) % 16)))
+                       for u, v in generate("grid", n=4).edges())
+        shifted.write_text("p 16 24\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in edges))
+        # grid:4 builds one grid to load it and one to compare with
+        for spec, grids, side in (("path:16", 0, None), ("grid:4", 2, 4), (str(shifted), 1, None)):
+            built.clear()
+            code, out, _ = run_cli(capsys, "bounds", "--graph", spec, "--no-iso")
+            assert code == 0
+            assert built.count("grid") == grids, spec
+            assert report_of(out)["report"]["results"]["quantities"].get("grid_side") == side
 
     def test_unlabelled_grid_file_gets_grid_rules(self, tmp_path, capsys):
         g = generate("grid", n=4)

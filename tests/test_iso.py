@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lzl.iso
 from lzl.errors import SizeCapError
 from lzl.graphs import Graph, closed_nb_bits, generate, mask_of, max_degree, subdivide
 from lzl.iso import (
@@ -102,6 +103,35 @@ class TestProfiles:
         g = random_connected_graph(rng, n, extra_edges=rng.randint(0, n))
         assert _scan_profiles(g) == gray_scan_oracle(g)
 
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_scan_matches_gray_oracle_on_dense_graphs(self, n):
+        # the edge lanes are widest here, and m rather than n sets the lane width
+        rng = random.Random(n)
+        dense = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if v == u + 1 or rng.random() < 0.75])
+        for g in (generate("complete", n=n), dense):
+            assert _scan_profiles(g) == gray_scan_oracle(g)
+
+    def test_scan_split(self, monkeypatch):
+        # min(n, n // 2 + 2, 13) low vertices, so 2^(low + 1) lanes: under 25 KB at the cap
+        counts = []
+
+        class Recorded(lzl.iso._Lanes):
+            def __init__(self, largest, count):
+                super().__init__(largest, count)
+                counts.append((count, count * self.w))
+
+        monkeypatch.setattr(lzl.iso, "_Lanes", Recorded)
+        for n, low in ((1, 1), (2, 2), (3, 3), (4, 4), (5, 4), (12, 8), (20, 12), (21, 12),
+                       (22, 13), (24, 13)):
+            counts.clear()
+            _scan_profiles(generate("cycle" if n >= 3 else "path", n=n))
+            assert counts[0][0] == 2 << low, n
+        counts.clear()
+        _scan_profiles(generate("complete", n=ISO_CAP))
+        lanes, bits = counts[0]  # 11-bit lanes, for m = 300
+        assert lanes == 2 << 13 and bits == lanes * 11 <= 25 * 8 * 1024
+
     def test_closed_forms_at_the_cap(self):
         n = ISO_CAP
         vertex, edge = iso_profile(generate("cycle", n=n))
@@ -146,6 +176,10 @@ def family_trees():
         ("star12", generate("spider", arms=[1] * 12)),
         ("spider1234", generate("spider", arms=[1, 2, 3, 4])),
         ("spider555", generate("spider", arms=[5, 5, 5])),
+        # orders 20, 21 and 24 put 12, 12 and 13 vertices in the scan's lanes
+        ("spider5554", generate("spider", arms=[5, 5, 5, 4])),
+        ("spider5555", generate("spider", arms=[5, 5, 5, 5])),
+        ("spider55553", generate("spider", arms=[5, 5, 5, 5, 3])),
         ("spider2x8", generate("spider", arms=[2] * 8)),
         ("kary2-2-sub1", subdivide(generate("kary", k=2, d=2), 1)),
         ("kary2-2-sub2", subdivide(generate("kary", k=2, d=2), 2)),
