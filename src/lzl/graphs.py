@@ -410,6 +410,19 @@ def spread_tables(g: Graph) -> tuple[tuple[int, ...], ...]:
     return (rows, *_byte_tables(rows))
 
 
+@_per_graph
+def meet_tables(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Byte tables with the meet of N[u] over u in S = ``low[S & 255] & high[S >> 8]``.
+
+    The meet is the set of vertices whose closed neighbourhood holds S, and
+    the meet of the empty set is every vertex.  For the exact prox solver,
+    on graphs of at most 16 vertices.
+    """
+    rows = spread_tables(g)[0]
+    full = (1 << g.n) - 1
+    return _meet_table(rows[:8], full), _meet_table(rows[8:], full)
+
+
 def _byte_tables(rows: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The OR of ``rows[v]`` over a mask's set bits v: a table for bits 0-7, one for the rest."""
     return _union_table(rows[:8]), _union_table(rows[8:])
@@ -421,6 +434,15 @@ def _union_table(rows: Sequence[int]) -> tuple[int, ...]:
     for s in range(1, len(table)):
         low = s & -s
         table[s] = table[s ^ low] | rows[low.bit_length() - 1]
+    return tuple(table)
+
+
+def _meet_table(rows: Sequence[int], full: int) -> tuple[int, ...]:
+    """The AND of ``rows[i]`` over the set bits i of s, for every s below 2^len(rows); ``full`` at 0."""
+    table = [full] * (1 << len(rows))
+    for s in range(1, len(table)):
+        low = s & -s
+        table[s] = table[s ^ low] & rows[low.bit_length() - 1]
     return tuple(table)
 
 

@@ -129,6 +129,7 @@ def _scan_profiles(g: Graph) -> tuple[Profile, Profile]:
                                       for c in range((adj[y] >> low).bit_count() + 1)}}
 
     x = (lanes.fill(n, size) - sum(miss)) | cut << half
+    tops = lanes.top(count)
     best = [lanes.fill(lanes.inf, count)] * (n - low + 1)
     best[0] = x
     cover = [0] * n
@@ -153,20 +154,24 @@ def _scan_profiles(g: Graph) -> tuple[Profile, Profile]:
                 cover[v] = now
                 if not now:
                     x -= miss[v]
-        best[size_h] = lanes.min(best[size_h], x, count)
+        best[size_h] = lanes.min(best[size_h], x, tops)
 
     # Fold low vertex i into the size: lane S | {i} of entry k moves to lane S
     # of entry k + 1.  Once every low vertex is folded, entry k is one lane
-    # holding the minimum over all k-subsets.
+    # holding the minimum over all k-subsets.  Every size is reached, so no
+    # lane holds inf: the first and the new last entry each have one source.
+    # A round's masks are built once and serve both halves.
     best_t = [b & ((1 << half) - 1) for b in best]
     best_e = [b >> half for b in best]
     for i in reversed(range(low)):
-        span, at = 1 << i, w << i
-        none = lanes.fill(lanes.inf, 2 * span)
+        at = w << i
+        keep, top = (1 << at) - 1, lanes.top(1 << i)
         for folded in (best_t, best_e):
             folded[:] = [
-                lanes.min(kept & ((1 << at) - 1), moved >> at, span)
-                for kept, moved in zip(folded + [none], [none] + folded)
+                folded[0] & keep,
+                *[lanes.min(kept & keep, moved >> at, top)
+                  for kept, moved in zip(folded[1:], folded)],
+                folded[-1] >> at,
             ]
     return tuple(t - k for k, t in enumerate(best_t))[1:], tuple(best_e[1:])
 
@@ -179,9 +184,9 @@ class _Lanes:
     reaches and exceeds ``largest``, every value the caller stores.  Entries
     stay at most inf + 1, and ``convolve`` adds only entries below inf to
     them, so every sum stays below 2^(w-1), the top bit of its field, which
-    ``min`` borrows from; ``convolve`` returns entries of at most inf.  The
-    subset scan takes its minimum over all ``count`` entries once per step,
-    where ``min`` uses the top bits as they are instead of shifting them.
+    ``min`` borrows from; ``convolve`` returns entries of at most inf.
+    ``min`` takes those top bits as the mask ``top(count)``, which a caller
+    builds once per entry count rather than once per minimum.
     """
 
     def __init__(self, largest: int, count: int):
@@ -195,9 +200,12 @@ class _Lanes:
         """``count`` entries equal to ``value``."""
         return (self.ones >> ((self.longest - count) * self.w)) * value
 
-    def min(self, x: int, y: int, count: int) -> int:
-        """Entrywise minimum of two arrays of ``count`` entries."""
-        top = self.tops if count == self.longest else self.tops >> ((self.longest - count) * self.w)
+    def top(self, count: int) -> int:
+        """The top bit of each of ``count`` entries, the mask ``min`` borrows from."""
+        return self.tops >> ((self.longest - count) * self.w)
+
+    def min(self, x: int, y: int, top: int) -> int:
+        """Entrywise minimum of two arrays, given ``top(count)`` for their entry count."""
         diff = (x | top) - y  # top bit set where x >= y, and x - y below it there
         ge = diff & top
         return x - (diff & (ge - (ge >> (self.w - 1))))
@@ -215,13 +223,14 @@ class _Lanes:
         span = (1 << (q * w)) - 1
         one = self.fill(1, q)
         out = self.fill(inf, count)
+        top = self.top(count)
         for i in range(p):
             x = (a >> (i * w)) & ((1 << w) - 1)
             if x < inf:
                 shift = i * w
                 # entries outside the window [i, i + q) keep their value
                 term = ((b + x * one) << shift) | (out & ~(span << shift))
-                out = self.min(out, term, count)
+                out = self.min(out, term, top)
         return out
 
     def unpack(self, x: int, count: int) -> list[int]:
@@ -262,18 +271,18 @@ def _tree_profiles(g: Graph) -> tuple[Profile, Profile]:
             ei = lanes.convolve(ei, count, e_in, q)
             eo = lanes.convolve(eo, count, e_out, q)
             count += q - 1
-        one = lanes.fill(1, count)
-        quiet = lanes.min(c, o + one, count)
+        one, top = lanes.fill(1, count), lanes.top(count)
+        quiet = lanes.min(c, o + one, top)
         up[v] = (
             count,
-            lanes.min(a, o + one, count),
-            lanes.min(a, quiet, count),
+            lanes.min(a, o + one, top),
+            lanes.min(a, quiet, top),
             quiet,
-            lanes.min(ei, eo + one, count),
-            lanes.min(ei + one, eo, count),
+            lanes.min(ei, eo + one, top),
+            lanes.min(ei + one, eo, top),
         )
     vertex = lanes.unpack(up[0][2], count)[1:]
-    edge = lanes.unpack(lanes.min(ei, eo, count), count)[1:]
+    edge = lanes.unpack(lanes.min(ei, eo, top), count)[1:]
     return tuple(vertex), tuple(edge)
 
 

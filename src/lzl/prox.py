@@ -27,7 +27,9 @@ from .errors import SizeCapError, UsageError
 from .graphs import (
     Graph,
     closed_nb_bits,
+    iter_bits,
     mask_of,
+    meet_tables,
     orbit_closer,
     spread_tables,
 )
@@ -214,25 +216,22 @@ def _sparse_steps(g: Graph, schedule: ProbeSchedule) -> Iterator[tuple[int, bool
         yield size, bool(added)
 
 
-def _probe_candidates(nb_closed: Sequence[int], territory: int) -> list[int]:
+def _probe_candidates(
+    nb_closed: Sequence[int], meet_low: Sequence[int], meet_high: Sequence[int], territory: int
+) -> list[int]:
     """Vertices worth probing against the spread territory T, ascending.
 
     A vertex is dropped when its clearing set N[v] & T lies in another's,
     keeping the smallest id of equal sets: swapping in the other probe never
     shrinks the cleared set, so the filter is lossless.  The others are the
-    meet of N[u] over u in N[v] & T, as u is in N[w] exactly when w is in N[u].
+    meet of N[u] over u in N[v] & T, as u is in N[w] exactly when w is in N[u],
+    read from the meet tables of ``meet_tables``.
     """
-    full = (1 << len(nb_closed)) - 1
     out = []
     for v, nb in enumerate(nb_closed):
         key = nb & territory
-        alone = 1 << v
-        meet, bits = full, key
-        while bits and meet != alone:
-            low = bits & -bits
-            meet &= nb_closed[low.bit_length() - 1]
-            bits ^= low
-        if not key or meet & (alone - 1):
+        meet = meet_low[key & 255] & meet_high[key >> 8]
+        if not key or meet & ((1 << v) - 1):
             continue  # clears nothing, or a smaller id clears as much
         bits = meet >> (v + 1)
         while bits:  # a larger id whose clearing set is a strict superset
@@ -245,6 +244,27 @@ def _probe_candidates(nb_closed: Sequence[int], territory: int) -> list[int]:
     return out
 
 
+def _clearable(
+    near: Sequence[Sequence[int]], meet_low: Sequence[int], meet_high: Sequence[int], t: int, k: int
+) -> bool:
+    """True if at most k closed neighbourhoods cover t; ``near[u]`` lists N[v] for v in N[u].
+
+    One does when the meet of N[u] over u in t is not empty.  Otherwise
+    some probe covers the lowest vertex u of t, so it lies in N[u], and
+    the other k - 1 cover what that probe leaves.
+    """
+    if meet_low[t & 255] & meet_high[t >> 8]:
+        return True
+    if k == 1:
+        return False
+    for row in near[(t & -t).bit_length() - 1]:
+        r = t & ~row
+        if (meet_low[r & 255] & meet_high[r >> 8] if k == 2
+                else _clearable(near, meet_low, meet_high, r, k - 1)):
+            return True
+    return False
+
+
 def prox_winnable(g: Graph, p: int) -> tuple[bool, ProbeSchedule | None]:
     """Decide whether p cops clear the graph, with a witness when they do.
 
@@ -253,6 +273,16 @@ def prox_winnable(g: Graph, p: int) -> tuple[bool, ProbeSchedule | None]:
     N[S], so states are keyed by N[S] and each is expanded once.  Probe
     sets are tried by size, then lexicographically; a set leaves the AND of
     its members' residuals T minus N[c], and two byte tables give N[S].
+
+    The search stops at the first recorded spread that at most p probes
+    clear, V(G) first, and does not expand it: the witness is its parent
+    chain and then the first probe set, in the search's order, that leaves
+    nothing.  That is the witness the search would find by expanding on to
+    the empty set.  The probe filter is lossless for covering, so a
+    clearable spread reaches the empty set in its own expansion; spreads
+    are expanded in the order they are recorded, so the first recorded
+    clearable spread is the first expanded one to reach the empty set, and
+    nothing recorded after it enters its parent chain.
 
     States are also quotiented by the automorphisms of the graph: a spread
     is recorded only if no image of a recorded one equals it, and the
@@ -270,7 +300,8 @@ def prox_winnable(g: Graph, p: int) -> tuple[bool, ProbeSchedule | None]:
     that first reaches the empty set is new, since an earlier orbit-mate sP
     would reach s(empty) = empty first; P's parent is new, since an
     earlier orbit-mate of it would reach an orbit-mate of P before P; and
-    so on along the parent chain.
+    so on along the parent chain.  Clearability is kept by automorphisms,
+    so the first recorded clearable spread is that P.
     """
     if g.n > PROX_CAP:
         raise SizeCapError("exact prox solver", g.n, PROX_CAP)
@@ -278,6 +309,8 @@ def prox_winnable(g: Graph, p: int) -> tuple[bool, ProbeSchedule | None]:
         return False, None
     full = (1 << g.n) - 1
     nb_closed, low_table, high_table = spread_tables(g)
+    meet_low, meet_high = meet_tables(g)
+    near = [tuple(nb_closed[v] for v in iter_bits(row)) for row in nb_closed]
     close_orbit = orbit_closer(g)
     seen = bytearray(full + 1)  # every image of a recorded spread territory
     close_orbit(full, seen)
@@ -287,44 +320,51 @@ def prox_winnable(g: Graph, p: int) -> tuple[bool, ProbeSchedule | None]:
     frontier = deque([full])
 
     def reach(spread: int, combo: tuple[int, ...]) -> bool:
-        """Record a spread first reached from ``territory``; true if it is empty."""
+        """Record a spread first reached from ``territory``; true if p probes clear it."""
         parent[spread] = (territory, combo)
         close_orbit(spread, seen)
         frontier.append(spread)
-        return not spread
+        return _clearable(near, meet_low, meet_high, spread, p)
 
+    def witness(last: int) -> ProbeSchedule:
+        """The probe sets along the parent chain of ``last``, then the first that clears it."""
+        cands = _probe_candidates(nb_closed, meet_low, meet_high, last)
+        res = [last & ~nb_closed[c] for c in cands]
+        rounds = [next(
+            tuple(map(cands.__getitem__, idx))
+            for k in range(1, p + 1)
+            for idx in combinations(range(len(res)), k)
+            if not reduce(and_, map(res.__getitem__, idx))
+        )]
+        while parent[last] is not None:
+            last, combo = parent[last]
+            rounds.append(combo)
+        rounds.reverse()
+        return ProbeSchedule.from_lists(p, rounds)
+
+    if _clearable(near, meet_low, meet_high, full, p):
+        return True, witness(full)
     while frontier:
         territory = frontier.popleft()
-        cands = _probe_candidates(nb_closed, territory)
+        cands = _probe_candidates(nb_closed, meet_low, meet_high, territory)
         res = [territory & ~nb_closed[c] for c in cands]
         for c, t in zip(cands, res):
             spread = low_table[t & 255] | high_table[t >> 8]
             if not seen[spread] and reach(spread, (c,)):
-                return True, _witness(parent, p)
+                return True, witness(spread)
         for i, r in enumerate(res if p > 1 else ()):
             for j in range(i + 1, len(res)):
                 t = r & res[j]
                 spread = low_table[t & 255] | high_table[t >> 8]
                 if not seen[spread] and reach(spread, (cands[i], cands[j])):
-                    return True, _witness(parent, p)
+                    return True, witness(spread)
         for k in range(3, p + 1):
             for idx in combinations(range(len(res)), k):
                 t = reduce(and_, map(res.__getitem__, idx))
                 spread = low_table[t & 255] | high_table[t >> 8]
                 if not seen[spread] and reach(spread, tuple(map(cands.__getitem__, idx))):
-                    return True, _witness(parent, p)
+                    return True, witness(spread)
     return False, None
-
-
-def _witness(parent: dict, p: int) -> ProbeSchedule:
-    """The probe sets along the parent chain from V(G) to the empty set."""
-    rounds: list[tuple[int, ...]] = []
-    cur = 0
-    while parent[cur] is not None:
-        cur, combo = parent[cur]
-        rounds.append(combo)
-    rounds.reverse()
-    return ProbeSchedule.from_lists(p, rounds)
 
 
 def prox_solve(g: Graph) -> tuple[int, ProbeSchedule]:

@@ -19,6 +19,7 @@ from lzl.graphs import (
     iter_bits,
     mask_of,
     max_degree,
+    meet_tables,
     orbit_closer,
     parse_graph,
     rooted_tree,
@@ -241,6 +242,11 @@ def _loop_closed_nb(g, bits):
     return out
 
 
+def _loop_meet(g, bits):
+    """Reference meet of N[u] over u in S: the vertices v with S inside N[v]."""
+    return mask_of(v for v in range(g.n) if bits & ~_loop_closed_nb(g, 1 << v) == 0)
+
+
 #: every FAMILIES entry, subdivisions, products and a parsed file
 KERNEL_GRAPHS = {
     "path:1": generate("path", n=1),
@@ -308,6 +314,27 @@ class TestNeighbourhoodKernel:
             table, _ = _byte_tables(rows[lo:lo + 8])
             for s, nb in enumerate(table):
                 assert nb == _loop_closed_nb(g, s << lo), (lo, s)
+
+    @pytest.mark.parametrize("name", sorted(k for k, g in KERNEL_GRAPHS.items() if g.n <= 10))
+    def test_meet_tables_at_every_mask(self, name):
+        g = KERNEL_GRAPHS[name]
+        low, high = meet_tables(g)
+        for s in range(1 << g.n):
+            assert low[s & 255] & high[s >> 8] == _loop_meet(g, s), s
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_meet_tables_at_sixteen_vertices(self, seed):
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, 16, extra_edges=8 * seed)
+        low, high = meet_tables(g)
+        masks = [0, (1 << 16) - 1] + [1 << v for v in range(16)]
+        for _ in range(200):
+            bits = (1 << 16) - 1
+            for _ in range(rng.randint(1, 5)):  # about 1/2, 1/4, ... or 1/32 of V
+                bits &= rng.getrandbits(16)
+            masks.append(bits)
+        for s in masks:
+            assert low[s & 255] & high[s >> 8] == _loop_meet(g, s), s
 
     def test_offset_limit(self):
         # complete:5 has the offsets +-1..+-4, complete:6 one pair more
@@ -619,7 +646,7 @@ class TestAutomorphisms:
 
     def test_built_once_per_graph(self):
         g = generate("grid", n=3)
-        for kept in (Graph.content_hash, Graph.adj_bits.fget, spread_tables,
+        for kept in (Graph.content_hash, Graph.adj_bits.fget, spread_tables, meet_tables,
                      automorphism_generators, twin_classes, orbit_closer):
             assert kept(g) is kept(g), kept.__name__
 

@@ -1,17 +1,30 @@
 import json
 import random
 from collections import deque
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lzl.errors import SizeCapError, UsageError
-from lzl.graphs import Graph, closed_nb_bits, generate, iter_bits, mask_of, subdivide
+import lzl.prox
+from lzl.graphs import (
+    Graph,
+    closed_nb_bits,
+    generate,
+    iter_bits,
+    mask_of,
+    meet_tables,
+    spread_tables,
+    subdivide,
+)
 from lzl.gridsweep import clip_schedule, five_panel_schedule
 from lzl.prox import (
     ProbeSchedule,
     ScheduleTrace,
+    _clearable,
     _probe_candidates,
     _shift_steps,
     _sparse_steps,
@@ -377,8 +390,9 @@ def pairwise_candidates(g, territory):
     ]
 
 
-def closed_rows(g):
-    return [g.adj_bits[v] | (1 << v) for v in range(g.n)]
+def probe_tables(g):
+    """The closed rows and meet tables ``_probe_candidates`` reads."""
+    return (spread_tables(g)[0], *meet_tables(g))
 
 
 def twin_graph():
@@ -395,10 +409,10 @@ class TestProbeCandidates:
     def test_random_graphs_and_territories(self, seed, n, extra):
         rng = random.Random(seed)
         g = random_connected_graph(rng, n, extra_edges=extra)
-        rows = closed_rows(g)
+        tables = probe_tables(g)
         for _ in range(8):
             territory = mask_of(v for v in range(n) if rng.random() < rng.random())
-            assert _probe_candidates(rows, territory) == pairwise_candidates(g, territory)
+            assert _probe_candidates(*tables, territory) == pairwise_candidates(g, territory)
 
     @pytest.mark.parametrize("name, g", [
         ("K1", Graph(1, [])),
@@ -409,20 +423,50 @@ class TestProbeCandidates:
         ("C6", generate("cycle", n=6)),
     ])
     def test_every_territory(self, name, g):
-        rows = closed_rows(g)
+        tables = probe_tables(g)
         for territory in range(1 << g.n):
-            assert _probe_candidates(rows, territory) == pairwise_candidates(g, territory), (
+            assert _probe_candidates(*tables, territory) == pairwise_candidates(g, territory), (
                 name, territory)
 
     def test_ties_keep_the_smallest_id(self):
         full = (1 << 5) - 1
-        assert _probe_candidates(closed_rows(generate("complete", n=5)), full) == [0]
+        assert _probe_candidates(*probe_tables(generate("complete", n=5)), full) == [0]
         # the true twins 1 and 4 tie and 1 is kept; N[0] lies in N[1], N[3] and N[5] in N[2]
-        assert _probe_candidates(closed_rows(twin_graph()), (1 << 6) - 1) == [1, 2]
+        assert _probe_candidates(*probe_tables(twin_graph()), (1 << 6) - 1) == [1, 2]
 
     def test_empty_territory(self):
         for g in (Graph(1, []), generate("complete", n=4), twin_graph()):
-            assert _probe_candidates(closed_rows(g), 0) == []
+            assert _probe_candidates(*probe_tables(g), 0) == []
+
+
+def covered_by_at_most(g, territory, k):
+    """Reference clear test: some at most k closed neighbourhoods cover the territory."""
+    rows = [g.adj_bits[v] | (1 << v) for v in range(g.n)]
+    return any(
+        territory & ~reduce(or_, (rows[v] for v in combo), 0) == 0
+        for size in range(k + 1)
+        for combo in combinations(range(g.n), size)
+    )
+
+
+class TestClearable:
+    """The clear test that stops the search, against brute force."""
+
+    @pytest.mark.parametrize("name, g", [
+        ("K1", Graph(1, [])),
+        ("twins", twin_graph()),
+        ("C6", generate("cycle", n=6)),
+        ("star5", generate("spider", arms=[1] * 5)),
+        ("grid:3", generate("grid", n=3)),
+    ])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_every_territory(self, name, g, k):
+        rows = spread_tables(g)[0]
+        near = [tuple(rows[v] for v in iter_bits(row)) for row in rows]
+        low, high = meet_tables(g)
+        for territory in range(1 << g.n):
+            clear = _clearable(near, low, high, territory, k)
+            assert clear == covered_by_at_most(g, territory, k), (name, territory)
 
 
 def territory_keyed_bfs(g, p):
@@ -497,6 +541,35 @@ class TestSolverAgainstTerritoryKeyedSearch:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_slow_witnesses(self, name, p):
         assert_same_as_reference(SLOW_WITNESS_GRAPHS[name], p, name)
+
+    @given(st.integers(0, 10**6), st.integers(1, 12), st.integers(0, 10))
+    @settings(max_examples=40, deadline=None)
+    def test_random_graphs_at_every_budget(self, seed, n, extra):
+        """Every p from 1 to prox1 + 1, the searches that fail, the one that
+        first succeeds and one with a cop to spare, and at least up to 3,
+        where the clear test branches twice and the search tries triples."""
+        g = random_connected_graph(random.Random(seed), n, extra_edges=extra)
+        for p in range(1, max(prox_number(g) + 1, 3) + 1):
+            assert_same_as_reference(g, p, sorted(g.edges()))
+
+    @pytest.mark.parametrize("name, graph, most", [
+        ("grid:4", generate("grid", n=4), 30),
+        ("C4xC4", cartesian_product(generate("cycle", n=4), generate("cycle", n=4)), 10),
+    ])
+    def test_stops_at_the_first_clearable_spread(self, monkeypatch, name, graph, most):
+        """At p = 2, one candidate list per expanded state and one for the
+        witness: 29 + 1 on grid:4 and 9 + 1 on C4xC4, where a search run on
+        to the empty set expands 116 and 20 states."""
+        expanded = []
+        candidates = lzl.prox._probe_candidates
+
+        def counted(*args):
+            expanded.append(args[-1])
+            return candidates(*args)
+
+        monkeypatch.setattr(lzl.prox, "_probe_candidates", counted)
+        won, _ = prox_winnable(graph, 2)
+        assert won and len(expanded) <= most, (name, len(expanded))
 
     def test_spider555_tree_lift(self):
         g = generate("spider", arms=[5, 5, 5])
