@@ -221,15 +221,24 @@ def cmd_bounds(args) -> tuple[dict | None, int]:
         quantities["h_edge"] = h_index(pe)
         quantities["phi_vertex_peak"] = max(pv)
         quantities["phi_edge_peak"] = max(pe)
-    if args.pathwidth and g.n <= PATHWIDTH_CAP:
-        quantities["pathwidth"] = brute_pathwidth(g).width
-    if args.domination and g.n <= DOMINATION_CAP:
-        quantities["domination_number"] = min_dominating_set(g).bit_count()
+    # (quantity, engine, cap, solver) for each quantity a flag asks for
+    requested = []
+    if args.pathwidth:
+        requested.append(("pathwidth", "pathwidth", PATHWIDTH_CAP,
+                          lambda graph: brute_pathwidth(graph).width))
+    if args.domination:
+        requested.append(("domination_number", "domination", DOMINATION_CAP,
+                          lambda graph: min_dominating_set(graph).bit_count()))
     if args.solve:
-        if g.n <= PROX_CAP:
-            quantities["prox1"] = prox_number(g)
-        if g.n <= ZETA_CAP:
-            quantities["zeta1"] = zeta_number(g)
+        requested += [("prox1", "prox", PROX_CAP, prox_number),
+                      ("zeta1", "zeta", ZETA_CAP, zeta_number)]
+    caps, notes = {"iso": ISO_CAP}, []
+    for quantity, engine, cap, solve in requested:
+        caps[engine] = cap
+        if g.n <= cap:
+            quantities[quantity] = solve(g)
+        else:
+            notes.append(f"{quantity} not computed: order {g.n} exceeds the {engine} cap {cap}")
     side = _grid_side_of(g)
     if side:
         quantities["grid_side"] = side
@@ -238,7 +247,7 @@ def cmd_bounds(args) -> tuple[dict | None, int]:
         quantities["kary_shape"] = shape
     report = assemble_bounds(g, quantities, graph_id=gid)
     return _report("bounds", g, gid, {"graph": gid}, report.as_dict(),
-                   caps={"iso": ISO_CAP}), EXIT_OK
+                   caps=caps, notes=notes), EXIT_OK
 
 
 def cmd_prox(args) -> tuple[dict | None, int]:
@@ -392,69 +401,92 @@ def cmd_table(args) -> tuple[dict | None, int]:
     return body, (EXIT_OK if not mismatches else EXIT_NEGATIVE)
 
 
+# name: (help line, handler, options); each option is its flag or positional
+# name with the keywords of its add_argument call
+COMMANDS = {
+    "gen": ("write a graph spec or file in the file format", cmd_gen, (
+        ("--graph", {"required": True}),
+        ("--out", {}),
+    )),
+    "iso": ("isoperimetric profile, peak, h-index", cmd_iso, (
+        ("--graph", {"required": True}),
+        ("--mode", {"choices": ("vertex", "edge"), "default": "vertex"}),
+        ("--peak", {"action": "store_true"}),
+        ("--h-index", {"dest": "h_index", "action": "store_true"}),
+        ("--csv", {}),
+    )),
+    "bounds": ("assemble every applicable bound", cmd_bounds, (
+        ("--graph", {"required": True}),
+        ("--no-iso", {"action": "store_true"}),
+        ("--pathwidth", {"action": "store_true"}),
+        ("--domination", {"action": "store_true"}),
+        ("--solve", {"action": "store_true"}),
+    )),
+    "prox": ("one-proximity solving and verification", cmd_prox, (
+        ("action", {"choices": ("solve", "verify")}),
+        ("--graph", {"required": True}),
+        ("--schedule", {}),
+    )),
+    "zeta": ("localization solving and simulation", cmd_zeta, (
+        ("action", {"choices": ("solve", "simulate")}),
+        ("--graph", {"required": True}),
+        ("--policy", {}),
+        ("--round-cap", {"type": int}),
+    )),
+    "strat": ("generate and verify a named strategy", cmd_strat, (
+        ("name", {}),
+        ("--graph", {}),
+        ("--n", {"type": int}),
+        # None, not a default value, so that an option the strategy would not read is seen
+        ("--root", {"type": int}),
+        ("--round-cap", {"type": int}),
+        ("--emit", {}),
+    )),
+    "table": ("desk-scale table reproduction", cmd_table, (
+        ("name", {}),
+    )),
+}
+
+
+def _with_options(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    _, fn, options = COMMANDS[command]
+    for flag, keywords in options:
+        parser.add_argument(flag, **keywords)
+    parser.set_defaults(fn=fn)
+    return parser
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and reused by every later ``main``."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one command, or with None the full parser of them all.
+
+    Built on the first call and reused by every later ``main``.  A command's
+    own parser gives the help and errors of its subparser in the full one;
+    only arguments it does not know are reported under its own usage line.
+    """
+    if command is not None:
+        p = _with_options(argparse.ArgumentParser(prog=f"lzl {command}"), command)
+        p.set_defaults(cmd=command)
+        return p
     p = argparse.ArgumentParser(
         prog="lzl",
         description="exact engines and verified strategies for the "
         "one-visibility localization and one-proximity games",
     )
     sub = p.add_subparsers(dest="cmd", required=True)
-
-    g = sub.add_parser("gen", help="write a graph spec or file in the file format")
-    g.add_argument("--graph", required=True)
-    g.add_argument("--out")
-    g.set_defaults(fn=cmd_gen)
-
-    i = sub.add_parser("iso", help="isoperimetric profile, peak, h-index")
-    i.add_argument("--graph", required=True)
-    i.add_argument("--mode", choices=("vertex", "edge"), default="vertex")
-    i.add_argument("--peak", action="store_true")
-    i.add_argument("--h-index", dest="h_index", action="store_true")
-    i.add_argument("--csv")
-    i.set_defaults(fn=cmd_iso)
-
-    b = sub.add_parser("bounds", help="assemble every applicable bound")
-    b.add_argument("--graph", required=True)
-    b.add_argument("--no-iso", action="store_true")
-    b.add_argument("--pathwidth", action="store_true")
-    b.add_argument("--domination", action="store_true")
-    b.add_argument("--solve", action="store_true")
-    b.set_defaults(fn=cmd_bounds)
-
-    pr = sub.add_parser("prox", help="one-proximity solving and verification")
-    pr.add_argument("action", choices=("solve", "verify"))
-    pr.add_argument("--graph", required=True)
-    pr.add_argument("--schedule")
-    pr.set_defaults(fn=cmd_prox)
-
-    z = sub.add_parser("zeta", help="localization solving and simulation")
-    z.add_argument("action", choices=("solve", "simulate"))
-    z.add_argument("--graph", required=True)
-    z.add_argument("--policy")
-    z.add_argument("--round-cap", type=int)
-    z.set_defaults(fn=cmd_zeta)
-
-    s = sub.add_parser("strat", help="generate and verify a named strategy")
-    s.add_argument("name")
-    s.add_argument("--graph")
-    s.add_argument("--n", type=int)
-    # None, not a default value, so that an option the strategy would not read is seen
-    s.add_argument("--root", type=int)
-    s.add_argument("--round-cap", type=int)
-    s.add_argument("--emit")
-    s.set_defaults(fn=cmd_strat)
-
-    t = sub.add_parser("table", help="desk-scale table reproduction")
-    t.add_argument("name")
-    t.set_defaults(fn=cmd_table)
+    for name, (help_line, _, _) in COMMANDS.items():
+        _with_options(sub.add_parser(name, help=help_line), name)
     return p
 
 
 def main(argv=None) -> int:
     """Run one command and print its report, if it has one, with its timing."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # every command's parser together takes longer to build than a short command runs
+    if argv and argv[0] in COMMANDS:
+        args = build_parser(argv[0]).parse_args(argv[1:])
+    else:
+        args = build_parser().parse_args(argv)
     started = time.time()
     try:
         body, code = args.fn(args)

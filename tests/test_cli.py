@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import tracemalloc
@@ -6,7 +7,7 @@ import pytest
 
 import lzl.cli
 from lzl.graphs import generate, parse_graph, serialize_graph
-from lzl.cli import load_graph, main
+from lzl.cli import COMMANDS, build_parser, load_graph, main
 from lzl.prox import ProbeSchedule, run_schedule
 from lzl.strategies import STRATEGY_REGISTRY
 from lzl.zeta import POLICY_REGISTRY, SchedulePolicy
@@ -244,6 +245,33 @@ class TestBoundsCmd:
         best = results["best"]["prox1"]
         assert best["lower"] <= results["quantities"]["prox1"] <= best["upper"]
         assert any(b["rule"] == "kary-depth-cited" for b in results["bounds"])
+
+    def test_flags_over_their_caps_are_noted(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--graph", "grid:5",
+                               "--pathwidth", "--domination", "--solve")
+        assert code == 0
+        report = report_of(out)["report"]
+        assert report["caps"] == {"iso": 25, "pathwidth": 10, "domination": 20,
+                                  "prox": 16, "zeta": 12}
+        assert report["deviation_notes"] == [
+            "pathwidth not computed: order 25 exceeds the pathwidth cap 10",
+            "domination_number not computed: order 25 exceeds the domination cap 20",
+            "prox1 not computed: order 25 exceeds the prox cap 16",
+            "zeta1 not computed: order 25 exceeds the zeta cap 12",
+        ]
+        quantities = report["results"]["quantities"]
+        assert not {"pathwidth", "domination_number", "prox1", "zeta1"} & set(quantities)
+
+    def test_flags_within_their_caps_are_computed(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--graph", "grid:3",
+                               "--pathwidth", "--domination", "--solve")
+        assert code == 0
+        report = report_of(out)["report"]
+        assert report["deviation_notes"] == []
+        assert set(report["caps"]) == {"iso", "pathwidth", "domination", "prox", "zeta"}
+        quantities = report["results"]["quantities"]
+        assert (quantities["pathwidth"], quantities["domination_number"],
+                quantities["prox1"], quantities["zeta1"]) == (3, 3, 1, 2)
 
     def test_k4_pathwidth_route(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--graph", "complete:4",
@@ -573,6 +601,24 @@ class TestUsageErrors:
             main(["iso", "--graph", "path:5", "--budget", "3"])
         captured = capsys.readouterr()
         assert exc.value.code == 2 and not captured.out and "--budget" in captured.err
+        # iso's own parser reports the argument it does not know
+        assert captured.err.startswith("usage: lzl iso")
+        assert "lzl iso: error: unrecognized arguments: --budget 3" in captured.err
+
+    def test_full_parser_help_exit0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 0 and not captured.err
+        assert captured.out.startswith("usage: lzl [-h] {gen,iso,bounds,prox,zeta,strat,table}")
+
+    def test_unknown_command_exit2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["nonesuch", "--graph", "path:5"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and not captured.out
+        assert captured.err.startswith("usage: lzl [-h] {gen,iso,bounds,prox,zeta,strat,table}")
+        assert "lzl: error: argument cmd: invalid choice: 'nonesuch' (choose from " in captured.err
 
     @pytest.mark.parametrize("argv", [
         ("zeta", "solve", "--graph", "grid:x"),
@@ -721,3 +767,89 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, "gen", "--graph", spec)
         assert (code, out) == (2, "")
         assert message in err and "9" * 50 not in err
+
+
+# argvs after the command name that each parser accepts, with abbreviations,
+# --opt=value and positionals between options
+PARSED = {
+    "gen": [["--graph", "path:3"], ["--graph=path:3", "--out", "g.txt"], ["--gr", "path:3", "--o", "x"]],
+    "iso": [["--graph", "grid:3"],
+            ["--graph", "grid:3", "--mode", "edge", "--peak", "--h-index", "--csv", "p.csv"],
+            ["--pe", "--gra=x", "--mode=vertex", "--h-i"]],
+    "bounds": [["--graph", "x"], ["--graph", "x", "--no-iso", "--pathwidth", "--domination", "--solve"],
+               ["--so", "--pa", "--graph", "x"]],
+    "prox": [["solve", "--graph", "x"], ["--graph", "x", "verify", "--schedule", "s.json"],
+             ["verify", "--sch", "s", "--graph=x"]],
+    "zeta": [["solve", "--graph", "x"],
+             ["simulate", "--graph", "x", "--policy", "sweep", "--round-cap", "7"],
+             ["--round-cap=3", "simulate", "--gr", "x"]],
+    "strat": [["tree-depth", "--graph", "x"], ["grid-sweep", "--n", "11", "--emit", "s.json"],
+              ["--root", "2", "lift-tree", "--round-cap", "9", "--graph=x"]],
+    "table": [["tab1"], ["nonesuch"]],
+}
+
+# argvs after the command name that each parser refuses inside the command
+REFUSED = {
+    "gen": [[], ["--graph"]],
+    "iso": [["--graph", "x", "--mode", "bad"], ["--h", "--graph", "x"]],
+    "bounds": [["--solve"], ["--graph", "x", "--pathwidth=1"]],
+    "prox": [["foo", "--graph", "x"], ["--graph", "x"]],
+    "zeta": [["solve", "--graph", "x", "--round-cap", "abc"], ["simulate"]],
+    "strat": [[], ["x", "--n", "1.5"]],
+    "table": [[]],
+}
+
+
+def subparser(command: str) -> argparse.ArgumentParser:
+    """The parser of ``command`` inside the full parser."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+def exit_of(capsys, parser: argparse.ArgumentParser, argv: list[str]) -> tuple:
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestCommandParsers:
+    """A command's own parser, which ``main`` builds, against the full parser."""
+
+    def test_every_command_is_covered(self):
+        assert set(PARSED) == set(REFUSED) == set(COMMANDS)
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_help_matches_the_full_parser(self, capsys, command):
+        assert build_parser(command).format_help() == subparser(command).format_help()
+        assert exit_of(capsys, build_parser(command), ["--help"]) == \
+            exit_of(capsys, build_parser(), [command, "--help"])
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_namespaces_match_the_full_parser(self, command):
+        for argv in PARSED[command]:
+            args = build_parser(command).parse_args(argv)
+            assert args == build_parser().parse_args([command, *argv]), argv
+            assert (args.cmd, args.fn) == (command, COMMANDS[command][1])
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_errors_match_the_full_parser(self, capsys, command):
+        for argv in REFUSED[command]:
+            code, out, err = exit_of(capsys, build_parser(command), argv)
+            assert (code, out) == (2, "") and err.startswith(f"usage: lzl {command} ")
+            assert (code, out, err) == exit_of(capsys, build_parser(), [command, *argv]), argv
+
+    def test_main_builds_only_the_parser_it_runs(self, capsys, monkeypatch):
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.prog)
+
+        build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
+        try:
+            assert main(["iso", "--graph", "path:3"]) == 0
+        finally:
+            build_parser.cache_clear()
+        assert built == ["lzl iso"]
