@@ -215,12 +215,17 @@ def _kary_shape_of(g: Graph) -> tuple[int, int] | None:
 def cmd_bounds(args) -> tuple[dict | None, int]:
     g, gid = load_graph(args.graph)
     quantities: dict = {}
-    if not args.no_iso and (g.n <= ISO_CAP or g.is_tree()):
-        pv, pe = iso_profile(g)
-        quantities["h_vertex"] = h_index(pv)
-        quantities["h_edge"] = h_index(pe)
-        quantities["phi_vertex_peak"] = max(pv)
-        quantities["phi_edge_peak"] = max(pe)
+    caps, notes = {}, []
+    if not args.no_iso:
+        caps["iso"] = ISO_CAP
+        if g.n <= ISO_CAP or g.is_tree():
+            pv, pe = iso_profile(g)
+            quantities["h_vertex"] = h_index(pv)
+            quantities["h_edge"] = h_index(pe)
+            quantities["phi_vertex_peak"] = max(pv)
+            quantities["phi_edge_peak"] = max(pe)
+        else:
+            notes.append(f"isoperimetric profile not computed: order {g.n} exceeds the iso cap {ISO_CAP}")
     # (quantity, engine, cap, solver) for each quantity a flag asks for
     requested = []
     if args.pathwidth:
@@ -232,7 +237,6 @@ def cmd_bounds(args) -> tuple[dict | None, int]:
     if args.solve:
         requested += [("prox1", "prox", PROX_CAP, prox_number),
                       ("zeta1", "zeta", ZETA_CAP, zeta_number)]
-    caps, notes = {"iso": ISO_CAP}, []
     for quantity, engine, cap, solve in requested:
         caps[engine] = cap
         if g.n <= cap:

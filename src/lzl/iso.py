@@ -416,7 +416,9 @@ def assemble_bounds(g: Graph, quantities: dict, *, graph_id: str = "") -> Bounds
         if "h_edge" in quantities:
             add(DerivedBound("prox1", "lower",
                              quantities["h_edge"] // ((delta + 1) * delta) + 1, "h-index-edge"))
-    if "grid_side" in quantities:
+    # prox1 is 1 on the 2-by-2 and 3-by-3 grids, below the window's lower end
+    # 2; on the 4-by-4 and 5-by-5 grids it is 2, at that end
+    if quantities.get("grid_side", 0) >= 4:
         side = quantities["grid_side"]
         lo = -(-side // 5) + 1
         add(DerivedBound("prox1", "lower", lo, "grid-window"))

@@ -273,6 +273,44 @@ class TestBoundsCmd:
         assert (quantities["pathwidth"], quantities["domination_number"],
                 quantities["prox1"], quantities["zeta1"]) == (3, 3, 1, 2)
 
+    def test_profile_over_its_cap_is_noted(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--graph", "grid:6")
+        assert code == 0
+        report = report_of(out)["report"]
+        assert report["caps"] == {"iso": 25}
+        assert report["deviation_notes"] == [
+            "isoperimetric profile not computed: order 36 exceeds the iso cap 25",
+        ]
+        assert "h_vertex" not in report["results"]["quantities"]
+
+    def test_no_iso_lists_no_iso_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--graph", "grid:6", "--no-iso")
+        assert code == 0
+        report = report_of(out)["report"]
+        assert report["caps"] == {} and report["deviation_notes"] == []
+
+    @pytest.mark.parametrize("spec", [
+        *(f"path:{n}" for n in range(2, 13)),
+        *(f"cycle:{n}" for n in range(3, 13)),
+        *(f"complete:{n}" for n in range(2, 11)),
+        "grid:2", "grid:3", "grid:4",
+        "kary:2,2", "kary:2,3", "kary:3,2",
+        "spider:1,1,1,1,1,1", "spider:2,2,2", "spider:3,3,3", "spider:1,2,3", "spider:2,2,2,2",
+        "path:4:sub2", "cycle:4:sub1", "complete:4:sub1", "kary:2,2:sub1", "spider:2,2,2:sub1",
+    ])
+    def test_solved_values_lie_in_their_best_windows(self, capsys, spec):
+        code, out, _ = run_cli(capsys, "bounds", "--graph", spec,
+                               "--solve", "--pathwidth", "--domination")
+        assert code == 0
+        results = report_of(out)["report"]["results"]
+        solved = [t for t in ("prox1", "zeta1") if t in results["quantities"]]
+        assert solved, spec
+        for target in solved:
+            best = results["best"][target]
+            value = results["quantities"][target]
+            assert best["lower"] is None or best["lower"] <= value, (target, best)
+            assert best["upper"] is None or value <= best["upper"], (target, best)
+
     def test_k4_pathwidth_route(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--graph", "complete:4",
                                "--pathwidth", "--solve")
@@ -724,10 +762,12 @@ class TestUsageErrors:
             main(["zeta", "solve", "--graph", "path:4"])
 
     def test_inconsistent_bounds_is_not_a_usage_error(self, monkeypatch):
-        # a zeta1 of 1 caps prox1 at 1, below the grid-window lower bound 2
+        # a zeta1 of 1 caps prox1 at 1, below the grid-window lower bound 2;
+        # grid:4 is over the zeta cap, so the cap is raised to reach the solver
+        monkeypatch.setattr("lzl.cli.ZETA_CAP", 16)
         monkeypatch.setattr("lzl.cli.zeta_number", lambda g: 1)
         with pytest.raises(AssertionError, match="prox1: derived lower bound 2 exceeds upper bound 1"):
-            main(["bounds", "--graph", "grid:3", "--no-iso", "--solve"])
+            main(["bounds", "--graph", "grid:4", "--no-iso", "--solve"])
 
     def test_failed_grid_verification_is_not_a_usage_error(self, monkeypatch):
         def uncleared(g, schedule):

@@ -20,6 +20,11 @@ COMMANDS = [
     for graph in ("grid:3", "grid:5", "cycle:9", "spider:3,3,3", "kary:2,8", "complete:5")
     for solve in ("", " --solve")
 ] + [
+    # K2: Delta = 1 = prox1, so large-proximity-equality and tree-degree-equality fire
+    "bounds --graph path:2 --solve",
+    # C9 is C4-free with domination number 3 and Delta = 2: domination-c4free gives 5
+    "bounds --graph cycle:9 --domination",
+] + [
     f"iso --graph {graph} --mode {mode} --peak --h-index"
     for graph in ("grid:4", "kary:2,8")
     for mode in ("vertex", "edge")
