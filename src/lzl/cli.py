@@ -212,45 +212,42 @@ def _kary_shape_of(g: Graph) -> tuple[int, int] | None:
     return k, d
 
 
+def _profile_quantities(g: Graph) -> dict:
+    pv, pe = iso_profile(g)
+    return {"h_vertex": h_index(pv), "h_edge": h_index(pe),
+            "phi_vertex_peak": max(pv), "phi_edge_peak": max(pe)}
+
+
 def cmd_bounds(args) -> tuple[dict | None, int]:
     g, gid = load_graph(args.graph)
+    # (asked for, what, engine, cap, the quantities that engine gives) per
+    # row; each engine refuses past its own cap, and a tree is profiled at any order
+    requested = [
+        (not args.no_iso, "isoperimetric profile", "iso", ISO_CAP, _profile_quantities),
+        (args.pathwidth, "pathwidth", "pathwidth", PATHWIDTH_CAP,
+         lambda graph: {"pathwidth": brute_pathwidth(graph).width}),
+        (args.domination, "domination_number", "domination", DOMINATION_CAP,
+         lambda graph: {"domination_number": min_dominating_set(graph).bit_count()}),
+        (args.solve, "prox1", "prox", PROX_CAP, lambda graph: {"prox1": prox_number(graph)}),
+        (args.solve, "zeta1", "zeta", ZETA_CAP, lambda graph: {"zeta1": zeta_number(graph)}),
+    ]
     quantities: dict = {}
     caps, notes = {}, []
-    if not args.no_iso:
-        caps["iso"] = ISO_CAP
-        if g.n <= ISO_CAP or g.is_tree():
-            pv, pe = iso_profile(g)
-            quantities["h_vertex"] = h_index(pv)
-            quantities["h_edge"] = h_index(pe)
-            quantities["phi_vertex_peak"] = max(pv)
-            quantities["phi_edge_peak"] = max(pe)
-        else:
-            notes.append(f"isoperimetric profile not computed: order {g.n} exceeds the iso cap {ISO_CAP}")
-    # (quantity, engine, cap, solver) for each quantity a flag asks for
-    requested = []
-    if args.pathwidth:
-        requested.append(("pathwidth", "pathwidth", PATHWIDTH_CAP,
-                          lambda graph: brute_pathwidth(graph).width))
-    if args.domination:
-        requested.append(("domination_number", "domination", DOMINATION_CAP,
-                          lambda graph: min_dominating_set(graph).bit_count()))
-    if args.solve:
-        requested += [("prox1", "prox", PROX_CAP, prox_number),
-                      ("zeta1", "zeta", ZETA_CAP, zeta_number)]
-    for quantity, engine, cap, solve in requested:
+    for asked, what, engine, cap, compute in requested:
+        if not asked:
+            continue
         caps[engine] = cap
-        if g.n <= cap:
-            quantities[quantity] = solve(g)
-        else:
-            notes.append(f"{quantity} not computed: order {g.n} exceeds the {engine} cap {cap}")
+        try:
+            quantities.update(compute(g))
+        except SizeCapError:
+            notes.append(f"{what} not computed: order {g.n} exceeds the {engine} cap {cap}")
     side = _grid_side_of(g)
     if side:
         quantities["grid_side"] = side
     shape = _kary_shape_of(g)
     if shape:
         quantities["kary_shape"] = shape
-    report = assemble_bounds(g, quantities, graph_id=gid)
-    return _report("bounds", g, gid, {"graph": gid}, report.as_dict(),
+    return _report("bounds", g, gid, {"graph": gid}, assemble_bounds(g, quantities, graph_id=gid),
                    caps=caps, notes=notes), EXIT_OK
 
 

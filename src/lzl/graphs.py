@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from functools import wraps
-from itertools import accumulate, chain, pairwise
+from itertools import accumulate, chain, combinations, pairwise
 from operator import contains
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -470,11 +470,18 @@ def max_degree(g: Graph) -> int:
 
 
 def is_c4_free(g: Graph) -> bool:
-    """True iff no two vertices share two or more common neighbors."""
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if (g.adj_bits[u] & g.adj_bits[v]).bit_count() >= 2:
+    """True iff no two vertices share two or more common neighbors.
+
+    Each vertex joins every pair of its neighbours, so a pair met twice has
+    two common neighbours.  The walk is O(sum of deg^2) over the neighbour
+    tuples, stops at the first repeat, and builds no bitmask row.
+    """
+    seen = set()
+    for row in g.nbrs:
+        for pair in combinations(row, 2):
+            if pair in seen:
                 return False
+            seen.add(pair)
     return True
 
 

@@ -14,7 +14,6 @@ arithmetic lower-bound formulas, and the assembled per-graph bounds report.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from .errors import SizeCapError
@@ -316,48 +315,6 @@ def kary_bound_report(k: int, d: int) -> tuple[int, int]:
     return 3 * (d - 2) // (40 * (2 * k + 3)) + 1, depth_bound(d)
 
 
-@dataclass(frozen=True)
-class DerivedBound:
-    target: str  # "prox1" | "zeta1"
-    kind: str  # "lower" | "upper"
-    value: int
-    rule: str
-
-
-@dataclass
-class BoundsReport:
-    """Every applicable inequality instantiated for one graph."""
-
-    graph_id: str
-    n: int
-    m: int
-    max_degree: int
-    quantities: dict
-    bounds: list[DerivedBound] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-
-    def best(self, target: str) -> tuple[int | None, int | None]:
-        lowers = [b.value for b in self.bounds if b.target == target and b.kind == "lower"]
-        uppers = [b.value for b in self.bounds if b.target == target and b.kind == "upper"]
-        return (max(lowers) if lowers else None, min(uppers) if uppers else None)
-
-    def as_dict(self) -> dict:
-        return {
-            "graph_id": self.graph_id,
-            "n": self.n,
-            "m": self.m,
-            "max_degree": self.max_degree,
-            "quantities": {k: v for k, v in sorted(self.quantities.items())},
-            "bounds": [asdict(b) for b in self.bounds],
-            "notes": list(self.notes),
-            "best": {
-                t: {"lower": lo, "upper": hi}
-                for t in ("prox1", "zeta1")
-                for lo, hi in [self.best(t)]
-            },
-        }
-
-
 #: the quantities ``assemble_bounds`` reads; ``kary_shape`` is a (k, d) pair
 QUANTITIES = frozenset({
     "prox1", "zeta1", "h_vertex", "h_edge", "phi_vertex_peak", "phi_edge_peak",
@@ -365,93 +322,102 @@ QUANTITIES = frozenset({
 })
 
 
-def assemble_bounds(g: Graph, quantities: dict, *, graph_id: str = "") -> BoundsReport:
+def assemble_bounds(g: Graph, quantities: dict, *, graph_id: str = "") -> dict:
     """Chain every applicable inequality through the known quantities.
 
     ``quantities`` maps names in :data:`QUANTITIES` to known values; a name
-    outside it raises ``ValueError``.  A lower bound exceeding an upper
-    bound for the same target is a hard inconsistency and raises instead
-    of being clamped.
+    outside it raises ``ValueError``.  The result is the ``results`` block
+    of a bounds report: each bound a dict of its target, kind, value and
+    rule, and the best lower and upper end of each target.  A lower bound
+    exceeding an upper bound for the same target is a hard inconsistency
+    and raises instead of being clamped.
     """
     unknown = quantities.keys() - QUANTITIES
     if unknown:
         raise ValueError(f"unknown quantities: {', '.join(sorted(unknown))}")
     delta = max_degree(g)
     prox1 = quantities.get("prox1")
-    report = BoundsReport(
-        graph_id=graph_id or g.content_hash(),
-        n=g.n,
-        m=g.m,
-        max_degree=delta,
-        quantities=dict(quantities),
-    )
-    add = report.bounds.append
+    bounds: list[dict] = []
+    notes: list[str] = []
+
+    def add(target: str, kind: str, value: int, rule: str) -> None:
+        bounds.append({"target": target, "kind": kind, "value": value, "rule": rule})
 
     if g.n > 1:
-        add(DerivedBound("zeta1", "upper", g.n - 1, "order-cap"))
+        add("zeta1", "upper", g.n - 1, "order-cap")
     tree = g.is_tree()
 
     if prox1 is not None:
-        add(DerivedBound("zeta1", "lower", prox1, "relaxation-order"))
-        add(DerivedBound("zeta1", "upper", delta * prox1, "degree-lift"))
+        add("zeta1", "lower", prox1, "relaxation-order")
+        add("zeta1", "upper", delta * prox1, "degree-lift")
         if delta >= 1 and prox1 >= delta * delta:
-            add(DerivedBound("zeta1", "upper", prox1, "large-proximity-equality"))
+            add("zeta1", "upper", prox1, "large-proximity-equality")
         if tree:
-            add(DerivedBound("zeta1", "upper", prox1 + 1, "tree-gap-one"))
+            add("zeta1", "upper", prox1 + 1, "tree-gap-one")
             if prox1 >= delta:
-                add(DerivedBound("zeta1", "upper", prox1, "tree-degree-equality"))
+                add("zeta1", "upper", prox1, "tree-degree-equality")
     if "zeta1" in quantities:
-        add(DerivedBound("prox1", "upper", quantities["zeta1"], "relaxation-order"))
+        add("prox1", "upper", quantities["zeta1"], "relaxation-order")
     if "pathwidth" in quantities:
-        add(DerivedBound("zeta1", "upper", quantities["pathwidth"], "pathwidth-sweep"))
+        add("zeta1", "upper", quantities["pathwidth"], "pathwidth-sweep")
     if "domination_number" in quantities and is_c4_free(g):
-        add(DerivedBound("zeta1", "upper", quantities["domination_number"] + delta,
-                         "domination-c4free"))
+        add("zeta1", "upper", quantities["domination_number"] + delta, "domination-c4free")
     if delta >= 1:
         # prox1 > H_V/(Delta+1) and prox1 > H_E/((Delta+1)*Delta) are strict
         # and prox1 is an integer, so each bound is the floor plus one
         if "h_vertex" in quantities:
-            add(DerivedBound("prox1", "lower", quantities["h_vertex"] // (delta + 1) + 1,
-                             "h-index-vertex"))
+            add("prox1", "lower", quantities["h_vertex"] // (delta + 1) + 1, "h-index-vertex")
         if "h_edge" in quantities:
-            add(DerivedBound("prox1", "lower",
-                             quantities["h_edge"] // ((delta + 1) * delta) + 1, "h-index-edge"))
+            add("prox1", "lower", quantities["h_edge"] // ((delta + 1) * delta) + 1,
+                "h-index-edge")
     # prox1 is 1 on the 2-by-2 and 3-by-3 grids, below the window's lower end
     # 2; on the 4-by-4 and 5-by-5 grids it is 2, at that end
     if quantities.get("grid_side", 0) >= 4:
         side = quantities["grid_side"]
         lo = -(-side // 5) + 1
-        add(DerivedBound("prox1", "lower", lo, "grid-window"))
-        add(DerivedBound("prox1", "upper", lo + 3, "grid-window"))
+        add("prox1", "lower", lo, "grid-window")
+        add("prox1", "upper", lo + 3, "grid-window")
         if side >= 11:
             rule = "grid-window-localization-cited"
-            add(DerivedBound("zeta1", "lower", lo, rule))
-            add(DerivedBound("zeta1", "upper", lo + 3, rule))
-            report.notes.append(
+            add("zeta1", "lower", lo, rule)
+            add("zeta1", "upper", lo + 3, rule)
+            notes.append(
                 "the grid zeta1 window is cited from the paper; no policy "
                 "in this package verifies it"
             )
     if "kary_shape" in quantities:
         lower, upper = kary_bound_report(*quantities["kary_shape"])
         rule = "kary-depth-cited"
-        add(DerivedBound("prox1", "lower", lower, rule))
-        add(DerivedBound("prox1", "upper", upper, rule))
-        report.notes.append(
+        add("prox1", "lower", lower, rule)
+        add("prox1", "upper", upper, rule)
+        notes.append(
             "the k-ary prox1 depth bounds are cited from the paper; bounds "
             "does not verify them"
         )
-    report.notes.append(
+    notes.append(
         "asymptotic separator and binary-tree statements carry hidden "
         "constants and are never instantiated numerically"
     )
 
-    for target in ("prox1", "zeta1"):
-        lo, hi = report.best(target)
+    best = {target: {"lower": None, "upper": None} for target in ("prox1", "zeta1")}
+    for b in bounds:
+        ends, kind, value = best[b["target"]], b["kind"], b["value"]
+        pick = max if kind == "lower" else min
+        ends[kind] = value if ends[kind] is None else pick(ends[kind], value)
+    for target, ends in best.items():
+        lo, hi = ends["lower"], ends["upper"]
         if lo is not None and hi is not None and lo > hi:
-            raise AssertionError(
-                f"{target}: derived lower bound {lo} exceeds upper bound {hi}"
-            )
-    return report
+            raise AssertionError(f"{target}: derived lower bound {lo} exceeds upper bound {hi}")
+    return {
+        "graph_id": graph_id or g.content_hash(),
+        "n": g.n,
+        "m": g.m,
+        "max_degree": delta,
+        "quantities": dict(sorted(quantities.items())),
+        "bounds": bounds,
+        "notes": notes,
+        "best": best,
+    }
 
 
 def profile_to_csv(profile: Profile) -> str:

@@ -373,6 +373,9 @@ def prox_solve(g: Graph) -> tuple[int, ProbeSchedule]:
     The one-vertex graph counts 0 cops, which keeps prox1 <= zeta1
     alongside zeta1(K1) = 0; its witness probes the vertex once.
     """
+    # refused before the search: a graph over the cap makes no prox_winnable call
+    if g.n > PROX_CAP:
+        raise SizeCapError("exact prox solver", g.n, PROX_CAP)
     for p in range(1, g.n + 1):
         won, witness = prox_winnable(g, p)
         if won:

@@ -310,14 +310,15 @@ def brute_pathwidth(g: Graph) -> PathDecomposition:
         order.append(v)
         s &= ~(1 << v)
     order.reverse()
-    pos = {v: i for i, v in enumerate(order)}
     bags = []
-    for i, v in enumerate(order):
+    prefix = 0  # the vertices before v in the order
+    for v in order:
         bag = 1 << v
-        for u in order[:i]:
-            if any(pos[w] >= i for w in iter_bits(adj[u])):
+        for u in iter_bits(prefix):
+            if adj[u] & ~prefix:
                 bag |= 1 << u
         bags.append(bag)
+        prefix |= 1 << v
     assert max(b.bit_count() for b in bags) - 1 == best[full]
     return PathDecomposition(
         tuple(b for b, nxt in zip(bags, bags[1:]) if b & ~nxt) + (bags[-1],)

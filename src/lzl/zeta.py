@@ -209,6 +209,9 @@ def _probe_sets(
 
 def zeta_number(g: Graph) -> int:
     """Least k with a winning cop strategy; 0 for the one-vertex graph."""
+    # refused before the search: a graph over the cap makes no zeta_winnable call
+    if g.n > ZETA_CAP:
+        raise SizeCapError("exact localization solver", g.n, ZETA_CAP)
     if g.n == 1:
         return 0
     for k in range(1, g.n):

@@ -289,6 +289,44 @@ class TestBoundsCmd:
         report = report_of(out)["report"]
         assert report["caps"] == {} and report["deviation_notes"] == []
 
+    # (flags, engine, cap, quantity, what the note names, spec of order cap, of order cap + 1)
+    CAP_BOUNDARIES = [
+        ((), "iso", 25, "h_vertex", "isoperimetric profile", "cycle:25", "cycle:26"),
+        (("--no-iso", "--pathwidth"), "pathwidth", 10, "pathwidth", "pathwidth",
+         "complete:10", "complete:11"),
+        (("--no-iso", "--domination"), "domination", 20, "domination_number",
+         "domination_number", "complete:20", "complete:21"),
+        (("--no-iso", "--solve"), "prox", 16, "prox1", "prox1", "complete:16", "complete:17"),
+        (("--no-iso", "--solve"), "zeta", 12, "zeta1", "zeta1", "path:12", "path:13"),
+    ]
+
+    @pytest.mark.parametrize("flags, engine, cap, quantity, what, at_cap, past_cap",
+                             CAP_BOUNDARIES, ids=[row[1] for row in CAP_BOUNDARIES])
+    def test_each_engine_at_and_past_its_cap(self, capsys, flags, engine, cap, quantity,
+                                             what, at_cap, past_cap):
+        code, out, _ = run_cli(capsys, "bounds", "--graph", at_cap, *flags)
+        assert code == 0
+        report = report_of(out)["report"]
+        assert report["caps"][engine] == cap
+        assert quantity in report["results"]["quantities"]
+        assert not any(note.startswith(f"{what} ") for note in report["deviation_notes"])
+
+        code, out, _ = run_cli(capsys, "bounds", "--graph", past_cap, *flags)
+        assert code == 0
+        report = report_of(out)["report"]
+        assert report["caps"][engine] == cap
+        assert quantity not in report["results"]["quantities"]
+        assert (f"{what} not computed: order {cap + 1} exceeds the {engine} cap {cap}"
+                in report["deviation_notes"])
+
+    def test_tree_past_the_iso_cap_is_profiled(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--graph", "path:26")
+        assert code == 0
+        report = report_of(out)["report"]
+        assert report["caps"] == {"iso": 25} and report["deviation_notes"] == []
+        quantities = report["results"]["quantities"]
+        assert (quantities["h_vertex"], quantities["h_edge"]) == (1, 1)
+
     @pytest.mark.parametrize("spec", [
         *(f"path:{n}" for n in range(2, 13)),
         *(f"cycle:{n}" for n in range(3, 13)),
@@ -763,8 +801,7 @@ class TestUsageErrors:
 
     def test_inconsistent_bounds_is_not_a_usage_error(self, monkeypatch):
         # a zeta1 of 1 caps prox1 at 1, below the grid-window lower bound 2;
-        # grid:4 is over the zeta cap, so the cap is raised to reach the solver
-        monkeypatch.setattr("lzl.cli.ZETA_CAP", 16)
+        # the stand-in solver has no cap, so it answers on grid:4
         monkeypatch.setattr("lzl.cli.zeta_number", lambda g: 1)
         with pytest.raises(AssertionError, match="prox1: derived lower bound 2 exceeds upper bound 1"):
             main(["bounds", "--graph", "grid:4", "--no-iso", "--solve"])

@@ -411,6 +411,20 @@ class TestMetrics:
         assert is_c4_free(generate("kary", k=2, d=3))
         assert is_c4_free(generate("path", n=6))
 
+    def test_c4_free_matches_row_pairs(self):
+        rng = random.Random(44)
+        for _ in range(400):
+            g = random_connected_graph(rng, rng.randint(1, 12), rng.randint(0, 8))
+            rows = g.adj_bits
+            shared_pair = any((rows[u] & rows[v]).bit_count() >= 2
+                              for u in range(g.n) for v in range(u + 1, g.n))
+            assert is_c4_free(g) is not shared_pair, g.nbrs
+
+    def test_c4_free_at_the_order_cap_builds_no_rows(self):
+        g = generate("path", n=16384)
+        assert is_c4_free(g)
+        assert g._store == {}
+
     def test_max_degree(self):
         assert max_degree(generate("spider", arms=[1] * 5)) == 5
 

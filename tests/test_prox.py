@@ -360,6 +360,14 @@ class TestSolver:
         with pytest.raises(SizeCapError):
             prox_winnable(generate("grid", n=5), 2)
 
+    def test_solve_refuses_before_any_search(self, monkeypatch):
+        def searched(g, p):
+            raise AssertionError("searched a graph over the cap")
+
+        monkeypatch.setattr(lzl.prox, "prox_winnable", searched)
+        with pytest.raises(SizeCapError):
+            prox_solve(generate("complete", n=17))
+
     def test_witness_verifies(self, corpus):
         for name, g in corpus:
             if g.n < 2:

@@ -199,6 +199,14 @@ class TestFixpoint:
         with pytest.raises(SizeCapError):
             zeta_winnable(generate("grid", n=4), 2)
 
+    def test_number_refuses_before_any_search(self, monkeypatch):
+        def searched(g, k):
+            raise AssertionError("searched a graph over the cap")
+
+        monkeypatch.setattr(lzl.zeta, "zeta_winnable", searched)
+        with pytest.raises(SizeCapError):
+            zeta_number(generate("grid", n=4))
+
     def test_twins_cut_probe_sets_to_prefixes(self):
         # K_n at V: one set per size, not 2^n - 1; on a smaller state the
         # twins split by side, each side probed from its lowest member up
